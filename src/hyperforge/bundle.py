@@ -254,19 +254,23 @@ class Bundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Bundle":
-        if data.get("format") != FORMAT:
+        """Rebuild a bundle; a document of the wrong shape raises BundleError."""
+        if not isinstance(data, dict) or data.get("format") != FORMAT:
             raise BundleError(f"not a {FORMAT} document")
-        kind = data["kind"]
-        round_cls = CauchyRound if kind.startswith("cauchy") else CoordRound
-        return cls(
-            kind=kind,
-            space=parse_space(data["space"]),
-            weight=WeightSpec.from_json(data["weight"]),
-            targets=[FiniteSeq.from_json(t) for t in data["targets"]],
-            K=data["partition_K"],
-            rounds=[round_cls.from_json(rd) for rd in data["rounds"]],
-            lambda_params=data.get("lambda"),
-        )
+        try:
+            kind = data["kind"]
+            round_cls = CauchyRound if kind.startswith("cauchy") else CoordRound
+            return cls(
+                kind=kind,
+                space=parse_space(data["space"]),
+                weight=WeightSpec.from_json(data["weight"]),
+                targets=[FiniteSeq.from_json(t) for t in data["targets"]],
+                K=data["partition_K"],
+                rounds=[round_cls.from_json(rd) for rd in data["rounds"]],
+                lambda_params=data.get("lambda"),
+            )
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
+            raise BundleError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc
 
     @property
     def bundle_id(self) -> str:

@@ -218,7 +218,7 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     first pair whose closed-form b passes C1 and C3 in the log domain."""
     s = y.max_index
     log_eps = eps_log
-    yterms = [(j, w.v_log(j) + c.log_mag) for j, c in y.items()]
+    yterms = {j: w.v_log(j) + c.log_mag - math.log(m) for j, c in y.items()}
     budget = pair_budget if pair_budget is not None else search_budget()
     scanned = 0
     best = math.inf
@@ -241,30 +241,47 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
             continue
         gs = np.concatenate(gs_all)
         es = np.concatenate(es_all)
+        del gs_all, es_all
         scanned += len(gs)
-        top = int(m * gs.max())
-        logv = w.v_log_array(top)
+        logv = w.v_log_array(int(m * gs.max()))
 
         # log b = (max_j A_j + min(B1, B2)) / 2; the max runs over all of 0..s,
-        # not just the target's support
+        # not just the target's support, whose arrays are kept for C1.  A batch
+        # holds up to millions of pairs, so each array is built once and the
+        # arithmetic runs in place, in the operand order of the closed forms
+        top = es + (m - 1) * gs
+        kept = {}
         maxA = None
         for j in range(s + 1):
-            A = (basis_log_array(space, r, es + j) - logv[es + j + (m - 1) * gs]) / (m - 1)
-            maxA = A if maxA is None else np.maximum(maxA, A)
+            basis_j, logv_j = basis_log_array(space, r, es + j), logv[top + j]
+            A = (basis_j - logv_j) / (m - 1)
+            maxA = A if maxA is None else np.maximum(maxA, A, out=maxA)
+            if j in yterms:
+                kept[j] = basis_j, logv_j
+        del top, A
+        v_gap = logv[gs - es] - logv[m * gs]  # log v_{gamma-eta} - log v_{m gamma}
+        basis_gap = basis_log_array(space, r, gs - es)
         B1 = -basis_log_array(space, r, gs)
-        B2 = (logv[gs - es] - logv[m * gs] - basis_log_array(space, r, gs - es)) / m
-        logb = 0.5 * (maxA + np.minimum(B1, B2))
+        logb = maxA
+        logb += np.minimum(B1, (v_gap - basis_gap) / m)
+        logb *= 0.5
 
         # C1: ||q||_r + ||b e_gamma||_r < eps
+        logb_pow = (m - 1) * logb
         logq = None
-        for j, base in yterms:
-            t = base - math.log(m) - (m - 1) * logb - logv[es + j + (m - 1) * gs] \
-                + basis_log_array(space, r, es + j)
-            logq = t if logq is None else np.logaddexp(logq, t)
-        c1 = np.logaddexp(logq, logb + basis_log_array(space, r, gs))
-        # C3: ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_r
-        c3 = m * logb + (logv[m * gs] - logv[gs - es]) + basis_log_array(space, r, gs - es)
-        worst = np.maximum(c1, c3)
+        for j, base in yterms.items():
+            basis_j, logv_j = kept.pop(j)
+            t = np.subtract(base, logb_pow)
+            t -= logv_j
+            t += basis_j
+            logq = t if logq is None else np.logaddexp(logq, t, out=logq)
+        c1 = np.logaddexp(logq, np.subtract(logb, B1, out=B1), out=logq)
+        # C3: ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_r, in log
+        #   m log b + (log v_{m gamma} - log v_{gamma-eta}) + log||e_{gamma-eta}||
+        c3 = np.multiply(m, logb, out=B1)
+        c3 -= v_gap
+        c3 += basis_gap
+        worst = np.maximum(c1, c3, out=c1)
         hit = np.nonzero(worst < log_eps)[0]
         if len(hit):
             i = int(hit[0])

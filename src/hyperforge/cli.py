@@ -55,18 +55,15 @@ def _load_targets(path: str) -> list[FiniteSeq]:
     return [FiniteSeq.from_json(entry) for entry in raw]
 
 
-def export_report(report: dict, path: str | None, fmt: str = "json", csv_path: str | None = None) -> None:
-    """Write a report: JSON always; a (round, distance, bound, ratio) CSV on request."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(canonical_json(report))
-            fh.write("\n")
-    if csv_path is not None or fmt == "csv":
-        rows = report.get("rounds", [])
-        with open(csv_path or path or "report.csv", "w", newline="") as fh:
+def export_report(report: dict, path: str | None, csv_path: str | None = None) -> None:
+    """Write a report as JSON to path, and its (round, distance, bound, ratio)
+    rows as CSV to csv_path; either may be None."""
+    _write_json(report, path)
+    if csv_path is not None:
+        with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "distance", "bound", "ratio"])
-            for row in rows:
+            for row in report.get("rounds", []):
                 if isinstance(row, dict) and not row.get("skipped"):
                     writer.writerow([row["round"], row["distance"], row["bound"], row["ratio"]])
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import WeightError
 
@@ -150,14 +148,6 @@ class WideComplex:
         if self.is_zero:
             return self
         return WideComplex(self.log_mag, self.phase + math.pi)
-
-    def conjugate(self) -> "WideComplex":
-        if self.is_zero:
-            return self
-        return WideComplex(self.log_mag, -self.phase if self.phase != math.pi else math.pi)
-
-    def scale_real(self, x: float) -> "WideComplex":
-        return self * WideComplex.from_real(x)
 
     def powi(self, j: int) -> "WideComplex":
         """Exact integer power (j-fold log/phase scaling)."""
@@ -454,7 +444,6 @@ class WeightSpec:
         self.kind = kind
         self.value = None
         self.table = None
-        self._lock = threading.Lock()
         if kind == "const":
             if value is None or value == 0:
                 raise WeightError("constant weight must be nonzero")
@@ -542,6 +531,10 @@ class WeightSpec:
             ph = math.atan2(self.value.imag, self.value.real)
             self._ph_v = None if ph == 0.0 else np.concatenate(([0.0], idx[1:] * ph))
         elif self.kind == "maclane":
+            # imported here: only maclane weights need scipy, and it would
+            # double the import time of every command
+            from scipy.special import gammaln
+
             size = min(size, 1 << 27)
             self._log_v = gammaln(np.arange(size, dtype=np.float64) + 1.0)
             self._ph_v = None
@@ -554,11 +547,6 @@ class WeightSpec:
                 self._ph_v = np.cumsum(np.concatenate(([0.0], phases)))
             else:
                 self._ph_v = None
-
-    def _ensure(self, upto: int) -> None:
-        if upto + 1 > len(self._log_v):
-            with self._lock:
-                self._grow(upto)
 
     # -- scalar access ---------------------------------------------------------------
     def w(self, n: int) -> WideComplex:
@@ -576,11 +564,11 @@ class WeightSpec:
         return WideComplex.from_complex(self.table[n - 1])
 
     def v_log(self, n: int) -> float:
-        self._ensure(n)
+        self._grow(n)
         return float(self._log_v[n])
 
     def v_phase(self, n: int) -> float:
-        self._ensure(n)
+        self._grow(n)
         return 0.0 if self._ph_v is None else float(self._ph_v[n])
 
     def v(self, n: int) -> WideComplex:
@@ -589,7 +577,7 @@ class WeightSpec:
 
     def v_log_array(self, upto: int) -> np.ndarray:
         """Read-only view of log|v_n| for n = 0..upto."""
-        self._ensure(upto)
+        self._grow(upto)
         return self._log_v[: upto + 1]
 
     def ratio(self, n: int, a: int) -> WideComplex:
@@ -609,7 +597,7 @@ class WeightSpec:
             raise ValueError("fractional power needs j >= 1, m >= 1")
         if a == 0:
             return ONE
-        self._ensure(n + a)
+        self._grow(n + a)
         dlog = float(self._log_v[n + a] - self._log_v[n])
         dph = 0.0 if self._ph_v is None else float(self._ph_v[n + a] - self._ph_v[n])
         if j != m:

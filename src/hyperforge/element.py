@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from .core import format_complex_literal
 from .errors import ElementError
 
-_COEF_EPS = 0.0  # exact-zero coefficients are dropped, nothing else
-
 
 @dataclass(frozen=True)
 class AlgebraElement:

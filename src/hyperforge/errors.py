@@ -48,20 +48,12 @@ class SearchExhausted(HyperforgeError):
     code = "search_exhausted"
 
 
-class BudgetExceeded(HyperforgeError):
-    code = "budget_exceeded"
-
-
 class WitnessError(HyperforgeError):
     code = "witness_not_found"
 
 
 class PropertyBUnavailable(HyperforgeError):
     code = "property_b_unavailable"
-
-
-class TruncationInsufficient(HyperforgeError):
-    code = "truncation_insufficient"
 
 
 class ElementError(HyperforgeError):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -72,10 +74,6 @@ class SpaceSpec:
     def supports_cauchy(self) -> bool:
         return self.space_id in _CAUCHY_ALGEBRAS
 
-    @property
-    def is_banach(self) -> bool:
-        return self.space_id in ("l_p", "c0", "l1")
-
     def __str__(self) -> str:
         return self.cli_id
 
@@ -118,28 +116,29 @@ _FAMILY_DOC = {
 }
 
 
-@dataclass(frozen=True)
 class SeminormValue:
-    """Interval enclosure [lower, upper]; equal except for entire_cauchy.
-
-    Decoded values saturate to inf on overflow; the log fields are always
-    finite information (or -inf for exact zero) and drive all certificate
-    comparisons.
+    """Interval enclosure [lower, upper] of a seminorm in log form.  The ends
+    are equal except for entire_cauchy, whose lower end (a circle scan that no
+    certificate reads) is sampled on the first read of ``lower``,
+    ``lower_log`` or ``is_exact``, then cached.  ``upper_log`` drives all
+    certificate comparisons; decoded values saturate to inf on overflow.
     """
 
-    lower: float
-    upper: float
-    lower_log: float
-    upper_log: float
+    def __init__(self, upper_log: float, sample_lower_log: Callable[[], float] | None = None):
+        self.upper_log = upper_log
+        self._sample_lower_log = sample_lower_log
 
-    @classmethod
-    def exact(cls, log_val: float) -> "SeminormValue":
-        v = log_decode(log_val)
-        return cls(v, v, log_val, log_val)
+    @cached_property
+    def lower_log(self) -> float:
+        return self.upper_log if self._sample_lower_log is None else self._sample_lower_log()
 
-    @classmethod
-    def interval(cls, lower_log: float, upper_log: float) -> "SeminormValue":
-        return cls(log_decode(lower_log), log_decode(upper_log), lower_log, upper_log)
+    @property
+    def lower(self) -> float:
+        return log_decode(self.lower_log)
+
+    @property
+    def upper(self) -> float:
+        return log_decode(self.upper_log)
 
     @property
     def is_exact(self) -> bool:
@@ -160,34 +159,33 @@ def seminorm_eval(space: SpaceSpec, q: int, x: FiniteSeq) -> SeminormValue:
     if sid == "l_p":
         p = space.p
         total = log_sum(c.log_mag * p for _, c in x.items())
-        return SeminormValue.exact(total / p if total not in (NEG_INF, math.inf) else total)
+        return SeminormValue(total / p if total not in (NEG_INF, math.inf) else total)
     if sid == "c0":
-        return SeminormValue.exact(max((c.log_mag for _, c in x.items()), default=NEG_INF))
+        return SeminormValue(max((c.log_mag for _, c in x.items()), default=NEG_INF))
     if sid == "l1":
-        return SeminormValue.exact(log_sum(c.log_mag for _, c in x.items()))
+        return SeminormValue(log_sum(c.log_mag for _, c in x.items()))
     if sid == "entire_hadamard":
         lq = math.log(q)
-        return SeminormValue.exact(log_sum(c.log_mag + n * lq for n, c in x.items()))
+        return SeminormValue(log_sum(c.log_mag + n * lq for n, c in x.items()))
     if sid == "omega_coord":
-        return SeminormValue.exact(
+        return SeminormValue(
             max((c.log_mag for n, c in x.items() if n <= q), default=NEG_INF)
         )
     if sid == "omega_cauchy":
-        return SeminormValue.exact(log_sum(c.log_mag for n, c in x.items() if n <= q))
+        return SeminormValue(log_sum(c.log_mag for n, c in x.items() if n <= q))
     # entire_cauchy: upper bound sum |x_n| q^n; lower bound from sampling the
     # circle |z| = q (valid for polynomials by the maximum principle).
     lq = math.log(q)
-    upper = log_sum(c.log_mag + n * lq for n, c in x.items())
-    lower = NEG_INF
-    if not x.is_zero:
-        terms = list(x.items())
-        for k in range(CIRCLE_SAMPLES):
-            theta = 2.0 * math.pi * k / CIRCLE_SAMPLES
-            val = WideComplex.sum_of(
-                WideComplex(c.log_mag + n * lq, c.phase + n * theta) for n, c in terms
-            )
-            lower = max(lower, val.log_mag)
-    return SeminormValue.interval(lower, upper)
+    terms = list(x.items())
+
+    def circle_max_log() -> float:
+        thetas = (2.0 * math.pi * k / CIRCLE_SAMPLES for k in range(CIRCLE_SAMPLES))
+        return max(
+            WideComplex.sum_of(WideComplex(c.log_mag + n * lq, c.phase + n * th) for n, c in terms).log_mag
+            for th in thetas
+        )
+
+    return SeminormValue(log_sum(c.log_mag + n * lq for n, c in terms), circle_max_log)
 
 
 def basis_seminorm_log(space: SpaceSpec, q: int, n: int) -> float:

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +130,25 @@ class TestBuildAndVerify:
         code, payload = run_command(["verify", "power", "--bundle", "/nonexistent.json"])
         assert code == 1 and payload["error"] == "bundle_invalid"
 
+    @pytest.mark.parametrize("damage", ["no_weight", "round_without_checks"])
+    def test_malformed_bundle_is_bundle_invalid(self, damage, targets_file, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        run_command(
+            ["build", "coord", "--space", "l1", "--weight", "const:2",
+             "--targets", targets_file, "--rounds", "3", "--out", str(out)]
+        )
+        doc = json.loads(out.read_text())
+        if damage == "no_weight":
+            del doc["weight"]
+        else:
+            del doc["rounds"][1]["checks"]
+        out.write_text(json.dumps(doc))
+        argv = ["verify", "certificates", "--bundle", str(out)]
+        code, payload = run_command(argv)
+        assert code == 1 and payload["error"] == "bundle_invalid"
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "bundle_invalid"
+
     def test_build_determinism(self, targets_file, tmp_path):
         args = ["build", "coord", "--space", "l1", "--weight", "const:2",
                 "--targets", targets_file, "--rounds", "8"]
@@ -189,3 +210,25 @@ def test_out_of_range_values_map_to_config_errors(tmp_path, targets_file):
     )
     code, payload = run_command(["verify", "power", "--bundle", out, "--power", "0"])
     assert code == 1 and payload["error"] == "config_invalid"
+
+
+# bundle ids of the README builds; any change to the search or to the bundle
+# bytes shows here
+README_BUNDLE_IDS = [
+    (["cauchy", "--space", "entire_cauchy", "--weight", "maclane", "--rounds", "8"],
+     "fad6f6dcb0f45d02"),
+    (["algebrable-cauchy", "--space", "l1", "--weight", "const:2", "--rounds", "8", "--K", "2"],
+     "1785e5e5716db747"),
+]
+
+
+@pytest.mark.parametrize("args,bundle_id", README_BUNDLE_IDS, ids=["cauchy", "algebrable-cauchy"])
+def test_readme_builds_keep_their_bundle_ids(args, bundle_id, targets_file):
+    code, payload = run_command(["build", *args, "--targets", targets_file])
+    assert code == 0 and payload["bundle_id"] == bundle_id
+
+
+def test_import_leaves_scipy_special_unloaded():
+    probe = "import sys, hyperforge, hyperforge.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from hyperforge import FiniteSeq, basis_seminorm, seminorm_eval, space
-from hyperforge.core import cauchy_product, coordinatewise_product
+from hyperforge.core import WideComplex, cauchy_product, coordinatewise_product
 from hyperforge.errors import SpaceProductError, SpaceUnknownError
-from hyperforge.spaces import SpaceSpec, basis_seminorm_log, list_spaces
+from hyperforge.spaces import CIRCLE_SAMPLES, SpaceSpec, basis_seminorm_log, list_spaces
 
 from conftest import from_dict, rand_seq
 
@@ -128,3 +128,48 @@ class TestSeminormFamilyLaws:
             assert val.lower <= val.upper * (1 + 1e-12)
             # the sampled value is an attained |p(z)|, hence a true lower bound
             assert val.lower >= 0.0
+
+
+class TestLazyCircleScan:
+    """The entire_cauchy lower end is sampled only when read."""
+
+    @staticmethod
+    def eager_lower_log(x, q):
+        # reference: the circle scan written out as a plain loop
+        lq = math.log(q)
+        lower = -math.inf
+        if not x.is_zero:
+            terms = list(x.items())
+            for k in range(CIRCLE_SAMPLES):
+                theta = 2.0 * math.pi * k / CIRCLE_SAMPLES
+                val = WideComplex.sum_of(
+                    WideComplex(c.log_mag + n * lq, c.phase + n * theta) for n, c in terms
+                )
+                lower = max(lower, val.log_mag)
+        return lower
+
+    def test_upper_end_makes_no_circle_sums(self, monkeypatch):
+        x = from_dict({0: 1, 2: -1j, 5: 0.5})
+        calls = []
+        real = WideComplex.sum_of.__func__
+
+        def counting(cls, terms):
+            calls.append(1)
+            return real(cls, terms)
+
+        monkeypatch.setattr(WideComplex, "sum_of", classmethod(counting))
+        val = seminorm_eval(space("entire_cauchy"), 3, x)
+        assert val.upper_log == pytest.approx(math.log(1 + 9 + 0.5 * 3**5))
+        assert calls == []
+        val.lower_log
+        assert len(calls) == CIRCLE_SAMPLES
+        val.lower, val.is_exact
+        assert len(calls) == CIRCLE_SAMPLES  # sampled once, then cached
+
+    def test_lower_end_equals_the_eager_scan(self):
+        ec = space("entire_cauchy")
+        rng = random.Random(41)
+        seqs = [FiniteSeq.zero()] + [rand_seq(rng, 8, 40) for _ in range(40)]
+        for x in seqs:
+            for q in (1, 2, 7):
+                assert seminorm_eval(ec, q, x).lower_log == self.eager_lower_log(x, q)
