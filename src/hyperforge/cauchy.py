@@ -511,6 +511,18 @@ def tail_bound(mu_max: int, c_per_degree: list[float], r: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the Property B witness a state verifies depends only on the space; no
+# caller mutates it, so one instance per space is shared
+_PROP_B: dict[str, PropertyBWitness] = {}
+
+
+def _state_property_b(space: SpaceSpec) -> PropertyBWitness:
+    wit = _PROP_B.get(space.cli_id)
+    if wit is None:
+        wit = _PROP_B[space.cli_id] = property_b_witness(space, m_max=4, M_max=8, r_max=5, n_max=200)
+    return wit
+
+
 class CauchyState:
     """Mutable record of a Cauchy-product construction in progress."""
 
@@ -545,9 +557,7 @@ class CauchyState:
         if omega:
             self.prop_b = None
         else:
-            self.prop_b = prop_b if prop_b is not None else property_b_witness(
-                space, m_max=4, M_max=8, r_max=5, n_max=200
-            )
+            self.prop_b = prop_b if prop_b is not None else _state_property_b(space)
         self.rounds: list[CauchyRound] = []
 
     def blocks(self) -> list[FiniteSeq]:

@@ -52,7 +52,10 @@ def _load_targets(path: str) -> list[FiniteSeq]:
         raise ConfigError(f"cannot read targets file {path!r}: {exc}") from exc
     if not isinstance(raw, list):
         raise ConfigError("targets file must hold a JSON list of sequences")
-    return [FiniteSeq.from_json(entry) for entry in raw]
+    try:
+        return [FiniteSeq.from_json(entry) for entry in raw]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed sequence in targets file {path!r}: {exc!r}") from exc
 
 
 def export_report(report: dict, path: str | None, csv_path: str | None = None) -> None:

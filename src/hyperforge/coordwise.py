@@ -36,6 +36,11 @@ from .schedule import PairOrder, TargetSchedule
 from .spaces import SpaceSpec, basis_log_array, seminorm_eval
 
 _LN2 = math.log(2.0)
+# witness entries per screen window: the first window is small because the
+# first survivor usually certifies; the cap bounds each window's A2 work
+_WINDOW_MIN = 1 << 12
+_WINDOW_MAX = 1 << 16
+_MAX_REJECTED = 16
 
 
 class CoordState:
@@ -101,10 +106,12 @@ def _combine_terms(space: SpaceSpec, terms: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _screen(state: CoordState, r: int, m: int, y: FiniteSeq, lower: int) -> np.ndarray:
-    """Vectorized A1/A2 pre-filter over witness indices > lower (order preserved)."""
+def _screen(state: CoordState, r: int, m: int, y: FiniteSeq, lower: int, size: int) -> np.ndarray:
+    """Vectorized A1/A2 pre-filter over the first `size` witness indices > lower
+    (order preserved)."""
     space, w = state.space, state.w
-    cands = state.pk.p[np.searchsorted(state.pk.p, lower, side="right"):]
+    start = int(np.searchsorted(state.pk.p, lower, side="right"))
+    cands = state.pk.p[start : start + size]
     if len(cands) == 0:
         return cands
     supp = [(n, c.log_mag / m) for n, c in y.items()]
@@ -169,9 +176,11 @@ def certify_coord_round(
 def select_ar(state: CoordState, r: int) -> CoordRound:
     """Smallest admissible witness index for round r, with stored certificates.
 
-    Equivalent to an ascending first-success scan; the vectorized screen only
-    discards indices that fail a necessary inequality, and the survivor is
-    re-certified exactly before acceptance.
+    Walks the witness in ascending windows (4096 entries, doubling up to 2^16)
+    and certifies the screen's survivors in order, so the first that passes is
+    the first witness index that certifies: the screen only discards indices
+    that fail a necessary inequality.  The witness is extended only when the
+    walk reaches its end.
     """
     if r != len(state.rounds) + 1:
         raise ValueError(f"rounds are built in order; expected round {len(state.rounds) + 1}")
@@ -179,33 +188,40 @@ def select_ar(state: CoordState, r: int) -> CoordRound:
     y = state.schedule.target(l)
     lower = _candidate_lower_bound(state, r)
     budget = search_budget()
+    size = _WINDOW_MIN
+    rejected: list[int] = []
     while True:
-        alive = _screen(state, r, m, y, lower)
-        for a in alive[:16]:
+        pk = state.pk
+        start = int(np.searchsorted(pk.p, lower, side="right"))
+        if start == pk.count:
+            if int(pk.p[-1]) >= budget:
+                raise SearchExhausted(
+                    "no admissible index within the search budget",
+                    round=r,
+                    m=m,
+                    l=l,
+                    scanned_to=int(pk.p[-1]),
+                )
+            state.pk = extend_pk_witness(state.space, state.w, pk, max(2 * pk.count, 128))
+            continue
+        for a in _screen(state, r, m, y, lower, size):
             round_ = certify_coord_round(
                 state.space, state.w, state.schedule, state.pairing, state.rounds, r, int(a)
             )
             if round_.passed:
                 state.rounds.append(round_)
                 return round_
-        if len(alive) > 16:
-            # screen said yes but certification said no for 16 candidates in a row:
-            # numerical disagreement beyond slack would be a bug
-            raise SearchExhausted(
-                "screened candidates repeatedly failed exact certification",
-                round=r,
-                first_candidate=int(alive[0]),
-            )
-        want = max(2 * state.pk.count, 128)
-        if int(state.pk.p[-1]) >= budget:
-            raise SearchExhausted(
-                "no admissible index within the search budget",
-                round=r,
-                m=m,
-                l=l,
-                scanned_to=int(state.pk.p[-1]),
-            )
-        state.pk = extend_pk_witness(state.space, state.w, state.pk, want)
+            rejected.append(int(a))
+            if len(rejected) == _MAX_REJECTED:
+                # screen said yes but certification said no for 16 candidates in a row:
+                # numerical disagreement beyond slack would be a bug
+                raise SearchExhausted(
+                    "screened candidates repeatedly failed exact certification",
+                    round=r,
+                    first_candidate=rejected[0],
+                )
+        lower = int(pk.p[min(start + size, pk.count) - 1])
+        size = min(2 * size, _WINDOW_MAX)
 
 
 def build_generator(state: CoordState, R: int) -> Bundle:

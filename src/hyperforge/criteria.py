@@ -30,9 +30,12 @@ _SLACK = 1e-9
 class _WindowExtreme:
     """Serves max/min of an index-wise array over sliding windows [p, p+N].
 
-    Exploits that the arrays in play (basis-norm log minus log|v|, or log|v|
-    itself) are monotone beyond a small prefix, so the window extreme is just
-    the left edge there; the prefix falls back to an explicit sliding window.
+    ``values_fn(lo, hi)`` returns the array at indices lo..hi-1, so each call
+    computes only the indices its windows cover.  The arrays in play
+    (basis-norm log minus log|v|, or log|v| itself) are monotone beyond a small
+    prefix, so past the last break in monotonicity inside the segment the
+    window extreme is just the left edge; before it an explicit sliding window
+    is taken.  Both are exact.
     """
 
     def __init__(self, values_fn, N: int, mode: str, cap: int | None = None):
@@ -40,58 +43,44 @@ class _WindowExtreme:
         self.N = N
         self.mode = mode
         self.cap = cap  # largest valid index (finite weight tables)
-        self._vals: np.ndarray | None = None
-        self._mono_from = 0
 
-    def _ensure(self, upto: int) -> None:
-        if self._vals is not None and upto < len(self._vals):
-            return
-        size = max(upto + 1, 4096)
-        if self._vals is not None:
-            size = max(size, 2 * len(self._vals))
-        if self.cap is not None:
-            size = min(size, self.cap + 1)
-            if upto + 1 > size:
-                raise IndexError(f"window provider asked past the weight table (index {upto})")
-        vals = self._fn(size - 1)
-        with np.errstate(invalid="ignore"):  # -inf minus -inf (flat omega tails) is benign
-            d = np.diff(vals)
-            bad = np.nonzero(d > 0)[0] if self.mode == "max" else np.nonzero(d < 0)[0]
-        self._mono_from = 0 if len(bad) == 0 else int(bad[-1]) + 1
-        self._vals = vals
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        if self.cap is not None and hi - 1 > self.cap:
+            raise IndexError(f"window provider asked past the weight table (index {hi - 1})")
+        return self._fn(lo, hi)
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Window extremes for p in [lo, hi)."""
-        self._ensure(hi - 1 + self.N)
-        vals = self._vals
+        vals = self._values(lo, hi + self.N)
+        with np.errstate(invalid="ignore"):  # -inf minus -inf (flat omega tails) is benign
+            d = np.diff(vals)
+            bad = np.nonzero(d > 0)[0] if self.mode == "max" else np.nonzero(d < 0)[0]
+        split = 0 if len(bad) == 0 else min(int(bad[-1]) + 1, hi - lo)
         out = np.empty(hi - lo)
-        split = min(max(lo, self._mono_from), hi)
-        if lo < split:
-            seg = vals[lo : split + self.N]
-            win = np.lib.stride_tricks.sliding_window_view(seg, self.N + 1)
-            out[: split - lo] = win.max(axis=1) if self.mode == "max" else win.min(axis=1)
-        if split < hi:
-            out[split - lo :] = vals[split:hi]
+        if split > 0:
+            win = np.lib.stride_tricks.sliding_window_view(vals[: split + self.N], self.N + 1)
+            out[:split] = win.max(axis=1) if self.mode == "max" else win.min(axis=1)
+        out[split:] = vals[split : hi - lo]
         return out
 
     def at(self, p: int) -> float:
-        return float(self.window(p, p + 1)[0])
+        vals = self._values(p, p + self.N + 1)
+        return float(vals.max() if self.mode == "max" else vals.min())
 
 
 def _h_provider(space: SpaceSpec, w: WeightSpec, q: int, horizon_n: int) -> _WindowExtreme:
     """Window max of log ||v_j^{-1} e_j||_q over j in [p, p+horizon_n]."""
 
-    def fn(upto: int) -> np.ndarray:
-        idx = np.arange(upto + 1)
-        return basis_log_array(space, q, idx) - w.v_log_array(upto)
+    def fn(lo: int, hi: int) -> np.ndarray:
+        return basis_log_array(space, q, np.arange(lo, hi)) - w.v_log_array(hi - 1)[lo:]
 
     cap = None if w.max_index == math.inf else int(w.max_index)
     return _WindowExtreme(fn, horizon_n, "max", cap)
 
 
 def _growth_provider(w: WeightSpec, horizon_n: int) -> _WindowExtreme:
-    def fn(upto: int) -> np.ndarray:
-        return w.v_log_array(upto).copy()
+    def fn(lo: int, hi: int) -> np.ndarray:
+        return w.v_log_array(hi - 1)[lo:]
 
     cap = None if w.max_index == math.inf else int(w.max_index)
     return _WindowExtreme(fn, horizon_n, "min", cap)
@@ -183,10 +172,10 @@ class PkWitness:
             return False
         if self.tol_log[0] != 0.0 or np.any(np.diff(self.tol_log) >= 0):
             return False
-        for k in range(1, self.count):
-            expect = self.value_log[k - 1] if self.value_log[k - 1] != NEG_INF else self.tol_log[k - 1] - _LN2
-            if self.tol_log[k] != expect:
-                return False
+        prev_val, prev_tol = self.value_log[:-1], self.tol_log[:-1]
+        expect = np.where(prev_val != NEG_INF, prev_val, prev_tol - _LN2)
+        if np.any(self.tol_log[1:] != expect):
+            return False
         if stride is None:
             stride = 1 if self.count <= 20000 else self.count // 10000
         ks = sorted(set(range(1, self.count + 1, stride)) | {1, self.count})

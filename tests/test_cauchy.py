@@ -171,6 +171,15 @@ class TestBuildingBlockSolver:
             assert res.passed
 
 
+def test_states_on_one_space_share_the_property_b_witness():
+    a = CauchyState(L1, WeightSpec.parse("const:2"), standard_targets())
+    b = CauchyState(L1, WeightSpec.parse("const:3"), standard_targets(), algebrable=True, K=2)
+    c = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets())
+    assert a.prop_b is b.prop_b and a.prop_b is not c.prop_b
+    fresh = property_b_witness(L1, m_max=4, M_max=8, r_max=5, n_max=200)
+    assert a.prop_b.to_json() == fresh.to_json()
+
+
 @pytest.fixture(scope="module")
 def cauchy_bundle_l1():
     st = CauchyState(L1, WeightSpec.parse("const:2"), standard_targets())

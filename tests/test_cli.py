@@ -212,9 +212,29 @@ def test_out_of_range_values_map_to_config_errors(tmp_path, targets_file):
     assert code == 1 and payload["error"] == "config_invalid"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[{"nope": 1}], [5], [{"coeffs": [[0]]}], [{"coeffs": [[0, "x", 1.0]]}], [{"coeffs": 3}]],
+    ids=["no_coeffs", "not_an_object", "short_entry", "bad_number", "coeffs_not_a_list"],
+)
+def test_malformed_targets_are_config_errors(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = ["build", "coord", "--space", "l1", "--weight", "const:2",
+            "--targets", str(path), "--rounds", "2"]
+    code, payload = run_command(argv)
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "config_invalid"
+
+
 # bundle ids of the README builds; any change to the search or to the bundle
 # bytes shows here
 README_BUNDLE_IDS = [
+    (["coord", "--space", "l1", "--weight", "const:2", "--rounds", "12"],
+     "74a7bfe76f7316e2"),
+    (["algebrable-coord", "--space", "l1", "--weight", "const:2", "--rounds", "12", "--K", "3"],
+     "5e5c3e37137c5580"),
     (["cauchy", "--space", "entire_cauchy", "--weight", "maclane", "--rounds", "8"],
      "fad6f6dcb0f45d02"),
     (["algebrable-cauchy", "--space", "l1", "--weight", "const:2", "--rounds", "8", "--K", "2"],
@@ -222,7 +242,9 @@ README_BUNDLE_IDS = [
 ]
 
 
-@pytest.mark.parametrize("args,bundle_id", README_BUNDLE_IDS, ids=["cauchy", "algebrable-cauchy"])
+@pytest.mark.parametrize(
+    "args,bundle_id", README_BUNDLE_IDS, ids=["coord", "algebrable-coord", "cauchy", "algebrable-cauchy"]
+)
 def test_readme_builds_keep_their_bundle_ids(args, bundle_id, targets_file):
     code, payload = run_command(["build", *args, "--targets", targets_file])
     assert code == 0 and payload["bundle_id"] == bundle_id

@@ -17,8 +17,10 @@ from hyperforge import (
     seminorm_eval,
     space,
 )
+from hyperforge import coordwise
+from hyperforge.bundle import Cert
 from hyperforge.coordwise import certify_coord_round
-from hyperforge.errors import ElementError, SpaceProductError
+from hyperforge.errors import ElementError, SearchExhausted, SpaceProductError
 
 from conftest import from_dict, standard_targets
 
@@ -243,21 +245,49 @@ class TestOmegaCoordinatewise:
 
 class TestScreenMatchesCertification:
     @pytest.mark.parametrize(
-        "sid,wspec",
-        [("l_p:2", "const:2"), ("c0", "const:2"), ("l1", "const:2"),
-         ("entire_hadamard", "maclane"), ("omega_coord", "maclane")],
+        "sid,wspec,K,R",
+        [pytest.param(sid, wspec, 1, 5, id=f"{sid}-{wspec}")
+         for sid, wspec in [("l_p:2", "const:2"), ("c0", "const:2"), ("l1", "const:2"),
+                            ("entire_hadamard", "maclane"), ("omega_coord", "maclane")]]
+        # round 12 walks 4,686 witness entries, past the first 4096-entry screen window
+        + [pytest.param("l1", "const:2", 3, 12, id="l1-const:2-K3")],
     )
-    def test_selected_index_is_minimal_across_spaces(self, sid, wspec):
+    def test_selected_index_is_minimal_across_spaces(self, sid, wspec, K, R):
         sp = space(sid)
         w = WeightSpec.parse(wspec)
-        st = CoordState(sp, w, standard_targets())
-        for r in range(1, 6):
+        st = CoordState(sp, w, standard_targets(), K=K)
+        for r in range(1, R + 1):
             rd = select_ar(st, r)
             prev = st.rounds[: r - 1]
             floor = 0 if r == 1 else prev[-1].a + st.schedule.s(prev[-1].l)
             for p in [int(v) for v in st.pk.p if floor < v < rd.a]:
                 trial = certify_coord_round(sp, w, st.schedule, st.pairing, prev, r, p)
                 assert not trial.passed, (sid, r, p, rd.a)
+
+    def test_window_sizes_do_not_change_the_search(self, weight2, monkeypatch):
+        ref = CoordState(L1, weight2, standard_targets(), K=3)
+        build_algebrable(ref, 14)
+        monkeypatch.setattr(coordwise, "_WINDOW_MIN", 1)
+        monkeypatch.setattr(coordwise, "_WINDOW_MAX", 64)
+        small = CoordState(L1, weight2, standard_targets(), K=3)
+        build_algebrable(small, 14)
+        assert small.a_values() == ref.a_values()
+        assert small.pk.count == ref.pk.count
+
+    def test_repeated_certification_failure_is_reported(self, weight2, monkeypatch):
+        calls = []
+
+        def failing(space, w, schedule, pairing, prev_rounds, r, a):
+            calls.append(a)
+            rd = certify_coord_round(space, w, schedule, pairing, prev_rounds, r, a)
+            rd.checks["A1"] = Cert.less(0.0, -r)
+            return rd
+
+        monkeypatch.setattr(coordwise, "certify_coord_round", failing)
+        st = CoordState(L1, weight2, standard_targets())
+        with pytest.raises(SearchExhausted, match="repeatedly failed exact certification"):
+            select_ar(st, 1)
+        assert len(calls) == 16 and calls == sorted(calls)
 
     def test_constant_weights_rejected_on_entire_functions(self, weight2):
         # basis terms (q/lambda)^n do not decay for q >= lambda, and the
@@ -266,6 +296,19 @@ class TestScreenMatchesCertification:
 
         with pytest.raises(SearchExhausted):
             CoordState(space("entire_hadamard"), weight2, standard_targets())
+
+
+# bundle ids of the benchmark's deep builds on the README targets
+DEEP_BUNDLE_IDS = [
+    ("entire_hadamard", "maclane", 1, 12, "4eee70775378ac61"),
+    ("l1", "const:2", 3, 18, "611924f598a9c1cf"),
+]
+
+
+@pytest.mark.parametrize("sid,wspec,K,R,bundle_id", DEEP_BUNDLE_IDS, ids=["g", "g3"])
+def test_deep_builds_keep_their_bundle_ids(sid, wspec, K, R, bundle_id):
+    st = CoordState(space(sid), WeightSpec.parse(wspec), standard_targets(), K=K)
+    assert build_algebrable(st, R).bundle_id == bundle_id
 
 
 def test_table_weight_end_to_end():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hyperforge import (
     seminorm_eval,
     space,
 )
-from hyperforge.criteria import PkWitness
+from hyperforge.criteria import PkWitness, _growth_provider, _h_provider
+from hyperforge.spaces import basis_log_array
 from hyperforge.errors import PropertyBUnavailable, SearchExhausted, SpaceProductError
 
 
@@ -80,6 +83,93 @@ class TestHypercyclicityWitness:
         bad = PkWitness.from_json(pk.to_json())
         bad.p[:] = bad.p - 1  # shift every index down; stored values no longer match
         assert not bad.validate(l1, weight2)
+
+    @pytest.mark.parametrize("sid,wspec", [("l1", "const:2"), ("omega_coord", "maclane")])
+    def test_tolerance_off_the_data_driven_rule_fails_validation(self, sid, wspec):
+        # tol_{k+1} is the k-th value, or half of tol_k where omega_coord
+        # values hit exact zero (log -inf); a one-ulp nudge keeps the
+        # tolerances strictly decreasing and above the values
+        sp, w = space(sid), WeightSpec.parse(wspec)
+        pk = find_pk_witness(sp, w, 12, horizon_n=4)
+        assert pk.validate(sp, w)
+        for k in (1, pk.count - 1):
+            bad = PkWitness.from_json(pk.to_json())
+            bad.tol_log[k] = np.nextafter(bad.tol_log[k], -np.inf)
+            assert not bad.validate(sp, w), k
+
+
+def _witness_digest(pk: PkWitness) -> str:
+    h = hashlib.sha256()
+    for arr in (pk.p, pk.value_log, pk.tol_log, pk.vmin_log, pk.growth_log):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_deep_growth_witness_bytes_are_pinned(maclane):
+    # digest of the five arrays as the whole-array window provider built them
+    sp = space("entire_hadamard")
+    pk = find_pk_witness(sp, maclane, 64, horizon_n=64, horizon_q=5, growth=True)
+    pk = extend_pk_witness(sp, maclane, pk, 1 << 16)
+    assert pk.count == 1 << 16
+    assert _witness_digest(pk) == "8f1ba06ac774e73a"
+
+
+def _table_weight(length: int) -> WeightSpec:
+    rng = random.Random(5)
+    return WeightSpec("table", table=[rng.uniform(0.5, 3.0) for _ in range(length)])
+
+
+class TestWindowExtreme:
+    """Window extremes served from the scanned segment against a naive sliding
+    max/min over the whole array."""
+
+    N = 9
+    UPTO = 3000
+
+    @staticmethod
+    def _naive(full, N, mode, lo, hi):
+        win = np.lib.stride_tricks.sliding_window_view(full[lo : hi + N], N + 1)
+        return win.max(axis=1) if mode == "max" else win.min(axis=1)
+
+    def _check(self, prov, full, upto):
+        rng = random.Random(11)
+        spans = [(0, 1), (0, upto - self.N + 1), (upto - self.N, upto - self.N + 1)]
+        for _ in range(40):
+            lo = rng.randrange(0, upto - self.N)
+            spans.append((lo, rng.randrange(lo + 1, upto - self.N + 2)))
+        for lo, hi in spans:
+            want = self._naive(full, self.N, prov.mode, lo, hi)
+            assert np.array_equal(prov.window(lo, hi), want), (lo, hi)
+            assert prov.at(lo) == want[0]
+
+    @pytest.mark.parametrize(
+        "sid,wspec",
+        [("l1", "const:2"), ("entire_hadamard", "maclane"), ("omega_coord", "maclane"), ("l1", "table")],
+    )
+    def test_window_matches_naive(self, sid, wspec):
+        sp = space(sid)
+        w = _table_weight(self.UPTO) if wspec == "table" else WeightSpec.parse(wspec)
+        idx = np.arange(self.UPTO + 1)
+        logv = w.v_log_array(self.UPTO).copy()
+        for q in (1, 2, 5):
+            full = basis_log_array(sp, q, idx) - logv
+            self._check(_h_provider(sp, w, q, self.N), full, self.UPTO)
+        self._check(_growth_provider(w, self.N), logv, self.UPTO)
+
+    def test_non_monotone_table_needs_the_sliding_part(self):
+        w = _table_weight(self.UPTO)
+        prov = _h_provider(space("l1"), w, 1, self.N)
+        left_edge = -w.v_log_array(self.UPTO)[: self.UPTO - self.N]
+        assert not np.array_equal(prov.window(0, self.UPTO - self.N), left_edge)
+
+    def test_table_weight_asked_past_its_end(self):
+        w = _table_weight(200)
+        for prov in (_h_provider(space("l1"), w, 1, self.N), _growth_provider(w, self.N)):
+            prov.window(200 - self.N, 200 - self.N + 1)  # last window inside the table
+            with pytest.raises(IndexError):
+                prov.window(200 - self.N, 200 - self.N + 2)
+            with pytest.raises(IndexError):
+                prov.at(200 - self.N + 1)
 
 
 class TestMixing:
