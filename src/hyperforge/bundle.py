@@ -254,10 +254,18 @@ class Bundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Bundle":
-        """Rebuild a bundle; a document of the wrong shape raises BundleError."""
+        """Rebuild a bundle; a document of the wrong shape, or one whose stored
+        bundle_id is missing or is not the digest of the rest of the document,
+        raises BundleError."""
         if not isinstance(data, dict) or data.get("format") != FORMAT:
             raise BundleError(f"not a {FORMAT} document")
         try:
+            # the digest is taken over the stored body, not over a re-encoding:
+            # [re, im] coefficients do not always decode and re-encode to the
+            # same last digit
+            stored = data.get("bundle_id")
+            if stored != _digest({k: v for k, v in data.items() if k != "bundle_id"}):
+                raise BundleError(f"bundle_id {stored!r} does not match the bundle contents")
             kind = data["kind"]
             round_cls = CauchyRound if kind.startswith("cauchy") else CoordRound
             return cls(

@@ -11,7 +11,10 @@ scheduled target exactly up to a certified top-coefficient remainder:
 The block coefficients come from the closed formulas (b from a max/min balance
 of basis norms against weight products, c_j from C2); candidate (eta, gamma)
 pairs are scanned by increasing eta + gamma and verified directly, which
-accepts far smaller windows than the worst-case constants would.
+accepts far smaller windows than the worst-case constants would.  The scan
+returns the first passing pair on the anti-diagonals it visits; it jumps over
+anti-diagonals by extrapolating the failure margin, without a proof that the
+skipped ones hold no passing pair.
 """
 from __future__ import annotations
 
@@ -110,7 +113,6 @@ class BlockSolveResult:
     q_part: FiniteSeq
     block: FiniteSeq
     checks: dict[str, Cert]
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def shift(self) -> int:
@@ -154,7 +156,8 @@ def solve_building_block(
     until the block seminorm drops below eps/2 (the same half-split the m >= 2
     bound chain produces).  m >= 2 walks (eta, gamma) pairs by increasing
     eta + gamma, computing b from its closed formula and accepting the first
-    pair where directly evaluated C1 and C3 pass; C2 holds by construction.
+    pair, on the anti-diagonals the walk visits, where directly evaluated C1
+    and C3 pass; C2 holds by construction.
     On omega_cauchy both windows are pushed past the seminorm horizon instead,
     where C1 and C3 are exactly zero.
     """
@@ -179,16 +182,14 @@ def solve_building_block(
         eta = max(N + r, r + 1)
         gamma = eta + max(2 * s, r) + 1
         b = WideComplex.zero() if m == 1 else WideComplex.one()
-        return _assemble(space, w, y, m, r, eps_log, eta, gamma, b, scanned=0)
+        return _assemble(space, w, y, m, r, eps_log, eta, gamma, b)
 
     if m == 1:
         eta = _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget)
-        return _assemble(
-            space, w, y, 1, r, eps_log, eta, eta + 2 * s + 1, WideComplex.zero(), scanned=eta - N + 1
-        )
+        return _assemble(space, w, y, 1, r, eps_log, eta, eta + 2 * s + 1, WideComplex.zero())
 
-    eta, gamma, logb, scanned = _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget)
-    return _assemble(space, w, y, m, r, eps_log, eta, gamma, WideComplex(logb, 0.0), scanned=scanned)
+    eta, gamma, logb, _ = _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget)
+    return _assemble(space, w, y, m, r, eps_log, eta, gamma, WideComplex(logb, 0.0))
 
 
 def _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget) -> int:
@@ -215,78 +216,44 @@ def _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget) -> int:
 
 def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, float, int]:
     """Walk (eta, gamma) by increasing eta + gamma (then gamma) and return the
-    first pair whose closed-form b passes C1 and C3 in the log domain."""
+    first pair, on the anti-diagonals the walk visits, whose closed-form b
+    passes C1 and C3 in the log domain.
+
+    The walk visits anti-diagonals in batches of 64.  Once the failure margin
+    shrinks at a measurable rate it jumps over most of the estimated remaining
+    distance, without proving that the skipped diagonals hold no such pair.
+    """
     s = y.max_index
     log_eps = eps_log
     yterms = {j: w.v_log(j) + c.log_mag - math.log(m) for j, c in y.items()}
     budget = pair_budget if pair_budget is not None else search_budget()
     scanned = 0
     best = math.inf
-    d = N + (N + 2 * s + 1)  # smallest possible eta + gamma
+    g_min = N + 2 * s + 1
+    d = N + g_min  # smallest possible eta + gamma
     batch_rows = 64
     prev_probe: tuple[int, float] | None = None  # (d midpoint, failure margin)
     while scanned <= budget:
-        gs_all = []
-        es_all = []
-        for dd in range(d, d + batch_rows):
-            g_lo = max(N + 2 * s + 1, (dd + 2 * s + 2) // 2)
-            g_hi = dd - N  # eta = dd - gamma >= N
-            if g_hi >= g_lo:
-                g = np.arange(g_lo, g_hi + 1)
-                gs_all.append(g)
-                es_all.append(dd - g)
+        # (eta + gamma, first gamma, last gamma) with gamma > eta + 2s, eta >= N
+        rows = [(dd, max(g_min, (dd + 2 * s + 2) // 2), dd - N) for dd in range(d, d + batch_rows)]
+        rows = [row for row in rows if row[2] >= row[1]]
         d_mid = d + batch_rows // 2
         d += batch_rows
-        if not gs_all:
+        if not rows:
             continue
-        gs = np.concatenate(gs_all)
-        es = np.concatenate(es_all)
-        del gs_all, es_all
-        scanned += len(gs)
-        logv = w.v_log_array(int(m * gs.max()))
-
-        # log b = (max_j A_j + min(B1, B2)) / 2; the max runs over all of 0..s,
-        # not just the target's support, whose arrays are kept for C1.  A batch
-        # holds up to millions of pairs, so each array is built once and the
-        # arithmetic runs in place, in the operand order of the closed forms
-        top = es + (m - 1) * gs
-        kept = {}
-        maxA = None
-        for j in range(s + 1):
-            basis_j, logv_j = basis_log_array(space, r, es + j), logv[top + j]
-            A = (basis_j - logv_j) / (m - 1)
-            maxA = A if maxA is None else np.maximum(maxA, A, out=maxA)
-            if j in yterms:
-                kept[j] = basis_j, logv_j
-        del top, A
-        v_gap = logv[gs - es] - logv[m * gs]  # log v_{gamma-eta} - log v_{m gamma}
-        basis_gap = basis_log_array(space, r, gs - es)
-        B1 = -basis_log_array(space, r, gs)
-        logb = maxA
-        logb += np.minimum(B1, (v_gap - basis_gap) / m)
-        logb *= 0.5
-
-        # C1: ||q||_r + ||b e_gamma||_r < eps
-        logb_pow = (m - 1) * logb
-        logq = None
-        for j, base in yterms.items():
-            basis_j, logv_j = kept.pop(j)
-            t = np.subtract(base, logb_pow)
-            t -= logv_j
-            t += basis_j
-            logq = t if logq is None else np.logaddexp(logq, t, out=logq)
-        c1 = np.logaddexp(logq, np.subtract(logb, B1, out=B1), out=logq)
-        # C3: ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_r, in log
-        #   m log b + (log v_{m gamma} - log v_{gamma-eta}) + log||e_{gamma-eta}||
-        c3 = np.multiply(m, logb, out=B1)
-        c3 -= v_gap
-        c3 += basis_gap
-        worst = np.maximum(c1, c3, out=c1)
-        hit = np.nonzero(worst < log_eps)[0]
-        if len(hit):
-            i = int(hit[0])
-            return int(es[i]), int(gs[i]), float(logb[i]), scanned
-        margin = float(worst.min(initial=math.inf)) - log_eps
+        scanned += sum(g_hi - g_lo + 1 for _, g_lo, g_hi in rows)
+        d_last = rows[-1][0]
+        logv = w.v_log_array(m * (d_last - N))
+        basis = basis_log_array(space, r, np.arange(d_last + s + 1))
+        minima = []
+        for dd, g_lo, g_hi in rows:
+            worst, logb = _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+            hit = np.nonzero(worst < log_eps)[0]
+            if len(hit):
+                gamma = g_lo + int(hit[0])
+                return dd - gamma, gamma, float(logb[hit[0]]), scanned
+            minima.append(worst.min())
+        margin = float(np.min(minima)) - log_eps
         best = min(best, margin + log_eps)
         # deep rounds sit far past the first feasible total; walking every
         # anti-diagonal there is quadratic, so once the failure margin shrinks
@@ -309,7 +276,53 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     )
 
 
-def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex, scanned: int) -> BlockSolveResult:
+def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi) -> tuple[np.ndarray, np.ndarray]:
+    """max(C1, C3) and log b along eta + gamma = dd for gamma = g_lo..g_hi.
+
+    Every index of the closed forms is an arithmetic progression in gamma, so
+    each lookup is a strided view of the log-weight table ``logv`` or of the
+    basis table ``basis`` (log ||e_n||_r for n = 0, 1, ...).
+    """
+    n = g_hi - g_lo + 1
+    top = dd + (m - 2) * g_lo  # eta + (m-1) gamma, stride m - 2
+
+    def basis_at(j):  # log ||e_{eta+j}||_r; eta falls as gamma rises
+        return basis[dd - g_hi + j : dd - g_lo + j + 1][::-1]
+
+    def logv_at(j):  # log v_{eta+(m-1)gamma+j}; constant along the diagonal when m = 2
+        return logv[top + j] if m == 2 else logv[top + j :: m - 2][:n]
+
+    # log b = (max_j A_j + min(B1, B2)) / 2; the max runs over all of 0..s
+    maxA = None
+    for j in range(s + 1):
+        A = (basis_at(j) - logv_at(j)) / (m - 1)
+        maxA = A if maxA is None else np.maximum(maxA, A, out=maxA)
+    lo = 2 * g_lo - dd  # gamma - eta, stride 2
+    v_gap = logv[lo::2][:n] - logv[m * g_lo :: m][:n]  # log v_{gamma-eta} - log v_{m gamma}
+    basis_gap = basis[lo::2][:n]
+    B1 = -basis[g_lo : g_hi + 1]
+    logb = maxA
+    logb += np.minimum(B1, (v_gap - basis_gap) / m)
+    logb *= 0.5
+
+    # C1: ||q||_r + ||b e_gamma||_r < eps
+    logb_pow = (m - 1) * logb
+    logq = None
+    for j, base in yterms.items():
+        t = np.subtract(base, logb_pow)
+        t -= logv_at(j)
+        t += basis_at(j)
+        logq = t if logq is None else np.logaddexp(logq, t, out=logq)
+    c1 = np.logaddexp(logq, np.subtract(logb, B1, out=B1), out=logq)
+    # C3: ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_r, in log
+    #   m log b + (log v_{m gamma} - log v_{gamma-eta}) + log||e_{gamma-eta}||
+    c3 = np.multiply(m, logb, out=B1)
+    c3 -= v_gap
+    c3 += basis_gap
+    return np.maximum(c1, c3, out=c1), logb
+
+
+def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSolveResult:
     s = y.max_index
     shift = eta + (m - 1) * gamma
     mb = WideComplex.from_real(float(m)) * b.powi(m - 1)  # m b^{m-1}; equals m when m = 1
@@ -337,7 +350,6 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex, scanned: i
         ),
         "C2_residual": c2_residual_cert(w, y, m, eta, gamma, b, q_part),
     }
-    c4 = 1.0 + sum(w.v(j).abs_decoded() * y.coef(j).abs_decoded() for j in range(s + 1)) / m
     eps = math.exp(eps_log) if eps_log > -700 else 0.0
     return BlockSolveResult(
         eta=eta,
@@ -350,12 +362,6 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex, scanned: i
         q_part=q_part,
         block=block,
         checks=checks,
-        diagnostics={
-            "C4": c4,
-            "eps_tilde": (eps / (2.0 * c4)) ** 2,
-            "M": gamma - eta,
-            "scanned_pairs": scanned,
-        },
     )
 
 

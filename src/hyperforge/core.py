@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import WeightError
+from .errors import SearchExhausted, WeightError
 
 NEG_INF = float("-inf")
 _TWO_PI = 2.0 * math.pi
@@ -127,9 +127,6 @@ class WideComplex:
         if self.is_zero:
             return 0j
         return log_decode(self.log_mag) * _unit(self.phase)
-
-    def abs_decoded(self) -> float:
-        return log_decode(self.log_mag)
 
     # -- arithmetic ----------------------------------------------------------
     def __mul__(self, other: "WideComplex") -> "WideComplex":
@@ -429,6 +426,11 @@ def format_complex_literal(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}i"
 
 
+# entries of the const/maclane log-weight cache; an index past it is a
+# search that ran out of room, not an allocation to attempt
+_CACHE_CAP = 1 << 27
+
+
 class WeightSpec:
     """Weight sequence w with w_0 = 1 and cached log-products v_n = prod w_k.
 
@@ -522,9 +524,13 @@ class WeightSpec:
                 f"weight table of length {len(self.table)} exhausted at index {upto}",
                 index=upto,
             )
+        if self.kind != "table" and n > _CACHE_CAP:
+            raise SearchExhausted(
+                f"weight index {upto} lies past the {_CACHE_CAP}-entry weight cache", index=int(upto)
+            )
         size = max(n, 2 * len(self._log_v))
         if self.kind == "const":
-            size = min(size, 1 << 27)
+            size = min(size, _CACHE_CAP)
             idx = np.arange(size, dtype=np.float64)
             self._log_v = idx * math.log(abs(self.value))
             self._log_v[0] = 0.0
@@ -535,7 +541,7 @@ class WeightSpec:
             # double the import time of every command
             from scipy.special import gammaln
 
-            size = min(size, 1 << 27)
+            size = min(size, _CACHE_CAP)
             self._log_v = gammaln(np.arange(size, dtype=np.float64) + 1.0)
             self._ph_v = None
         else:

@@ -425,13 +425,6 @@ class PropertyAWitness:
     n_max: int
     entries: dict[int, tuple[int, float]]
 
-    def for_index(self, r: int) -> tuple[int, float]:
-        if r in self.entries:
-            return self.entries[r]
-        from .spaces import space as _parse_space
-
-        return _property_a_step(_parse_space(self.space_id), r)
-
     def to_json(self) -> dict:
         return {
             "space": self.space_id,

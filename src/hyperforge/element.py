@@ -58,10 +58,6 @@ class AlgebraElement:
         return cls({(d,): c for d, c in coeffs_by_degree.items()}, 1)
 
     @property
-    def degree_min(self) -> int:
-        return min(sum(b) for b in self.coeffs)
-
-    @property
     def degree_max(self) -> int:
         return max(sum(b) for b in self.coeffs)
 

@@ -94,13 +94,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok is None or tok.kind != "op" or tok.text != op:
-            pos = tok.pos if tok else len(self.text)
-            raise ParseError(f"expected {op!r}", pos)
-        self.i += 1
-
     def parse(self) -> ElementExpr:
         if not self.toks:
             raise ParseError("empty expression", 0)

@@ -74,9 +74,6 @@ class SpaceSpec:
     def supports_cauchy(self) -> bool:
         return self.space_id in _CAUCHY_ALGEBRAS
 
-    def __str__(self) -> str:
-        return self.cli_id
-
 
 def space(spec: str) -> SpaceSpec:
     """Parse a CLI space id into a SpaceSpec."""

@@ -106,9 +106,6 @@ class OrbitReport:
             },
         }
 
-    def csv_rows(self) -> list[tuple]:
-        return [(rc.round, rc.distance, rc.bound, rc.ratio) for rc in self.checked]
-
 
 def _round_check(space, q, diff, bound: float, *, round_, a, target, kind) -> RoundCheck:
     dist_log = seminorm_eval(space, q, diff).upper_log

@@ -1,6 +1,8 @@
+import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hyperforge import (
@@ -24,13 +26,15 @@ from hyperforge import (
     solve_building_block,
     space,
 )
-from hyperforge.cauchy import _product_for, _power_cache
+from hyperforge.cauchy import _power_cache, _product_for, _scan_pairs
 from hyperforge.errors import (
     LeadingFormVanishing,
     SearchExhausted,
     SpaceProductError,
     WitnessError,
+    search_budget,
 )
+from hyperforge.spaces import basis_log_array
 
 from conftest import from_dict, rand_seq, standard_targets
 
@@ -385,13 +389,176 @@ def test_complex_weight_convolution_build():
     assert revalidate_bundle(b).passed
 
 
-def test_deep_rounds_reach_quartic_degree():
+@pytest.fixture(scope="module")
+def deep_ec():
+    st = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets())
+    return build_generator_cauchy(st, 10)
+
+
+def test_deep_rounds_reach_quartic_degree(deep_ec):
     # round 10 is the first degree-4 round; its tolerance sits near e^-2e5 and
     # the window scan has to jump far past the small-total region
-    st = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets())
-    b = build_generator_cauchy(st, 10)
+    b = deep_ec
     assert b.passed and b.rounds[-1].m == 4
     from hyperforge import orbit_power_report
 
     for j in (3, 4):
         assert orbit_power_report(b, j).passed
+
+
+def test_deep_builds_keep_their_bundle_ids(deep_ec):
+    # the benchmark's deep Cauchy builds on the README targets
+    assert deep_ec.bundle_id == "e411112639bb776c"
+    st = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets(), algebrable=True, K=2)
+    assert build_algebrable_cauchy(st, 10).bundle_id == "f6db696e84a7fb98"
+
+
+# -- the pair scan against its concatenated-batch form ---------------------------
+
+
+def _scan_pairs_batched(space_, w, y, m, r, N, eps_log, pair_budget, jumps=None):
+    """The pair scan as it was before per-diagonal evaluation, kept as an
+    oracle: each batch of 64 anti-diagonals is concatenated and evaluated in
+    one pass with gathers.  ``jumps`` collects the extrapolation jumps."""
+    s = y.max_index
+    log_eps = eps_log
+    yterms = {j: w.v_log(j) + c.log_mag - math.log(m) for j, c in y.items()}
+    budget = pair_budget if pair_budget is not None else search_budget()
+    scanned = 0
+    best = math.inf
+    d = N + (N + 2 * s + 1)
+    batch_rows = 64
+    prev_probe = None
+    while scanned <= budget:
+        gs_all = []
+        es_all = []
+        for dd in range(d, d + batch_rows):
+            g_lo = max(N + 2 * s + 1, (dd + 2 * s + 2) // 2)
+            g_hi = dd - N
+            if g_hi >= g_lo:
+                g = np.arange(g_lo, g_hi + 1)
+                gs_all.append(g)
+                es_all.append(dd - g)
+        d_mid = d + batch_rows // 2
+        d += batch_rows
+        if not gs_all:
+            continue
+        gs = np.concatenate(gs_all)
+        es = np.concatenate(es_all)
+        scanned += len(gs)
+        logv = w.v_log_array(int(m * gs.max()))
+        top = es + (m - 1) * gs
+        kept = {}
+        maxA = None
+        for j in range(s + 1):
+            basis_j, logv_j = basis_log_array(space_, r, es + j), logv[top + j]
+            A = (basis_j - logv_j) / (m - 1)
+            maxA = A if maxA is None else np.maximum(maxA, A, out=maxA)
+            if j in yterms:
+                kept[j] = basis_j, logv_j
+        v_gap = logv[gs - es] - logv[m * gs]
+        basis_gap = basis_log_array(space_, r, gs - es)
+        B1 = -basis_log_array(space_, r, gs)
+        logb = maxA
+        logb += np.minimum(B1, (v_gap - basis_gap) / m)
+        logb *= 0.5
+        logb_pow = (m - 1) * logb
+        logq = None
+        for j, base in yterms.items():
+            basis_j, logv_j = kept.pop(j)
+            t = np.subtract(base, logb_pow)
+            t -= logv_j
+            t += basis_j
+            logq = t if logq is None else np.logaddexp(logq, t, out=logq)
+        c1 = np.logaddexp(logq, np.subtract(logb, B1, out=B1), out=logq)
+        c3 = np.multiply(m, logb, out=B1)
+        c3 -= v_gap
+        c3 += basis_gap
+        worst = np.maximum(c1, c3, out=c1)
+        hit = np.nonzero(worst < log_eps)[0]
+        if len(hit):
+            i = int(hit[0])
+            return int(es[i]), int(gs[i]), float(logb[i]), scanned
+        margin = float(worst.min(initial=math.inf)) - log_eps
+        best = min(best, margin + log_eps)
+        if prev_probe is not None and margin > 0:
+            d_prev, m_prev = prev_probe
+            if m_prev > margin and d_mid > d_prev:
+                slope = (m_prev - margin) / (d_mid - d_prev)
+                remaining = margin / slope
+                if remaining > 8 * batch_rows:
+                    d += int(0.75 * remaining)
+                    if jumps is not None:
+                        jumps.append(d)
+        prev_probe = (d_mid, margin)
+    raise SearchExhausted(
+        "no (eta, gamma) pair admitted the block within budget",
+        m=m, N=N, eps_log=eps_log, best_margin_log=best - log_eps, scanned=scanned,
+    )
+
+
+# moduli near n (so the weight is mixing on entire_cauchy too), with phases
+_PHASED_TABLE = WeightSpec(
+    "table", table=[k * (1.0 + 0.4 * math.sin(k)) * cmath.exp(0.7j * k) for k in range(1, 20001)]
+)
+_SCAN_WEIGHTS = {"const:2": WeightSpec.parse("const:2"), "maclane": WeightSpec.parse("maclane"),
+                 "table": _PHASED_TABLE}
+_SCAN_TARGETS = [FiniteSeq.basis(0), from_dict({0: 2, 1: -1}), from_dict({0: 1, 2: 1j})]
+# log eps: a hit in the first batch, one past the first, one past a jump
+_SCAN_EPS = {"const:2": (-1.0, -40.0, -300.0), "maclane": (-1.0, -40.0, -1000.0),
+             "table": (-1.0, -40.0, -1000.0)}
+
+
+def _scan_cases():
+    for sid in ("l1", "l_p:2", "entire_cauchy"):
+        for wname in _SCAN_WEIGHTS:
+            # ||e_n||_2 = 2^n on entire_cauchy cancels const:2 exactly, so no
+            # pair exists past r = 1 there
+            r = 1 if (sid, wname) == ("entire_cauchy", "const:2") else 2
+            yield pytest.param(sid, wname, r, id=f"{sid}-{wname}")
+
+
+@pytest.mark.parametrize("sid,wname,r", list(_scan_cases()))
+def test_pair_scan_matches_the_concatenated_batch_form(sid, wname, r):
+    sp, w = space(sid), _SCAN_WEIGHTS[wname]
+    seen = set()
+    for m in (2, 3, 4):
+        for y in _SCAN_TARGETS:
+            s = y.max_index
+            for eps_log in _SCAN_EPS[wname]:
+                N = 3
+                jumps = []
+                want = _scan_pairs_batched(sp, w, y, m, r, N, eps_log, None, jumps)
+                got = _scan_pairs(sp, w, y, m, r, N, eps_log, None)
+                assert got == want, (m, s, eps_log)
+                eta, gamma = want[:2]
+                first_d = 2 * N + 2 * s + 1
+                if eta + gamma < first_d + 64:
+                    seen.add("first batch")
+                if jumps and eta + gamma >= jumps[0]:
+                    seen.add("past a jump")
+                if eta + gamma > first_d and gamma > max(N + 2 * s + 1, (eta + gamma + 2 * s + 2) // 2):
+                    seen.add("inside a diagonal")
+    assert seen == {"first batch", "past a jump", "inside a diagonal"}, seen
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except SearchExhausted as exc:
+        return exc.details
+
+
+@pytest.mark.parametrize("sid,wname,r", list(_scan_cases()))
+def test_pair_scan_exhaustion_matches_the_concatenated_batch_form(sid, wname, r):
+    # a budget of 2000 pairs stops every case after two batches, with the
+    # first extrapolation jump decided; 8000 lets some cases run past it
+    sp, w = space(sid), _SCAN_WEIGHTS[wname]
+    y = _SCAN_TARGETS[1]
+    for m in (2, 4):
+        for budget in (0, 2000, 8000):
+            args = (sp, w, y, m, r, 3, -1500.0, budget)
+            want = _outcome(_scan_pairs_batched, *args)
+            assert _outcome(_scan_pairs, *args) == want, (m, budget)
+            if budget < 8000:
+                assert want["scanned"] > budget and "best_margin_log" in want

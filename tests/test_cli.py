@@ -212,6 +212,45 @@ def test_out_of_range_values_map_to_config_errors(tmp_path, targets_file):
     assert code == 1 and payload["error"] == "config_invalid"
 
 
+@pytest.fixture(scope="module")
+def readme_ca(tmp_path_factory):
+    """The README algebrable-cauchy bundle, as its document."""
+    tmp = tmp_path_factory.mktemp("ca")
+    targets = tmp / "targets.json"
+    targets.write_text(json.dumps(TARGETS_JSON))
+    out = tmp / "ca.json"
+    code, _ = run_command(
+        ["build", "algebrable-cauchy", "--space", "l1", "--weight", "const:2",
+         "--targets", str(targets), "--rounds", "8", "--K", "2", "--out", str(out)]
+    )
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("damage", ["zeroed_id", "tampered_value", "missing_id"])
+def test_tampered_bundle_is_bundle_invalid(damage, readme_ca, tmp_path, capsys):
+    doc = json.loads(json.dumps(readme_ca))
+    if damage == "zeroed_id":
+        doc["bundle_id"] = "0" * 16
+    elif damage == "tampered_value":
+        doc["rounds"][0]["checks"]["C1"]["value_log2"] = -999.0
+    else:
+        del doc["bundle_id"]
+    path = tmp_path / "ca.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "certificates", "--bundle", str(path)]
+    code, payload = run_command(argv)
+    assert code == 1 and payload["error"] == "bundle_invalid"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "bundle_invalid"
+
+
+def test_untouched_bundle_passes_the_id_check(readme_ca, tmp_path):
+    path = tmp_path / "ca.json"
+    path.write_text(json.dumps(readme_ca))
+    code, payload = run_command(["verify", "certificates", "--bundle", str(path)])
+    assert code == 0 and payload["summary"]["pass"]
+
 @pytest.mark.parametrize(
     "doc",
     [[{"nope": 1}], [5], [{"coeffs": [[0]]}], [{"coeffs": [[0, "x", 1.0]]}], [{"coeffs": 3}]],

@@ -17,7 +17,7 @@ from hyperforge import (
     forward_iterate,
     root_power_block,
 )
-from hyperforge.errors import WeightError
+from hyperforge.errors import SearchExhausted, WeightError
 
 from conftest import (
     dicts_close,
@@ -280,3 +280,36 @@ def test_table_weight_grows_only_to_its_length():
     assert w.v(200).log_mag == pytest.approx(200 * math.log(2))
     with pytest.raises(WeightError):
         w.v(201)
+
+
+@pytest.mark.parametrize("wspec", ["maclane", "const:2"])
+def test_index_past_the_weight_cache_is_search_exhausted(wspec):
+    # the cache holds 2^27 entries; an index past it ends the search with a
+    # typed error before anything is allocated
+    import tracemalloc
+
+    w = WeightSpec.parse(wspec)
+    cached = len(w._log_v)
+    calls = [
+        (lambda: w.v_log(2**27 + 5), 2**27 + 5),
+        (lambda: w.v_log_array(2**27), 2**27),
+        (lambda: w.ratio(2**27 - 3, 10), 2**27 + 7),
+    ]
+    tracemalloc.start()
+    try:
+        for call, index in calls:
+            with pytest.raises(SearchExhausted) as exc:
+                call()
+            assert exc.value.details["index"] == index
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert len(w._log_v) == cached
+    assert w.v_log(1000) == WeightSpec.parse(wspec).v_log(1000)
+
+
+def test_table_weight_past_its_end_stays_a_weight_error():
+    w = WeightSpec("table", table=[2.0] * 10)
+    for call in (lambda: w.v_log(2**27 + 5), lambda: w.v_log_array(2**27), lambda: w.ratio(5, 6)):
+        with pytest.raises(WeightError):
+            call()
