@@ -18,7 +18,7 @@ from . import criteria as _criteria
 from . import verify as _verify
 from .bundle import Bundle, canonical_json
 from .core import FiniteSeq, WeightSpec
-from .errors import ConfigError, HyperforgeError
+from .errors import ConfigError, HyperforgeError, SearchExhausted
 from .parser import parse_element
 from .spaces import SpaceSpec, list_spaces, space as parse_space
 
@@ -118,13 +118,26 @@ def _cmd_criteria(args) -> tuple[int, dict]:
     return code, payload
 
 
-def _load_pk_witness(path: str) -> _criteria.PkWitness:
+def _load_pk_witness(path: str, space: SpaceSpec, weight: WeightSpec) -> _criteria.PkWitness:
+    """Load a witness from `criteria hc --out` and check it against the
+    space and weight of the build; the build relies on its indices increasing."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read witness file {path!r}: {exc}") from exc
-    return _criteria.PkWitness.from_json(raw.get("hypercyclicity", raw))
+    try:
+        if not isinstance(raw, dict):
+            raise TypeError("the document is not a JSON object")
+        pk = _criteria.PkWitness.from_json(raw.get("hypercyclicity", raw))
+        ok = pk.validate(space, weight)
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, SearchExhausted) as exc:
+        raise ConfigError(f"malformed witness file {path!r}: {exc!r}") from exc
+    if not ok:
+        raise ConfigError(
+            f"witness file {path!r} does not validate for {space.cli_id} with weight {weight.describe()}"
+        )
+    return pk
 
 
 def _cmd_build(args) -> tuple[int, dict]:
@@ -136,7 +149,7 @@ def _cmd_build(args) -> tuple[int, dict]:
         K=args.K,
         out=args.out,
     )
-    pk = _load_pk_witness(args.pk_witness) if args.pk_witness else None
+    pk = _load_pk_witness(args.pk_witness, cfg.space, cfg.weight) if args.pk_witness else None
     if args.construction == "coord":
         state = _coord.CoordState(cfg.space, cfg.weight, cfg.targets, K=1, pk=pk)
         bundle_ = _coord.build_generator(state, cfg.rounds)

@@ -110,8 +110,7 @@ def _screen(state: CoordState, r: int, m: int, y: FiniteSeq, lower: int, size: i
     """Vectorized A1/A2 pre-filter over the first `size` witness indices > lower
     (order preserved)."""
     space, w = state.space, state.w
-    start = int(np.searchsorted(state.pk.p, lower, side="right"))
-    cands = state.pk.p[start : start + size]
+    cands = state.pk.after(lower, size)
     if len(cands) == 0:
         return cands
     supp = [(n, c.log_mag / m) for n, c in y.items()]
@@ -192,15 +191,15 @@ def select_ar(state: CoordState, r: int) -> CoordRound:
     rejected: list[int] = []
     while True:
         pk = state.pk
-        start = int(np.searchsorted(pk.p, lower, side="right"))
+        start = pk.rank(lower)
         if start == pk.count:
-            if int(pk.p[-1]) >= budget:
+            if pk.last >= budget:
                 raise SearchExhausted(
                     "no admissible index within the search budget",
                     round=r,
                     m=m,
                     l=l,
-                    scanned_to=int(pk.p[-1]),
+                    scanned_to=pk.last,
                 )
             state.pk = extend_pk_witness(state.space, state.w, pk, max(2 * pk.count, 128))
             continue
@@ -220,7 +219,7 @@ def select_ar(state: CoordState, r: int) -> CoordRound:
                     round=r,
                     first_candidate=rejected[0],
                 )
-        lower = int(pk.p[min(start + size, pk.count) - 1])
+        lower = int(pk.index(min(start + size, pk.count) - 1))
         size = min(2 * size, _WINDOW_MAX)
 
 

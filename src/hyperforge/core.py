@@ -429,6 +429,9 @@ def format_complex_literal(z: complex) -> str:
 # entries of the const/maclane log-weight cache; an index past it is a
 # search that ran out of room, not an allocation to attempt
 _CACHE_CAP = 1 << 27
+# entries computed at a time when the cache grows, which bounds the
+# temporary index array to 8 MiB however large the new tail is
+_GROW_PIECE = 1 << 20
 
 
 class WeightSpec:
@@ -528,31 +531,45 @@ class WeightSpec:
             raise SearchExhausted(
                 f"weight index {upto} lies past the {_CACHE_CAP}-entry weight cache", index=int(upto)
             )
-        size = max(n, 2 * len(self._log_v))
-        if self.kind == "const":
-            size = min(size, _CACHE_CAP)
-            idx = np.arange(size, dtype=np.float64)
-            self._log_v = idx * math.log(abs(self.value))
-            self._log_v[0] = 0.0
-            ph = math.atan2(self.value.imag, self.value.real)
-            self._ph_v = None if ph == 0.0 else np.concatenate(([0.0], idx[1:] * ph))
-        elif self.kind == "maclane":
-            # imported here: only maclane weights need scipy, and it would
-            # double the import time of every command
-            from scipy.special import gammaln
-
-            size = min(size, _CACHE_CAP)
-            self._log_v = gammaln(np.arange(size, dtype=np.float64) + 1.0)
-            self._ph_v = None
-        else:
+        if self.kind == "table":
             arr = np.array(self.table, dtype=np.complex128)
-            logs = np.concatenate(([0.0], np.log(np.abs(arr))))
-            self._log_v = np.cumsum(logs)
+            log_v = np.cumsum(np.concatenate(([0.0], np.log(np.abs(arr)))))
             phases = np.angle(arr)
-            if np.any(phases != 0.0):
-                self._ph_v = np.cumsum(np.concatenate(([0.0], phases)))
-            else:
-                self._ph_v = None
+            ph_v = np.cumsum(np.concatenate(([0.0], phases))) if np.any(phases != 0.0) else None
+        else:
+            # the old table is copied and only the new tail is computed, in
+            # pieces, by the same elementwise expressions, so every entry is
+            # bit-identical to a table computed in one go
+            old = len(self._log_v)
+            size = min(max(n, 2 * old), _CACHE_CAP)
+            log_v = np.empty(size)
+            log_v[:old] = self._log_v
+            ph = math.atan2(self.value.imag, self.value.real) if self.kind == "const" else 0.0
+            ph_v = None
+            if ph != 0.0:
+                ph_v = np.empty(size)
+                ph_v[:old] = 0.0 if self._ph_v is None else self._ph_v
+            if self.kind == "maclane":
+                # imported here: only maclane weights need scipy, and it would
+                # double the import time of every command
+                from scipy.special import gammaln
+            for lo in range(old, size, _GROW_PIECE):
+                hi = min(lo + _GROW_PIECE, size)
+                idx = np.arange(lo, hi, dtype=np.float64)
+                if self.kind == "const":
+                    np.multiply(idx, math.log(abs(self.value)), out=log_v[lo:hi])
+                    if ph_v is not None:
+                        np.multiply(idx, ph, out=ph_v[lo:hi])
+                else:
+                    idx += 1.0
+                    gammaln(idx, out=log_v[lo:hi])
+        # read-only, and the phases are published first: a reader that sees the
+        # longer magnitude table also sees the phase table
+        for arr in (log_v, ph_v):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._ph_v = ph_v
+        self._log_v = log_v
 
     # -- scalar access ---------------------------------------------------------------
     def w(self, n: int) -> WideComplex:

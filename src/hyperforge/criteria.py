@@ -72,7 +72,8 @@ def _h_provider(space: SpaceSpec, w: WeightSpec, q: int, horizon_n: int) -> _Win
     """Window max of log ||v_j^{-1} e_j||_q over j in [p, p+horizon_n]."""
 
     def fn(lo: int, hi: int) -> np.ndarray:
-        return basis_log_array(space, q, np.arange(lo, hi)) - w.v_log_array(hi - 1)[lo:]
+        logv = w.v_log_array(hi - 1)[lo:]  # the weight's index guard runs before any allocation
+        return basis_log_array(space, q, np.arange(lo, hi)) - logv
 
     cap = None if w.max_index == math.inf else int(w.max_index)
     return _WindowExtreme(fn, horizon_n, "max", cap)
@@ -91,7 +92,6 @@ def _growth_provider(w: WeightSpec, horizon_n: int) -> _WindowExtreme:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PkWitness:
     """Increasing indices p_k with, for every n <= horizon_n,
     ||v_{p_k+n}^{-1} e_{p_k+n}||_{q_k} < tol_k, where q_k = min(k, horizon_q)
@@ -103,21 +103,123 @@ class PkWitness:
     weight with monotone decay admits every index.  With ``growth`` set, each
     entry additionally certifies min_n |v_{p_k+n}| > g_k for the increasing
     data-driven thresholds g_1 = 0, g_{k+1} = the k-th certified minimum.
+
+    The indices are held as runs of consecutive integers [lo, hi], with the
+    scan's next log tolerance and log growth threshold, so a witness costs
+    memory O(runs) and ``extend_pk_witness`` resumes without reading any
+    per-entry array.  The build reads its candidates through ``rank``,
+    ``after``, ``index`` and ``last``.  The arrays ``p``, ``value_log``,
+    ``tol_log``, ``vmin_log`` and ``growth_log`` are derived on first read,
+    once per witness: values and minima from the window providers (window
+    extremes are exact, so they are bit for bit what the scan certified),
+    tolerances and thresholds from the data-driven rule.  A witness loaded by
+    ``from_json`` keeps the file's arrays as the claims that ``validate``
+    checks, and its extensions keep them as their head.
     """
 
-    p: np.ndarray
-    value_log: np.ndarray
-    tol_log: np.ndarray
-    horizon_n: int
-    horizon_q: int
-    growth: bool = False
-    vmin_log: np.ndarray | None = None
-    growth_log: np.ndarray | None = None
+    def __init__(
+        self,
+        lo,
+        hi,
+        horizon_n: int,
+        horizon_q: int,
+        growth: bool,
+        next_tol_log: float,
+        next_growth_log: float,
+        *,
+        source: tuple[SpaceSpec, WeightSpec] | None = None,
+        head: dict[str, np.ndarray] | None = None,
+        tail_start: tuple[float, float] = (0.0, NEG_INF),
+    ):
+        self._lo = np.asarray(lo, dtype=np.int64)
+        self._hi = np.asarray(hi, dtype=np.int64)
+        lengths = self._hi - self._lo + 1
+        self._first = np.cumsum(lengths) - lengths  # entries before each run
+        self.count = int(lengths.sum())
+        self.horizon_n = horizon_n
+        self.horizon_q = horizon_q
+        self.growth = growth
+        self.next_tol_log = next_tol_log
+        self.next_growth_log = next_growth_log
+        self._source = source  # (space, weight) of the scanned entries
+        self._head = head  # loaded arrays, the claims for the first entries
+        self._tail_start = tail_start  # (tol, growth threshold) of the first scanned entry
+        self._arrays: dict[str, np.ndarray] = {}
 
+    # -- run access (the build path) ---------------------------------------------
     @property
-    def count(self) -> int:
-        return len(self.p)
+    def last(self) -> int:
+        """Largest index, or 0 for an empty witness."""
+        return int(self._hi[-1]) if len(self._hi) else 0
 
+    def rank(self, x: int) -> int:
+        """Number of entries <= x."""
+        j = int(np.searchsorted(self._lo, x, side="right"))
+        if j == 0:
+            return 0
+        return int(self._first[j - 1]) + min(x, int(self._hi[j - 1])) - int(self._lo[j - 1]) + 1
+
+    def index(self, k: int) -> int:
+        """Entry at 0-based position k."""
+        j = int(np.searchsorted(self._first, k, side="right")) - 1
+        return int(self._lo[j]) + k - int(self._first[j])
+
+    def after(self, lower: int, size: int) -> np.ndarray:
+        """The first `size` indices > lower, ascending."""
+        k0 = self.rank(lower)
+        return self._entries(k0, min(k0 + size, self.count))
+
+    def _entries(self, k0: int, k1: int) -> np.ndarray:
+        """Entries at positions k0..k1-1."""
+        j0 = int(np.searchsorted(self._first, k0, side="right")) - 1
+        j1 = int(np.searchsorted(self._first, k1, side="left"))
+        first = self._first[j0:j1]
+        lengths = np.minimum(first + (self._hi[j0:j1] - self._lo[j0:j1] + 1), k1) - np.maximum(first, k0)
+        out = np.repeat(self._lo[j0:j1] - first, lengths)
+        out += np.arange(k0, k1)
+        return out
+
+    # -- per-entry arrays, derived on first read ---------------------------------
+    p = property(lambda self: self._array("p"))
+    value_log = property(lambda self: self._array("value_log"))
+    tol_log = property(lambda self: self._array("tol_log"))
+    vmin_log = property(lambda self: self._array("vmin_log") if self.growth else None)
+    growth_log = property(lambda self: self._array("growth_log") if self.growth else None)
+
+    def _array(self, name: str) -> np.ndarray:
+        if name not in self._arrays:
+            h = 0 if self._head is None else len(self._head["p"])
+            if h == self.count:
+                self._arrays[name] = self._head[name] if h else np.empty(0, np.int64 if name == "p" else np.float64)
+            else:
+                tail = self._derive(name, h)
+                self._arrays[name] = tail if h == 0 else np.concatenate([self._head[name], tail])
+        return self._arrays[name]
+
+    def _derive(self, name: str, h: int) -> np.ndarray:
+        """Entries h+1..count of one array, from the runs and the providers."""
+        if name == "p":
+            return self._entries(h, self.count)
+        p = self._array("p")[h:]
+        space, w = self._source
+        if name == "value_log":
+            provs = {q: _h_provider(space, w, q, self.horizon_n) for q in range(1, self.horizon_q + 1)}
+            # q_k = min(k, horizon_q): only the entries below horizon_q use a smaller seminorm
+            few = min(len(p), max(0, self.horizon_q - 1 - h))
+            out = _window_values(provs[self.horizon_q], p, few)
+            for i in range(few):
+                out[i] = provs[h + 1 + i].at(int(p[i]))
+            return out
+        if name == "vmin_log":
+            return _window_values(_growth_provider(w, self.horizon_n), p, 0)
+        if name == "tol_log":
+            return _tolerances(self._array("value_log")[h:], self._tail_start[0])
+        out = np.empty(len(p))  # growth_log: g_{k+1} = vmin_k
+        out[0] = self._tail_start[1]
+        out[1:] = self._array("vmin_log")[h:-1]
+        return out
+
+    # -- schedules and serialization ---------------------------------------------
     def q_index(self, k: int) -> int:
         return min(k, self.horizon_q)
 
@@ -152,17 +254,30 @@ class PkWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "PkWitness":
+        """Load a witness; its arrays become the claims ``validate`` checks.
+
+        Raises KeyError, TypeError, ValueError or AttributeError on a
+        malformed document.
+        Runs are read off ``p`` as given, so validate before building on it.
+        """
         growth = bool(data.get("growth", False))
-        return cls(
-            np.array(data["p"], dtype=np.int64),
-            np.array(data["value_log"], dtype=np.float64),
-            np.array(data["tol_log"], dtype=np.float64),
-            int(data["horizon_n"]),
-            int(data["horizon_q"]),
-            growth,
-            np.array(data["vmin_log"], dtype=np.float64) if growth else None,
-            np.array(data["growth_log"], dtype=np.float64) if growth else None,
-        )
+        names = ("p", "value_log", "tol_log") + (("vmin_log", "growth_log") if growth else ())
+        head = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
+        p = head["p"]
+        if any(a.ndim != 1 or len(a) != len(p) for a in head.values()):
+            raise ValueError("witness arrays must be flat lists of one length")
+        horizon_n, horizon_q = int(data["horizon_n"]), int(data["horizon_q"])
+        if horizon_n < 0 or horizon_q < 1:
+            raise ValueError("witness horizons must satisfy horizon_n >= 0 and horizon_q >= 1")
+        tol, g = 0.0, NEG_INF
+        if len(p):
+            last_val = float(head["value_log"][-1])
+            tol = last_val if last_val != NEG_INF else float(head["tol_log"][-1]) - _LN2
+            g = float(head["vmin_log"][-1]) if growth else NEG_INF
+        starts = np.flatnonzero(np.diff(p) != 1) + 1
+        lo = p[np.concatenate(([0], starts))] if len(p) else p
+        hi = p[np.concatenate((starts - 1, [len(p) - 1]))] if len(p) else p
+        return cls(lo, hi, horizon_n, horizon_q, growth, tol, g, head=head, tail_start=(tol, g))
 
     def validate(self, space: SpaceSpec, w: WeightSpec, stride: int | None = None) -> bool:
         """Pure re-check: indices increase, tolerances strictly decrease and
@@ -193,6 +308,43 @@ class PkWitness:
         return True
 
 
+# derivation segments: a gap wider than this starts a new window, and no
+# window spans more indices than the scan's largest chunk
+_SEGMENT_GAP = 1 << 12
+_SEGMENT_SPAN = 1 << 20
+
+
+def _window_values(prov: _WindowExtreme, p: np.ndarray, skip: int) -> np.ndarray:
+    """prov's window extremes at the increasing indices p[skip:], one window
+    per segment of nearby indices (out[:skip] is left for the caller)."""
+    out = np.empty(len(p))
+    cuts = np.flatnonzero(np.diff(p[skip:]) > _SEGMENT_GAP) + 1 + skip
+    bounds = [skip, *cuts.tolist(), len(p)]
+    for a, b in zip(bounds, bounds[1:]):
+        while a < b:
+            lo = int(p[a])
+            e = a + int(np.searchsorted(p[a:b], lo + _SEGMENT_SPAN))
+            out[a:e] = prov.window(lo, int(p[e - 1]) + 1)[p[a:e] - lo]
+            a = e
+    return out
+
+
+def _tolerances(values: np.ndarray, tol0: float) -> np.ndarray:
+    """tol_1 = tol0, tol_{k+1} = value_k, or tol_k - ln 2 (one subtraction at a
+    time, as the scan does) where value_k is -inf."""
+    tol = np.empty(len(values))
+    tol[0] = tol0
+    tol[1:] = values[:-1]
+    halved = np.flatnonzero(tol[1:] == NEG_INF) + 1
+    if len(halved):
+        breaks = np.flatnonzero(np.diff(halved) > 1)
+        for s, e in zip(halved[np.r_[0, breaks + 1]], halved[np.r_[breaks, len(halved) - 1]]):
+            steps = np.full(e - s + 2, _LN2)
+            steps[0] = tol[s - 1]
+            tol[s : e + 1] = np.subtract.accumulate(steps)[1:]
+    return tol
+
+
 def abs_diff(a: float, b: float) -> float:
     if a == b:
         return 0.0
@@ -215,26 +367,37 @@ def find_pk_witness(
     Raises SearchExhausted when the scan stalls, which signals that the weight
     likely fails the hypercyclicity criterion at this horizon (e.g. |lambda| <= 1).
     """
-    return _scan_pk(
-        space, w, count, horizon_n, horizon_q, growth,
-        k_start=1, p_start=start_after, tol0=0.0, g0=NEG_INF, prefix=None, scan_limit=scan_limit,
+    if count < 0:
+        raise ValueError("the witness count must be >= 0")
+    lo: list[int] = []
+    hi: list[int] = []
+    tol, g = _scan_pk(
+        space, w, count, horizon_n, horizon_q, growth, lo, hi,
+        k_start=1, p_start=start_after, tol0=0.0, g0=NEG_INF, scan_limit=scan_limit,
     )
+    return PkWitness(lo, hi, horizon_n, horizon_q, growth, tol, g, source=(space, w))
 
 
 def extend_pk_witness(space: SpaceSpec, w: WeightSpec, pk: PkWitness, count: int) -> PkWitness:
     """Deterministically continue the scan so the witness holds >= count entries."""
     if count <= pk.count:
         return pk
-    last_val = float(pk.value_log[-1])
-    tol0 = last_val if last_val != NEG_INF else float(pk.tol_log[-1]) - _LN2
-    g0 = float(pk.vmin_log[-1]) if pk.growth else NEG_INF
-    return _scan_pk(
-        space, w, count - pk.count, pk.horizon_n, pk.horizon_q, pk.growth,
-        k_start=pk.count + 1, p_start=int(pk.p[-1]), tol0=tol0, g0=g0, prefix=pk, scan_limit=None,
+    lo, hi = pk._lo.tolist(), pk._hi.tolist()
+    tol, g = _scan_pk(
+        space, w, count - pk.count, pk.horizon_n, pk.horizon_q, pk.growth, lo, hi,
+        k_start=pk.count + 1, p_start=pk.last, tol0=pk.next_tol_log, g0=pk.next_growth_log,
+        scan_limit=None,
+    )
+    return PkWitness(
+        lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g,
+        source=(space, w), head=pk._head, tail_start=pk._tail_start,
     )
 
 
-def _scan_pk(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol0, g0, prefix, scan_limit) -> PkWitness:
+def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_start, p_start, tol0, g0, scan_limit):
+    """Accept `need` indices past p_start, appending them to the runs
+    run_lo/run_hi (merged into the last run where adjacent); returns the next
+    log tolerance and log growth threshold."""
     limit = scan_limit if scan_limit is not None else search_budget()
     if w.kind == "table":
         limit = min(limit, int(w.max_index) - horizon_n - 1)
@@ -243,11 +406,6 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol
     provs = {q: _h_provider(space, w, q, horizon_n) for q in range(1, horizon_q + 1)}
     gp = _growth_provider(w, horizon_n) if growth else None
 
-    out_p = np.empty(need, dtype=np.int64)
-    out_val = np.empty(need)
-    out_tol = np.empty(need)
-    out_vmin = np.empty(need) if growth else None
-    out_g = np.empty(need) if growth else None
     found = 0
     k = k_start
     tol = tol0  # log tolerance for the next entry (tol_1 = log 1 = 0)
@@ -257,20 +415,12 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol
     chunk = 4096
     best_seen = math.inf
 
-    def accept(cand, val, vmin):
-        nonlocal found, k, tol, g, last_accept
-        out_p[found] = cand
-        out_val[found] = val
-        out_tol[found] = tol
-        if growth:
-            out_vmin[found] = vmin
-            out_g[found] = g
-        found += 1
-        k += 1
-        tol = val if val != NEG_INF else tol - _LN2
-        if growth:
-            g = vmin
-        last_accept = cand
+    def add_run(a, b):
+        if run_hi and run_hi[-1] == a - 1:
+            run_hi[-1] = b
+        else:
+            run_lo.append(a)
+            run_hi.append(b)
 
     while found < need:
         if p > limit:
@@ -293,19 +443,12 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol
                 ok = gmin[0] > g and bool(np.all(np.diff(gmin) > 0))
             if ok:
                 take = min(hi - p, need - found)
-                out_p[found : found + take] = np.arange(p, p + take)
-                out_val[found : found + take] = wm[:take]
-                out_tol[found] = tol
-                out_tol[found + 1 : found + take] = wm[: take - 1]
-                if growth:
-                    out_vmin[found : found + take] = gmin[:take]
-                    out_g[found] = g
-                    out_g[found + 1 : found + take] = gmin[: take - 1]
+                add_run(p, p + take - 1)
                 found += take
                 k += take
-                tol = wm[take - 1]
+                tol = float(wm[take - 1])
                 if growth:
-                    g = gmin[take - 1]
+                    g = float(gmin[take - 1])
                 p += take
                 last_accept = p - 1
                 chunk = min(chunk * 2, 1 << 20)
@@ -317,7 +460,13 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol
             val = wm[i] if qk == q else provs[qk].at(cand)
             best_seen = min(best_seen, val - tol)
             if val < tol and (gmin is None or gmin[i] > g):
-                accept(cand, val, gmin[i] if gmin is not None else NEG_INF)
+                add_run(cand, cand)
+                found += 1
+                k += 1
+                tol = float(val) if val != NEG_INF else tol - _LN2
+                if growth:
+                    g = float(gmin[i])
+                last_accept = cand
                 if found == need:
                     break
         p = hi
@@ -328,15 +477,7 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol
                 "the hypercyclicity criterion at this horizon",
                 scanned_to=p - 1, entries_found=found, needed=need, best_margin_log=best_seen,
             )
-
-    if prefix is not None:
-        out_p = np.concatenate([prefix.p, out_p])
-        out_val = np.concatenate([prefix.value_log, out_val])
-        out_tol = np.concatenate([prefix.tol_log, out_tol])
-        if growth:
-            out_vmin = np.concatenate([prefix.vmin_log, out_vmin])
-            out_g = np.concatenate([prefix.growth_log, out_g])
-    return PkWitness(out_p, out_val, out_tol, horizon_n, horizon_q, growth, out_vmin, out_g)
+    return tol, g
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ class TestCriteriaCommands:
         assert code == 0
         assert payload["hypercyclicity"]["p"] == [1, 2, 3, 4, 5]
 
+    def test_negative_count_is_config_invalid(self):
+        code, payload = run_command(["criteria", "hc", "--space", "l1", "--count", "-1"])
+        assert code == 1 and payload["error"] == "config_invalid"
+
     def test_contracting_weight_reports_search_exhausted(self):
         code, payload = run_command(
             ["criteria", "hc", "--space", "l1", "--weight", "const:0.5", "--count", "3",
@@ -293,3 +297,67 @@ def test_import_leaves_scipy_special_unloaded():
     probe = "import sys, hyperforge, hyperforge.cli; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def readme_pk(tmp_path_factory):
+    """The README `criteria hc` witness (l1, const:2, 16 entries), as its document."""
+    out = tmp_path_factory.mktemp("pk") / "pk.json"
+    code, _ = run_command(
+        ["criteria", "hc", "--space", "l1", "--weight", "const:2", "--count", "16", "--out", str(out)]
+    )
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def _damaged_witness(doc, damage):
+    doc = json.loads(json.dumps(doc))
+    wit = doc["hypercyclicity"]
+    if damage == "no_p":
+        del wit["p"]
+    elif damage == "a_list":
+        return wit["p"]
+    elif damage == "reversed_p":
+        wit["p"].reverse()
+    elif damage == "value_past_slack":
+        wit["value_log"][3] += 1e-6
+    elif damage == "short_array":
+        wit["tol_log"].pop()
+    elif damage == "bad_horizon":
+        wit["horizon_q"] = 0
+    return doc
+
+
+@pytest.mark.parametrize(
+    "damage", ["no_p", "a_list", "reversed_p", "value_past_slack", "short_array", "bad_horizon"]
+)
+def test_malformed_witness_is_config_invalid(damage, readme_pk, targets_file, tmp_path, capsys):
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps(_damaged_witness(readme_pk, damage)))
+    argv = ["build", "coord", "--space", "l1", "--weight", "const:2",
+            "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)]
+    code, payload = run_command(argv)
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "config_invalid"
+
+
+def test_witness_for_another_weight_is_config_invalid(readme_pk, targets_file, tmp_path):
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps(readme_pk))
+    code, payload = run_command(
+        ["build", "coord", "--space", "l1", "--weight", "const:3",
+         "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)]
+    )
+    assert code == 1 and payload["error"] == "config_invalid"
+
+
+def test_good_witness_file_builds(readme_pk, targets_file, tmp_path):
+    # the 16-entry witness is extended by the scan, and the build matches
+    # the one that scans its own witness
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps(readme_pk))
+    argv = ["build", "coord", "--space", "l1", "--weight", "const:2", "--targets", targets_file,
+            "--rounds", "6"]
+    code, payload = run_command([*argv, "--pk-witness", str(path)])
+    assert code == 0 and payload["bundle_id"] == run_command(argv)[1]["bundle_id"]

@@ -331,3 +331,19 @@ def test_complex_weight_builds_and_verifies():
     for j in (1, 2):
         assert orbit_power_report(b, j).passed
     assert revalidate_bundle(b).passed
+
+
+def test_build_reads_the_witness_only_through_its_runs(weight2, monkeypatch):
+    # the per-entry arrays are for JSON, validation and reports; the build
+    # walks the runs, so a deep build never materialises them
+    from hyperforge.criteria import PkWitness
+
+    def refuse(self, name):
+        raise AssertionError(f"the build read PkWitness.{name}")
+
+    ref = CoordState(L1, weight2, standard_targets(), K=3)
+    build_algebrable(ref, 14)
+    monkeypatch.setattr(PkWitness, "_array", refuse)
+    st = CoordState(L1, weight2, standard_targets(), K=3)
+    assert build_algebrable(st, 14).bundle_id == build_algebrable(ref, 14).bundle_id
+    assert st.pk.count == ref.pk.count > 64  # the witness was extended

@@ -313,3 +313,46 @@ def test_table_weight_past_its_end_stays_a_weight_error():
     for call in (lambda: w.v_log(2**27 + 5), lambda: w.v_log_array(2**27), lambda: w.ratio(5, 6)):
         with pytest.raises(WeightError):
             call()
+
+
+@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane", "table"])
+def test_weight_table_is_read_only(wspec):
+    w = WeightSpec("table", table=[2.0, 1.5j, 3.0]) if wspec == "table" else WeightSpec.parse(wspec)
+    a = w.v_log_array(3)
+    before = w.v_log(3)
+    with pytest.raises(ValueError):
+        a[3] = 99.0
+    assert w.v_log(3) == before
+    if w._ph_v is not None:
+        with pytest.raises(ValueError):
+            w._ph_v[1] = 99.0
+
+
+@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane"])
+def test_weight_table_grown_in_place_matches_one_go(wspec):
+    # the whole-table expressions the cache used before it grew in place
+    import numpy as np
+
+    w = WeightSpec.parse(wspec)
+    sizes = [len(w._log_v)]
+    for upto in (1500, 5000, 9000, 70000, 3_000_000):  # five growths; the last fills several pieces
+        w.v_log_array(upto)
+        sizes.append(len(w._log_v))
+    assert len(set(sizes)) == len(sizes)
+    size = sizes[-1]
+    idx = np.arange(size, dtype=np.float64)
+    if wspec == "maclane":
+        from scipy.special import gammaln
+
+        want, want_ph = gammaln(idx + 1.0), None
+    else:
+        lam = WeightSpec.parse(wspec).value
+        want = idx * math.log(abs(lam))
+        want[0] = 0.0
+        ph = math.atan2(lam.imag, lam.real)
+        want_ph = None if ph == 0.0 else np.concatenate(([0.0], idx[1:] * ph))
+    assert w._log_v.tobytes() == want.tobytes()
+    if want_ph is None:
+        assert w._ph_v is None
+    else:
+        assert w._ph_v.tobytes() == want_ph.tobytes()

@@ -119,6 +119,222 @@ def _table_weight(length: int) -> WeightSpec:
     return WeightSpec("table", table=[rng.uniform(0.5, 3.0) for _ in range(length)])
 
 
+# -- runs against the array-building scan -------------------------------------
+
+
+def _scan_arrays(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol0, g0):
+    """The scan as it was when it filled five per-entry arrays; the oracle for
+    the arrays a run-backed witness derives."""
+    provs = {q: _h_provider(space, w, q, horizon_n) for q in range(1, horizon_q + 1)}
+    gp = _growth_provider(w, horizon_n) if growth else None
+    out_p, out_val, out_tol = np.empty(need, dtype=np.int64), np.empty(need), np.empty(need)
+    out_vmin, out_g = np.empty(need), np.empty(need)
+    limit = int(w.max_index) - horizon_n - 1 if w.kind == "table" else 1 << 40
+    found, k, tol, g, p, chunk = 0, k_start, tol0, g0, p_start + 1, 4096
+    while found < need:
+        hi = min(p + chunk, limit + 1)
+        q = min(k, horizon_q)
+        wm = provs[q].window(p, hi)
+        gmin = gp.window(p, hi) if gp is not None else None
+        if k >= horizon_q:
+            ok = wm[0] != -math.inf and wm[-1] != -math.inf and wm[0] < tol and bool(np.all(np.diff(wm) < 0))
+            if ok and gmin is not None:
+                ok = gmin[0] > g and bool(np.all(np.diff(gmin) > 0))
+            if ok:
+                take = min(hi - p, need - found)
+                out_p[found : found + take] = np.arange(p, p + take)
+                out_val[found : found + take] = wm[:take]
+                out_tol[found] = tol
+                out_tol[found + 1 : found + take] = wm[: take - 1]
+                if growth:
+                    out_vmin[found : found + take] = gmin[:take]
+                    out_g[found] = g
+                    out_g[found + 1 : found + take] = gmin[: take - 1]
+                found += take
+                k += take
+                tol = wm[take - 1]
+                if growth:
+                    g = gmin[take - 1]
+                p += take
+                chunk = min(chunk * 2, 1 << 20)
+                continue
+        for i in range(hi - p):
+            cand = p + i
+            qk = min(k, horizon_q)
+            val = wm[i] if qk == q else provs[qk].at(cand)
+            if val < tol and (gmin is None or gmin[i] > g):
+                out_p[found], out_val[found], out_tol[found] = cand, val, tol
+                if growth:
+                    out_vmin[found], out_g[found] = gmin[i], g
+                found += 1
+                k += 1
+                tol = val if val != -math.inf else tol - math.log(2.0)
+                if growth:
+                    g = gmin[i]
+                if found == need:
+                    break
+        p = hi
+    return [out_p, out_val, out_tol] + ([out_vmin, out_g] if growth else [])
+
+
+def _oracle(space, w, counts, horizon_n, horizon_q, growth):
+    """Arrays of a witness scanned to counts[0] and extended to each later count."""
+    arrays = _scan_arrays(space, w, counts[0], horizon_n, horizon_q, growth, 1, 0, 0.0, -math.inf)
+    for count in counts[1:]:
+        p, val, tol = arrays[0], arrays[1], arrays[2]
+        tol0 = val[-1] if val[-1] != -math.inf else tol[-1] - math.log(2.0)
+        g0 = arrays[3][-1] if growth else -math.inf
+        more = _scan_arrays(space, w, count - len(p), horizon_n, horizon_q, growth,
+                            len(p) + 1, int(p[-1]), tol0, g0)
+        arrays = [np.concatenate([a, b]) for a, b in zip(arrays, more)]
+    return arrays
+
+
+_ARRAYS = ("p", "value_log", "tol_log", "vmin_log", "growth_log")
+
+
+def _assert_arrays_match(pk, want):
+    got = [getattr(pk, name) for name in _ARRAYS]
+    assert (got[3] is None) == (len(want) == 3)
+    for name, a, b in zip(_ARRAYS, got, want):
+        assert a.dtype == b.dtype and len(a) == len(b) and np.all(a == b), name
+        assert a.tobytes() == b.tobytes(), name  # -0.0 and NaN payloads too
+        assert getattr(pk, name) is a  # derived once per witness
+
+
+def _bumpy_table(length: int) -> WeightSpec:
+    # a random prefix, where log|v| is not monotone, then a steady weight 2
+    rng = random.Random(5)
+    return WeightSpec("table", table=[rng.uniform(0.3, 3.0) for _ in range(60)] + [2.0] * (length - 60))
+
+
+RUN_CASES = [
+    # (space, weight, horizon_n, horizon_q, growth, counts)
+    ("l1", "const:2", 64, 5, True, [64, 128, 5000, 20000]),
+    ("l1", "const:2", 4, 5, False, [12]),
+    ("entire_hadamard", "maclane", 64, 5, True, [64, 128, 256, 9000]),
+    ("entire_hadamard", "maclane", 20, 5, False, [3000]),
+    ("l_p:2", "const:1.5", 500, 5, False, [2000]),
+    ("omega_coord", "maclane", 10, 3, True, [6, 40, 500]),
+    ("omega_coord", "maclane", 64, 5, False, [700]),
+    ("l1", "bumpy", 8, 5, True, [10, 30, 600]),
+    ("l1", "bumpy", 8, 2, False, [700]),
+]
+
+
+@pytest.mark.parametrize("sid,wspec,N,Q,growth,counts", RUN_CASES)
+def test_derived_arrays_match_the_array_scan(sid, wspec, N, Q, growth, counts):
+    sp = space(sid)
+    w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
+    pk = find_pk_witness(sp, w, counts[0], horizon_n=N, horizon_q=Q, growth=growth)
+    for count in counts[1:]:
+        pk = extend_pk_witness(sp, w, pk, count)
+    want = _oracle(sp, w, counts, N, Q, growth)
+    _assert_arrays_match(pk, want)
+    assert pk.validate(sp, w)
+    last_val = want[1][-1]
+    assert pk.next_tol_log == (last_val if last_val != -math.inf else want[2][-1] - math.log(2.0))
+    if sid == "omega_coord":
+        assert np.sum(want[1] == -math.inf) > 100  # the halving rule is exercised
+    if wspec == "bumpy":
+        assert len(pk._lo) > 5  # the prefix leaves gaps between runs
+
+
+def test_derivation_segments_do_not_change_the_arrays(monkeypatch):
+    # tiny segments split every run and every gap into separate windows
+    import hyperforge.criteria as criteria
+
+    monkeypatch.setattr(criteria, "_SEGMENT_GAP", 1)
+    monkeypatch.setattr(criteria, "_SEGMENT_SPAN", 7)
+    for sid, wspec, N, Q, growth, counts in (RUN_CASES[2], RUN_CASES[5], RUN_CASES[7]):
+        sp = space(sid)
+        w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
+        pk = find_pk_witness(sp, w, counts[0], horizon_n=N, horizon_q=Q, growth=growth)
+        pk = extend_pk_witness(sp, w, pk, counts[-1])
+        _assert_arrays_match(pk, _oracle(sp, w, [counts[0], counts[-1]], N, Q, growth))
+
+
+@pytest.mark.parametrize("sid,wspec,growth", [("l1", "const:2", True), ("omega_coord", "maclane", False),
+                                              ("l1", "bumpy", True)])
+def test_loaded_witness_extended_by_the_scan(sid, wspec, growth):
+    sp = space(sid)
+    w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
+    pk = find_pk_witness(sp, w, 20, horizon_n=8, horizon_q=3, growth=growth)
+    loaded = PkWitness.from_json(pk.to_json())
+    assert loaded.validate(sp, w)
+    ext = extend_pk_witness(sp, w, extend_pk_witness(sp, w, loaded, 90), 400)
+    _assert_arrays_match(ext, _oracle(sp, w, [20, 90, 400], 8, 3, growth))
+    # the head keeps the loaded arrays, which the extension does not copy
+    assert ext.p[:20].tobytes() == loaded.p.tobytes()
+    assert loaded.count == 20
+
+
+def _runs_witness():
+    # runs [1, 5], [10, 50], [100, 5000], [5002, 5002], [5004, 5010]
+    lo, hi = [1, 10, 100, 5002, 5004], [5, 50, 5000, 5002, 5010]
+    return PkWitness(lo, hi, 8, 5, False, 0.0, -math.inf)
+
+
+def test_after_matches_searchsorted_over_the_indices():
+    pk = _runs_witness()
+    p = np.concatenate([np.arange(a, b + 1) for a, b in zip(pk._lo, pk._hi)])
+    assert np.array_equal(pk.p, p) and pk.count == len(p) and pk.last == 5010
+    lowers = [-3, 0, 1, 4, 5, 6, 9, 10, 49, 50, 51, 99, 100, 2000, 4999, 5000, 5001, 5002, 5003, 5009, 5010, 6000]
+    for lower in lowers:
+        start = int(np.searchsorted(p, lower, "right"))
+        assert pk.rank(lower) == start
+        for size in (1, 2, 3, 7, 41, 45, 4900, 5000, 10**6):
+            want = p[start:][:size]
+            got = pk.after(lower, size)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (lower, size)
+    assert [pk.index(k) for k in range(len(p))] == p.tolist()
+
+
+def test_scanned_witness_is_held_as_runs():
+    # tracemalloc of a 2^22-entry extension, with the weight table grown beforehand
+    import gc
+    import tracemalloc
+
+    l1, w = space("l1"), WeightSpec.parse("const:2")
+    w.v_log_array(1 << 23)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pk = find_pk_witness(l1, w, 64, horizon_n=64, horizon_q=5, growth=True)
+        pk = extend_pk_witness(l1, w, pk, 1 << 22)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pk.count == 1 << 22 and pk.last == 1 << 22 and len(pk._lo) == 1
+    assert held < 1 << 20, held
+
+
+# `criteria hc --out` bytes at the array-building scan: README l1/const:2,
+# entire_hadamard/maclane with growth and at horizon 64, omega_coord, l_p:2
+HC_OUTPUT_DIGESTS = [
+    (["--space", "l1", "--weight", "const:2", "--count", "16"], "b273b32e3638d97b"),
+    (["--space", "entire_hadamard", "--weight", "maclane", "--count", "3000", "--growth"], "68d0c785e9b79fa1"),
+    (["--space", "entire_hadamard", "--weight", "maclane", "--count", "70000", "--horizon-n", "64"],
+     "012eeeebd6b97c4c"),
+    (["--space", "entire_hadamard", "--weight", "maclane", "--count", "70000", "--horizon-n", "64",
+      "--growth"], "e5108955b3f83de6"),
+    (["--space", "omega_coord", "--weight", "maclane", "--count", "500", "--growth"], "f50f45f36de8bdea"),
+    (["--space", "l_p:2", "--weight", "const:1.5", "--count", "2000"], "cbd2818761986eab"),
+]
+
+
+@pytest.mark.parametrize("args,digest", HC_OUTPUT_DIGESTS,
+                         ids=["l1", "eh-growth", "eh-70000", "eh-70000-growth", "omega", "lp2"])
+def test_hc_output_bytes_are_pinned(args, digest, tmp_path):
+    from hyperforge.cli import run_command
+
+    out = tmp_path / "pk.json"
+    code, _ = run_command(["criteria", "hc", *args, "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
 class TestWindowExtreme:
     """Window extremes served from the scanned segment against a naive sliding
     max/min over the whole array."""
