@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import FiniteSeq, WeightSpec, WideComplex, log_decode
 from .errors import BundleError
@@ -184,6 +184,10 @@ class Bundle:
     K: int
     rounds: list
     lambda_params: dict | None = None
+    # canonical text of the document a loaded bundle was read from; such a
+    # bundle serializes as that text, because [re, im] coefficients do not
+    # always decode and re-encode to the same last digit
+    source: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def R(self) -> int:
@@ -237,6 +241,8 @@ class Bundle:
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
+        if self.source is not None:
+            return json.loads(self.source)
         body = {
             "format": FORMAT,
             "kind": self.kind,
@@ -254,9 +260,9 @@ class Bundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Bundle":
-        """Rebuild a bundle; a document of the wrong shape, or one whose stored
-        bundle_id is missing or is not the digest of the rest of the document,
-        raises BundleError."""
+        """Rebuild a bundle that serializes as ``data`` and keeps its id; a
+        document of the wrong shape, or one whose stored bundle_id is missing
+        or is not the digest of the rest of the document, raises BundleError."""
         if not isinstance(data, dict) or data.get("format") != FORMAT:
             raise BundleError(f"not a {FORMAT} document")
         try:
@@ -276,6 +282,7 @@ class Bundle:
                 K=data["partition_K"],
                 rounds=[round_cls.from_json(rd) for rd in data["rounds"]],
                 lambda_params=data.get("lambda"),
+                source=canonical_json(data),
             )
         except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
             raise BundleError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc
@@ -285,7 +292,7 @@ class Bundle:
         return self.to_json()["bundle_id"]
 
     def dumps(self) -> str:
-        return canonical_json(self.to_json())
+        return self.source if self.source is not None else canonical_json(self.to_json())
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -222,6 +222,12 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     The walk visits anti-diagonals in batches of 64.  Once the failure margin
     shrinks at a measurable rate it jumps over most of the estimated remaining
     distance, without proving that the skipped diagonals hold no such pair.
+
+    Each diagonal is screened first (see ``_diagonal``): a cheap lower bound on
+    max(C1, C3) rejects almost every pair, and the exact value is computed only
+    on the pairs it cannot reject.  The screen keeps the first passing pair and
+    the diagonal minimum bit for bit, so the walk, its margin and its jumps are
+    those of an unscreened scan.
     """
     s = y.max_index
     log_eps = eps_log
@@ -247,11 +253,11 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
         basis = basis_log_array(space, r, np.arange(d_last + s + 1))
         minima = []
         for dd, g_lo, g_hi in rows:
-            worst, logb = _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+            keep, worst, logb = _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps)
             hit = np.nonzero(worst < log_eps)[0]
             if len(hit):
-                gamma = g_lo + int(hit[0])
-                return dd - gamma, gamma, float(logb[hit[0]]), scanned
+                i = int(keep[hit[0]])
+                return dd - g_lo - i, g_lo + i, float(logb[i]), scanned
             minima.append(worst.min())
         margin = float(np.min(minima)) - log_eps
         best = min(best, margin + log_eps)
@@ -276,12 +282,33 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     )
 
 
-def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi) -> tuple[np.ndarray, np.ndarray]:
-    """max(C1, C3) and log b along eta + gamma = dd for gamma = g_lo..g_hi.
+def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
+    """Screened max(C1, C3) along eta + gamma = dd for gamma = g_lo..g_hi.
+
+    Returns ``(keep, worst, logb)``: the kept offsets ``gamma - g_lo`` in
+    ascending order, max(C1, C3) at those offsets and log b at every offset.
 
     Every index of the closed forms is an arithmetic progression in gamma, so
     each lookup is a strided view of the log-weight table ``logv`` or of the
     basis table ``basis`` (log ||e_n||_r for n = 0, 1, ...).
+
+    C1 = logaddexp(log ||q||_r, log ||b e_gamma||_r), where log ||q||_r is a
+    logaddexp chain over the k target terms t_j.  Two facts screen the pairs:
+
+    - in floating point, logaddexp(x, y) = max(x, y) + log1p(exp(-|x - y|))
+      and the added term is >= 0, so ``lower = max(C3, log ||b e_gamma||_r,
+      t_0, ..., t_{k-1})`` never exceeds the computed max(C1, C3);
+    - in exact arithmetic, max(C1, C3) <= lower + ln(k + 1).
+
+    So a pair whose bound is at least log eps cannot pass, and a pair whose
+    bound lies more than ln(k + 1) above the smallest bound cannot hold the
+    diagonal minimum.  The extra 1.0 covers rounding: the weight tables end at
+    index 2^27, where these log values stay below ~1e11, so the few roundings
+    between the bound and max(C1, C3) move it by under 1e-4.  The chain, C1
+    and the max run only on the other pairs, by the same elementwise
+    expressions as on the whole diagonal, so the first pair with
+    max(C1, C3) < log eps and the diagonal minimum are exact.  A NaN bound
+    makes the cut NaN, which keeps every pair.
     """
     n = g_hi - g_lo + 1
     top = dd + (m - 2) * g_lo  # eta + (m-1) gamma, stride m - 2
@@ -305,21 +332,34 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi) -> tuple[np.ndarray, np
     logb += np.minimum(B1, (v_gap - basis_gap) / m)
     logb *= 0.5
 
-    # C1: ||q||_r + ||b e_gamma||_r < eps
+    # C1 terms: t_j = log ||q_j e_{eta+j}||_r and log ||b e_gamma||_r
     logb_pow = (m - 1) * logb
-    logq = None
+    terms = []
     for j, base in yterms.items():
         t = np.subtract(base, logb_pow)
         t -= logv_at(j)
         t += basis_at(j)
-        logq = t if logq is None else np.logaddexp(logq, t, out=logq)
-    c1 = np.logaddexp(logq, np.subtract(logb, B1, out=B1), out=logq)
+        terms.append(t)
+    be = np.subtract(logb, B1, out=B1)
     # C3: ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_r, in log
     #   m log b + (log v_{m gamma} - log v_{gamma-eta}) + log||e_{gamma-eta}||
-    c3 = np.multiply(m, logb, out=B1)
+    c3 = np.multiply(m, logb)
     c3 -= v_gap
     c3 += basis_gap
-    return np.maximum(c1, c3, out=c1), logb
+
+    lower = np.maximum(c3, be)
+    for t in terms:
+        np.maximum(lower, t, out=lower)
+    cut = lower.min() + (math.log(len(terms) + 1) + 1.0)
+    if cut < log_eps:  # a NaN cut stays NaN
+        cut = log_eps
+    keep = np.flatnonzero(~(lower > cut))
+
+    logq = terms[0][keep]
+    for t in terms[1:]:
+        np.logaddexp(logq, t[keep], out=logq)
+    c1 = np.logaddexp(logq, be[keep], out=logq)
+    return keep, np.maximum(c1, c3[keep], out=c1), logb
 
 
 def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSolveResult:
@@ -342,12 +382,7 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSo
     eps_log2 = eps_log / _LN2
     checks = {
         "C1": Cert.less(seminorm_eval(space, r, block).upper_log, eps_log2),
-        "C3": Cert.less(
-            seminorm_eval(
-                space, r, backward_iterate(w, FiniteSeq.basis(m * gamma, b.powi(m)), shift)
-            ).upper_log,
-            eps_log2,
-        ),
+        "C3": Cert.less(seminorm_eval(space, r, c3_image(w, m, eta, gamma, b)).upper_log, eps_log2),
         "C2_residual": c2_residual_cert(w, y, m, eta, gamma, b, q_part),
     }
     eps = math.exp(eps_log) if eps_log > -700 else 0.0
@@ -363,6 +398,11 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSo
         block=block,
         checks=checks,
     )
+
+
+def c3_image(w, m, eta, gamma, b: WideComplex) -> FiniteSeq:
+    """T^{eta+(m-1)gamma} b^m e_{m gamma}, the shifted top coefficient C3 bounds."""
+    return backward_iterate(w, FiniteSeq.basis(m * gamma, b.powi(m)), eta + (m - 1) * gamma)
 
 
 def c2_residual_cert(w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq) -> Cert:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bundle import Bundle
+from .bundle import Bundle, Cert
 from .cauchy import (
     LambdaMatrix,
     _d4_worst,
     _structural_d2,
     c2_residual_cert,
+    c3_image,
     cauchy_power,
     enumerate_multi_indices,
     leading_form_column,
@@ -38,6 +39,7 @@ from .errors import BundleError, ElementError
 from .spaces import seminorm_eval
 
 _LN2 = math.log(2.0)
+_VALUE_RTOL = 1e-9
 
 
 @dataclass
@@ -517,11 +519,51 @@ def revalidate_bundle(bundle: Bundle) -> RevalidationReport:
 
     Includes a block-consistency check against the schedule (coordinatewise)
     or the stored closed-form coefficients (Cauchy), so coefficient tampering
-    is caught even where the seminorm inequalities would still pass.
+    is caught even where the seminorm inequalities would still pass.  Each
+    stored certificate value (A1 and the worst A2; C1 and C3 at the round's
+    rho, C2_residual, D/F1, D/F3 and D/F4) is compared with its recomputation,
+    and a difference flags ``<name>_value``.
     """
     return (
         _revalidate_cauchy(bundle) if bundle.is_cauchy else _revalidate_coord(bundle)
     )
+
+
+def _log2(value_log: float) -> float | None:
+    """A log value as ``Cert.less`` stores it: in log2, None for -inf."""
+    return value_log / _LN2 if value_log != NEG_INF else None
+
+
+def _value_differs(cert: Cert | None, fresh: float | None, scale_log: float | None = None) -> bool:
+    """Whether a stored certificate value (value_log2 of an "lt" check, value
+    otherwise) is missing or differs from its recomputation ``fresh`` by more
+    than 1e-9 x max(1, |stored|); None matches only None.
+
+    With ``scale_log`` the value is a residual against a quantity of natural
+    log size ``scale_log``.  A residual is mostly cancellation, and decoding
+    the bundle's [re, im] coefficients moves it by far more than 1e-9 of
+    itself, so stored and fresh values are compared as fractions of
+    max(1, that size), to within 1e-9.
+    """
+    if cert is None:
+        return True
+    stored = cert.value_log2 if cert.op == "lt" else cert.value
+    if stored is not None and not isinstance(stored, (int, float)):
+        return True
+    if scale_log is not None:
+        def share(v):
+            return 0.0 if v is None else log_decode(v * _LN2 - max(0.0, scale_log))
+
+        return not abs(share(stored) - share(fresh)) <= _VALUE_RTOL
+    if stored is None or fresh is None:
+        return stored is not fresh
+    return not (stored == fresh or abs(stored - fresh) <= _VALUE_RTOL * max(1.0, abs(stored)))
+
+
+def _check_value(failed: list[str], checks: dict, name: str, fresh: float | None,
+                 scale_log: float | None = None) -> None:
+    if _value_differs(checks.get(name), fresh, scale_log):
+        failed.append(f"{name}_value")
 
 
 def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
@@ -539,14 +581,21 @@ def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
         expected = root_power_block(w, y, rd.a, 1, rd.m)
         if rd.block.rel_distance(expected) > 1e-10:
             failed.append("block_consistency")
-        if seminorm_eval(space, rd.r, rd.block).upper_log >= -rd.r * _LN2:
+        a1 = seminorm_eval(space, rd.r, rd.block).upper_log
+        if a1 >= -rd.r * _LN2:
             failed.append("A1")
+        _check_value(failed, rd.checks, "A1", _log2(a1))
         d_r = pairing.max_degree_before(rd.r)
+        worst = NEG_INF
         for t_round in bundle.rounds[: rd.r - 1]:
             for nu in range(1, d_r + 1):
                 img = backward_iterate(w, coordinatewise_power(rd.block, nu), t_round.a)
-                if seminorm_eval(space, rd.r, img).upper_log >= -rd.r * _LN2:
+                a2 = seminorm_eval(space, rd.r, img).upper_log
+                if a2 >= -rd.r * _LN2:
                     failed.append(f"A2(t={t_round.r},nu={nu})")
+                worst = max(worst, a2)
+        if rd.r >= 2:
+            _check_value(failed, rd.checks, "A2", _log2(worst))
         if prev is not None and not rd.a - prev.a > sched.s(prev.l):
             failed.append("A3")
         rows.append({"round": rd.r, "failed": failed})
@@ -573,19 +622,32 @@ def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
         block = q_part + FiniteSeq.basis(rd.gamma, rd.b) if not rd.b.is_zero else q_part
         if rd.block.rel_distance(block) > 1e-12:
             failed.append("block_consistency")
-        if not c2_residual_cert(w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part).passed:
+        rho = rd.rho_index
+        _check_value(failed, rd.checks, "C1", _log2(seminorm_eval(space, rho, rd.block).upper_log))
+        c3 = seminorm_eval(space, rho, c3_image(w, rd.m, rd.eta, rd.gamma, rd.b)).upper_log
+        _check_value(failed, rd.checks, "C3", _log2(c3))
+        c2 = c2_residual_cert(w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part)
+        if not c2.passed:
             failed.append("C2_residual")
+        _check_value(failed, rd.checks, "C2_residual", c2.value)
         label = "F" if algebrable else "D"
-        if seminorm_eval(space, rd.r, rd.block).upper_log >= -rd.r * _LN2:
+        d1 = seminorm_eval(space, rd.r, rd.block).upper_log
+        if d1 >= -rd.r * _LN2:
             failed.append(f"{label}1")
+        _check_value(failed, rd.checks, f"{label}1", _log2(d1))
         if not _structural_d2(prefix, rd.r, rd.m, rd.gamma, rd.a).passed:
             failed.append(f"{label}2")
         diff = backward_iterate(w, cauchy_power(rd.block, rd.m), rd.a) - y
-        if seminorm_eval(space, rd.r, diff).upper_log >= -rd.r * _LN2:
+        d3 = seminorm_eval(space, rd.r, diff).upper_log
+        if d3 >= -rd.r * _LN2:
             failed.append(f"{label}3")
+        y_log = seminorm_eval(space, rd.r, y).upper_log
+        _check_value(failed, rd.checks, f"{label}3", _log2(d3), scale_log=y_log)
         mode = "max" if algebrable else "sum"
-        if _d4_worst(space, w, prefix, rd.block, rd.r, mode) >= -rd.r * _LN2:
+        d4 = _d4_worst(space, w, prefix, rd.block, rd.r, mode)
+        if d4 >= -rd.r * _LN2:
             failed.append(f"{label}4")
+        _check_value(failed, rd.checks, f"{label}4", _log2(d4))
         if not rd.a <= rd.m * rd.gamma:
             failed.append("separation")
         if prefix and not rd.eta > prefix[-1].m * prefix[-1].gamma:

@@ -77,6 +77,19 @@ TARGETS_JSON = [
 ]
 
 
+# the README targets turned by the seeded unit phases of the benchmark's seed 1;
+# their [re, im] coefficients do not all decode and re-encode to the same last
+# digit, so bundles built on them test that a loaded bundle keeps its bytes
+PHASED_TARGETS_JSON = [
+    {"coeffs": [[0, 0.6643029539301958, 0.7474634341555553]]},
+    {"coeffs": [[0, 0.5746645712253898, -0.8183890459789518],
+                [1, 0.5746645712253898, -0.8183890459789518]]},
+    {"coeffs": [[0, 0.17288094687622507, -1.9925140346324237],
+                [1, -0.08644047343811254, 0.9962570173162119]]},
+    {"coeffs": [[2, -0.9994928434703693, -0.03184424361664005]]},
+]
+
+
 def standard_targets() -> list[FiniteSeq]:
     """e0, e0+e1, 2e0-e1, i*e2 — the target set the acceptance runs cycle."""
     return [FiniteSeq.from_json(t) for t in TARGETS_JSON]

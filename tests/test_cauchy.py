@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperforge import (
+    Bundle,
     CauchyState,
     WideComplex,
     FiniteSeq,
@@ -26,7 +28,8 @@ from hyperforge import (
     solve_building_block,
     space,
 )
-from hyperforge.cauchy import _power_cache, _product_for, _scan_pairs
+from hyperforge import cauchy as cauchy_mod
+from hyperforge.cauchy import _diagonal, _power_cache, _product_for, _scan_pairs
 from hyperforge.errors import (
     LeadingFormVanishing,
     SearchExhausted,
@@ -36,7 +39,7 @@ from hyperforge.errors import (
 )
 from hyperforge.spaces import basis_log_array
 
-from conftest import from_dict, rand_seq, standard_targets
+from conftest import PHASED_TARGETS_JSON, from_dict, rand_seq, standard_targets
 
 L1 = space("l1")
 EC = space("entire_cauchy")
@@ -413,6 +416,26 @@ def test_deep_builds_keep_their_bundle_ids(deep_ec):
     assert build_algebrable_cauchy(st, 10).bundle_id == "f6db696e84a7fb98"
 
 
+@pytest.mark.parametrize(
+    "algebrable,bundle_id", [(False, "5a6badce03302c4e"), (True, "ab14812532bc89d3")],
+    ids=["single", "K2"],
+)
+def test_loaded_deep_bundles_keep_their_bytes(algebrable, bundle_id):
+    # the benchmark's seed-1 deep builds; decoding and re-encoding their
+    # coefficients would move last digits and with them the id
+    from hyperforge import revalidate_bundle
+
+    targets = [FiniteSeq.from_json(t) for t in PHASED_TARGETS_JSON]
+    kw = {"algebrable": True, "K": 2} if algebrable else {}
+    st = CauchyState(EC, WeightSpec.parse("maclane"), targets, **kw)
+    built = (build_algebrable_cauchy if algebrable else build_generator_cauchy)(st, 10)
+    assert built.bundle_id == bundle_id
+    loaded = Bundle.from_json(json.loads(built.dumps()))
+    assert loaded.dumps() == built.dumps()
+    assert loaded.bundle_id == bundle_id and loaded.to_json() == built.to_json()
+    assert revalidate_bundle(loaded).passed
+
+
 # -- the pair scan against its concatenated-batch form ---------------------------
 
 
@@ -562,3 +585,154 @@ def test_pair_scan_exhaustion_matches_the_concatenated_batch_form(sid, wname, r)
             assert _outcome(_scan_pairs, *args) == want, (m, budget)
             if budget < 8000:
                 assert want["scanned"] > budget and "best_margin_log" in want
+
+
+# -- the screened diagonal against the unscreened one ----------------------------
+
+
+def _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi):
+    """max(C1, C3) and log b on every pair of one anti-diagonal, as the pair
+    scan computed them before the screen; kept as an oracle."""
+    n = g_hi - g_lo + 1
+    top = dd + (m - 2) * g_lo
+
+    def basis_at(j):
+        return basis[dd - g_hi + j : dd - g_lo + j + 1][::-1]
+
+    def logv_at(j):
+        return logv[top + j] if m == 2 else logv[top + j :: m - 2][:n]
+
+    maxA = None
+    for j in range(s + 1):
+        A = (basis_at(j) - logv_at(j)) / (m - 1)
+        maxA = A if maxA is None else np.maximum(maxA, A, out=maxA)
+    lo = 2 * g_lo - dd
+    v_gap = logv[lo::2][:n] - logv[m * g_lo :: m][:n]
+    basis_gap = basis[lo::2][:n]
+    B1 = -basis[g_lo : g_hi + 1]
+    logb = maxA
+    logb += np.minimum(B1, (v_gap - basis_gap) / m)
+    logb *= 0.5
+    logb_pow = (m - 1) * logb
+    logq = None
+    for j, base in yterms.items():
+        t = np.subtract(base, logb_pow)
+        t -= logv_at(j)
+        t += basis_at(j)
+        logq = t if logq is None else np.logaddexp(logq, t, out=logq)
+    c1 = np.logaddexp(logq, np.subtract(logb, B1, out=B1), out=logq)
+    c3 = np.multiply(m, logb, out=B1)
+    c3 -= v_gap
+    c3 += basis_gap
+    return np.maximum(c1, c3, out=c1), logb
+
+
+def _random_diagonal(rng, m, s, k, kind):
+    """Tables and one anti-diagonal.  Values lie on a coarse grid, so ties
+    abound, except for "close" tables, whose small steps keep the C1 terms
+    within ln(k + 1) of each other, so the smallest bound need not sit at the
+    diagonal minimum."""
+    N = int(rng.integers(0, 4))
+    dd = 2 * N + 2 * s + 1 + int(rng.integers(0, 300))
+    g_lo, g_hi = max(N + 2 * s + 1, (dd + 2 * s + 2) // 2), dd - N
+    if kind == "close":
+        logv = np.cumsum(rng.uniform(0.0, 0.3, m * g_hi + s + 1))
+        basis = rng.uniform(-0.3, 0.3, dd + s + 1)
+    else:
+        logv = np.cumsum(rng.integers(0, 6, m * g_hi + s + 1) * 0.5)
+        basis = rng.integers(-6, 6, dd + s + 1) * 0.25 * np.arange(dd + s + 1)
+    if kind == "inf":
+        for table in (logv, basis):
+            at = rng.integers(0, len(table), 4)
+            table[at] = rng.choice([-np.inf, np.inf], 4)
+    elif kind == "nan":
+        basis[int(rng.integers(g_lo, g_hi + 1))] = np.nan  # read by B1 on this diagonal
+    support = sorted([s, *rng.choice(s, k - 1, replace=False).tolist()])  # s is the top index
+    yterms = {j: float(rng.integers(-8, 8) * (0.05 if kind == "close" else 0.5)) for j in support}
+    return logv, basis, yterms, dd, g_lo, g_hi
+
+
+def _first_hit(worst, log_eps):
+    hit = np.nonzero(worst < log_eps)[0]
+    return int(hit[0]) if len(hit) else None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
+@pytest.mark.parametrize("kind", ["grid", "close", "inf", "nan"])
+def test_screened_diagonal_matches_the_unscreened_one(kind):
+    rng = np.random.default_rng(["grid", "close", "inf", "nan"].index(kind))
+    seen = set()
+    for m in (2, 3, 4):
+        for s in (0, 1, 2):
+            for k in range(1, min(3, s + 1) + 1):
+                for _ in range(12):
+                    logv, basis, yterms, dd, g_lo, g_hi = _random_diagonal(rng, m, s, k, kind)
+                    args = (logv, basis, yterms, s, m, dd, g_lo, g_hi)
+                    worst, logb = _diagonal_unscreened(*args)
+                    finite = worst[np.isfinite(worst)]
+                    picks = [float(np.median(finite)), float(finite.min())] if len(finite) else []
+                    for log_eps in [*picks, -1e300, 1e300]:
+                        keep, kept, logb_s = _diagonal(*args, log_eps)
+                        assert np.all(np.diff(keep) > 0)
+                        if kind == "nan":  # a NaN bound keeps every pair
+                            assert len(keep) == g_hi - g_lo + 1
+                        hit = _first_hit(worst, log_eps)
+                        got = _first_hit(kept, log_eps)
+                        got = None if got is None else int(keep[got])
+                        assert got == hit, (m, s, k, log_eps)
+                        if hit is not None:
+                            assert logb_s[hit].tobytes() == logb[hit].tobytes()
+                            seen.add("hit")
+                        want_min, got_min = worst.min(), kept.min()
+                        if np.isnan(want_min):
+                            assert np.isnan(got_min)
+                            seen.add("nan minimum")
+                        else:
+                            assert got_min == want_min, (m, s, k, log_eps)
+                        if len(keep) < g_hi - g_lo + 1:
+                            seen.add("screened")
+    assert ({"hit", "nan minimum"} if kind == "nan" else {"hit", "screened"}) <= seen, seen
+
+
+class _CountingNumpy:
+    """Stands in for numpy inside the cauchy module and counts the elements
+    that reach np.logaddexp while ``active``."""
+
+    def __init__(self):
+        self.active = False
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def logaddexp(self, *args, **kwargs):
+        if self.active:
+            self.elements += np.size(args[0])
+        return np.logaddexp(*args, **kwargs)
+
+
+def test_screen_sends_few_pairs_to_logaddexp(monkeypatch):
+    # the README entire_cauchy/maclane build: the exact chain runs only on the
+    # pairs the lower bound cannot reject
+    counting = _CountingNumpy()
+    scanned = 0
+
+    def counted_scan(*args):
+        nonlocal scanned
+        counting.active = True
+        try:
+            out = _scan_pairs(*args)
+        except SearchExhausted as exc:
+            scanned += exc.details["scanned"]
+            raise
+        finally:
+            counting.active = False
+        scanned += out[3]
+        return out
+
+    monkeypatch.setattr(cauchy_mod, "np", counting)
+    monkeypatch.setattr(cauchy_mod, "_scan_pairs", counted_scan)
+    b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
+    assert b.bundle_id == "fad6f6dcb0f45d02"
+    assert scanned > 1_000_000
+    assert 0 < counting.elements < 0.01 * scanned, (counting.elements, scanned)

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from hyperforge.bundle import canonical_json
+from hyperforge.bundle import _digest, canonical_json
 from hyperforge.cli import export_report, main, run_command
 
-from conftest import TARGETS_JSON
+from conftest import PHASED_TARGETS_JSON, TARGETS_JSON
 
 
 @pytest.fixture()
@@ -247,6 +247,84 @@ def test_tampered_bundle_is_bundle_invalid(damage, readme_ca, tmp_path, capsys):
     assert code == 1 and payload["error"] == "bundle_invalid"
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "bundle_invalid"
+
+
+def _write_with_id(doc, path):
+    """Write ``doc`` with its bundle_id recomputed over the edited document."""
+    doc = {k: v for k, v in doc.items() if k != "bundle_id"}
+    doc["bundle_id"] = _digest(doc)
+    path.write_text(json.dumps(doc))
+    return doc["bundle_id"]
+
+
+def _drop_value_log2(check):
+    del check["value_log2"]
+
+
+# edits to one stored certificate value of the README ca.json, each followed by
+# a recomputed bundle_id: (check, edit, the failure revalidation lists for round 1)
+CA_VALUE_EDITS = {
+    "C1": ("C1", lambda c: c.update(value_log2=-999.0), "C1_value"),
+    "C1_none": ("C1", _drop_value_log2, "C1_value"),
+    "C1_text": ("C1", lambda c: c.update(value_log2="-60"), "C1_value"),
+    "C3_none": ("C3", lambda c: c.update(value_log2=-80.0), "C3_value"),
+    "F1": ("F1", lambda c: c.update(value_log2=c["value_log2"] * (1 + 1e-6)), "F1_value"),
+    "C2_residual": ("C2_residual", lambda c: c.update(value=1e-6), "C2_residual_value"),
+    "F3": ("F3", lambda c: c.update(value_log2=-20.0), "F3_value"),
+    "F4_none": ("F4", lambda c: c.update(value_log2=-60.0), "F4_value"),
+}
+
+
+@pytest.mark.parametrize("case", list(CA_VALUE_EDITS))
+def test_edited_certificate_value_fails_revalidation(case, readme_ca, tmp_path, capsys):
+    name, edit, failure = CA_VALUE_EDITS[case]
+    doc = json.loads(json.dumps(readme_ca))
+    edit(doc["rounds"][0]["checks"][name])
+    path = tmp_path / "ca.json"
+    bundle_id = _write_with_id(doc, path)
+    argv = ["verify", "certificates", "--bundle", str(path)]
+    code, payload = run_command(argv)
+    assert code == 1 and not payload["summary"]["pass"]
+    assert payload["bundle_id"] == bundle_id
+    assert payload["rounds"][0]["failed"] == [failure]
+    assert all(not rd["failed"] for rd in payload["rounds"][1:])
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["rounds"][0]["failed"] == [failure]
+
+
+def test_edited_a2_value_fails_revalidation(targets_file, tmp_path):
+    out = tmp_path / "g3.json"
+    code, _ = run_command(
+        ["build", "algebrable-coord", "--space", "l1", "--weight", "const:2",
+         "--targets", targets_file, "--rounds", "12", "--K", "3", "--out", str(out)]
+    )
+    assert code == 0
+    argv = ["verify", "certificates", "--bundle", str(out)]
+    code, payload = run_command(argv)
+    assert code == 0 and payload["bundle_id"] == "5e5c3e37137c5580"
+    doc = json.loads(out.read_text())
+    doc["rounds"][4]["checks"]["A2"]["value_log2"] -= 0.5
+    _write_with_id(doc, out)
+    code, payload = run_command(argv)
+    assert code == 1
+    assert [rd["failed"] for rd in payload["rounds"]] == [["A2_value"] if r == 5 else [] for r in range(1, 13)]
+
+
+def test_reports_on_a_saved_bundle_print_the_built_id(tmp_path):
+    # a phased target whose coefficients move in the last digit when decoded
+    # and re-encoded: every report on the saved file must still name its id
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(PHASED_TARGETS_JSON))
+    out = str(tmp_path / "c.json")
+    code, built = run_command(
+        ["build", "cauchy", "--space", "entire_cauchy", "--weight", "maclane",
+         "--targets", str(targets), "--rounds", "6", "--out", out]
+    )
+    assert code == 0 and built["bundle_id"] == "9bbd262b0d4c3a3a"
+    for argv in (["verify", "power", "--bundle", out, "--power", "1"],
+                 ["verify", "certificates", "--bundle", out]):
+        code, payload = run_command(argv)
+        assert code == 0 and payload["bundle_id"] == built["bundle_id"], argv
 
 
 def test_untouched_bundle_passes_the_id_check(readme_ca, tmp_path):
