@@ -37,7 +37,8 @@ class Cert:
         ln2 = math.log(2.0)
         return cls(
             value=log_decode(value_log),
-            bound=2.0 ** bound_log2 if bound_log2 > -1074 else 0.0,
+            bound=math.inf if bound_log2 >= 1024  # 2.0 ** 1024 overflows
+            else 2.0 ** bound_log2 if bound_log2 > -1074 else 0.0,
             passed=value_log < bound_log2 * ln2,
             op="lt",
             value_log2=value_log / ln2 if value_log != -math.inf else None,
@@ -261,8 +262,9 @@ class Bundle:
     @classmethod
     def from_json(cls, data: dict) -> "Bundle":
         """Rebuild a bundle that serializes as ``data`` and keeps its id; a
-        document of the wrong shape, or one whose stored bundle_id is missing
-        or is not the digest of the rest of the document, raises BundleError."""
+        document of the wrong shape (rounds not numbered 1..R in order
+        included), or one whose stored bundle_id is missing or is not the
+        digest of the rest of the document, raises BundleError."""
         if not isinstance(data, dict) or data.get("format") != FORMAT:
             raise BundleError(f"not a {FORMAT} document")
         try:
@@ -274,13 +276,16 @@ class Bundle:
                 raise BundleError(f"bundle_id {stored!r} does not match the bundle contents")
             kind = data["kind"]
             round_cls = CauchyRound if kind.startswith("cauchy") else CoordRound
+            rounds = [round_cls.from_json(rd) for rd in data["rounds"]]
+            if [rd.r for rd in rounds] != list(range(1, len(rounds) + 1)):
+                raise BundleError("rounds are not numbered 1, 2, ... in order")
             return cls(
                 kind=kind,
                 space=parse_space(data["space"]),
                 weight=WeightSpec.from_json(data["weight"]),
                 targets=[FiniteSeq.from_json(t) for t in data["targets"]],
                 K=data["partition_K"],
-                rounds=[round_cls.from_json(rd) for rd in data["rounds"]],
+                rounds=rounds,
                 lambda_params=data.get("lambda"),
                 source=canonical_json(data),
             )

@@ -363,12 +363,10 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
 
 
 def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSolveResult:
-    s = y.max_index
-    shift = eta + (m - 1) * gamma
     mb = WideComplex.from_real(float(m)) * b.powi(m - 1)  # m b^{m-1}; equals m when m = 1
     coeffs: list[WideComplex] = []
     q_coef: dict[int, WideComplex] = {}
-    for j in range(s + 1):
+    for j in range(y.max_index + 1):
         yj = y.coef(j)
         if yj.is_zero:
             coeffs.append(WideComplex.zero())
@@ -378,13 +376,7 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSo
         q_coef[eta + j] = cj
     q_part = FiniteSeq(q_coef)
     block = q_part + FiniteSeq.basis(gamma, b) if not b.is_zero else q_part
-
-    eps_log2 = eps_log / _LN2
-    checks = {
-        "C1": Cert.less(seminorm_eval(space, r, block).upper_log, eps_log2),
-        "C3": Cert.less(seminorm_eval(space, r, c3_image(w, m, eta, gamma, b)).upper_log, eps_log2),
-        "C2_residual": c2_residual_cert(w, y, m, eta, gamma, b, q_part),
-    }
+    checks = block_checks(space, w, y, m, eta, gamma, b, q_part, block, r, eps_log / _LN2)
     eps = math.exp(eps_log) if eps_log > -700 else 0.0
     return BlockSolveResult(
         eta=eta,
@@ -400,20 +392,27 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSo
     )
 
 
-def c3_image(w, m, eta, gamma, b: WideComplex) -> FiniteSeq:
-    """T^{eta+(m-1)gamma} b^m e_{m gamma}, the shifted top coefficient C3 bounds."""
-    return backward_iterate(w, FiniteSeq.basis(m * gamma, b.powi(m)), eta + (m - 1) * gamma)
+def block_checks(space, w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq, block: FiniteSeq,
+                 rho: int, eps_log2: float) -> dict[str, Cert]:
+    """C1, C3 and C2_residual of the block ``block`` = ``q_part`` + b e_gamma
+    for target y, degree m and eps = 2^eps_log2, at seminorm index rho.
 
-
-def c2_residual_cert(w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq) -> Cert:
-    """Relative residual of m q * b^{m-1} e_{(m-1)gamma} against the shifted target."""
+    C1 bounds ||block||_rho, C3 bounds ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_rho,
+    and C2_residual is the relative residual of m q * b^{m-1} e_{(m-1)gamma}
+    against the forward-shifted target.  The builder and bundle re-validation
+    both certify through this function.
+    """
     shift = eta + (m - 1) * gamma
+    c3 = backward_iterate(w, FiniteSeq.basis(m * gamma, b.powi(m)), shift)
     lhs = cauchy_product(q_part, FiniteSeq.basis((m - 1) * gamma, b.powi(m - 1))).scale(
         WideComplex.from_real(float(m))
     )
-    rhs = forward_iterate(w, y, shift)
-    res = lhs.rel_distance(rhs)
-    return Cert(value=res, bound=_C2_TOL, passed=res <= _C2_TOL, op="le")
+    res = lhs.rel_distance(forward_iterate(w, y, shift))
+    return {
+        "C1": Cert.less(seminorm_eval(space, rho, block).upper_log, eps_log2),
+        "C3": Cert.less(seminorm_eval(space, rho, c3).upper_log, eps_log2),
+        "C2_residual": Cert(value=res, bound=_C2_TOL, passed=res <= _C2_TOL, op="le"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -679,54 +678,63 @@ def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str) -> float:
     return worst
 
 
+def round_checks(space, w, y, prefix: list[CauchyRound], rd: CauchyRound,
+                 algebrable: bool) -> dict[str, Cert]:
+    """D1-D4 (F1-F4 for the lambda-matrix construction), separation and window
+    of round ``rd`` with target y, after the rounds ``prefix`` (rounds 1..r-1).
+
+    D1 bounds the block, D2 is the structural support bound, D3 the shifted
+    m-th power against the target and D4 the excluded block products (summed
+    with multinomial weights, or one by one for F4).  separation asks
+    a_r <= m gamma and eta > m gamma of the previous round; window
+    asks that the terms of p^m with two or more q factors, which reach index
+    2 (eta + s) + (m-2) gamma, lie below a_r.  The builder and bundle
+    re-validation both certify through this function.
+    """
+    r, m, a = rd.r, rd.m, rd.a
+    label = "F" if algebrable else "D"
+    diff = backward_iterate(w, cauchy_power(rd.block, m), a) - y
+    d4 = _d4_worst(space, w, prefix, rd.block, r, "max" if algebrable else "sum")
+    checks = {
+        f"{label}1": Cert.less(seminorm_eval(space, r, rd.block).upper_log, -r),
+        f"{label}2": _structural_d2(prefix, r, m, rd.gamma, a),
+        f"{label}3": Cert.less(seminorm_eval(space, r, diff).upper_log, -r),
+        f"{label}4": Cert.less(d4, -r),
+    }
+    separated = a <= m * rd.gamma and (not prefix or rd.eta > prefix[-1].m * prefix[-1].gamma)
+    checks["separation"] = Cert(value=float(a), bound=float(m * rd.gamma), passed=separated,
+                                op="le")
+    if m >= 2:
+        window = 2 * (rd.eta + y.max_index) + (m - 2) * rd.gamma
+        checks["window"] = Cert(value=float(window), bound=float(a), passed=window < a, op="lt")
+    return checks
+
+
 def _certify_round(state: CauchyState, r: int, res: BlockSolveResult, m: int, l: int,
                    nu: int | None) -> CauchyRound:
-    space, w = state.space, state.w
-    y = state.schedule.target(l)
-    a_r = res.shift
-    mode = "max" if state.algebrable else "sum"
-    label = "F" if state.algebrable else "D"
-
-    checks = dict(res.checks)
-    checks[f"{label}1"] = Cert.less(seminorm_eval(space, r, res.block).upper_log, -r)
-    checks[f"{label}2"] = _structural_d2(state.rounds, r, m, res.gamma, a_r)
-    diff = backward_iterate(w, cauchy_power(res.block, m), a_r) - y
-    checks[f"{label}3"] = Cert.less(seminorm_eval(space, r, diff).upper_log, -r)
-    checks[f"{label}4"] = Cert.less(_d4_worst(space, w, state.rounds, res.block, r, mode), -r)
-    sep = Cert(value=float(a_r), bound=float(m * res.gamma), passed=a_r <= m * res.gamma, op="le")
-    if state.rounds:
-        prev = state.rounds[-1]
-        sep_prev = res.eta > prev.m * prev.gamma
-        sep = Cert(
-            value=float(a_r),
-            bound=float(m * res.gamma),
-            passed=(a_r <= m * res.gamma) and sep_prev,
-            op="le",
-        )
-    checks["separation"] = sep
-    if m >= 2:
-        window = 2 * (res.eta + y.max_index) + (m - 2) * res.gamma
-        checks["window"] = Cert(
-            value=float(window), bound=float(a_r), passed=window < a_r, op="lt"
-        )
     lam_col = None
     if nu is not None:
         lam_col = [state.lam.lam(k, nu) for k in range(1, state.K + 1)]
-    return CauchyRound(
+    round_ = CauchyRound(
         r=r,
         m=m,
         l=l,
-        a=a_r,
+        a=res.shift,
         eta=res.eta,
         gamma=res.gamma,
         b=res.b,
         c=res.c,
         block=res.block,
         rho_index=res.seminorm_index,
-        checks=checks,
+        checks=dict(res.checks),
         nu=nu,
         lambda_column=lam_col,
     )
+    y = state.schedule.target(l)
+    round_.checks.update(
+        round_checks(state.space, state.w, y, state.rounds, round_, state.algebrable)
+    )
+    return round_
 
 
 def build_round(state: CauchyState, r: int) -> CauchyRound:

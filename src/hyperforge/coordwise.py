@@ -10,8 +10,10 @@ the scheduled targets:
       support, which keeps all block supports pairwise disjoint.
 
 Candidate indices come from a hypercyclicity witness and are screened with
-vectorized log arithmetic; the accepted index is then re-certified through the
-exact sequence/seminorm path, which is also what bundle re-validation uses.
+vectorized log arithmetic; the accepted index is then certified through the
+exact sequence/seminorm path in ``coord_checks``.  Bundle re-validation calls
+the same function on each stored round and compares the result with the
+stored certificates.
 """
 from __future__ import annotations
 
@@ -144,31 +146,33 @@ def _screen(state: CoordState, r: int, m: int, y: FiniteSeq, lower: int, size: i
     return alive
 
 
-def certify_coord_round(
-    space: SpaceSpec,
-    w: WeightSpec,
-    schedule: TargetSchedule,
-    pairing: PairOrder,
-    prev_rounds: list[CoordRound],
-    r: int,
-    a: int,
-) -> CoordRound:
-    """Exact certification of round r at index a via the sequence/seminorm path."""
-    m, l = pairing.decode(r)
-    y = schedule.target(l)
-    block = root_power_block(w, y, a, 1, m)
+def coord_checks(space: SpaceSpec, w: WeightSpec, schedule: TargetSchedule, pairing: PairOrder,
+                 prev_rounds: list[CoordRound], r: int, a: int,
+                 block: FiniteSeq) -> dict[str, Cert]:
+    """A1, A2 and A3 of round r with index a and block ``block``, after the
+    rounds ``prev_rounds`` (rounds 1..r-1).  The builder and bundle
+    re-validation both certify through this function."""
     checks = {"A1": Cert.less(seminorm_eval(space, r, block).upper_log, -r)}
     if r >= 2:
         d_r = pairing.max_degree_before(r)
         worst = NEG_INF
-        for t in range(1, r):
-            a_t = prev_rounds[t - 1].a
+        for t_round in prev_rounds:
             for nu in range(1, d_r + 1):
-                img = backward_iterate(w, coordinatewise_power(block, nu), a_t)
+                img = backward_iterate(w, coordinatewise_power(block, nu), t_round.a)
                 worst = max(worst, seminorm_eval(space, r, img).upper_log)
         checks["A2"] = Cert.less(worst, -r)
         prev = prev_rounds[-1]
         checks["A3"] = Cert.greater(a - prev.a, schedule.s(prev.l))
+    return checks
+
+
+def certify_coord_round(space: SpaceSpec, w: WeightSpec, schedule: TargetSchedule,
+                        pairing: PairOrder, prev_rounds: list[CoordRound], r: int,
+                        a: int) -> CoordRound:
+    """Exact certification of round r at index a via the sequence/seminorm path."""
+    m, l = pairing.decode(r)
+    block = root_power_block(w, schedule.target(l), a, 1, m)
+    checks = coord_checks(space, w, schedule, pairing, prev_rounds, r, a, block)
     return CoordRound(r=r, m=m, l=l, a=a, block=block, checks=checks)
 
 

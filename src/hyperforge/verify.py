@@ -1,9 +1,13 @@
-"""Independent verification: orbit reports, expansion oracles, zero products,
-and full bundle re-validation.
+"""Verification: orbit reports, expansion oracles, zero products, and full
+bundle re-validation.
 
-Everything here recomputes from the serialized bundle alone; no construction
-state is consulted, so a report is reproducible bit-for-bit from the file.
-All seminorm comparisons use upper bounds (the sound direction).
+Everything here recomputes from the serialized bundle alone, so a report is
+reproducible bit-for-bit from the file.  Re-validation certifies each stored
+round through the same functions the builders use (``coordwise.coord_checks``,
+``cauchy.block_checks`` and ``cauchy.round_checks``), fed with the stored
+round and the stored rounds before it, and compares the result with the
+stored certificates; it keeps only the pairing and block-consistency checks
+of its own.  All seminorm comparisons use upper bounds (the sound direction).
 """
 from __future__ import annotations
 
@@ -13,21 +17,20 @@ from dataclasses import dataclass, field
 from .bundle import Bundle, Cert
 from .cauchy import (
     LambdaMatrix,
-    _d4_worst,
-    _structural_d2,
-    c2_residual_cert,
-    c3_image,
-    cauchy_power,
+    block_checks,
     enumerate_multi_indices,
     leading_form_column,
     multinomial,
+    round_checks,
     tail_bound,
 )
+from .coordwise import coord_checks
 from .core import (
     NEG_INF,
     FiniteSeq,
     WideComplex,
     backward_iterate,
+    cauchy_power,
     cauchy_product,
     coordinatewise_power,
     coordinatewise_product,
@@ -517,27 +520,31 @@ class RevalidationReport:
 def revalidate_bundle(bundle: Bundle) -> RevalidationReport:
     """Recompute every stored certificate from the bundle contents alone.
 
-    Includes a block-consistency check against the schedule (coordinatewise)
-    or the stored closed-form coefficients (Cauchy), so coefficient tampering
-    is caught even where the seminorm inequalities would still pass.  Each
-    stored certificate value (A1 and the worst A2; C1 and C3 at the round's
-    rho, C2_residual, D/F1, D/F3 and D/F4) is compared with its recomputation,
-    and a difference flags ``<name>_value``.
+    Each round's certificates are recomputed by the builders' own functions
+    (``coord_checks``; ``block_checks`` with eps read from the stored C1 bound,
+    and ``round_checks``) on the stored round after the stored rounds before
+    it, and compared with the stored ones name by name: a failing recomputed
+    certificate flags ``<name>``, and a name missing on either side, or a
+    certificate that ``_cert_differs`` from its recomputation, flags
+    ``<name>_value``.  Two checks are revalidation's own: ``pairing`` (the
+    round's degree and labels against the pairing rule) and
+    ``block_consistency`` (the stored block against the schedule's target for
+    coordinatewise bundles, or against the stored closed-form coefficients for
+    Cauchy ones), so coefficient tampering is caught even where the
+    inequalities would still pass.
     """
     return (
         _revalidate_cauchy(bundle) if bundle.is_cauchy else _revalidate_coord(bundle)
     )
 
 
-def _log2(value_log: float) -> float | None:
-    """A log value as ``Cert.less`` stores it: in log2, None for -inf."""
-    return value_log / _LN2 if value_log != NEG_INF else None
+def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> bool:
+    """Whether a stored certificate is missing or disagrees with its
+    recomputation ``fresh``.
 
-
-def _value_differs(cert: Cert | None, fresh: float | None, scale_log: float | None = None) -> bool:
-    """Whether a stored certificate value (value_log2 of an "lt" check, value
-    otherwise) is missing or differs from its recomputation ``fresh`` by more
-    than 1e-9 x max(1, |stored|); None matches only None.
+    op, pass flag, bound and bound_log2 must match exactly.  The value
+    (value_log2 of a log-domain certificate, value otherwise) must match to
+    within 1e-9 x max(1, |stored|); None matches only None.
 
     With ``scale_log`` the value is a residual against a quantity of natural
     log size ``scale_log``.  A residual is mostly cancellation, and decoding
@@ -545,25 +552,38 @@ def _value_differs(cert: Cert | None, fresh: float | None, scale_log: float | No
     itself, so stored and fresh values are compared as fractions of
     max(1, that size), to within 1e-9.
     """
-    if cert is None:
+    if stored is None:
         return True
-    stored = cert.value_log2 if cert.op == "lt" else cert.value
-    if stored is not None and not isinstance(stored, (int, float)):
+    if (stored.op, stored.passed, stored.bound, stored.bound_log2) != (
+        fresh.op, fresh.passed, fresh.bound, fresh.bound_log2
+    ):
+        return True
+    log_domain = fresh.bound_log2 is not None
+    value = stored.value_log2 if log_domain else stored.value
+    expect = fresh.value_log2 if log_domain else fresh.value
+    if value is not None and not isinstance(value, (int, float)):
         return True
     if scale_log is not None:
         def share(v):
             return 0.0 if v is None else log_decode(v * _LN2 - max(0.0, scale_log))
 
-        return not abs(share(stored) - share(fresh)) <= _VALUE_RTOL
-    if stored is None or fresh is None:
-        return stored is not fresh
-    return not (stored == fresh or abs(stored - fresh) <= _VALUE_RTOL * max(1.0, abs(stored)))
+        return not abs(share(value) - share(expect)) <= _VALUE_RTOL
+    if value is None or expect is None:
+        return value is not expect
+    return not (value == expect or abs(value - expect) <= _VALUE_RTOL * max(1.0, abs(value)))
 
 
-def _check_value(failed: list[str], checks: dict, name: str, fresh: float | None,
-                 scale_log: float | None = None) -> None:
-    if _value_differs(checks.get(name), fresh, scale_log):
-        failed.append(f"{name}_value")
+def _compare(fresh: dict[str, Cert], stored: dict[str, Cert],
+             scales: dict[str, float]) -> list[str]:
+    """Failure names of one round: recomputed certificates in order, then
+    stored names that were not recomputed."""
+    failed = []
+    for name, cert in fresh.items():
+        if not cert.passed:
+            failed.append(name)
+        if _cert_differs(stored.get(name), cert, scales.get(name)):
+            failed.append(f"{name}_value")
+    return failed + [f"{name}_value" for name in stored if name not in fresh]
 
 
 def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
@@ -571,35 +591,17 @@ def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
     sched = bundle.schedule()
     pairing = bundle.pairing()
     rows = []
-    prev = None
     for rd in bundle.rounds:
         failed = []
-        m, l = pairing.decode(rd.r)
-        if (m, l) != (rd.m, rd.l):
+        if pairing.decode(rd.r) != (rd.m, rd.l):
             failed.append("pairing")
-        y = sched.target(rd.l)
-        expected = root_power_block(w, y, rd.a, 1, rd.m)
+        expected = root_power_block(w, sched.target(rd.l), rd.a, 1, rd.m)
         if rd.block.rel_distance(expected) > 1e-10:
             failed.append("block_consistency")
-        a1 = seminorm_eval(space, rd.r, rd.block).upper_log
-        if a1 >= -rd.r * _LN2:
-            failed.append("A1")
-        _check_value(failed, rd.checks, "A1", _log2(a1))
-        d_r = pairing.max_degree_before(rd.r)
-        worst = NEG_INF
-        for t_round in bundle.rounds[: rd.r - 1]:
-            for nu in range(1, d_r + 1):
-                img = backward_iterate(w, coordinatewise_power(rd.block, nu), t_round.a)
-                a2 = seminorm_eval(space, rd.r, img).upper_log
-                if a2 >= -rd.r * _LN2:
-                    failed.append(f"A2(t={t_round.r},nu={nu})")
-                worst = max(worst, a2)
-        if rd.r >= 2:
-            _check_value(failed, rd.checks, "A2", _log2(worst))
-        if prev is not None and not rd.a - prev.a > sched.s(prev.l):
-            failed.append("A3")
+        fresh = coord_checks(space, w, sched, pairing, bundle.rounds[: rd.r - 1], rd.r, rd.a,
+                             rd.block)
+        failed += _compare(fresh, rd.checks, {})
         rows.append({"round": rd.r, "failed": failed})
-        prev = rd
     return RevalidationReport(bundle.bundle_id, rows)
 
 
@@ -608,52 +610,29 @@ def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
     sched = bundle.schedule()
     pairing = bundle.pairing()
     algebrable = bundle.kind == "cauchy-algebrable"
+    residual = "F3" if algebrable else "D3"
     rows = []
-    prefix = []
     for rd in bundle.rounds:
         failed = []
-        decoded = pairing.decode(rd.r)
         expect = (rd.m, rd.l, rd.nu) if algebrable else (rd.m, rd.l)
-        if decoded != expect:
+        if pairing.decode(rd.r) != expect:
             failed.append("pairing")
         y = sched.target(rd.l)
-        rebuilt = {rd.eta + j: cj for j, cj in enumerate(rd.c) if not cj.is_zero}
-        q_part = FiniteSeq(rebuilt)
+        q_part = FiniteSeq({rd.eta + j: cj for j, cj in enumerate(rd.c) if not cj.is_zero})
         block = q_part + FiniteSeq.basis(rd.gamma, rd.b) if not rd.b.is_zero else q_part
         if rd.block.rel_distance(block) > 1e-12:
             failed.append("block_consistency")
-        rho = rd.rho_index
-        _check_value(failed, rd.checks, "C1", _log2(seminorm_eval(space, rho, rd.block).upper_log))
-        c3 = seminorm_eval(space, rho, c3_image(w, rd.m, rd.eta, rd.gamma, rd.b)).upper_log
-        _check_value(failed, rd.checks, "C3", _log2(c3))
-        c2 = c2_residual_cert(w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part)
-        if not c2.passed:
-            failed.append("C2_residual")
-        _check_value(failed, rd.checks, "C2_residual", c2.value)
-        label = "F" if algebrable else "D"
-        d1 = seminorm_eval(space, rd.r, rd.block).upper_log
-        if d1 >= -rd.r * _LN2:
-            failed.append(f"{label}1")
-        _check_value(failed, rd.checks, f"{label}1", _log2(d1))
-        if not _structural_d2(prefix, rd.r, rd.m, rd.gamma, rd.a).passed:
-            failed.append(f"{label}2")
-        diff = backward_iterate(w, cauchy_power(rd.block, rd.m), rd.a) - y
-        d3 = seminorm_eval(space, rd.r, diff).upper_log
-        if d3 >= -rd.r * _LN2:
-            failed.append(f"{label}3")
-        y_log = seminorm_eval(space, rd.r, y).upper_log
-        _check_value(failed, rd.checks, f"{label}3", _log2(d3), scale_log=y_log)
-        mode = "max" if algebrable else "sum"
-        d4 = _d4_worst(space, w, prefix, rd.block, rd.r, mode)
-        if d4 >= -rd.r * _LN2:
-            failed.append(f"{label}4")
-        _check_value(failed, rd.checks, f"{label}4", _log2(d4))
-        if not rd.a <= rd.m * rd.gamma:
-            failed.append("separation")
-        if prefix and not rd.eta > prefix[-1].m * prefix[-1].gamma:
-            failed.append("separation")
+        # the stored C1 bound is the round's only record of eps; without a
+        # float there, NaN makes C1 and C3 fail
+        eps_log2 = getattr(rd.checks.get("C1"), "bound_log2", None)
+        if not isinstance(eps_log2, float):
+            eps_log2 = math.nan
+        fresh = block_checks(space, w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part, rd.block,
+                             rd.rho_index, eps_log2)
+        fresh.update(round_checks(space, w, y, bundle.rounds[: rd.r - 1], rd, algebrable))
+        scales = {residual: seminorm_eval(space, rd.r, y).upper_log}
+        failed += _compare(fresh, rd.checks, scales)
         rows.append({"round": rd.r, "failed": failed})
-        prefix.append(rd)
     return RevalidationReport(bundle.bundle_id, rows)
 
 

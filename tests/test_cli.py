@@ -257,57 +257,96 @@ def _write_with_id(doc, path):
     return doc["bundle_id"]
 
 
-def _drop_value_log2(check):
-    del check["value_log2"]
-
-
-# edits to one stored certificate value of the README ca.json, each followed by
-# a recomputed bundle_id: (check, edit, the failure revalidation lists for round 1)
+# edits to the stored certificates of one round of the README ca.json, each
+# followed by a recomputed bundle_id: (round, edit of the round's checks, the
+# failures revalidation lists for that round).  Editing the C1 bound also flags
+# C3: the C1 bound is the round's record of eps, and C3 shares it.
 CA_VALUE_EDITS = {
-    "C1": ("C1", lambda c: c.update(value_log2=-999.0), "C1_value"),
-    "C1_none": ("C1", _drop_value_log2, "C1_value"),
-    "C1_text": ("C1", lambda c: c.update(value_log2="-60"), "C1_value"),
-    "C3_none": ("C3", lambda c: c.update(value_log2=-80.0), "C3_value"),
-    "F1": ("F1", lambda c: c.update(value_log2=c["value_log2"] * (1 + 1e-6)), "F1_value"),
-    "C2_residual": ("C2_residual", lambda c: c.update(value=1e-6), "C2_residual_value"),
-    "F3": ("F3", lambda c: c.update(value_log2=-20.0), "F3_value"),
-    "F4_none": ("F4", lambda c: c.update(value_log2=-60.0), "F4_value"),
+    "C1": (1, lambda c: c["C1"].update(value_log2=-999.0), ["C1_value"]),
+    "C1_none": (1, lambda c: c["C1"].pop("value_log2"), ["C1_value"]),
+    "C1_text": (1, lambda c: c["C1"].update(value_log2="-60"), ["C1_value"]),
+    "C3_none": (1, lambda c: c["C3"].update(value_log2=-80.0), ["C3_value"]),
+    "F1": (1, lambda c: c["F1"].update(value_log2=c["F1"]["value_log2"] * (1 + 1e-6)), ["F1_value"]),
+    "C2_residual": (1, lambda c: c["C2_residual"].update(value=1e-6), ["C2_residual_value"]),
+    "F3": (1, lambda c: c["F3"].update(value_log2=-20.0), ["F3_value"]),
+    "F4_none": (1, lambda c: c["F4"].update(value_log2=-60.0), ["F4_value"]),
+    "window_dropped": (4, lambda c: c.pop("window"), ["window_value"]),
+    "window_failing": (4, lambda c: c["window"].update({"pass": False}), ["window_value"]),
+    "F2": (4, lambda c: c["F2"].update(value=10.0), ["F2_value"]),
+    "separation": (4, lambda c: c["separation"].update(value=60.0), ["separation_value"]),
+    "C1_bound": (4, lambda c: c["C1"].update(bound_log2=-17.0), ["C1_value", "C3_value"]),
+    # 2^5000 overflows a float: the recomputed bound is inf, not a traceback
+    "C1_bound_huge": (4, lambda c: c["C1"].update(bound_log2=5000.0), ["C1_value", "C3_value"]),
+    # without a stored eps, C1 and C3 cannot pass
+    "C1_dropped": (4, lambda c: c.pop("C1"), ["C1", "C1_value", "C3", "C3_value"]),
 }
 
 
 @pytest.mark.parametrize("case", list(CA_VALUE_EDITS))
 def test_edited_certificate_value_fails_revalidation(case, readme_ca, tmp_path, capsys):
-    name, edit, failure = CA_VALUE_EDITS[case]
+    r, edit, failures = CA_VALUE_EDITS[case]
     doc = json.loads(json.dumps(readme_ca))
-    edit(doc["rounds"][0]["checks"][name])
+    edit(doc["rounds"][r - 1]["checks"])
     path = tmp_path / "ca.json"
     bundle_id = _write_with_id(doc, path)
     argv = ["verify", "certificates", "--bundle", str(path)]
     code, payload = run_command(argv)
     assert code == 1 and not payload["summary"]["pass"]
     assert payload["bundle_id"] == bundle_id
-    assert payload["rounds"][0]["failed"] == [failure]
-    assert all(not rd["failed"] for rd in payload["rounds"][1:])
+    assert [rd["failed"] for rd in payload["rounds"]] == [failures if rd == r else [] for rd in range(1, 9)]
     assert main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["rounds"][0]["failed"] == [failure]
+    assert json.loads(capsys.readouterr().out)["rounds"][r - 1]["failed"] == failures
 
 
-def test_edited_a2_value_fails_revalidation(targets_file, tmp_path):
-    out = tmp_path / "g3.json"
+@pytest.mark.parametrize("r", [20, 0, 7])
+def test_misnumbered_round_is_bundle_invalid(r, readme_ca, tmp_path):
+    # revalidation reads rounds 1..r-1 as the prefix of round r
+    doc = json.loads(json.dumps(readme_ca))
+    doc["rounds"][7]["r"] = r
+    path = tmp_path / "ca.json"
+    _write_with_id(doc, path)
+    code, payload = run_command(["verify", "certificates", "--bundle", str(path)])
+    assert code == 1 and payload["error"] == "bundle_invalid"
+
+
+@pytest.fixture(scope="module")
+def readme_g3(tmp_path_factory):
+    """The README algebrable-coord bundle (K = 3), as its document."""
+    tmp = tmp_path_factory.mktemp("g3")
+    targets = tmp / "targets.json"
+    targets.write_text(json.dumps(TARGETS_JSON))
+    out = tmp / "g3.json"
     code, _ = run_command(
         ["build", "algebrable-coord", "--space", "l1", "--weight", "const:2",
-         "--targets", targets_file, "--rounds", "12", "--K", "3", "--out", str(out)]
+         "--targets", str(targets), "--rounds", "12", "--K", "3", "--out", str(out)]
     )
     assert code == 0
-    argv = ["verify", "certificates", "--bundle", str(out)]
-    code, payload = run_command(argv)
+    code, payload = run_command(["verify", "certificates", "--bundle", str(out)])
     assert code == 0 and payload["bundle_id"] == "5e5c3e37137c5580"
-    doc = json.loads(out.read_text())
-    doc["rounds"][4]["checks"]["A2"]["value_log2"] -= 0.5
+    return json.loads(out.read_text())
+
+
+# edits to the stored checks of round 5 of the README g3.json: (edit, failures)
+G3_EDITS = {
+    "A2_value": (lambda c: c["A2"].update(value_log2=c["A2"]["value_log2"] - 0.5), ["A2_value"]),
+    "A3_dropped": (lambda c: c.pop("A3"), ["A3_value"]),
+    "A3_failing": (lambda c: c["A3"].update({"pass": False}), ["A3_value"]),
+    "extra_failing_check": (
+        lambda c: c.update(Z={"value": 1.0, "bound": 0.0, "pass": False, "op": "lt"}), ["Z_value"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(G3_EDITS))
+def test_edited_a2_value_fails_revalidation(case, readme_g3, tmp_path):
+    edit, failures = G3_EDITS[case]
+    doc = json.loads(json.dumps(readme_g3))
+    edit(doc["rounds"][4]["checks"])
+    out = tmp_path / "g3.json"
     _write_with_id(doc, out)
-    code, payload = run_command(argv)
+    code, payload = run_command(["verify", "certificates", "--bundle", str(out)])
     assert code == 1
-    assert [rd["failed"] for rd in payload["rounds"]] == [["A2_value"] if r == 5 else [] for r in range(1, 13)]
+    assert [rd["failed"] for rd in payload["rounds"]] == [failures if r == 5 else [] for r in range(1, 13)]
 
 
 def test_reports_on_a_saved_bundle_print_the_built_id(tmp_path):

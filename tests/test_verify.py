@@ -23,6 +23,8 @@ from hyperforge import (
     space,
     zero_product_report,
 )
+from hyperforge.cauchy import block_checks, round_checks
+from hyperforge.coordwise import coord_checks
 from hyperforge.errors import BundleError, ElementError
 
 from conftest import standard_targets
@@ -232,6 +234,34 @@ class TestRevalidation:
         rd.block = rd.block.scale(WideComplex.from_real(2.0))
         rep = revalidate_bundle(corrupt)
         assert not rep.passed
+
+    def test_failing_a2_is_named_by_its_check(self, coord_bundle):
+        corrupt = Bundle.from_json(coord_bundle.to_json())
+        rd = corrupt.rounds[4]
+        rd.block = rd.block.scale(WideComplex.from_real(2.0 ** 20))
+        rows = revalidate_bundle(corrupt).rounds
+        assert [row["failed"] for row in rows] == [
+            ["block_consistency", "A1_value", "A2", "A2_value"] if row["round"] == 5 else []
+            for row in rows
+        ]
+
+    @pytest.mark.parametrize("name", ["coord_bundle", "coord_k3", "cauchy_bundle", "lambda_bundle"])
+    def test_shared_checks_cover_every_stored_certificate(self, name, request):
+        # the builders' check functions, run on each loaded round, give back
+        # exactly the stored certificate names and pass flags
+        bundle = Bundle.from_json(json.loads(request.getfixturevalue(name).dumps()))
+        sp, w, sched = bundle.space, bundle.weight, bundle.schedule()
+        for rd in bundle.rounds:
+            prefix = bundle.rounds[: rd.r - 1]
+            if bundle.is_cauchy:
+                y = sched.target(rd.l)
+                q_part = FiniteSeq({rd.eta + j: cj for j, cj in enumerate(rd.c) if not cj.is_zero})
+                fresh = block_checks(sp, w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part, rd.block,
+                                     rd.rho_index, rd.checks["C1"].bound_log2)
+                fresh.update(round_checks(sp, w, y, prefix, rd, bundle.kind == "cauchy-algebrable"))
+            else:
+                fresh = coord_checks(sp, w, sched, bundle.pairing(), prefix, rd.r, rd.a, rd.block)
+            assert {k: c.passed for k, c in fresh.items()} == {k: c.passed for k, c in rd.checks.items()}
 
     def test_perturbed_orbit_report_also_fails(self, coord_bundle):
         corrupt = Bundle.from_json(coord_bundle.to_json())
