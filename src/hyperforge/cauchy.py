@@ -200,11 +200,11 @@ def _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget) -> int:
     chunk = 1024
     while eta <= N + budget:
         hi = eta + chunk
-        logv = w.v_log_array(hi + y.max_index)
+        logv = w.v_log_array(hi + y.max_index, eta)  # log v_n at n = eta, eta + 1, ...
         acc = None
         es = np.arange(eta, hi)
         for j, base in terms:
-            vals = base - logv[es + j] + basis_log_array(space, r, es + j)
+            vals = base - logv[j : j + chunk] + basis_log_array(space, r, es + j)
             acc = vals if acc is None else np.logaddexp(acc, vals)
         hit = np.nonzero(acc < target)[0]
         if len(hit):
@@ -228,11 +228,17 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     on the pairs it cannot reject.  The screen keeps the first passing pair and
     the diagonal minimum bit for bit, so the walk, its margin and its jumps are
     those of an unscreened scan.
+
+    A batch reads log v_n up to n = m gamma; one that would read past the
+    search budget, as a long jump can, raises SearchExhausted before anything
+    is allocated.
     """
     s = y.max_index
     log_eps = eps_log
     yterms = {j: w.v_log(j) + c.log_mag - math.log(m) for j, c in y.items()}
     budget = pair_budget if pair_budget is not None else search_budget()
+    reach = search_budget()
+    logv = np.empty(0)  # log v_n for n = 0, 1, ..., extended when a batch reads past its end
     scanned = 0
     best = math.inf
     g_min = N + 2 * s + 1
@@ -249,7 +255,14 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
             continue
         scanned += sum(g_hi - g_lo + 1 for _, g_lo, g_hi in rows)
         d_last = rows[-1][0]
-        logv = w.v_log_array(m * (d_last - N))
+        top = m * (d_last - N)  # the largest weight index of the batch
+        if top >= len(logv):
+            if top > reach:
+                raise SearchExhausted(
+                    "the (eta, gamma) pair scan reached past the search budget",
+                    index=top, m=m, N=N, eps_log=eps_log, scanned=scanned,
+                )
+            logv = np.concatenate((logv, w.v_log_array(min(top + top // 4, reach), len(logv))))
         basis = basis_log_array(space, r, np.arange(d_last + s + 1))
         minima = []
         for dd, g_lo, g_hi in rows:
@@ -301,14 +314,19 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
     - in exact arithmetic, max(C1, C3) <= lower + ln(k + 1).
 
     So a pair whose bound is at least log eps cannot pass, and a pair whose
-    bound lies more than ln(k + 1) above the smallest bound cannot hold the
-    diagonal minimum.  The extra 1.0 covers rounding: the weight tables end at
-    index 2^27, where these log values stay below ~1e11, so the few roundings
-    between the bound and max(C1, C3) move it by under 1e-4.  The chain, C1
-    and the max run only on the other pairs, by the same elementwise
-    expressions as on the whole diagonal, so the first pair with
-    max(C1, C3) < log eps and the diagonal minimum are exact.  A NaN bound
-    makes the cut NaN, which keeps every pair.
+    bound lies more than ln(k + 1) above the smallest bound L cannot hold the
+    diagonal minimum, up to the rounding of the k logaddexp steps that take
+    the terms of the pair with bound L to its computed C1.  Each step rounds
+    one addition, by at most half an ulp of a result within ln(k + 1) + 1 of L
+    (an error in an earlier, smaller result shrinks by the exp of its distance
+    to the final one), plus an absolute error under 2^-50 from log1p and exp.
+    So the cut adds 1.0, which covers the absolute part and the magnitudes
+    near zero, and (k + 1) 2^-48 |L|, which covers the relative part at any
+    index the scan can reach.  The chain, C1 and the max run only on the
+    other pairs, by the same elementwise expressions as on the whole
+    diagonal, so the first pair with max(C1, C3) < log eps and the diagonal
+    minimum are exact.  A NaN or infinite L makes the cut NaN or +inf, which
+    keeps every pair.
     """
     n = g_hi - g_lo + 1
     top = dd + (m - 2) * g_lo  # eta + (m-1) gamma, stride m - 2
@@ -350,7 +368,8 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
     lower = np.maximum(c3, be)
     for t in terms:
         np.maximum(lower, t, out=lower)
-    cut = lower.min() + (math.log(len(terms) + 1) + 1.0)
+    low, k = lower.min(), len(terms)
+    cut = low + (math.log(k + 1) + 1.0 + (k + 1) * abs(low) * 2.0**-48)
     if cut < log_eps:  # a NaN cut stays NaN
         cut = log_eps
     keep = np.flatnonzero(~(lower > cut))

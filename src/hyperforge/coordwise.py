@@ -76,9 +76,6 @@ class CoordState:
     def K(self) -> int:
         return self.schedule.K
 
-    def a_values(self) -> list[int]:
-        return [rd.a for rd in self.rounds]
-
 
 def _candidate_lower_bound(state: CoordState, r: int) -> int:
     if r == 1:
@@ -115,34 +112,32 @@ def _screen(state: CoordState, r: int, m: int, y: FiniteSeq, lower: int, size: i
     cands = state.pk.after(lower, size)
     if len(cands) == 0:
         return cands
-    supp = [(n, c.log_mag / m) for n, c in y.items()]
-    smax = y.max_index
-    logv = w.v_log_array(int(cands[-1]) + smax)
+    supp = y.support
+    lo = int(cands[0])
+    logv = w.v_log_array(int(cands[-1]) + y.max_index, lo)  # log v_k at k = lo, lo + 1, ...
     d_r = state.pairing.max_degree_before(r)
     bound = -r * _LN2
 
+    # per support index n: x = log |(S^a y)^{1/m}|_{a+n} at each candidate a
     alive = cands
+    xs = [c.log_mag / m - (logv[alive + n - lo] - w.v_log(n)) / m for n, c in y.items()]
     # A1: || (S^a y)^{1/m} ||_r < 2^-r
-    terms = []
-    for n, ylog in supp:
-        idx = alive + n
-        terms.append(ylog - (logv[idx] - logv[n]) / m + basis_log_array(space, r, idx))
-    alive = alive[_combine_terms(space, terms) < bound]
-    # A2: || T^{a_t} (S^a y)^{nu/m} ||_r < 2^-r, most recent shifts first
+    keep = _combine_terms(space, [x + basis_log_array(space, r, alive + n) for n, x in zip(supp, xs)]) < bound
+    alive, xs = alive[keep], [x[keep] for x in xs]
+    # A2: || T^{a_t} (S^a y)^{nu/m} ||_r < 2^-r, most recent shifts first; per
+    # shift, the weight ratio g and basis norm b do not depend on nu
     for t in range(r - 1, 0, -1):
+        if len(alive) == 0:
+            return alive
         a_t = state.rounds[t - 1].a
+        gs = [logv[alive + n - lo] - w.v_log(alive + n - a_t) for n in supp]
+        bs = [basis_log_array(space, r, alive + n - a_t) for n in supp]
         for nu in range(1, d_r + 1):
+            keep = _combine_terms(space, [nu * x + g + b for x, g, b in zip(xs, gs, bs)]) < bound
+            alive = alive[keep]
             if len(alive) == 0:
                 return alive
-            terms = []
-            for n, ylog in supp:
-                idx = alive + n
-                terms.append(
-                    nu * (ylog - (logv[idx] - logv[n]) / m)
-                    + (logv[idx] - logv[idx - a_t])
-                    + basis_log_array(space, r, idx - a_t)
-                )
-            alive = alive[_combine_terms(space, terms) < bound]
+            xs, gs, bs = ([v[keep] for v in vs] for vs in (xs, gs, bs))
     return alive
 
 

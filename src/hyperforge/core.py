@@ -426,21 +426,22 @@ def format_complex_literal(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}i"
 
 
-# entries of the const/maclane log-weight cache; an index past it is a
-# search that ran out of room, not an allocation to attempt
-_CACHE_CAP = 1 << 27
-# entries computed at a time when the cache grows, which bounds the
-# temporary index array to 8 MiB however large the new tail is
-_GROW_PIECE = 1 << 20
+# float64 holds every integer below 2^53 exactly; at or past it a closed form
+# would be evaluated at a rounded index
+_INDEX_LIMIT = 1 << 53
 
 
 class WeightSpec:
-    """Weight sequence w with w_0 = 1 and cached log-products v_n = prod w_k.
+    """Weight sequence w with w_0 = 1 and products v_n = prod_{k<=n} w_k.
 
     Kinds: ``const`` (w_n = lambda), ``maclane`` (w_n = n for n >= 1), and
-    ``table`` (finite explicit list for w_1, w_2, ...).  Log-magnitudes of v_n
-    come from per-entry closed forms (n*log|lambda|, log Gamma(n+1)) so there
-    is no cumulative rounding for the built-in kinds.
+    ``table`` (finite explicit list for w_1, w_2, ...).  log|v_n| and arg v_n
+    are evaluated at the indices asked for, from per-entry closed forms
+    (n*log|lambda| and n*arg(lambda) for const, log Gamma(n+1) for maclane),
+    so there is no cumulative rounding and nothing is kept per index.  A table
+    weight reads the cumulative sums of its entries, built once.  An index at
+    or past 2^53 raises SearchExhausted; an index past the end of a table,
+    WeightError.
     """
 
     def __init__(self, kind: str, *, value: complex | None = None, table: list[complex] | None = None):
@@ -449,11 +450,20 @@ class WeightSpec:
         self.kind = kind
         self.value = None
         self.table = None
+        self._table_ph = None  # table: arg v_n for n = 0..len, unless every w_n is real
         if kind == "const":
             if value is None or value == 0:
                 raise WeightError("constant weight must be nonzero")
             self.value = complex(value)
-        elif kind == "table":
+            self._log_abs = math.log(abs(self.value))
+            self._arg = math.atan2(self.value.imag, self.value.real)
+        elif kind == "maclane":
+            # imported here: only maclane weights need scipy, and it would
+            # double the import time of every command
+            from scipy.special import gammaln
+
+            self._gammaln = gammaln
+        else:
             if not table:
                 raise WeightError("weight table is empty")
             for i, wv in enumerate(table):
@@ -463,9 +473,11 @@ class WeightSpec:
                 if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                     raise WeightError(f"weight table has non-finite entry w_{i + 1}", index=i + 1)
             self.table = [complex(wv) for wv in table]
-        self._log_v = np.zeros(1)
-        self._ph_v: np.ndarray | None = None
-        self._grow(len(self.table) if kind == "table" else 1024)
+            arr = np.array(self.table, dtype=np.complex128)
+            self._table_log = np.cumsum(np.concatenate(([0.0], np.log(np.abs(arr)))))
+            phases = np.angle(arr)
+            if np.any(phases != 0.0):
+                self._table_ph = np.cumsum(np.concatenate(([0.0], phases)))
 
     # -- parsing / serialization ------------------------------------------------
     @classmethod
@@ -513,95 +525,67 @@ class WeightSpec:
             return "maclane"
         return f"table[{len(self.table)}]"
 
-    # -- cache management ---------------------------------------------------------
+    # -- log|v_n| and arg v_n ----------------------------------------------------------
     @property
     def max_index(self) -> float:
         return len(self.table) if self.kind == "table" else math.inf
 
-    def _grow(self, upto: int) -> None:
-        n = int(upto) + 1
-        if n <= len(self._log_v):
-            return
-        if self.kind == "table" and upto > len(self.table):
-            raise WeightError(
-                f"weight table of length {len(self.table)} exhausted at index {upto}",
-                index=upto,
-            )
-        if self.kind != "table" and n > _CACHE_CAP:
+    def _check(self, top: int) -> None:
+        """Raise unless v_n can be evaluated at every index n <= top."""
+        if top > self.max_index:
+            raise WeightError(f"weight table of length {len(self.table)} exhausted at index {top}", index=top)
+        if top >= _INDEX_LIMIT:
             raise SearchExhausted(
-                f"weight index {upto} lies past the {_CACHE_CAP}-entry weight cache", index=int(upto)
+                f"weight index {top} lies at or past 2^53, where float64 stops holding every integer", index=top
             )
-        if self.kind == "table":
-            arr = np.array(self.table, dtype=np.complex128)
-            log_v = np.cumsum(np.concatenate(([0.0], np.log(np.abs(arr)))))
-            phases = np.angle(arr)
-            ph_v = np.cumsum(np.concatenate(([0.0], phases))) if np.any(phases != 0.0) else None
-        else:
-            # the old table is copied and only the new tail is computed, in
-            # pieces, by the same elementwise expressions, so every entry is
-            # bit-identical to a table computed in one go
-            old = len(self._log_v)
-            size = min(max(n, 2 * old), _CACHE_CAP)
-            log_v = np.empty(size)
-            log_v[:old] = self._log_v
-            ph = math.atan2(self.value.imag, self.value.real) if self.kind == "const" else 0.0
-            ph_v = None
-            if ph != 0.0:
-                ph_v = np.empty(size)
-                ph_v[:old] = 0.0 if self._ph_v is None else self._ph_v
-            if self.kind == "maclane":
-                # imported here: only maclane weights need scipy, and it would
-                # double the import time of every command
-                from scipy.special import gammaln
-            for lo in range(old, size, _GROW_PIECE):
-                hi = min(lo + _GROW_PIECE, size)
-                idx = np.arange(lo, hi, dtype=np.float64)
-                if self.kind == "const":
-                    np.multiply(idx, math.log(abs(self.value)), out=log_v[lo:hi])
-                    if ph_v is not None:
-                        np.multiply(idx, ph, out=ph_v[lo:hi])
-                else:
-                    idx += 1.0
-                    gammaln(idx, out=log_v[lo:hi])
-        # read-only, and the phases are published first: a reader that sees the
-        # longer magnitude table also sees the phase table
-        for arr in (log_v, ph_v):
-            if arr is not None:
-                arr.flags.writeable = False
-        self._ph_v = ph_v
-        self._log_v = log_v
 
-    # -- scalar access ---------------------------------------------------------------
-    def w(self, n: int) -> WideComplex:
-        """w_n (w_0 fixed to 1)."""
-        if n < 0:
-            raise ValueError("weight index must be >= 0")
-        if n == 0:
-            return ONE
+    def _log1(self, n: int) -> float:
+        """log|v_n| at one checked index."""
         if self.kind == "const":
-            return WideComplex.from_complex(self.value)
+            return n * self._log_abs + 0.0  # + 0.0 turns the -0.0 at n = 0 into log v_0 = +0.0
         if self.kind == "maclane":
-            return WideComplex.from_real(float(n)) if n >= 1 else ONE
-        if n > len(self.table):
-            raise WeightError(f"weight table exhausted at index {n}", index=n)
-        return WideComplex.from_complex(self.table[n - 1])
+            return float(self._gammaln(n + 1.0))
+        return float(self._table_log[n])
 
-    def v_log(self, n: int) -> float:
-        self._grow(n)
-        return float(self._log_v[n])
+    def _phase1(self, n: int) -> float:
+        """arg v_n, unwrapped, at one checked index."""
+        if self.kind == "const":
+            return n * self._arg + 0.0
+        return 0.0 if self._table_ph is None else float(self._table_ph[n])
 
-    def v_phase(self, n: int) -> float:
-        self._grow(n)
-        return 0.0 if self._ph_v is None else float(self._ph_v[n])
+    def _log_of(self, x: np.ndarray) -> np.ndarray:
+        """log|v_n| at the indices n held in the float array x (const and
+        maclane), computed in place."""
+        if self.kind == "const":
+            x *= self._log_abs
+            if self._log_abs < 0.0:
+                x += 0.0  # the -0.0 at n = 0 becomes log v_0 = +0.0
+            return x
+        x += 1.0
+        return self._gammaln(x, out=x)
+
+    # -- access ---------------------------------------------------------------------------
+    def v_log(self, n):
+        """log|v_n| at an index n, or at every index of an integer array n."""
+        if not isinstance(n, np.ndarray):
+            self._check(n)
+            return self._log1(n)
+        self._check(int(n.max(initial=0)))
+        if self.kind == "table":
+            return self._table_log[n]
+        return self._log_of(n.astype(np.float64))
 
     def v(self, n: int) -> WideComplex:
         """v_n = prod_{k=0}^{n} w_k."""
-        return WideComplex(self.v_log(n), wrap_phase(self.v_phase(n)))
+        self._check(n)
+        return WideComplex(self._log1(n), wrap_phase(self._phase1(n)))
 
-    def v_log_array(self, upto: int) -> np.ndarray:
-        """Read-only view of log|v_n| for n = 0..upto."""
-        self._grow(upto)
-        return self._log_v[: upto + 1]
+    def v_log_array(self, upto: int, lo: int = 0) -> np.ndarray:
+        """log|v_n| for n = lo..upto, in a new array."""
+        self._check(upto)
+        if self.kind == "table":
+            return self._table_log[lo : upto + 1].copy()
+        return self._log_of(np.arange(lo, upto + 1, dtype=np.float64))
 
     def ratio(self, n: int, a: int) -> WideComplex:
         """v_{n+a} / v_n."""
@@ -620,9 +604,12 @@ class WeightSpec:
             raise ValueError("fractional power needs j >= 1, m >= 1")
         if a == 0:
             return ONE
-        self._grow(n + a)
-        dlog = float(self._log_v[n + a] - self._log_v[n])
-        dph = 0.0 if self._ph_v is None else float(self._ph_v[n + a] - self._ph_v[n])
+        top = n + a
+        if self.kind == "maclane" and top < _INDEX_LIMIT:  # _log1 inline: this runs once per coefficient
+            dlog, dph = float(self._gammaln(top + 1.0) - self._gammaln(n + 1.0)), 0.0
+        else:
+            self._check(top)
+            dlog, dph = self._log1(top) - self._log1(n), self._phase1(top) - self._phase1(n)
         if j != m:
             dlog = (dlog / m) * j
             dph = (dph / m) * j
@@ -688,8 +675,8 @@ def forward_iterate(w: WeightSpec, x: FiniteSeq, a: int) -> FiniteSeq:
     """a-th power of the inverse-weight forward shift: result_{n+a} = (v_n/v_{n+a}) x_n.
 
     backward_iterate(w, forward_iterate(w, x, a), a) recovers x up to the
-    rounding of one log add/sub pair (the two ratios are read from the same
-    cached array, so magnitudes cancel symbolically up to 1 ulp of the ratio).
+    rounding of one log add/sub pair (both ratios are the same difference of
+    the same two log|v_n| values, so magnitudes cancel up to 1 ulp of the ratio).
     """
     if a < 0:
         raise ValueError("shift count must be >= 0")
@@ -708,7 +695,7 @@ def root_power_block(w: WeightSpec, y: FiniteSeq, a: int, j: int, m: int) -> Fin
     stored w^{1/m}.  Zero coordinates of y contribute 0 (0^{1/m} := 0).  For
     j == m the block is exactly the a-fold inverse-weight forward shift of y,
     so backward_iterate(w, block, a) reproduces y to within one ulp of the
-    cached log ratios.
+    log ratios.
     """
     if j < 1 or m < 1:
         raise ValueError("root power block needs j >= 1, m >= 1")

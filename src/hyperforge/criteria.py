@@ -27,6 +27,12 @@ _LN2 = math.log(2.0)
 _SLACK = 1e-9
 
 
+def _check_horizon(horizon_n: int) -> None:
+    """End a check whose horizon lies past the search budget before it allocates anything."""
+    if horizon_n > (budget := search_budget()):
+        raise SearchExhausted(f"horizon {horizon_n} lies past the search budget", horizon_n=horizon_n, budget=budget)
+
+
 class _WindowExtreme:
     """Serves max/min of an index-wise array over sliding windows [p, p+N].
 
@@ -39,6 +45,7 @@ class _WindowExtreme:
     """
 
     def __init__(self, values_fn, N: int, mode: str, cap: int | None = None):
+        _check_horizon(N)
         self._fn = values_fn
         self.N = N
         self.mode = mode
@@ -72,7 +79,7 @@ def _h_provider(space: SpaceSpec, w: WeightSpec, q: int, horizon_n: int) -> _Win
     """Window max of log ||v_j^{-1} e_j||_q over j in [p, p+horizon_n]."""
 
     def fn(lo: int, hi: int) -> np.ndarray:
-        logv = w.v_log_array(hi - 1)[lo:]  # the weight's index guard runs before any allocation
+        logv = w.v_log_array(hi - 1, lo)  # the weight's index guard runs before any allocation
         return basis_log_array(space, q, np.arange(lo, hi)) - logv
 
     cap = None if w.max_index == math.inf else int(w.max_index)
@@ -81,7 +88,7 @@ def _h_provider(space: SpaceSpec, w: WeightSpec, q: int, horizon_n: int) -> _Win
 
 def _growth_provider(w: WeightSpec, horizon_n: int) -> _WindowExtreme:
     def fn(lo: int, hi: int) -> np.ndarray:
-        return w.v_log_array(hi - 1)[lo:]
+        return w.v_log_array(hi - 1, lo)
 
     cap = None if w.max_index == math.inf else int(w.max_index)
     return _WindowExtreme(fn, horizon_n, "min", cap)
@@ -226,14 +233,6 @@ class PkWitness:
     def tol(self, k: int) -> float:
         lg = float(self.tol_log[k - 1])
         return math.exp(lg) if lg > -700 else 0.0
-
-    @property
-    def tol_schedule(self) -> list[float]:
-        return [self.tol(k) for k in range(1, self.count + 1)]
-
-    @property
-    def q_schedule(self) -> list[int]:
-        return [self.q_index(k) for k in range(1, self.count + 1)]
 
     def to_json(self, max_entries: int | None = None) -> dict:
         upto = self.count if max_entries is None else min(max_entries, self.count)
@@ -528,6 +527,7 @@ def check_mixing(
     reported threshold; fails with the witnessing (n, q) if decay is not observed."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _check_horizon(horizon_n)
     log_tol = math.log(tol)
     thresholds: dict[int, int] = {}
     failure = None
@@ -585,6 +585,7 @@ class PropertyAWitness:
 
 def property_a_witness(space: SpaceSpec, r_max: int = 5, n_max: int = 500) -> PropertyAWitness:
     """Closed-form certificates per built-in space, verified on the horizon."""
+    _check_horizon(n_max)
     entries = {}
     idx = np.arange(n_max + 1)
     for r in range(1, r_max + 1):
@@ -701,7 +702,7 @@ def root_decay_check(
             for k in range(1, k_count + 1):
                 p = int(pk.p[k - 1])
                 idx = p + offsets
-                logv = w.v_log_array(p + N)[idx]
+                logv = w.v_log_array(p + N, p)
                 direct = basis_log_array(space, r, idx) - logv / m
                 chain = (math.log(pb.C) + basis_log_array(space, pb.q, idx) - logv) / m
                 bad = np.nonzero(direct > chain + _SLACK)[0]
@@ -756,11 +757,6 @@ class PropertyBWitness:
     cond_i_q: int
     cond_ii: dict[int, tuple[int, float]]
     cond_iii: dict[tuple[int, int, int, int], tuple[int, int, float]] = field(repr=False)
-
-    def cond_ii_for(self, r: int) -> tuple[int, float]:
-        if r in self.cond_ii:
-            return self.cond_ii[r]
-        return _property_b_rules(self.space_id)[1](r)
 
     def cond_iii_for(self, m: int, M: int, r: int, t: int) -> tuple[int, int, float]:
         key = (m, M, r, t)
@@ -817,6 +813,7 @@ def property_b_witness(
             "from zero; constructions on this space bypass the building-block "
             "conditions by pushing both block windows past the seminorm horizon"
         )
+    _check_horizon(n_max)
     t_max = t_max if t_max is not None else r_max
     cond_i_q, rule_ii, rule_iii = _property_b_rules(space.space_id)
     wit = PropertyBWitness(

@@ -53,10 +53,6 @@ class AlgebraElement:
             merged[beta] = merged.get(beta, 0) + complex(c)
         return cls(merged, width)
 
-    @classmethod
-    def univariate(cls, coeffs_by_degree: dict[int, complex]) -> "AlgebraElement":
-        return cls({(d,): c for d, c in coeffs_by_degree.items()}, 1)
-
     @property
     def degree_max(self) -> int:
         return max(sum(b) for b in self.coeffs)

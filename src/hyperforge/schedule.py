@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import FiniteSeq
 from .errors import ConfigError
@@ -86,7 +86,6 @@ class TargetSchedule:
 
     targets: list[FiniteSeq]
     K: int = 1
-    _smax: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.targets:
@@ -95,7 +94,6 @@ class TargetSchedule:
             raise ConfigError("targets must be nonzero finite sequences")
         if self.K < 1:
             raise ConfigError("partition size K must be >= 1")
-        self._smax = max(t.max_index for t in self.targets)
 
     def target(self, l: int) -> FiniteSeq:
         if l < 1:
@@ -108,7 +106,3 @@ class TargetSchedule:
     def s(self, l: int) -> int:
         """Largest index of the nonzero coordinates of y^(l)."""
         return self.target(l).max_index
-
-    @property
-    def max_support(self) -> int:
-        return self._smax

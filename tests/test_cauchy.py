@@ -381,6 +381,25 @@ def test_pair_budget_exhaustion_reports_margins(prereqs_l1):
     assert "scanned" in exc.value.details
 
 
+def test_pair_scan_jump_past_the_search_budget_raises_before_allocating(monkeypatch):
+    # for a tolerance near e^-1e6 the extrapolation jump lands near weight
+    # index 8.6e6; with a search budget of 1e6 the scan stops there instead
+    # of tabulating log v_n up to it
+    import tracemalloc
+
+    monkeypatch.setenv("HYPERFORGE_BUDGET", "1000000")
+    w = WeightSpec.parse("const:2")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchExhausted) as exc:
+            _scan_pairs(L1, w, FiniteSeq.basis(0), 2, 1, 3, -1e6, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.details["index"] > 1_000_000
+    assert peak < 1 << 20, peak
+
+
 def test_complex_weight_convolution_build():
     from hyperforge import orbit_power_report, revalidate_bundle
 

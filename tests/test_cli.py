@@ -43,6 +43,31 @@ class TestCriteriaCommands:
         )
         assert code == 1 and payload["error"] == "search_exhausted"
 
+    @pytest.mark.parametrize(
+        "check,space_id",
+        [("mixing", "entire_cauchy"), ("hc", "l1"), ("prop-a", "entire_hadamard"), ("prop-b", "l1")],
+    )
+    def test_horizon_past_the_search_budget_is_search_exhausted(self, check, space_id, monkeypatch, capsys):
+        # a horizon past the budget ends before any array of that size exists
+        import tracemalloc
+
+        from hyperforge import WeightSpec
+
+        monkeypatch.delenv("HYPERFORGE_BUDGET", raising=False)
+        WeightSpec.parse("maclane")  # imports scipy outside the measurement
+        argv = ["criteria", check, "--space", space_id, "--weight", "maclane", "--horizon-n", "300000000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        assert code == 1 and payload["error"] == "search_exhausted" and out.err == ""
+        assert payload["details"] == {"horizon_n": 300000000, "budget": 50000000}
+        assert peak < 1 << 20, peak
+
     def test_mixing(self):
         code, payload = run_command(
             ["criteria", "mixing", "--space", "entire_cauchy", "--weight", "maclane",

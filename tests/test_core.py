@@ -172,7 +172,7 @@ class TestWeightsAndShifts:
         path = tmp_path / "w.json"
         path.write_text("[[2,0],[0,1]]")
         loaded = WeightSpec.parse(f"table:{path}")
-        assert loaded.w(2).approx_eq(WideComplex.from_complex(1j), 1e-15)
+        assert loaded.ratio(1, 1).approx_eq(WideComplex.from_complex(1j), 1e-15)  # w_2 = v_2 / v_1
 
     def test_weight_products(self, weight2, maclane):
         assert weight2.v(0) == WideComplex.one()  # w_0 = 1
@@ -251,7 +251,7 @@ class TestFiniteSeqJson:
 
 
 def test_concurrent_use_is_safe():
-    # pure operations over immutable values; the weight cache grows under a lock
+    # pure operations over immutable values; a weight keeps nothing per index
     from concurrent.futures import ThreadPoolExecutor
 
     from hyperforge import seminorm_eval, space
@@ -283,17 +283,22 @@ def test_table_weight_grows_only_to_its_length():
 
 
 @pytest.mark.parametrize("wspec", ["maclane", "const:2"])
-def test_index_past_the_weight_cache_is_search_exhausted(wspec):
-    # the cache holds 2^27 entries; an index past it ends the search with a
-    # typed error before anything is allocated
+def test_index_at_2_53_is_search_exhausted(wspec):
+    # float64 stops holding every integer at 2^53; an index there ends the
+    # search with a typed error before anything is allocated
     import tracemalloc
 
+    import numpy as np
+
     w = WeightSpec.parse(wspec)
-    cached = len(w._log_v)
+    big = np.array([3, 2**53 + 1])
     calls = [
-        (lambda: w.v_log(2**27 + 5), 2**27 + 5),
-        (lambda: w.v_log_array(2**27), 2**27),
-        (lambda: w.ratio(2**27 - 3, 10), 2**27 + 7),
+        (lambda: w.v_log(2**53), 2**53),
+        (lambda: w.v(2**53 + 5), 2**53 + 5),
+        (lambda: w.v_log_array(2**53), 2**53),
+        (lambda: w.v_log_array(2**53 + 10, 2**53), 2**53 + 10),
+        (lambda: w.v_log(big), 2**53 + 1),
+        (lambda: w.ratio(2**53 - 3, 10), 2**53 + 7),
     ]
     tracemalloc.start()
     try:
@@ -304,8 +309,16 @@ def test_index_past_the_weight_cache_is_search_exhausted(wspec):
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-    assert len(w._log_v) == cached
-    assert w.v_log(1000) == WeightSpec.parse(wspec).v_log(1000)
+    assert math.isfinite(w.v_log(2**53 - 1))
+
+
+@pytest.mark.parametrize("wspec", ["maclane", "const:2"])
+def test_index_past_2_27_is_finite(wspec):
+    # 2^27 was the end of the old weight table; the closed forms go on
+    w = WeightSpec.parse(wspec)
+    assert math.isfinite(w.v_log(2**27 + 5))
+    assert math.isfinite(w.ratio(2**27 - 3, 10).log_mag)
+    assert w.v_log_array(2**27 + 5, 2**27 + 5)[0] == w.v_log(2**27 + 5)
 
 
 def test_table_weight_past_its_end_stays_a_weight_error():
@@ -315,44 +328,55 @@ def test_table_weight_past_its_end_stays_a_weight_error():
             call()
 
 
-@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane", "table"])
-def test_weight_table_is_read_only(wspec):
-    w = WeightSpec("table", table=[2.0, 1.5j, 3.0]) if wspec == "table" else WeightSpec.parse(wspec)
-    a = w.v_log_array(3)
-    before = w.v_log(3)
-    with pytest.raises(ValueError):
-        a[3] = 99.0
-    assert w.v_log(3) == before
-    if w._ph_v is not None:
-        with pytest.raises(ValueError):
-            w._ph_v[1] = 99.0
+# moduli and phases that vary with k, so the table's cumulative sums are not linear
+_PHASED = [k * (1.0 + 0.4 * math.sin(k)) * complex(math.cos(0.7 * k), math.sin(0.7 * k))
+           for k in range(1, 5001)]
 
 
-@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane"])
-def test_weight_table_grown_in_place_matches_one_go(wspec):
-    # the whole-table expressions the cache used before it grew in place
+@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "const:0.5-0.5i", "maclane", "table"])
+def test_closed_forms_match_the_one_go_expressions(wspec):
+    # the whole-table expressions the weight cache held before log v_n was
+    # evaluated per index; every value is bit for bit the same, including the
+    # +0.0 at n = 0 where log|lambda| or arg(lambda) is negative
     import numpy as np
 
-    w = WeightSpec.parse(wspec)
-    sizes = [len(w._log_v)]
-    for upto in (1500, 5000, 9000, 70000, 3_000_000):  # five growths; the last fills several pieces
-        w.v_log_array(upto)
-        sizes.append(len(w._log_v))
-    assert len(set(sizes)) == len(sizes)
-    size = sizes[-1]
-    idx = np.arange(size, dtype=np.float64)
-    if wspec == "maclane":
-        from scipy.special import gammaln
+    from hyperforge.core import wrap_phase
 
-        want, want_ph = gammaln(idx + 1.0), None
+    if wspec == "table":
+        w, size = WeightSpec("table", table=_PHASED), len(_PHASED) + 1
+        arr = np.array(_PHASED, dtype=np.complex128)
+        want = np.cumsum(np.concatenate(([0.0], np.log(np.abs(arr)))))
+        want_ph = np.cumsum(np.concatenate(([0.0], np.angle(arr))))
     else:
-        lam = WeightSpec.parse(wspec).value
-        want = idx * math.log(abs(lam))
-        want[0] = 0.0
-        ph = math.atan2(lam.imag, lam.real)
-        want_ph = None if ph == 0.0 else np.concatenate(([0.0], idx[1:] * ph))
-    assert w._log_v.tobytes() == want.tobytes()
-    if want_ph is None:
-        assert w._ph_v is None
-    else:
-        assert w._ph_v.tobytes() == want_ph.tobytes()
+        w, size = WeightSpec.parse(wspec), 3_000_001
+        idx = np.arange(size, dtype=np.float64)
+        if wspec == "maclane":
+            from scipy.special import gammaln
+
+            want, want_ph = gammaln(idx + 1.0), None
+        else:
+            lam = w.value
+            want = idx * math.log(abs(lam))
+            want[0] = 0.0
+            ph = math.atan2(lam.imag, lam.real)
+            want_ph = None if ph == 0.0 else np.concatenate(([0.0], idx[1:] * ph))
+    assert w.v_log_array(size - 1).tobytes() == want.tobytes()
+    for lo, hi in ((0, 0), (1, 1), (0, 1500), (7, 4000), (1023, 4999), (size - 9, size - 1)):
+        assert w.v_log_array(hi, lo).tobytes() == want[lo : hi + 1].tobytes(), (lo, hi)
+    picks = np.random.default_rng(5).integers(0, size, 4000)
+    picks[:2] = 0, size - 1
+    assert w.v_log(picks).tobytes() == want[picks].tobytes()
+    ph_at = (lambda n: 0.0) if want_ph is None else (lambda n: float(want_ph[n]))
+    for n in picks[:300].tolist():
+        assert np.float64(w.v_log(n)).tobytes() == want[n].tobytes(), n
+        got = w.v(n)
+        assert (got.log_mag, got.phase) == (float(want[n]), wrap_phase(ph_at(n))), n
+        a = min(37, size - 1 - n)
+        dlog, dph = float(want[n + a] - want[n]), ph_at(n + a) - ph_at(n)
+        assert a == 0 or w.ratio(n, a) == WideComplex(dlog, wrap_phase(dph))
+        want_root = WideComplex((dlog / 3) * 2, wrap_phase((dph / 3) * 2))
+        assert a == 0 or w.ratio_root_pow(n, a, 2, 3) == want_root
+    # every array is the caller's own
+    got = w.v_log_array(3)
+    got[3] = 99.0
+    assert w.v_log(3) == want[3]

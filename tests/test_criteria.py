@@ -30,15 +30,16 @@ class TestHypercyclicityWitness:
         pk = find_pk_witness(space("l1"), weight2, 5, horizon_n=3)
         assert list(pk.p) == [1, 2, 3, 4, 5]
         assert pk.validate(space("l1"), weight2)
-        assert pk.tol_schedule == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625], rel=1e-12)
-        assert pk.q_schedule == [1, 2, 3, 4, 5]
+        tols = [pk.tol(k) for k in range(1, pk.count + 1)]
+        assert tols == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625], rel=1e-12)
+        assert [pk.q_index(k) for k in range(1, pk.count + 1)] == [1, 2, 3, 4, 5]
 
     def test_schedules_monotone(self, maclane):
         pk = find_pk_witness(space("entire_hadamard"), maclane, 12, horizon_n=20)
         assert np.all(np.diff(pk.p) > 0)
-        tols = pk.tol_schedule
+        tols = [pk.tol(k) for k in range(1, pk.count + 1)]
         assert all(a > b > 0 for a, b in zip(tols, tols[1:]))
-        qs = pk.q_schedule
+        qs = [pk.q_index(k) for k in range(1, pk.count + 1)]
         assert all(a <= b for a, b in zip(qs, qs[1:])) and max(qs) <= pk.horizon_q
 
     def test_contracting_weight_exhausts_search(self):
@@ -291,12 +292,11 @@ def test_after_matches_searchsorted_over_the_indices():
 
 
 def test_scanned_witness_is_held_as_runs():
-    # tracemalloc of a 2^22-entry extension, with the weight table grown beforehand
+    # tracemalloc of a 2^22-entry extension; the weight holds nothing per index
     import gc
     import tracemalloc
 
     l1, w = space("l1"), WeightSpec.parse("const:2")
-    w.v_log_array(1 << 23)
     gc.collect()
     tracemalloc.start()
     try:
@@ -467,13 +467,13 @@ class TestBasisNormCompatibility:
     def test_l1_all_ones(self):
         wit = property_b_witness(space("l1"), n_max=120)
         assert wit.cond_i_q == 1
-        assert wit.cond_ii_for(4) == (1, 1.0)
+        assert wit.cond_ii[4] == (1, 1.0)
         assert wit.cond_iii_for(2, 3, 2, 5) == (1, 1, 1.0)
         assert wit.validate(space("l1"))
 
     def test_power_series_certificate(self):
         wit = property_b_witness(space("entire_cauchy"), n_max=120)
-        assert wit.cond_ii_for(3) == (3, 1.0)
+        assert wit.cond_ii[3] == (3, 1.0)
         assert wit.cond_iii_for(2, 3, 2, 5) == (5, 2, 125.0)
         # the inequality itself: t^{mn} r^{n-k} <= C2 tau^{n} rho^{mn-k}
         m, M, r, t = 2, 3, 2, 5

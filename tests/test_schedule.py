@@ -71,7 +71,7 @@ class TestTargetSchedule:
     def test_support_bounds(self):
         ts = TargetSchedule(standard_targets())
         assert ts.s(1) == 0 and ts.s(2) == 1 and ts.s(4) == 2
-        assert ts.max_support == 2
+        assert max(ts.s(l) for l in range(1, 5)) == 2
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigError):

@@ -84,7 +84,7 @@ class TestPowerReports:
 
 class TestElementReports:
     def test_single_generator_power_equivalence(self, coord_bundle):
-        z = AlgebraElement.univariate({1: 1.0})
+        z = AlgebraElement({(1,): 1.0}, 1)
         a = orbit_element_report(coord_bundle, z)
         b = orbit_power_report(coord_bundle, 1)
         assert [rc.round for rc in a.rounds] == [rc.round for rc in b.rounds]
@@ -92,16 +92,16 @@ class TestElementReports:
             assert ra.distance == pytest.approx(rb.distance, rel=1e-12, abs=1e-300)
 
     def test_coordinatewise_bound_factor(self, coord_bundle):
-        z = AlgebraElement.univariate({2: 1.0, 3: 0.3})
+        z = AlgebraElement({(2,): 1.0, (3,): 0.3}, 1)
         rep = orbit_element_report(coord_bundle, z)
         assert rep.passed and rep.rounds
         for rc in rep.rounds:
             assert rc.bound == pytest.approx((0.3 + 2.0) * 2.0 ** (-rc.round))
 
     def test_lowest_degree_is_normalized(self, coord_bundle):
-        z = AlgebraElement.univariate({2: 4.0, 3: 1.2})  # same element scaled by 4
+        z = AlgebraElement({(2,): 4.0, (3,): 1.2}, 1)  # same element scaled by 4
         rep = orbit_element_report(coord_bundle, z)
-        base = orbit_element_report(coord_bundle, AlgebraElement.univariate({2: 1.0, 3: 0.3}))
+        base = orbit_element_report(coord_bundle, AlgebraElement({(2,): 1.0, (3,): 0.3}, 1))
         for ra, rb in zip(rep.rounds, base.rounds):
             assert ra.distance == pytest.approx(rb.distance, rel=1e-12)
 
@@ -120,7 +120,7 @@ class TestElementReports:
             assert sched.class_of(rc.target) == 1
 
     def test_cauchy_single_top_degree_bound(self, cauchy_bundle):
-        z = AlgebraElement.univariate({2: 1.0, 1: 0.5})
+        z = AlgebraElement({(2,): 1.0, (1,): 0.5}, 1)
         rep = orbit_element_report(cauchy_bundle, z)
         assert rep.passed and rep.rounds
         for rc in rep.rounds:
@@ -147,7 +147,7 @@ class TestElementReports:
 
 class TestExpansionOracle:
     def test_square_of_two_round_truncation(self, cauchy_bundle):
-        rep = expansion_oracle(cauchy_bundle, AlgebraElement.univariate({2: 1.0}))
+        rep = expansion_oracle(cauchy_bundle, AlgebraElement({(2,): 1.0}, 1))
         assert rep.agree and rep.max_rel_err <= 1e-10
 
     def test_random_elements_agree(self, lambda_bundle):
@@ -181,7 +181,7 @@ class TestExpansionOracle:
 
     def test_coordinatewise_rejected(self, coord_bundle):
         with pytest.raises(BundleError):
-            expansion_oracle(coord_bundle, AlgebraElement.univariate({1: 1.0}))
+            expansion_oracle(coord_bundle, AlgebraElement({(1,): 1.0}, 1))
 
 
 class TestZeroProducts:
