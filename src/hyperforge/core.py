@@ -475,9 +475,11 @@ class WeightSpec:
             self.table = [complex(wv) for wv in table]
             arr = np.array(self.table, dtype=np.complex128)
             self._table_log = np.cumsum(np.concatenate(([0.0], np.log(np.abs(arr)))))
+            self._table_log.flags.writeable = False  # v_log_array hands out views of it
             phases = np.angle(arr)
             if np.any(phases != 0.0):
                 self._table_ph = np.cumsum(np.concatenate(([0.0], phases)))
+                self._table_ph.flags.writeable = False
 
     # -- parsing / serialization ------------------------------------------------
     @classmethod
@@ -581,11 +583,13 @@ class WeightSpec:
         return WideComplex(self._log1(n), wrap_phase(self._phase1(n)))
 
     def v_log_array(self, upto: int, lo: int = 0) -> np.ndarray:
-        """log|v_n| for n = lo..upto, in a new array."""
+        """log|v_n| for n = lo..upto, as a read-only array."""
         self._check(upto)
         if self.kind == "table":
-            return self._table_log[lo : upto + 1].copy()
-        return self._log_of(np.arange(lo, upto + 1, dtype=np.float64))
+            return self._table_log[lo : upto + 1]
+        out = self._log_of(np.arange(lo, upto + 1, dtype=np.float64))
+        out.flags.writeable = False
+        return out
 
     def ratio(self, n: int, a: int) -> WideComplex:
         """v_{n+a} / v_n."""

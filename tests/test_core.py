@@ -376,7 +376,52 @@ def test_closed_forms_match_the_one_go_expressions(wspec):
         assert a == 0 or w.ratio(n, a) == WideComplex(dlog, wrap_phase(dph))
         want_root = WideComplex((dlog / 3) * 2, wrap_phase((dph / 3) * 2))
         assert a == 0 or w.ratio_root_pow(n, a, 2, 3) == want_root
-    # every array is the caller's own
+    # a returned array cannot be written to
     got = w.v_log_array(3)
-    got[3] = 99.0
+    with pytest.raises(ValueError):
+        got[3] = 99.0
     assert w.v_log(3) == want[3]
+
+
+@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane", "table"])
+def test_weight_table_is_read_only(wspec):
+    w = WeightSpec("table", table=[2.0, 1.5j, 3.0]) if wspec == "table" else WeightSpec.parse(wspec)
+    before = w.v_log(3)
+    for a in (w.v_log_array(3), w.v_log_array(3, 1)):
+        with pytest.raises(ValueError):
+            a[-1] = 99.0
+    assert w.v_log(3) == before
+    if w._table_ph is not None:
+        with pytest.raises(ValueError):
+            w._table_ph[1] = 99.0
+
+
+@pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane"])
+def test_weight_table_grown_in_place_matches_one_go(wspec):
+    # ranges asked for in growing pieces, the way a scan reads them, give the
+    # whole-table expressions the weight cache used before it grew in place
+    import numpy as np
+
+    from hyperforge.core import wrap_phase
+
+    w = WeightSpec.parse(wspec)
+    pieces, lo = [], 0
+    for upto in (1500, 5000, 9000, 70000, 3_000_000):
+        pieces.append(w.v_log_array(upto, lo))
+        lo = upto + 1
+    got = np.concatenate(pieces)
+    idx = np.arange(len(got), dtype=np.float64)
+    if wspec == "maclane":
+        from scipy.special import gammaln
+
+        want, want_ph = gammaln(idx + 1.0), None
+    else:
+        lam = WeightSpec.parse(wspec).value
+        want = idx * math.log(abs(lam))
+        want[0] = 0.0
+        ph = math.atan2(lam.imag, lam.real)
+        want_ph = None if ph == 0.0 else np.concatenate(([0.0], idx[1:] * ph))
+    assert got.tobytes() == want.tobytes()
+    assert WeightSpec.parse(wspec).v_log_array(len(got) - 1).tobytes() == want.tobytes()
+    for n in (0, 1, 1500, 1501, 70001, len(got) - 1):
+        assert w.v(n).phase == (0.0 if want_ph is None else wrap_phase(float(want_ph[n]))), n
