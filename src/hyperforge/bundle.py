@@ -49,16 +49,6 @@ class Cert:
     def greater(cls, value: float, bound: float) -> "Cert":
         return cls(value=value, bound=bound, passed=value > bound, op="gt")
 
-    @property
-    def ratio(self) -> float:
-        if self.op != "lt":
-            return math.inf if self.bound == 0 else self.value / self.bound
-        if self.value_log2 is None:
-            return 0.0
-        if self.bound_log2 is None:
-            return math.inf
-        return 2.0 ** min(self.value_log2 - self.bound_log2, 1024.0)
-
     def to_json(self) -> dict:
         out = {"value": self.value, "bound": self.bound, "pass": self.passed, "op": self.op}
         if self.value_log2 is not None:

@@ -624,9 +624,6 @@ class CauchyState:
             self.prop_b = prop_b if prop_b is not None else _state_property_b(space)
         self.rounds: list[CauchyRound] = []
 
-    def blocks(self) -> list[FiniteSeq]:
-        return [rd.block for rd in self.rounds]
-
 
 def _structural_d2(rounds_prefix: list[CauchyRound], r: int, m: int, gamma: int, a_r: int) -> Cert:
     """Largest index any excluded product P^alpha can reach, checked < a_r.

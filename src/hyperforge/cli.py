@@ -18,7 +18,7 @@ from . import criteria as _criteria
 from . import verify as _verify
 from .bundle import Bundle, canonical_json
 from .core import FiniteSeq, WeightSpec
-from .errors import ConfigError, HyperforgeError, SearchExhausted
+from .errors import ConfigError, HyperforgeError, SearchExhausted, WeightError
 from .parser import parse_element
 from .spaces import SpaceSpec, list_spaces, space as parse_space
 
@@ -131,7 +131,7 @@ def _load_pk_witness(path: str, space: SpaceSpec, weight: WeightSpec) -> _criter
             raise TypeError("the document is not a JSON object")
         pk = _criteria.PkWitness.from_json(raw.get("hypercyclicity", raw))
         ok = pk.validate(space, weight)
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, SearchExhausted) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, SearchExhausted, WeightError) as exc:
         raise ConfigError(f"malformed witness file {path!r}: {exc!r}") from exc
     if not ok:
         raise ConfigError(

@@ -33,65 +33,42 @@ def _check_horizon(horizon_n: int) -> None:
         raise SearchExhausted(f"horizon {horizon_n} lies past the search budget", horizon_n=horizon_n, budget=budget)
 
 
-class _WindowExtreme:
-    """Serves max/min of an index-wise array over sliding windows [p, p+N].
+# derivation segments: a gap wider than this starts a new window, and no
+# window spans more indices than the scan's largest chunk
+_SEGMENT_GAP = 1 << 12
+_SEGMENT_SPAN = 1 << 20
 
-    ``values_fn(lo, hi)`` returns the array at indices lo..hi-1, so each call
-    computes only the indices its windows cover.  The arrays in play
-    (basis-norm log minus log|v|, or log|v| itself) are monotone beyond a small
-    prefix, so past the last break in monotonicity inside the segment the
-    window extreme is just the left edge; before it an explicit sliding window
-    is taken.  Both are exact.
+
+def _window_extremes(space: SpaceSpec, w: WeightSpec, q: int, horizon_n: int, lo: int, hi: int, growth: bool):
+    """Window extremes over j in [p, p+horizon_n] for p in [lo, hi), from one
+    read of log|v_j| at j = lo..hi+horizon_n-1.
+
+    Returns ``(hmax, gmin, logv)``: the window max of log ||v_j^{-1} e_j||_q,
+    the window min of log|v_j| (None unless ``growth``), and the log|v_j|
+    read.  Both arrays are monotone beyond a small prefix, so past the last
+    break in monotonicity inside the read the window extreme is just the left
+    edge; before it an explicit sliding window is taken.  Both are exact.  The
+    weight's index guard runs before any allocation.
     """
+    _check_horizon(horizon_n)
+    logv = w.v_log_array(hi + horizon_n - 1, lo)
 
-    def __init__(self, values_fn, N: int, mode: str, cap: int | None = None):
-        _check_horizon(N)
-        self._fn = values_fn
-        self.N = N
-        self.mode = mode
-        self.cap = cap  # largest valid index (finite weight tables)
-
-    def _values(self, lo: int, hi: int) -> np.ndarray:
-        if self.cap is not None and hi - 1 > self.cap:
-            raise IndexError(f"window provider asked past the weight table (index {hi - 1})")
-        return self._fn(lo, hi)
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Window extremes for p in [lo, hi)."""
-        vals = self._values(lo, hi + self.N)
+    def extreme(vals: np.ndarray, is_max: bool) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # -inf minus -inf (flat omega tails) is benign
-            d = np.diff(vals)
-            bad = np.nonzero(d > 0)[0] if self.mode == "max" else np.nonzero(d < 0)[0]
+            bad = np.flatnonzero(np.diff(vals) > 0 if is_max else np.diff(vals) < 0)
         split = 0 if len(bad) == 0 else min(int(bad[-1]) + 1, hi - lo)
         out = np.empty(hi - lo)
         if split > 0:
-            win = np.lib.stride_tricks.sliding_window_view(vals[: split + self.N], self.N + 1)
-            out[:split] = win.max(axis=1) if self.mode == "max" else win.min(axis=1)
+            win = np.lib.stride_tricks.sliding_window_view(vals[: split + horizon_n], horizon_n + 1)
+            out[:split] = win.max(axis=1) if is_max else win.min(axis=1)
         out[split:] = vals[split : hi - lo]
         return out
 
-    def at(self, p: int) -> float:
-        vals = self._values(p, p + self.N + 1)
-        return float(vals.max() if self.mode == "max" else vals.min())
-
-
-def _h_provider(space: SpaceSpec, w: WeightSpec, q: int, horizon_n: int) -> _WindowExtreme:
-    """Window max of log ||v_j^{-1} e_j||_q over j in [p, p+horizon_n]."""
-
-    def fn(lo: int, hi: int) -> np.ndarray:
-        logv = w.v_log_array(hi - 1, lo)  # the weight's index guard runs before any allocation
-        return basis_log_array(space, q, np.arange(lo, hi)) - logv
-
-    cap = None if w.max_index == math.inf else int(w.max_index)
-    return _WindowExtreme(fn, horizon_n, "max", cap)
-
-
-def _growth_provider(w: WeightSpec, horizon_n: int) -> _WindowExtreme:
-    def fn(lo: int, hi: int) -> np.ndarray:
-        return w.v_log_array(hi - 1, lo)
-
-    cap = None if w.max_index == math.inf else int(w.max_index)
-    return _WindowExtreme(fn, horizon_n, "min", cap)
+    h = basis_log_array(space, q, np.arange(lo, hi + horizon_n))
+    h -= logv
+    hmax = extreme(h, True)
+    del h  # freed before the growth minima are taken
+    return hmax, (extreme(logv, False) if growth else None), logv
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +93,13 @@ class PkWitness:
     memory O(runs) and ``extend_pk_witness`` resumes without reading any
     per-entry array.  The build reads its candidates through ``rank``,
     ``after``, ``index`` and ``last``.  The arrays ``p``, ``value_log``,
-    ``tol_log``, ``vmin_log`` and ``growth_log`` are derived on first read,
-    once per witness: values and minima from the window providers (window
-    extremes are exact, so they are bit for bit what the scan certified),
-    tolerances and thresholds from the data-driven rule.  A witness loaded by
-    ``from_json`` keeps the file's arrays as the claims that ``validate``
-    checks, and its extensions keep them as their head.
+    ``tol_log``, ``vmin_log`` and ``growth_log`` of a scanned or extended
+    witness are derived on first read, once per witness and from k = 1:
+    values and minima from one read of log|v| per window (window extremes are
+    exact, so they are bit for bit what the scan certified), tolerances and
+    thresholds from the data-driven rule.  A witness loaded by ``from_json``
+    serves the file's arrays, the claims that ``validate`` checks; extending
+    it gives a witness that derives all its arrays anew.
     """
 
     def __init__(
@@ -135,8 +113,7 @@ class PkWitness:
         next_growth_log: float,
         *,
         source: tuple[SpaceSpec, WeightSpec] | None = None,
-        head: dict[str, np.ndarray] | None = None,
-        tail_start: tuple[float, float] = (0.0, NEG_INF),
+        arrays: dict[str, np.ndarray] | None = None,
     ):
         self._lo = np.asarray(lo, dtype=np.int64)
         self._hi = np.asarray(hi, dtype=np.int64)
@@ -148,10 +125,8 @@ class PkWitness:
         self.growth = growth
         self.next_tol_log = next_tol_log
         self.next_growth_log = next_growth_log
-        self._source = source  # (space, weight) of the scanned entries
-        self._head = head  # loaded arrays, the claims for the first entries
-        self._tail_start = tail_start  # (tol, growth threshold) of the first scanned entry
-        self._arrays: dict[str, np.ndarray] = {}
+        self._source = source  # (space, weight) the arrays are derived from
+        self._arrays = {} if arrays is None else arrays
 
     # -- run access (the build path) ---------------------------------------------
     @property
@@ -195,35 +170,38 @@ class PkWitness:
 
     def _array(self, name: str) -> np.ndarray:
         if name not in self._arrays:
-            h = 0 if self._head is None else len(self._head["p"])
-            if h == self.count:
-                self._arrays[name] = self._head[name] if h else np.empty(0, np.int64 if name == "p" else np.float64)
+            if name == "p":
+                self._arrays["p"] = self._entries(0, self.count)
             else:
-                tail = self._derive(name, h)
-                self._arrays[name] = tail if h == 0 else np.concatenate([self._head[name], tail])
+                self._arrays.update(self._derive())
         return self._arrays[name]
 
-    def _derive(self, name: str, h: int) -> np.ndarray:
-        """Entries h+1..count of one array, from the runs and the providers."""
-        if name == "p":
-            return self._entries(h, self.count)
-        p = self._array("p")[h:]
+    def _derive(self) -> dict[str, np.ndarray]:
+        """value_log and tol_log, and with growth vmin_log and growth_log, of
+        every entry.  Entry k uses the seminorm min(k, horizon_q), so the
+        first horizon_q - 1 entries take a window each and the rest one
+        window per segment of nearby indices."""
         space, w = self._source
-        if name == "value_log":
-            provs = {q: _h_provider(space, w, q, self.horizon_n) for q in range(1, self.horizon_q + 1)}
-            # q_k = min(k, horizon_q): only the entries below horizon_q use a smaller seminorm
-            few = min(len(p), max(0, self.horizon_q - 1 - h))
-            out = _window_values(provs[self.horizon_q], p, few)
-            for i in range(few):
-                out[i] = provs[h + 1 + i].at(int(p[i]))
-            return out
-        if name == "vmin_log":
-            return _window_values(_growth_provider(w, self.horizon_n), p, 0)
-        if name == "tol_log":
-            return _tolerances(self._array("value_log")[h:], self._tail_start[0])
-        out = np.empty(len(p))  # growth_log: g_{k+1} = vmin_k
-        out[0] = self._tail_start[1]
-        out[1:] = self._array("vmin_log")[h:-1]
+        p, growth = self.p, self.growth
+        values = np.empty(len(p))
+        vmins = np.empty(len(p)) if growth else None
+        few = min(len(p), self.horizon_q - 1)
+        cuts = np.flatnonzero(np.diff(p[few:]) > _SEGMENT_GAP) + 1 + few
+        bounds = [*range(few), few, *cuts.tolist(), len(p)]
+        for a, b in zip(bounds, bounds[1:]):
+            while a < b:
+                lo = int(p[a])
+                e = a + int(np.searchsorted(p[a:b], lo + _SEGMENT_SPAN))
+                q = min(a + 1, self.horizon_q)
+                hmax, gmin, _ = _window_extremes(space, w, q, self.horizon_n, lo, int(p[e - 1]) + 1, growth)
+                values[a:e] = hmax[p[a:e] - lo]
+                if growth:
+                    vmins[a:e] = gmin[p[a:e] - lo]
+                a = e
+        out = {"value_log": values, "tol_log": _tolerances(values)}
+        if self.growth:
+            out["vmin_log"] = vmins
+            out["growth_log"] = np.concatenate(([NEG_INF], vmins))[: len(vmins)]  # g_{k+1} = vmin_k
         return out
 
     # -- schedules and serialization ---------------------------------------------
@@ -261,22 +239,22 @@ class PkWitness:
         """
         growth = bool(data.get("growth", False))
         names = ("p", "value_log", "tol_log") + (("vmin_log", "growth_log") if growth else ())
-        head = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
-        p = head["p"]
-        if any(a.ndim != 1 or len(a) != len(p) for a in head.values()):
+        arrays = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
+        p = arrays["p"]
+        if any(a.ndim != 1 or len(a) != len(p) for a in arrays.values()):
             raise ValueError("witness arrays must be flat lists of one length")
         horizon_n, horizon_q = int(data["horizon_n"]), int(data["horizon_q"])
         if horizon_n < 0 or horizon_q < 1:
             raise ValueError("witness horizons must satisfy horizon_n >= 0 and horizon_q >= 1")
         tol, g = 0.0, NEG_INF
         if len(p):
-            last_val = float(head["value_log"][-1])
-            tol = last_val if last_val != NEG_INF else float(head["tol_log"][-1]) - _LN2
-            g = float(head["vmin_log"][-1]) if growth else NEG_INF
+            last_val = float(arrays["value_log"][-1])
+            tol = last_val if last_val != NEG_INF else float(arrays["tol_log"][-1]) - _LN2
+            g = float(arrays["vmin_log"][-1]) if growth else NEG_INF
         starts = np.flatnonzero(np.diff(p) != 1) + 1
         lo = p[np.concatenate(([0], starts))] if len(p) else p
         hi = p[np.concatenate((starts - 1, [len(p) - 1]))] if len(p) else p
-        return cls(lo, hi, horizon_n, horizon_q, growth, tol, g, head=head, tail_start=(tol, g))
+        return cls(lo, hi, horizon_n, horizon_q, growth, tol, g, arrays=arrays)
 
     def validate(self, space: SpaceSpec, w: WeightSpec, stride: int | None = None) -> bool:
         """Pure re-check: indices increase, tolerances strictly decrease and
@@ -293,47 +271,23 @@ class PkWitness:
         if stride is None:
             stride = 1 if self.count <= 20000 else self.count // 10000
         ks = sorted(set(range(1, self.count + 1, stride)) | {1, self.count})
-        provs = {q: _h_provider(space, w, q, self.horizon_n) for q in range(1, self.horizon_q + 1)}
-        gp = _growth_provider(w, self.horizon_n) if self.growth else None
         for k in ks:
             pk = int(self.p[k - 1])
-            val = provs[self.q_index(k)].at(pk)
+            hmax, gmin, _ = _window_extremes(space, w, self.q_index(k), self.horizon_n, pk, pk + 1, self.growth)
+            val = float(hmax[0])
             if not val < self.tol_log[k - 1] or abs_diff(val, float(self.value_log[k - 1])) > _SLACK:
                 return False
-            if gp is not None:
-                vmin = gp.at(pk)
+            if self.growth:
+                vmin = float(gmin[0])
                 if not vmin > self.growth_log[k - 1] or abs_diff(vmin, float(self.vmin_log[k - 1])) > _SLACK:
                     return False
         return True
 
 
-# derivation segments: a gap wider than this starts a new window, and no
-# window spans more indices than the scan's largest chunk
-_SEGMENT_GAP = 1 << 12
-_SEGMENT_SPAN = 1 << 20
-
-
-def _window_values(prov: _WindowExtreme, p: np.ndarray, skip: int) -> np.ndarray:
-    """prov's window extremes at the increasing indices p[skip:], one window
-    per segment of nearby indices (out[:skip] is left for the caller)."""
-    out = np.empty(len(p))
-    cuts = np.flatnonzero(np.diff(p[skip:]) > _SEGMENT_GAP) + 1 + skip
-    bounds = [skip, *cuts.tolist(), len(p)]
-    for a, b in zip(bounds, bounds[1:]):
-        while a < b:
-            lo = int(p[a])
-            e = a + int(np.searchsorted(p[a:b], lo + _SEGMENT_SPAN))
-            out[a:e] = prov.window(lo, int(p[e - 1]) + 1)[p[a:e] - lo]
-            a = e
-    return out
-
-
-def _tolerances(values: np.ndarray, tol0: float) -> np.ndarray:
-    """tol_1 = tol0, tol_{k+1} = value_k, or tol_k - ln 2 (one subtraction at a
+def _tolerances(values: np.ndarray) -> np.ndarray:
+    """tol_1 = 0, tol_{k+1} = value_k, or tol_k - ln 2 (one subtraction at a
     time, as the scan does) where value_k is -inf."""
-    tol = np.empty(len(values))
-    tol[0] = tol0
-    tol[1:] = values[:-1]
+    tol = np.concatenate(([0.0], values))[: len(values)]
     halved = np.flatnonzero(tol[1:] == NEG_INF) + 1
     if len(halved):
         breaks = np.flatnonzero(np.diff(halved) > 1)
@@ -387,10 +341,7 @@ def extend_pk_witness(space: SpaceSpec, w: WeightSpec, pk: PkWitness, count: int
         k_start=pk.count + 1, p_start=pk.last, tol0=pk.next_tol_log, g0=pk.next_growth_log,
         scan_limit=None,
     )
-    return PkWitness(
-        lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g,
-        source=(space, w), head=pk._head, tail_start=pk._tail_start,
-    )
+    return PkWitness(lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g, source=(space, w))
 
 
 def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_start, p_start, tol0, g0, scan_limit):
@@ -402,8 +353,7 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_sta
         limit = min(limit, int(w.max_index) - horizon_n - 1)
         if limit <= p_start:
             raise SearchExhausted("weight table too short for the requested horizon")
-    provs = {q: _h_provider(space, w, q, horizon_n) for q in range(1, horizon_q + 1)}
-    gp = _growth_provider(w, horizon_n) if growth else None
+    _check_horizon(horizon_n)
 
     found = 0
     k = k_start
@@ -430,8 +380,8 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_sta
             )
         hi = min(p + chunk, limit + 1)
         q = min(k, horizon_q)
-        wm = provs[q].window(p, hi)
-        gmin = gp.window(p, hi) if gp is not None else None
+        wm = gmin = logv = None  # the last chunk's arrays are freed before the next read
+        wm, gmin, logv = _window_extremes(space, w, q, horizon_n, p, hi, growth)
 
         if k >= horizon_q:
             # with a fixed seminorm index and strict monotone data, every index
@@ -456,7 +406,11 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_sta
         for i in range(hi - p):
             cand = p + i
             qk = min(k, horizon_q)
-            val = wm[i] if qk == q else provs[qk].at(cand)
+            if qk == q:
+                val = wm[i]
+            else:  # a later seminorm over the same window of the chunk's read
+                window = np.arange(cand, cand + horizon_n + 1)
+                val = float((basis_log_array(space, qk, window) - logv[i : i + horizon_n + 1]).max())
             best_seen = min(best_seen, val - tol)
             if val < tol and (gmin is None or gmin[i] > g):
                 add_run(cand, cand)
@@ -550,6 +504,14 @@ def check_mixing(
 # ---------------------------------------------------------------------------
 
 
+def _property_a_breaks(space: SpaceSpec, m: int, r: int, q: int, C: float, n_max: int) -> np.ndarray:
+    """The indices n <= n_max where m log||e_n||_r > log C + log||e_n||_q
+    beyond the slack, i.e. where ||e_n||_r^m <= C ||e_n||_q fails."""
+    idx = np.arange(n_max + 1)
+    lhs = m * basis_log_array(space, r, idx)
+    return np.flatnonzero(lhs > math.log(C) + basis_log_array(space, q, idx) + _SLACK)
+
+
 def _property_a_step(space: SpaceSpec, r: int) -> tuple[int, float]:
     sid = space.space_id
     if sid in ("entire_hadamard", "entire_cauchy"):
@@ -574,25 +536,18 @@ class PropertyAWitness:
         }
 
     def validate(self, space: SpaceSpec) -> bool:
-        idx = np.arange(self.n_max + 1)
-        for r, (q, C) in self.entries.items():
-            lhs = 2.0 * basis_log_array(space, r, idx)
-            rhs = math.log(C) + basis_log_array(space, q, idx)
-            if np.any(lhs > rhs + _SLACK):
-                return False
-        return True
+        return not any(
+            len(_property_a_breaks(space, 2, r, q, C, self.n_max)) for r, (q, C) in self.entries.items()
+        )
 
 
 def property_a_witness(space: SpaceSpec, r_max: int = 5, n_max: int = 500) -> PropertyAWitness:
     """Closed-form certificates per built-in space, verified on the horizon."""
     _check_horizon(n_max)
     entries = {}
-    idx = np.arange(n_max + 1)
     for r in range(1, r_max + 1):
         q, C = _property_a_step(space, r)
-        lhs = 2.0 * basis_log_array(space, r, idx)
-        rhs = math.log(C) + basis_log_array(space, q, idx)
-        bad = np.nonzero(lhs > rhs + _SLACK)[0]
+        bad = _property_a_breaks(space, 2, r, q, C, n_max)
         if len(bad):
             raise WitnessError(
                 f"no squared-basis-norm witness for {space.cli_id} at r={r}",
@@ -639,10 +594,7 @@ def property_a_power(space: SpaceSpec, m: int, r: int, n_max: int = 500) -> Powe
             if q_lo > q_hi:
                 raise WitnessError("witness composition produced non-monotone indices")
             q, C = q_hi, max(C_lo, C_hi)
-    idx = np.arange(n_max + 1)
-    lhs = m * basis_log_array(space, r, idx)
-    rhs = math.log(C) + basis_log_array(space, q, idx)
-    bad = np.nonzero(lhs > rhs + _SLACK)[0]
+    bad = _property_a_breaks(space, m, r, q, C, n_max)
     if len(bad):
         raise WitnessError(
             f"power witness failed for {space.cli_id} at m={m}, r={r}", m=m, r=r, n=int(bad[0])

@@ -544,13 +544,15 @@ def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> 
 
     op, pass flag, bound and bound_log2 must match exactly.  The value
     (value_log2 of a log-domain certificate, value otherwise) must match to
-    within 1e-9 x max(1, |stored|); None matches only None.
+    within 1e-9 x max(1, |stored|); None matches only None.  A log-domain
+    certificate's decoded ``value`` must match its own value_log2 to within
+    1e-9 of itself (two ulps where it is subnormal).
 
     With ``scale_log`` the value is a residual against a quantity of natural
     log size ``scale_log``.  A residual is mostly cancellation, and decoding
     the bundle's [re, im] coefficients moves it by far more than 1e-9 of
-    itself, so stored and fresh values are compared as fractions of
-    max(1, that size), to within 1e-9.
+    itself, so stored and fresh values, and a decoded value and its
+    value_log2, are compared as fractions of max(1, that size), to within 1e-9.
     """
     if stored is None:
         return True
@@ -563,6 +565,8 @@ def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> 
     expect = fresh.value_log2 if log_domain else fresh.value
     if value is not None and not isinstance(value, (int, float)):
         return True
+    if log_domain and not _decodes_to(stored.value, value, scale_log):
+        return True
     if scale_log is not None:
         def share(v):
             return 0.0 if v is None else log_decode(v * _LN2 - max(0.0, scale_log))
@@ -571,6 +575,18 @@ def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> 
     if value is None or expect is None:
         return value is not expect
     return not (value == expect or abs(value - expect) <= _VALUE_RTOL * max(1.0, abs(value)))
+
+
+def _decodes_to(value, value_log2: float | None, scale_log: float | None) -> bool:
+    """Whether a stored decoded ``value`` agrees with 2^value_log2, by the
+    rule of ``_cert_differs``."""
+    if not isinstance(value, (int, float)):
+        return False
+    decoded = 0.0 if value_log2 is None else log_decode(value_log2 * _LN2)
+    if value == decoded:
+        return True
+    scale = abs(decoded) if scale_log is None else log_decode(max(0.0, scale_log))
+    return math.isfinite(decoded) and abs(value - decoded) <= max(_VALUE_RTOL * scale, 2 * math.ulp(decoded))
 
 
 def _compare(fresh: dict[str, Cert], stored: dict[str, Cert],

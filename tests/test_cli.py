@@ -294,9 +294,12 @@ CA_VALUE_EDITS = {
     "F1": (1, lambda c: c["F1"].update(value_log2=c["F1"]["value_log2"] * (1 + 1e-6)), ["F1_value"]),
     "C2_residual": (1, lambda c: c["C2_residual"].update(value=1e-6), ["C2_residual_value"]),
     "F3": (1, lambda c: c["F3"].update(value_log2=-20.0), ["F3_value"]),
+    "F3_decoded_value": (1, lambda c: c["F3"].update(value=1e-3), ["F3_value"]),
     "F4_none": (1, lambda c: c["F4"].update(value_log2=-60.0), ["F4_value"]),
     "window_dropped": (4, lambda c: c.pop("window"), ["window_value"]),
     "window_failing": (4, lambda c: c["window"].update({"pass": False}), ["window_value"]),
+    # the decoded value of a log-domain certificate, above its own bound
+    "C1_decoded_value": (4, lambda c: c["C1"].update(value=0.4), ["C1_value"]),
     "F2": (4, lambda c: c["F2"].update(value=10.0), ["F2_value"]),
     "separation": (4, lambda c: c["separation"].update(value=60.0), ["separation_value"]),
     "C1_bound": (4, lambda c: c["C1"].update(bound_log2=-17.0), ["C1_value", "C3_value"]),
@@ -430,9 +433,12 @@ README_BUNDLE_IDS = [
 @pytest.mark.parametrize(
     "args,bundle_id", README_BUNDLE_IDS, ids=["coord", "algebrable-coord", "cauchy", "algebrable-cauchy"]
 )
-def test_readme_builds_keep_their_bundle_ids(args, bundle_id, targets_file):
-    code, payload = run_command(["build", *args, "--targets", targets_file])
+def test_readme_builds_keep_their_bundle_ids(args, bundle_id, targets_file, tmp_path):
+    out = str(tmp_path / "b.json")
+    code, payload = run_command(["build", *args, "--targets", targets_file, "--out", out])
     assert code == 0 and payload["bundle_id"] == bundle_id
+    code, payload = run_command(["verify", "certificates", "--bundle", out])
+    assert code == 0 and payload["summary"]["pass"]
 
 
 def test_import_leaves_scipy_special_unloaded():
@@ -503,3 +509,20 @@ def test_good_witness_file_builds(readme_pk, targets_file, tmp_path):
             "--rounds", "6"]
     code, payload = run_command([*argv, "--pk-witness", str(path)])
     assert code == 0 and payload["bundle_id"] == run_command(argv)[1]["bundle_id"]
+
+
+def test_witness_past_the_weight_table_is_config_invalid(targets_file, tmp_path, capsys):
+    # the witness is scanned on a longer table with the same entries; its
+    # later windows run past the end of the build's table
+    for name, length in (("long.json", 100), ("short.json", 20)):
+        (tmp_path / name).write_text(json.dumps([[2.0, 0.0]] * length))
+    path = tmp_path / "pk.json"
+    code, _ = run_command(["criteria", "hc", "--space", "l1", "--weight", f"table:{tmp_path / 'long.json'}",
+                           "--count", "16", "--horizon-n", "8", "--out", str(path)])
+    assert code == 0
+    argv = ["build", "coord", "--space", "l1", "--weight", f"table:{tmp_path / 'short.json'}",
+            "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)]
+    code, payload = run_command(argv)
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "config_invalid"

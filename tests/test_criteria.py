@@ -18,9 +18,9 @@ from hyperforge import (
     seminorm_eval,
     space,
 )
-from hyperforge.criteria import PkWitness, _growth_provider, _h_provider
+from hyperforge.criteria import PkWitness, _window_extremes
 from hyperforge.spaces import basis_log_array
-from hyperforge.errors import PropertyBUnavailable, SearchExhausted, SpaceProductError
+from hyperforge.errors import PropertyBUnavailable, SearchExhausted, SpaceProductError, WeightError
 
 
 class TestHypercyclicityWitness:
@@ -120,75 +120,36 @@ def _table_weight(length: int) -> WeightSpec:
     return WeightSpec("table", table=[rng.uniform(0.5, 3.0) for _ in range(length)])
 
 
-# -- runs against the array-building scan -------------------------------------
+# -- runs against a naive per-index scan ---------------------------------------
 
 
-def _scan_arrays(space, w, need, horizon_n, horizon_q, growth, k_start, p_start, tol0, g0):
-    """The scan as it was when it filled five per-entry arrays; the oracle for
+def _naive_windows(arr, N, reduce):
+    """reduce over every window arr[p : p + N + 1], p = 0..len(arr) - N - 1."""
+    return reduce(np.lib.stride_tricks.sliding_window_view(arr, N + 1), axis=1)
+
+
+def _scan_arrays(space, w, count, horizon_n, horizon_q, growth):
+    """The five per-entry arrays of a witness scanned to `count` entries: each
+    index in turn against the data-driven tolerance and threshold, with its
+    window extremes taken naively over whole arrays of log|v|; the oracle for
     the arrays a run-backed witness derives."""
-    provs = {q: _h_provider(space, w, q, horizon_n) for q in range(1, horizon_q + 1)}
-    gp = _growth_provider(w, horizon_n) if growth else None
-    out_p, out_val, out_tol = np.empty(need, dtype=np.int64), np.empty(need), np.empty(need)
-    out_vmin, out_g = np.empty(need), np.empty(need)
-    limit = int(w.max_index) - horizon_n - 1 if w.kind == "table" else 1 << 40
-    found, k, tol, g, p, chunk = 0, k_start, tol0, g0, p_start + 1, 4096
-    while found < need:
-        hi = min(p + chunk, limit + 1)
-        q = min(k, horizon_q)
-        wm = provs[q].window(p, hi)
-        gmin = gp.window(p, hi) if gp is not None else None
-        if k >= horizon_q:
-            ok = wm[0] != -math.inf and wm[-1] != -math.inf and wm[0] < tol and bool(np.all(np.diff(wm) < 0))
-            if ok and gmin is not None:
-                ok = gmin[0] > g and bool(np.all(np.diff(gmin) > 0))
-            if ok:
-                take = min(hi - p, need - found)
-                out_p[found : found + take] = np.arange(p, p + take)
-                out_val[found : found + take] = wm[:take]
-                out_tol[found] = tol
-                out_tol[found + 1 : found + take] = wm[: take - 1]
-                if growth:
-                    out_vmin[found : found + take] = gmin[:take]
-                    out_g[found] = g
-                    out_g[found + 1 : found + take] = gmin[: take - 1]
-                found += take
-                k += take
-                tol = wm[take - 1]
-                if growth:
-                    g = gmin[take - 1]
-                p += take
-                chunk = min(chunk * 2, 1 << 20)
-                continue
-        for i in range(hi - p):
-            cand = p + i
-            qk = min(k, horizon_q)
-            val = wm[i] if qk == q else provs[qk].at(cand)
-            if val < tol and (gmin is None or gmin[i] > g):
-                out_p[found], out_val[found], out_tol[found] = cand, val, tol
-                if growth:
-                    out_vmin[found], out_g[found] = gmin[i], g
-                found += 1
-                k += 1
-                tol = val if val != -math.inf else tol - math.log(2.0)
-                if growth:
-                    g = gmin[i]
-                if found == need:
-                    break
-        p = hi
-    return [out_p, out_val, out_tol] + ([out_vmin, out_g] if growth else [])
-
-
-def _oracle(space, w, counts, horizon_n, horizon_q, growth):
-    """Arrays of a witness scanned to counts[0] and extended to each later count."""
-    arrays = _scan_arrays(space, w, counts[0], horizon_n, horizon_q, growth, 1, 0, 0.0, -math.inf)
-    for count in counts[1:]:
-        p, val, tol = arrays[0], arrays[1], arrays[2]
-        tol0 = val[-1] if val[-1] != -math.inf else tol[-1] - math.log(2.0)
-        g0 = arrays[3][-1] if growth else -math.inf
-        more = _scan_arrays(space, w, count - len(p), horizon_n, horizon_q, growth,
-                            len(p) + 1, int(p[-1]), tol0, g0)
-        arrays = [np.concatenate([a, b]) for a, b in zip(arrays, more)]
-    return arrays
+    upto = int(w.max_index) if w.kind == "table" else 4 * (count + horizon_n) + 64
+    logv = w.v_log_array(upto)
+    idx = np.arange(upto + 1)
+    hmax = {q: _naive_windows(basis_log_array(space, q, idx) - logv, horizon_n, np.max)
+            for q in range(1, horizon_q + 1)}
+    gmin = _naive_windows(logv, horizon_n, np.min)
+    rows, tol, g = [], 0.0, -math.inf
+    for p in range(1, upto - horizon_n):
+        val = hmax[min(len(rows) + 1, horizon_q)][p]
+        if val < tol and (not growth or gmin[p] > g):
+            rows.append((p, val, tol, gmin[p], g))
+            tol = val if val != -math.inf else tol - math.log(2.0)
+            g = gmin[p]
+            if len(rows) == count:
+                cols = list(zip(*rows))[: 5 if growth else 3]
+                return [np.array(cols[0], dtype=np.int64)] + [np.array(c, dtype=np.float64) for c in cols[1:]]
+    raise AssertionError("the oracle's arrays are too short for the requested count")
 
 
 _ARRAYS = ("p", "value_log", "tol_log", "vmin_log", "growth_log")
@@ -230,7 +191,7 @@ def test_derived_arrays_match_the_array_scan(sid, wspec, N, Q, growth, counts):
     pk = find_pk_witness(sp, w, counts[0], horizon_n=N, horizon_q=Q, growth=growth)
     for count in counts[1:]:
         pk = extend_pk_witness(sp, w, pk, count)
-    want = _oracle(sp, w, counts, N, Q, growth)
+    want = _scan_arrays(sp, w, counts[-1], N, Q, growth)
     _assert_arrays_match(pk, want)
     assert pk.validate(sp, w)
     last_val = want[1][-1]
@@ -252,7 +213,7 @@ def test_derivation_segments_do_not_change_the_arrays(monkeypatch):
         w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
         pk = find_pk_witness(sp, w, counts[0], horizon_n=N, horizon_q=Q, growth=growth)
         pk = extend_pk_witness(sp, w, pk, counts[-1])
-        _assert_arrays_match(pk, _oracle(sp, w, [counts[0], counts[-1]], N, Q, growth))
+        _assert_arrays_match(pk, _scan_arrays(sp, w, counts[-1], N, Q, growth))
 
 
 @pytest.mark.parametrize("sid,wspec,growth", [("l1", "const:2", True), ("omega_coord", "maclane", False),
@@ -264,10 +225,27 @@ def test_loaded_witness_extended_by_the_scan(sid, wspec, growth):
     loaded = PkWitness.from_json(pk.to_json())
     assert loaded.validate(sp, w)
     ext = extend_pk_witness(sp, w, extend_pk_witness(sp, w, loaded, 90), 400)
-    _assert_arrays_match(ext, _oracle(sp, w, [20, 90, 400], 8, 3, growth))
-    # the head keeps the loaded arrays, which the extension does not copy
-    assert ext.p[:20].tobytes() == loaded.p.tobytes()
+    _assert_arrays_match(ext, _scan_arrays(sp, w, 400, 8, 3, growth))
+    # the extension derives every entry from k = 1; the loaded claims agree
+    for name in _ARRAYS[: 5 if growth else 3]:
+        assert getattr(ext, name)[:20].tobytes() == getattr(loaded, name).tobytes(), name
     assert loaded.count == 20
+
+
+def test_extension_of_a_loaded_witness_derives_every_entry(weight2):
+    # a value nudged within the validation slack stays the loaded witness's
+    # claim; the extension serves the recomputed value, not the file's
+    l1 = space("l1")
+    pk = find_pk_witness(l1, weight2, 20, horizon_n=8, horizon_q=3, growth=True)
+    doc = pk.to_json()
+    doc["value_log"][19] = float(np.nextafter(doc["value_log"][19], -np.inf))
+    loaded = PkWitness.from_json(doc)
+    assert loaded.validate(l1, weight2)
+    assert loaded.value_log[19] == doc["value_log"][19]
+    ext = extend_pk_witness(l1, weight2, loaded, 40)
+    assert ext.value_log[19] == pk.value_log[19] != loaded.value_log[19]
+    _assert_arrays_match(ext, _scan_arrays(l1, weight2, 40, 8, 3, True))
+    assert ext.validate(l1, weight2)
 
 
 def _runs_witness():
@@ -336,27 +314,28 @@ def test_hc_output_bytes_are_pinned(args, digest, tmp_path):
 
 
 class TestWindowExtreme:
-    """Window extremes served from the scanned segment against a naive sliding
+    """Window extremes from one read of log|v| against a naive sliding
     max/min over the whole array."""
 
     N = 9
     UPTO = 3000
 
-    @staticmethod
-    def _naive(full, N, mode, lo, hi):
-        win = np.lib.stride_tricks.sliding_window_view(full[lo : hi + N], N + 1)
-        return win.max(axis=1) if mode == "max" else win.min(axis=1)
-
-    def _check(self, prov, full, upto):
+    def _check(self, sp, w, q, full, logv, upto):
         rng = random.Random(11)
         spans = [(0, 1), (0, upto - self.N + 1), (upto - self.N, upto - self.N + 1)]
         for _ in range(40):
             lo = rng.randrange(0, upto - self.N)
             spans.append((lo, rng.randrange(lo + 1, upto - self.N + 2)))
         for lo, hi in spans:
-            want = self._naive(full, self.N, prov.mode, lo, hi)
-            assert np.array_equal(prov.window(lo, hi), want), (lo, hi)
-            assert prov.at(lo) == want[0]
+            want_h = _naive_windows(full[lo : hi + self.N], self.N, np.max)
+            want_g = _naive_windows(logv[lo : hi + self.N], self.N, np.min)
+            hmax, gmin, read = _window_extremes(sp, w, q, self.N, lo, hi, True)
+            assert np.array_equal(hmax, want_h) and np.array_equal(gmin, want_g), (lo, hi)
+            assert np.array_equal(read, logv[lo : hi + self.N])
+            hmax, gmin, _ = _window_extremes(sp, w, q, self.N, lo, hi, False)
+            assert np.array_equal(hmax, want_h) and gmin is None
+            one, low, _ = _window_extremes(sp, w, q, self.N, lo, lo + 1, True)
+            assert (one[0], low[0]) == (want_h[0], want_g[0])
 
     @pytest.mark.parametrize(
         "sid,wspec",
@@ -368,24 +347,46 @@ class TestWindowExtreme:
         idx = np.arange(self.UPTO + 1)
         logv = w.v_log_array(self.UPTO).copy()
         for q in (1, 2, 5):
-            full = basis_log_array(sp, q, idx) - logv
-            self._check(_h_provider(sp, w, q, self.N), full, self.UPTO)
-        self._check(_growth_provider(w, self.N), logv, self.UPTO)
+            self._check(sp, w, q, basis_log_array(sp, q, idx) - logv, logv, self.UPTO)
 
     def test_non_monotone_table_needs_the_sliding_part(self):
         w = _table_weight(self.UPTO)
-        prov = _h_provider(space("l1"), w, 1, self.N)
-        left_edge = -w.v_log_array(self.UPTO)[: self.UPTO - self.N]
-        assert not np.array_equal(prov.window(0, self.UPTO - self.N), left_edge)
+        hmax, gmin, _ = _window_extremes(space("l1"), w, 1, self.N, 0, self.UPTO - self.N, True)
+        left_edge = w.v_log_array(self.UPTO)[: self.UPTO - self.N]
+        assert not np.array_equal(hmax, -left_edge)
+        assert not np.array_equal(gmin, left_edge)
 
     def test_table_weight_asked_past_its_end(self):
         w = _table_weight(200)
-        for prov in (_h_provider(space("l1"), w, 1, self.N), _growth_provider(w, self.N)):
-            prov.window(200 - self.N, 200 - self.N + 1)  # last window inside the table
-            with pytest.raises(IndexError):
-                prov.window(200 - self.N, 200 - self.N + 2)
-            with pytest.raises(IndexError):
-                prov.at(200 - self.N + 1)
+        for growth in (False, True):
+            _window_extremes(space("l1"), w, 1, self.N, 200 - self.N, 200 - self.N + 1, growth)  # last window
+            with pytest.raises(WeightError):
+                _window_extremes(space("l1"), w, 1, self.N, 200 - self.N, 200 - self.N + 2, growth)
+            with pytest.raises(WeightError):
+                _window_extremes(space("l1"), w, 1, self.N, 200 - self.N + 1, 200 - self.N + 2, growth)
+
+
+@pytest.mark.parametrize("sid,wspec", [("entire_hadamard", "maclane"), ("omega_coord", "maclane"),
+                                       ("l1", "bumpy")])
+def test_scan_reads_each_window_of_log_v_once(sid, wspec, monkeypatch):
+    # the scan asks for log|v| once per chunk, for seminorm values and growth
+    # minima alike, and the per-index path for k < horizon_q reads nothing
+    # more, so the reads start at strictly increasing indices
+    sp = space(sid)
+    w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
+    reads = []
+    original = WeightSpec.v_log_array
+
+    def counted(self, upto, lo=0):
+        reads.append((lo, upto))
+        return original(self, upto, lo)
+
+    monkeypatch.setattr(WeightSpec, "v_log_array", counted)
+    pk = find_pk_witness(sp, w, 300, horizon_n=8, horizon_q=5, growth=True)
+    pk = extend_pk_witness(sp, w, pk, 9000 if wspec == "maclane" else 600)
+    monkeypatch.setattr(WeightSpec, "v_log_array", original)
+    los = [lo for lo, _ in reads]
+    assert len(reads) > 1 and los == sorted(set(los)), reads[:8]
 
 
 class TestMixing:
