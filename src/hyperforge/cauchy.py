@@ -223,11 +223,13 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     shrinks at a measurable rate it jumps over most of the estimated remaining
     distance, without proving that the skipped diagonals hold no such pair.
 
-    Each diagonal is screened first (see ``_diagonal``): a cheap lower bound on
+    Inside a batch, runs of consecutive short diagonals are evaluated together
+    as one pack (see ``_packs``), and each long diagonal on its own.  Every
+    diagonal is screened first (see ``_diagonal``): a cheap lower bound on
     max(C1, C3) rejects almost every pair, and the exact value is computed only
     on the pairs it cannot reject.  The screen keeps the first passing pair and
     the diagonal minimum bit for bit, so the walk, its margin and its jumps are
-    those of an unscreened scan.
+    those of an unscreened scan, one diagonal at a time.
 
     A batch reads log v_n up to n = m gamma; one that would read past the
     search budget, as a long jump can, raises SearchExhausted before anything
@@ -265,12 +267,15 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
             logv = np.concatenate((logv, w.v_log_array(min(top + top // 4, reach), len(logv))))
         basis = basis_log_array(space, r, np.arange(d_last + s + 1))
         minima = []
-        for dd, g_lo, g_hi in rows:
-            keep, worst, logb = _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps)
+        for pack in _packs(rows):
+            starts, keep, worst, logb = _diagonal(logv, basis, yterms, s, m, pack, log_eps)
             hit = np.nonzero(worst < log_eps)[0]
             if len(hit):
                 i = int(keep[hit[0]])
-                return dd - g_lo - i, g_lo + i, float(logb[i]), scanned
+                row = int(starts.searchsorted(i, side="right")) - 1
+                dd, g_lo, _ = pack[row]
+                gamma = g_lo + i - int(starts[row])
+                return dd - gamma, gamma, float(logb[i]), scanned
             minima.append(worst.min())
         margin = float(np.min(minima)) - log_eps
         best = min(best, margin + log_eps)
@@ -295,15 +300,80 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, f
     )
 
 
-def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
-    """Screened max(C1, C3) along eta + gamma = dd for gamma = g_lo..g_hi.
+# a diagonal shorter than _PACK_ROW pairs joins a pack of consecutive short
+# diagonals holding at most _PACK_PAIRS pairs; a longer one is evaluated alone
+_PACK_ROW = 1024
+_PACK_PAIRS = 8192
+_FIRST = np.zeros(1, dtype=np.intp)  # the row starts of a lone diagonal
 
-    Returns ``(keep, worst, logb)``: the kept offsets ``gamma - g_lo`` in
-    ascending order, max(C1, C3) at those offsets and log b at every offset.
 
-    Every index of the closed forms is an arithmetic progression in gamma, so
-    each lookup is a strided view of the log-weight table ``logv`` or of the
-    basis table ``basis`` (log ||e_n||_r for n = 0, 1, ...).
+def _packs(rows):
+    """Split ``rows`` (eta + gamma, first gamma, last gamma), in order, into
+    runs evaluated together: each long diagonal alone, and consecutive short
+    ones grouped while their pairs fit in _PACK_PAIRS."""
+    pack, size = [], 0
+    for row in rows:
+        n = row[2] - row[1] + 1
+        if n >= _PACK_ROW:
+            n = _PACK_PAIRS  # a long diagonal fills a pack on its own
+        if size + n > _PACK_PAIRS:
+            yield pack
+            pack, size = [], 0
+        pack.append(row)
+        size += n
+    if pack:
+        yield pack
+
+
+def _diagonal(logv, basis, yterms, s, m, rows, log_eps):
+    """Screened max(C1, C3) over the pairs of the anti-diagonals ``rows``
+    (eta + gamma, first gamma, last gamma), laid end to end in
+    (eta + gamma, gamma) order.
+
+    Returns ``(starts, keep, worst, logb)``: the offset of each evaluated
+    row's first pair, the kept offsets in ascending order, max(C1, C3) at
+    those offsets and log b at every offset.  ``_atoms`` reads the tables and
+    ``_screen`` does the arithmetic, so a row gives the same values alone or
+    in a pack.  Rows past one that surely holds a passing pair are not
+    evaluated, and ``starts`` then stops at that row.
+    """
+    counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in rows])
+    starts = _FIRST if len(rows) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
+    atoms = _atoms(logv, basis, s, m, rows, counts, starts)
+    return _screen(*atoms, yterms, m, starts, counts, log_eps)
+
+
+def _atoms(logv, basis, s, m, rows, counts, starts):
+    """The table entries the closed forms read at each pair: log ||e_{eta+j}||_r
+    and log v_{eta+(m-1)gamma+j} for j = 0..s, log v_{gamma-eta},
+    log v_{m gamma}, log ||e_{gamma-eta}||_r and log ||e_gamma||_r.
+
+    ``logv`` is the log-weight table and ``basis`` the basis table
+    (log ||e_n||_r for n = 0, 1, ...).  Every index is an arithmetic
+    progression in gamma along one diagonal, so a lone row reads strided
+    views; a pack gathers.
+    """
+    if len(rows) == 1:
+        ((dd, g_lo, g_hi),) = rows
+        n = g_hi - g_lo + 1
+        top = dd + (m - 2) * g_lo  # eta + (m-1) gamma, stride m - 2
+        lo = 2 * g_lo - dd  # gamma - eta, stride 2
+        # eta falls as gamma rises; log v_top is constant along the diagonal when m = 2
+        basis_j = [basis[dd - g_hi + j : dd - g_lo + j + 1][::-1] for j in range(s + 1)]
+        logv_j = [logv[top + j] if m == 2 else logv[top + j :: m - 2][:n] for j in range(s + 1)]
+        return (basis_j, logv_j, logv[lo::2][:n], logv[m * g_lo :: m][:n],
+                basis[lo::2][:n], basis[g_lo : g_hi + 1])
+    first = np.array([g_lo for _, g_lo, _ in rows])
+    gamma = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
+    eta = np.repeat(np.array([dd for dd, _, _ in rows]), counts) - gamma
+    top, gap = eta + (m - 1) * gamma, gamma - eta
+    basis_j = [basis.take(eta + j) for j in range(s + 1)]
+    logv_j = [logv.take(top + j) for j in range(s + 1)]
+    return basis_j, logv_j, logv.take(gap), logv.take(m * gamma), basis.take(gap), basis.take(gamma)
+
+
+def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, starts, counts, log_eps):
+    """max(C1, C3) and log b from the atoms of ``_atoms``, screened per row.
 
     C1 = logaddexp(log ||q||_r, log ||b e_gamma||_r), where log ||q||_r is a
     logaddexp chain over the k target terms t_j.  Two facts screen the pairs:
@@ -314,38 +384,33 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
     - in exact arithmetic, max(C1, C3) <= lower + ln(k + 1).
 
     So a pair whose bound is at least log eps cannot pass, and a pair whose
-    bound lies more than ln(k + 1) above the smallest bound L cannot hold the
-    diagonal minimum, up to the rounding of the k logaddexp steps that take
-    the terms of the pair with bound L to its computed C1.  Each step rounds
-    one addition, by at most half an ulp of a result within ln(k + 1) + 1 of L
-    (an error in an earlier, smaller result shrinks by the exp of its distance
-    to the final one), plus an absolute error under 2^-50 from log1p and exp.
-    So the cut adds 1.0, which covers the absolute part and the magnitudes
-    near zero, and (k + 1) 2^-48 |L|, which covers the relative part at any
-    index the scan can reach.  The chain, C1 and the max run only on the
-    other pairs, by the same elementwise expressions as on the whole
-    diagonal, so the first pair with max(C1, C3) < log eps and the diagonal
-    minimum are exact.  A NaN or infinite L makes the cut NaN or +inf, which
-    keeps every pair.
+    bound lies more than ln(k + 1) above the smallest bound L of its row
+    cannot hold the row minimum, up to the rounding of the k logaddexp steps
+    that take the terms of the pair with bound L to its computed C1.  Each
+    step rounds one addition, by at most half an ulp of a result within
+    ln(k + 1) + 1 of L (an error in an earlier, smaller result shrinks by the
+    exp of its distance to the final one), plus an absolute error under 2^-50
+    from log1p and exp.  So the cut adds 1.0, which covers the absolute part
+    and the magnitudes near zero, and (k + 1) 2^-48 |L|, which covers the
+    relative part at any index the scan can reach.  The chain, C1 and the max
+    run only on the other pairs, by the same elementwise expressions as on
+    the whole row, so the first pair with max(C1, C3) < log eps and the row
+    minimum are exact.  A NaN or infinite L makes the row's cut NaN or +inf,
+    which keeps every pair of the row.  By the same bound, a row whose cut
+    lies below log eps holds a passing pair, so the rows after it cannot hold
+    the first one and are dropped.
+
+    Returns ``(starts, keep, worst, logb)`` as ``_diagonal`` does.
     """
-    n = g_hi - g_lo + 1
-    top = dd + (m - 2) * g_lo  # eta + (m-1) gamma, stride m - 2
-
-    def basis_at(j):  # log ||e_{eta+j}||_r; eta falls as gamma rises
-        return basis[dd - g_hi + j : dd - g_lo + j + 1][::-1]
-
-    def logv_at(j):  # log v_{eta+(m-1)gamma+j}; constant along the diagonal when m = 2
-        return logv[top + j] if m == 2 else logv[top + j :: m - 2][:n]
-
     # log b = (max_j A_j + min(B1, B2)) / 2; the max runs over all of 0..s
     maxA = None
-    for j in range(s + 1):
-        A = (basis_at(j) - logv_at(j)) / (m - 1)
+    for b_j, v_j in zip(basis_j, logv_j):
+        A = b_j - v_j
+        if m > 2:  # dividing by 1 changes no value
+            A /= m - 1
         maxA = A if maxA is None else np.maximum(maxA, A, out=maxA)
-    lo = 2 * g_lo - dd  # gamma - eta, stride 2
-    v_gap = logv[lo::2][:n] - logv[m * g_lo :: m][:n]  # log v_{gamma-eta} - log v_{m gamma}
-    basis_gap = basis[lo::2][:n]
-    B1 = -basis[g_lo : g_hi + 1]
+    v_gap = logv_gap - logv_mg  # log v_{gamma-eta} - log v_{m gamma}
+    B1 = -basis_g
     logb = maxA
     logb += np.minimum(B1, (v_gap - basis_gap) / m)
     logb *= 0.5
@@ -355,8 +420,8 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
     terms = []
     for j, base in yterms.items():
         t = np.subtract(base, logb_pow)
-        t -= logv_at(j)
-        t += basis_at(j)
+        t -= logv_j[j]
+        t += basis_j[j]
         terms.append(t)
     be = np.subtract(logb, B1, out=B1)
     # C3: ||T^{eta+(m-1)gamma} b^m e_{m gamma}||_r, in log
@@ -368,17 +433,22 @@ def _diagonal(logv, basis, yterms, s, m, dd, g_lo, g_hi, log_eps):
     lower = np.maximum(c3, be)
     for t in terms:
         np.maximum(lower, t, out=lower)
-    low, k = lower.min(), len(terms)
+    k = len(terms)
+    low = lower.min() if len(starts) == 1 else np.minimum.reduceat(lower, starts)
     cut = low + (math.log(k + 1) + 1.0 + (k + 1) * abs(low) * 2.0**-48)
-    if cut < log_eps:  # a NaN cut stays NaN
-        cut = log_eps
-    keep = np.flatnonzero(~(lower > cut))
+    if len(starts) > 1:
+        sure = (cut < log_eps).nonzero()[0]
+        if len(sure):  # that row holds a passing pair, so no later row holds the first
+            starts, counts, cut = starts[: sure[0] + 1], counts[: sure[0] + 1], cut[: sure[0] + 1]
+            lower = lower[: starts[-1] + counts[-1]]
+        cut = np.repeat(cut, counts)
+    keep = (~(lower > np.maximum(cut, log_eps))).nonzero()[0]  # a NaN cut stays NaN
 
     logq = terms[0][keep]
     for t in terms[1:]:
         np.logaddexp(logq, t[keep], out=logq)
     c1 = np.logaddexp(logq, be[keep], out=logq)
-    return keep, np.maximum(c1, c3[keep], out=c1), logb
+    return starts, keep, np.maximum(c1, c3[keep], out=c1), logb
 
 
 def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSolveResult:
@@ -676,14 +746,18 @@ def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str) -> float:
         return NEG_INF
     blocks = [rd.block for rd in rounds_prefix[: r - 1]] + [block_r]
     power = _power_cache(blocks)
+    # the multi-index sets and the products P^alpha do not depend on t
+    alphas = {mu: enumerate_multi_indices(mu, r)
+              for mu in range(1, max(rd.m for rd in rounds_prefix[: r - 1]) + 1)}
+    products = {alpha: _product_for(power, alpha) for mu_set in alphas.values() for alpha in mu_set}
     worst = NEG_INF
     for t in range(1, r):
         a_t = rounds_prefix[t - 1].a
         m_t = rounds_prefix[t - 1].m
         for mu in range(1, m_t + 1):
             acc = NEG_INF
-            for alpha in enumerate_multi_indices(mu, r):
-                img = backward_iterate(w, _product_for(power, alpha), a_t)
+            for alpha in alphas[mu]:
+                img = backward_iterate(w, products[alpha], a_t)
                 val = seminorm_eval(space, r, img).upper_log
                 if mode == "max":
                     worst = max(worst, val)

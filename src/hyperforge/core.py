@@ -583,7 +583,9 @@ class WeightSpec:
         return WideComplex(self._log1(n), wrap_phase(self._phase1(n)))
 
     def v_log_array(self, upto: int, lo: int = 0) -> np.ndarray:
-        """log|v_n| for n = lo..upto, as a read-only array."""
+        """log|v_n| for n = lo..upto, as a read-only array; weight indices start at 0."""
+        if lo < 0:
+            raise ValueError(f"weight index {lo} is negative")
         self._check(upto)
         if self.kind == "table":
             return self._table_log[lo : upto + 1]

@@ -257,10 +257,10 @@ class PkWitness:
         return cls(lo, hi, horizon_n, horizon_q, growth, tol, g, arrays=arrays)
 
     def validate(self, space: SpaceSpec, w: WeightSpec, stride: int | None = None) -> bool:
-        """Pure re-check: indices increase, tolerances strictly decrease and
-        follow the data-driven rule, and every certified inequality reproduces
-        (sampled for huge witnesses)."""
-        if self.count == 0 or np.any(np.diff(self.p) <= 0):
+        """Pure re-check: indices start at 1 or above and increase, tolerances
+        strictly decrease and follow the data-driven rule, and every certified
+        inequality reproduces (sampled for huge witnesses)."""
+        if self.count == 0 or self.p[0] < 1 or np.any(np.diff(self.p) <= 0):
             return False
         if self.tol_log[0] != 0.0 or np.any(np.diff(self.tol_log) >= 0):
             return False
@@ -789,27 +789,50 @@ def property_b_witness(
     return wit
 
 
+# condition (ii) is checked in blocks of k holding at most this many (n, k) pairs
+_PROP_B_BLOCK = 1 << 16
+
+
 def _verify_property_b(space: SpaceSpec, wit: PropertyBWitness) -> None:
+    """Check conditions (i)-(iii) on n, k <= n_max; raise WitnessError naming
+    the first failing instance, in order of k and then n.
+
+    Condition (ii) compares (n_max + 1)^2 pairs per r, so a horizon whose pair
+    count lies past the search budget raises SearchExhausted before anything
+    is allocated.
+    """
     n_max = wit.n_max
+    pairs, budget = (n_max + 1) ** 2, search_budget()
+    if pairs > budget:
+        raise SearchExhausted(
+            f"condition (ii) on horizon {n_max} compares {pairs} pairs, past the search budget",
+            horizon_n=n_max, budget=budget,
+        )
     idx = np.arange(n_max + 1)
     if np.any(basis_log_array(space, wit.cond_i_q, idx) == NEG_INF):
         raise WitnessError("condition (i) failed on the horizon", q=wit.cond_i_q)
+    rows = max(1, _PROP_B_BLOCK // (n_max + 1))
     for r, (q, C1) in wit.cond_ii.items():
         br = basis_log_array(space, r, idx)
-        bq_all = basis_log_array(space, q, np.arange(2 * n_max + 1))
-        for k in range(n_max + 1):
-            lhs = br + br[k]
-            rhs = math.log(C1) + bq_all[idx + k]
-            if np.any(lhs > rhs + _SLACK):
-                n = int(np.nonzero(lhs > rhs + _SLACK)[0][0])
-                raise WitnessError("condition (ii) failed", r=r, n=n, k=k)
+        # row k of the window view is log ||e_{n+k}||_q for n = 0..n_max
+        bq = basis_log_array(space, q, np.arange(2 * n_max + 1))
+        bq = np.lib.stride_tricks.sliding_window_view(bq, n_max + 1)
+        for k0 in range(0, n_max + 1, rows):
+            lhs = br + br[k0 : k0 + rows, None]
+            rhs = math.log(C1) + bq[k0 : k0 + rows]
+            bad = lhs > rhs + _SLACK
+            if bad.any():
+                k, n = divmod(int(bad.argmax()), n_max + 1)
+                raise WitnessError("condition (ii) failed", r=r, n=n, k=k0 + k)
     for (m, M, r, t), (rho, tau, C2) in wit.cond_iii.items():
         ns = np.arange(M, n_max + 1)
+        ks = np.arange(M + 1)[:, None]  # row k holds n - k and m n - k
         bt = basis_log_array(space, t, m * ns)
         btau = basis_log_array(space, tau, m * ns)
-        for k in range(M + 1):
-            lhs = bt + basis_log_array(space, r, ns - k)
-            rhs = math.log(C2) + btau / m + basis_log_array(space, rho, m * ns - k)
-            if np.any(lhs > rhs + _SLACK):
-                n = int(ns[np.nonzero(lhs > rhs + _SLACK)[0][0]])
-                raise WitnessError("condition (iii) failed", m=m, M=M, r=r, t=t, k=k, n=n)
+        brho = basis_log_array(space, rho, np.arange(m * n_max + 1))
+        lhs = bt + basis_log_array(space, r, idx)[ns - ks]
+        rhs = math.log(C2) + btau / m + brho[m * ns - ks]
+        bad = lhs > rhs + _SLACK
+        if bad.any():
+            k, i = divmod(int(bad.argmax()), len(ns))
+            raise WitnessError("condition (iii) failed", m=m, M=M, r=r, t=t, k=k, n=int(ns[i]))

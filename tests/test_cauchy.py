@@ -285,6 +285,51 @@ class TestInductiveConstruction:
                 assert seminorm_eval(EC, rd.r, img).upper_log < -rd.r * LN2
 
 
+def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
+    """D4/F4 as it was computed before the products were shared across t:
+    every P^alpha is rebuilt for each earlier round t; kept as an oracle."""
+    power = _power_cache([rd.block for rd in prefix[: r - 1]] + [block_r])
+    worst = -math.inf
+    for t in range(1, r):
+        for mu in range(1, prefix[t - 1].m + 1):
+            acc = -math.inf
+            for alpha in enumerate_multi_indices(mu, r):
+                img = backward_iterate(w, _product_for(power, alpha), prefix[t - 1].a)
+                val = seminorm_eval(space_, r, img).upper_log
+                if mode == "max":
+                    worst = max(worst, val)
+                else:
+                    acc = float(np.logaddexp(acc, math.log(multinomial(mu, alpha)) + val))
+            if mode == "sum":
+                worst = max(worst, acc)
+    return worst
+
+
+@pytest.mark.parametrize("which", ["c", "ca"])
+def test_d4_builds_each_product_once(which, monkeypatch, cauchy_bundle_ec, lambda_bundle):
+    # the README c.json and ca.json rounds: the same value as the per-(t, alpha)
+    # form, with one _product_for call per distinct alpha
+    b, mode = (cauchy_bundle_ec, "sum") if which == "c" else (lambda_bundle, "max")
+    assert b.bundle_id == {"c": "fad6f6dcb0f45d02", "ca": "1785e5e5716db747"}[which]
+    real = cauchy_mod._product_for
+    calls = []
+
+    def counted(power, alpha):
+        calls.append(alpha)
+        return real(power, alpha)
+
+    for rd in b.rounds[1:]:
+        r, prefix = rd.r, b.rounds[: rd.r - 1]
+        want = _d4_per_t_and_alpha(b.space, b.weight, prefix, rd.block, r, mode)
+        calls.clear()
+        monkeypatch.setattr(cauchy_mod, "_product_for", counted)
+        got = cauchy_mod._d4_worst(b.space, b.weight, prefix, rd.block, r, mode)
+        monkeypatch.setattr(cauchy_mod, "_product_for", real)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), r
+        alphas = {a for mu in range(1, max(p.m for p in prefix) + 1) for a in enumerate_multi_indices(mu, r)}
+        assert len(calls) == len(set(calls)) and set(calls) == alphas, r
+
+
 class TestLambdaMatrix:
     def test_entries_bounded_and_recur(self):
         lam = LambdaMatrix(l_max=2)
@@ -646,14 +691,24 @@ def _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi):
     return np.maximum(c1, c3, out=c1), logb
 
 
-def _random_diagonal(rng, m, s, k, kind):
-    """Tables and one anti-diagonal.  Values lie on a coarse grid, so ties
+def _random_rows(rng, s, count):
+    """``count`` distinct anti-diagonals (eta + gamma, first gamma, last gamma)
+    of one random N, in ascending order."""
+    N = int(rng.integers(0, 4))
+    first = 2 * N + 2 * s + 1
+    if count == 1:
+        dds = [first + int(rng.integers(0, 300))]
+    else:
+        dds = sorted(first + int(dd) for dd in rng.choice(300, count, replace=False))
+    return [(dd, max(N + 2 * s + 1, (dd + 2 * s + 2) // 2), dd - N) for dd in dds]
+
+
+def _random_tables(rng, m, s, k, kind, rows):
+    """Tables wide enough for ``rows``.  Values lie on a coarse grid, so ties
     abound, except for "close" tables, whose small steps keep the C1 terms
     within ln(k + 1) of each other, so the smallest bound need not sit at the
     diagonal minimum."""
-    N = int(rng.integers(0, 4))
-    dd = 2 * N + 2 * s + 1 + int(rng.integers(0, 300))
-    g_lo, g_hi = max(N + 2 * s + 1, (dd + 2 * s + 2) // 2), dd - N
+    dd, g_hi = max(row[0] for row in rows), max(row[2] for row in rows)
     if kind == "close":
         logv = np.cumsum(rng.uniform(0.0, 0.3, m * g_hi + s + 1))
         basis = rng.uniform(-0.3, 0.3, dd + s + 1)
@@ -665,10 +720,17 @@ def _random_diagonal(rng, m, s, k, kind):
             at = rng.integers(0, len(table), 4)
             table[at] = rng.choice([-np.inf, np.inf], 4)
     elif kind == "nan":
+        _, g_lo, g_hi = rows[int(rng.integers(len(rows)))] if len(rows) > 1 else rows[0]
         basis[int(rng.integers(g_lo, g_hi + 1))] = np.nan  # read by B1 on this diagonal
     support = sorted([s, *rng.choice(s, k - 1, replace=False).tolist()])  # s is the top index
     yterms = {j: float(rng.integers(-8, 8) * (0.05 if kind == "close" else 0.5)) for j in support}
-    return logv, basis, yterms, dd, g_lo, g_hi
+    return logv, basis, yterms
+
+
+def _random_diagonal(rng, m, s, k, kind):
+    """Tables and one anti-diagonal."""
+    rows = _random_rows(rng, s, 1)
+    return (*_random_tables(rng, m, s, k, kind, rows), *rows[0])
 
 
 def _first_hit(worst, log_eps):
@@ -676,9 +738,49 @@ def _first_hit(worst, log_eps):
     return int(hit[0]) if len(hit) else None
 
 
+def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, label):
+    """The screened rows, alone or packed, against ``_diagonal_unscreened``
+    row by row: the first hit, the minimum and the log b bytes at the hit."""
+    starts, keep, kept, logb_s = _diagonal(logv, basis, yterms, s, m, rows, log_eps)
+    assert np.all(np.diff(keep) > 0)
+    if len(starts) < len(rows):  # rows past a sure hit are dropped
+        assert np.any(kept[keep >= starts[-1]] < log_eps)
+        seen.add(f"{label} dropped")
+    for (dd, g_lo, g_hi), start in zip(rows, starts.tolist()):
+        n = g_hi - g_lo + 1
+        worst, logb = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+        a, b = keep.searchsorted([start, start + n])
+        row_keep, row_kept = keep[a:b] - start, kept[a:b]
+        if np.isnan(worst).any():  # a NaN bound keeps every pair of its row
+            assert len(row_keep) == n
+        hit = _first_hit(worst, log_eps)
+        got = _first_hit(row_kept, log_eps)
+        got = None if got is None else int(row_keep[got])
+        assert got == hit, (m, s, label, log_eps)
+        if hit is not None:
+            assert logb_s[start + hit].tobytes() == logb[hit].tobytes()
+            seen.add(f"{label} hit")
+        want_min, got_min = worst.min(), row_kept.min()
+        if np.isnan(want_min):
+            assert np.isnan(got_min)
+            seen.add(f"{label} nan minimum")
+        else:
+            assert got_min == want_min, (m, s, label, log_eps)
+        if len(row_keep) < n:
+            seen.add(f"{label} screened")
+
+
+def _eps_picks(worst):
+    finite = worst[np.isfinite(worst)]
+    picks = [float(np.median(finite)), float(finite.min())] if len(finite) else []
+    return [*picks, -1e300, 1e300]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
 @pytest.mark.parametrize("kind", ["grid", "close", "inf", "nan"])
 def test_screened_diagonal_matches_the_unscreened_one(kind):
+    # each diagonal alone (strided reads), then packs of 2-8 diagonals on
+    # shared tables (gathered reads, one cut per diagonal)
     rng = np.random.default_rng(["grid", "close", "inf", "nan"].index(kind))
     seen = set()
     for m in (2, 3, 4):
@@ -686,31 +788,49 @@ def test_screened_diagonal_matches_the_unscreened_one(kind):
             for k in range(1, min(3, s + 1) + 1):
                 for _ in range(12):
                     logv, basis, yterms, dd, g_lo, g_hi = _random_diagonal(rng, m, s, k, kind)
-                    args = (logv, basis, yterms, s, m, dd, g_lo, g_hi)
-                    worst, logb = _diagonal_unscreened(*args)
-                    finite = worst[np.isfinite(worst)]
-                    picks = [float(np.median(finite)), float(finite.min())] if len(finite) else []
-                    for log_eps in [*picks, -1e300, 1e300]:
-                        keep, kept, logb_s = _diagonal(*args, log_eps)
-                        assert np.all(np.diff(keep) > 0)
-                        if kind == "nan":  # a NaN bound keeps every pair
-                            assert len(keep) == g_hi - g_lo + 1
-                        hit = _first_hit(worst, log_eps)
-                        got = _first_hit(kept, log_eps)
-                        got = None if got is None else int(keep[got])
-                        assert got == hit, (m, s, k, log_eps)
-                        if hit is not None:
-                            assert logb_s[hit].tobytes() == logb[hit].tobytes()
-                            seen.add("hit")
-                        want_min, got_min = worst.min(), kept.min()
-                        if np.isnan(want_min):
-                            assert np.isnan(got_min)
-                            seen.add("nan minimum")
-                        else:
-                            assert got_min == want_min, (m, s, k, log_eps)
-                        if len(keep) < g_hi - g_lo + 1:
-                            seen.add("screened")
-    assert ({"hit", "nan minimum"} if kind == "nan" else {"hit", "screened"}) <= seen, seen
+                    worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+                    for log_eps in _eps_picks(worst):
+                        _check_screen(logv, basis, yterms, s, m, [(dd, g_lo, g_hi)], log_eps, seen, "row")
+                for size in range(2, 9):
+                    rows = _random_rows(rng, s, size)
+                    logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
+                    dd, g_lo, g_hi = rows[int(rng.integers(size))]
+                    worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+                    for log_eps in _eps_picks(worst):
+                        _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, "pack")
+    want = {"hit", "nan minimum"} if kind == "nan" else {"hit", "screened"}
+    assert {f"{label} {w}" for label in ("row", "pack") for w in want} <= seen, seen
+    assert kind == "nan" or "pack dropped" in seen
+
+
+def test_packs_keep_to_their_pair_limit(monkeypatch):
+    # the README entire_cauchy/maclane build: every pack of short diagonals
+    # fits in _PACK_PAIRS, every long diagonal is evaluated alone, and the
+    # packs cover each batch in order
+    packs = []
+    real_packs = cauchy_mod._packs
+
+    def recorded(rows):
+        out = list(real_packs(rows))
+        assert [row for pack in out for row in pack] == list(rows)
+        packs.extend(out)
+        return out
+
+    monkeypatch.setattr(cauchy_mod, "_packs", recorded)
+    b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
+    assert b.bundle_id == "fad6f6dcb0f45d02"
+    sizes = [[g_hi - g_lo + 1 for _, g_lo, g_hi in pack] for pack in packs]
+    for pack in sizes:
+        if len(pack) > 1:
+            assert sum(pack) <= cauchy_mod._PACK_PAIRS and max(pack) < cauchy_mod._PACK_ROW
+    assert any(len(p) > 1 for p in sizes) and any(p[0] >= cauchy_mod._PACK_ROW for p in sizes)
+    # a long limit of short rows still splits
+    rows = [(2 * n, n, 2 * n - 1) for n in range(1, 200)] * 3
+    got = list(real_packs(rows))
+    assert [row for pack in got for row in pack] == rows
+    for pack in got:
+        n = [g_hi - g_lo + 1 for _, g_lo, g_hi in pack]
+        assert len(n) == 1 or (sum(n) <= cauchy_mod._PACK_PAIRS and max(n) < cauchy_mod._PACK_ROW)
 
 
 class _CountingNumpy:

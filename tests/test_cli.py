@@ -81,6 +81,12 @@ class TestCriteriaCommands:
         assert payload["error"] == "property_b_unavailable"
         assert "does not satisfy condition (i)" in payload["message"]
 
+    def test_property_b_horizon_past_the_pair_budget(self):
+        # condition (ii) would compare 8001^2 pairs, past the default budget
+        code, payload = run_command(["criteria", "prop-b", "--space", "l1", "--horizon-n", "8000"])
+        assert code == 1 and payload["error"] == "search_exhausted"
+        assert payload["details"] == {"horizon_n": 8000, "budget": 50_000_000}
+
     def test_bad_space_is_a_distinct_code(self):
         code, payload = run_command(["criteria", "hc", "--space", "nope"])
         assert code == 1 and payload["error"] == "space_unknown"
@@ -526,3 +532,23 @@ def test_witness_past_the_weight_table_is_config_invalid(targets_file, tmp_path,
     assert code == 1 and payload["error"] == "config_invalid"
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "config_invalid"
+
+
+def test_witness_with_indices_below_one_is_config_invalid(targets_file, tmp_path):
+    # a `criteria hc` witness with every p lowered by 3 starts at p_1 = -2;
+    # validation rejects it before reading any weight, for a table weight too
+    table = tmp_path / "w.json"
+    table.write_text(json.dumps([[2.0, 0.0]] * 100))
+    for weight in (f"table:{table}", "const:2"):
+        path = tmp_path / "pk.json"
+        code, _ = run_command(["criteria", "hc", "--space", "l1", "--weight", weight,
+                               "--count", "16", "--horizon-n", "8", "--out", str(path)])
+        assert code == 0
+        doc = json.loads(path.read_text())
+        wit = doc.get("hypercyclicity", doc)
+        wit["p"] = [p - 3 for p in wit["p"]]
+        path.write_text(json.dumps(doc))
+        code, payload = run_command(["build", "coord", "--space", "l1", "--weight", weight,
+                                     "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)])
+        assert code == 1 and payload["error"] == "config_invalid"
+        assert "does not validate" in payload["message"], payload["message"]

@@ -396,6 +396,15 @@ def test_weight_table_is_read_only(wspec):
             w._table_ph[1] = 99.0
 
 
+@pytest.mark.parametrize("wspec", ["const:2", "maclane", "table"])
+def test_negative_weight_index_is_rejected(wspec):
+    # a table used to be sliced from its end, const and maclane evaluated log v_{-3}
+    w = WeightSpec("table", table=[2.0] * 10) if wspec == "table" else WeightSpec.parse(wspec)
+    with pytest.raises(ValueError, match="negative"):
+        w.v_log_array(5, -3)
+    assert len(w.v_log_array(5, 0)) == 6
+
+
 @pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "maclane"])
 def test_weight_table_grown_in_place_matches_one_go(wspec):
     # ranges asked for in growing pieces, the way a scan reads them, give the

@@ -18,9 +18,10 @@ from hyperforge import (
     seminorm_eval,
     space,
 )
-from hyperforge.criteria import PkWitness, _window_extremes
+from hyperforge import criteria as criteria_mod
+from hyperforge.criteria import PkWitness, _verify_property_b, _window_extremes
 from hyperforge.spaces import basis_log_array
-from hyperforge.errors import PropertyBUnavailable, SearchExhausted, SpaceProductError, WeightError
+from hyperforge.errors import PropertyBUnavailable, SearchExhausted, SpaceProductError, WeightError, WitnessError
 
 
 class TestHypercyclicityWitness:
@@ -493,6 +494,81 @@ class TestBasisNormCompatibility:
     def test_coordinatewise_spaces_rejected(self):
         with pytest.raises(SpaceProductError):
             property_b_witness(space("c0"))
+
+
+def _property_b_first_failure(sp, wit):
+    """Conditions (ii) and (iii) by a plain loop over k and then n, one
+    scalar comparison at a time; the details of the first failure, or None."""
+    n_max, slack = wit.n_max, criteria_mod._SLACK
+    idx = np.arange(n_max + 1)
+    for r, (q, C1) in wit.cond_ii.items():
+        br = basis_log_array(sp, r, idx)
+        bq = basis_log_array(sp, q, np.arange(2 * n_max + 1))
+        for k in range(n_max + 1):
+            for n in range(n_max + 1):
+                if br[n] + br[k] > math.log(C1) + bq[n + k] + slack:
+                    return {"r": r, "n": n, "k": k}
+    for (m, M, r, t), (rho, tau, C2) in wit.cond_iii.items():
+        bt, btau = basis_log_array(sp, t, idx * m), basis_log_array(sp, tau, idx * m)
+        br, brho = basis_log_array(sp, r, idx), basis_log_array(sp, rho, np.arange(m * n_max + 1))
+        for k in range(M + 1):
+            for n in range(M, n_max + 1):
+                if bt[n] + br[n - k] > math.log(C2) + btau[n] / m + brho[m * n - k] + slack:
+                    return {"m": m, "M": M, "r": r, "t": t, "k": k, "n": n}
+    return None
+
+
+def _checker_failure(sp, wit):
+    try:
+        _verify_property_b(sp, wit)
+    except WitnessError as exc:
+        return exc.details
+    return None
+
+
+class TestPropertyBAgainstTheDoubleLoop:
+    @pytest.mark.parametrize("sid", ["l1", "entire_cauchy"])
+    def test_passing_witnesses(self, sid):
+        wit = property_b_witness(space(sid), m_max=3, M_max=4, r_max=3, n_max=60)
+        assert _property_b_first_failure(space(sid), wit) is None
+        assert _checker_failure(space(sid), wit) is None
+
+    @pytest.mark.parametrize("sid,key,entry,n_max,want", [
+        # a lowered constant fails at once
+        ("l1", 2, (1, 0.5), 60, {"r": 2, "n": 0, "k": 0}),
+        # ||e_n||_3 ||e_k||_3 against 1000 ||e_{n+k}||_2 fails once n + k > 17
+        ("entire_cauchy", 3, (2, 1000.0), 60, {"r": 3, "n": 18, "k": 0}),
+        # ... which a horizon of 15 first reaches at k = 3, past the first block
+        ("entire_cauchy", 3, (2, 1000.0), 15, {"r": 3, "n": 15, "k": 3}),
+    ])
+    def test_condition_ii_failures(self, monkeypatch, sid, key, entry, n_max, want):
+        # blocks of two k rows, so a failure can lie past the first block
+        monkeypatch.setattr(criteria_mod, "_PROP_B_BLOCK", 2 * (n_max + 1))
+        sp = space(sid)
+        wit = property_b_witness(sp, m_max=3, M_max=4, r_max=3, n_max=n_max)
+        wit.cond_ii[key] = entry
+        assert _property_b_first_failure(sp, wit) == want
+        assert _checker_failure(sp, wit) == want
+        assert not wit.validate(sp)
+
+    def test_condition_iii_failure(self):
+        # t^{mn} r^{n-k} <= C2 tau^n rho^{mn-k} with rho = t, tau = r reads
+        # k log(t / r) <= log C2, which C2 = e^2 breaks first at k = 3, n = M
+        sp = space("entire_cauchy")
+        wit = property_b_witness(sp, m_max=3, M_max=4, r_max=3, n_max=60, t_max=5)
+        key = (3, 4, 2, 5)
+        rho, tau, _ = wit.cond_iii[key]
+        wit.cond_iii[key] = (rho, tau, math.exp(2.0))
+        want = {"m": 3, "M": 4, "r": 2, "t": 5, "k": 3, "n": 4}
+        assert _property_b_first_failure(sp, wit) == want
+        assert _checker_failure(sp, wit) == want
+
+    def test_pairs_past_the_budget_end_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("HYPERFORGE_BUDGET", "1024")
+        assert property_b_witness(space("l1"), n_max=31).n_max == 31  # 32^2 = 1024 pairs
+        with pytest.raises(SearchExhausted) as exc:
+            property_b_witness(space("l1"), n_max=32)
+        assert exc.value.details == {"horizon_n": 32, "budget": 1024}
 
 
 class TestBudgetAndRevalidation:
