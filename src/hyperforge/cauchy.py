@@ -31,6 +31,7 @@ from .core import (
     WeightSpec,
     WideComplex,
     backward_iterate,
+    cauchy_monomials,
     cauchy_power,
     cauchy_product,
     forward_iterate,
@@ -451,20 +452,21 @@ def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, s
     return starts, keep, np.maximum(c1, c3[keep], out=c1), logb
 
 
+def two_part_block(eta: int, c: list[WideComplex], gamma: int,
+                   b: WideComplex) -> tuple[FiniteSeq, FiniteSeq]:
+    """(q, q + b e_gamma) for q = sum_j c_j e_{eta+j}."""
+    q_part = FiniteSeq({eta + j: cj for j, cj in enumerate(c)})
+    return q_part, (q_part + FiniteSeq.basis(gamma, b) if not b.is_zero else q_part)
+
+
 def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSolveResult:
     mb = WideComplex.from_real(float(m)) * b.powi(m - 1)  # m b^{m-1}; equals m when m = 1
     coeffs: list[WideComplex] = []
-    q_coef: dict[int, WideComplex] = {}
     for j in range(y.max_index + 1):
         yj = y.coef(j)
-        if yj.is_zero:
-            coeffs.append(WideComplex.zero())
-            continue
-        cj = (w.v(j) * yj) / (mb * w.v(eta + j + (m - 1) * gamma))
-        coeffs.append(cj)
-        q_coef[eta + j] = cj
-    q_part = FiniteSeq(q_coef)
-    block = q_part + FiniteSeq.basis(gamma, b) if not b.is_zero else q_part
+        coeffs.append(WideComplex.zero() if yj.is_zero
+                      else (w.v(j) * yj) / (mb * w.v(eta + j + (m - 1) * gamma)))
+    q_part, block = two_part_block(eta, coeffs, gamma, b)
     checks = block_checks(space, w, y, m, eta, gamma, b, q_part, block, r, eps_log / _LN2)
     eps = math.exp(eps_log) if eps_log > -700 else 0.0
     return BlockSolveResult(
@@ -586,7 +588,6 @@ class LambdaMatrix:
 def leading_form_column(
     coeffs: dict[tuple[int, ...], complex],
     lam: LambdaMatrix,
-    s: int,
     threshold: float = 1e-6,
     scan_budget: int | None = None,
     nu_min: int = 1,
@@ -597,7 +598,7 @@ def leading_form_column(
         raise LeadingFormVanishing("empty top-degree form")
     budget = scan_budget if scan_budget is not None else max(4 * lam.size, 1024)
     for nu in range(nu_min, nu_min + budget):
-        rho = _eval_form(coeffs, lam, s, nu)
+        rho = form_at_column(coeffs, lam.column(nu))
         if abs(rho) > threshold:
             return nu, rho
     raise LeadingFormVanishing(
@@ -608,14 +609,15 @@ def leading_form_column(
     )
 
 
-def _eval_form(coeffs, lam: LambdaMatrix, s: int, nu: int) -> complex:
+def form_at_column(form: dict[tuple[int, ...], complex], column) -> complex:
+    """sum_beta c_beta prod_k lambda_k^{beta_k} for the column (lambda_1, ...);
+    entries past the end of the column are 0."""
     rho = 0j
-    for beta, c in coeffs.items():
+    for beta, c in form.items():
         term = complex(c)
-        for k in range(1, s + 1):
-            e = beta[k - 1] if k - 1 < len(beta) else 0
+        for k, e in enumerate(beta):
             if e:
-                term *= lam.lam(k, nu) ** e
+                term *= (column[k] if k < len(column) else 0j) ** e
         rho += term
     return rho
 
@@ -713,28 +715,6 @@ def _structural_d2(rounds_prefix: list[CauchyRound], r: int, m: int, gamma: int,
     return Cert(value=float(worst), bound=float(a_r), passed=worst < a_r, op="lt")
 
 
-def _power_cache(blocks: list[FiniteSeq]):
-    cache: dict[tuple[int, int], FiniteSeq] = {}
-
-    def power(i: int, k: int) -> FiniteSeq:
-        key = (i, k)
-        if key not in cache:
-            cache[key] = cauchy_power(blocks[i - 1], k)
-        return cache[key]
-
-    return power
-
-
-def _product_for(power, alpha: tuple[int, ...]) -> FiniteSeq:
-    out = None
-    for i, e in enumerate(alpha, start=1):
-        if e == 0:
-            continue
-        piece = power(i, e)
-        out = piece if out is None else cauchy_product(out, piece)
-    return out if out is not None else FiniteSeq.basis(0)
-
-
 def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str) -> float:
     """Largest left-hand side (in log) over all fourth-condition inequalities
     at round r, each compared against 2^-r.
@@ -744,12 +724,11 @@ def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str) -> float:
     """
     if r == 1:
         return NEG_INF
-    blocks = [rd.block for rd in rounds_prefix[: r - 1]] + [block_r]
-    power = _power_cache(blocks)
+    monomial = cauchy_monomials([rd.block for rd in rounds_prefix[: r - 1]] + [block_r])
     # the multi-index sets and the products P^alpha do not depend on t
     alphas = {mu: enumerate_multi_indices(mu, r)
               for mu in range(1, max(rd.m for rd in rounds_prefix[: r - 1]) + 1)}
-    products = {alpha: _product_for(power, alpha) for mu_set in alphas.values() for alpha in mu_set}
+    products = {alpha: monomial(alpha) for mu_set in alphas.values() for alpha in mu_set}
     worst = NEG_INF
     for t in range(1, r):
         a_t = rounds_prefix[t - 1].a

@@ -664,6 +664,28 @@ def cauchy_power(x: FiniteSeq, m: int) -> FiniteSeq:
     return out
 
 
+def cauchy_monomials(seqs: list[FiniteSeq]):
+    """The map alpha -> prod_i seqs[i]^{alpha_i} under the Cauchy product.
+
+    Factors are multiplied left to right over the nonzero exponents, and each
+    power seqs[i]^e is built once per map; the empty product is e_0.
+    """
+    powers: dict[tuple[int, int], FiniteSeq] = {}
+
+    def monomial(alpha: tuple[int, ...]) -> FiniteSeq:
+        out = None
+        for i, e in enumerate(alpha):
+            if e == 0:
+                continue
+            piece = powers.get((i, e))
+            if piece is None:
+                piece = powers[(i, e)] = cauchy_power(seqs[i], e)
+            out = piece if out is None else cauchy_product(out, piece)
+        return out if out is not None else FiniteSeq.basis(0)
+
+    return monomial
+
+
 def backward_iterate(w: WeightSpec, x: FiniteSeq, a: int) -> FiniteSeq:
     """a-th power of the weighted backward shift: result_n = (v_{n+a}/v_n) x_{n+a}."""
     if a < 0:

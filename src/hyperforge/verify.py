@@ -2,12 +2,19 @@
 bundle re-validation.
 
 Everything here recomputes from the serialized bundle alone, so a report is
-reproducible bit-for-bit from the file.  Re-validation certifies each stored
-round through the same functions the builders use (``coordwise.coord_checks``,
-``cauchy.block_checks`` and ``cauchy.round_checks``), fed with the stored
-round and the stored rounds before it, and compares the result with the
-stored certificates; it keeps only the pairing and block-consistency checks
-of its own.  All seminorm comparisons use upper bounds (the sound direction).
+reproducible bit-for-bit from the file.
+
+Every orbit report measures ||T^{a_r} P(x) - rho y^(l)||_r through one round
+check, at the rounds it applies to only, and forms P(x) only when some round
+is checked.  The reports and the expansion oracle build their Cauchy products
+through ``core.cauchy_monomials``, as the D4/F4 certificate does.
+
+Re-validation certifies each stored round through the same functions the
+builders use (``coordwise.coord_checks``, ``cauchy.block_checks`` and
+``cauchy.round_checks``), fed with the stored round and the stored rounds
+before it, and compares the result with the stored certificates; it keeps only
+the pairing and block-consistency checks of its own.  All seminorm comparisons
+use upper bounds (the sound direction).
 """
 from __future__ import annotations
 
@@ -19,10 +26,12 @@ from .cauchy import (
     LambdaMatrix,
     block_checks,
     enumerate_multi_indices,
+    form_at_column,
     leading_form_column,
     multinomial,
     round_checks,
     tail_bound,
+    two_part_block,
 )
 from .coordwise import coord_checks
 from .core import (
@@ -30,8 +39,8 @@ from .core import (
     FiniteSeq,
     WideComplex,
     backward_iterate,
+    cauchy_monomials,
     cauchy_power,
-    cauchy_product,
     coordinatewise_power,
     coordinatewise_product,
     log_decode,
@@ -112,66 +121,64 @@ class OrbitReport:
         }
 
 
-def _round_check(space, q, diff, bound: float, *, round_, a, target, kind) -> RoundCheck:
-    dist_log = seminorm_eval(space, q, diff).upper_log
-    dist = log_decode(dist_log)
+def _round_check(bundle: Bundle, rd, value: FiniteSeq, bound: float, kind: str = "target",
+                 rho: complex | None = None) -> RoundCheck:
+    """||T^{a_r} value - rho y^(l)||_r of round ``rd`` against ``bound``; rho
+    defaults to 1, and a "zero" check drops the target term."""
+    diff = backward_iterate(bundle.weight, value, rd.a)
+    if kind == "target":
+        y = bundle.schedule().target(rd.l)
+        diff = diff - (y if rho is None else y.scale(WideComplex.from_complex(rho)))
+    dist_log = seminorm_eval(bundle.space, rd.r, diff).upper_log
     bound_log = math.log(bound) if bound > 0.0 else NEG_INF
     ratio = 0.0 if dist_log == NEG_INF else log_decode(dist_log - bound_log)
     return RoundCheck(
-        round=round_, a=a, target=target, q=q,
-        distance=dist, bound=bound, ratio=ratio,
+        round=rd.r, a=rd.a, target=rd.l, q=rd.r,
+        distance=log_decode(dist_log), bound=bound, ratio=ratio,
         passed=dist_log < bound_log, kind=kind,
     )
+
+
+def _report(bundle: Bundle, element: str, checks: list[RoundCheck], notes: tuple[str, ...] = (),
+            empty: str = "no applicable round within the built range") -> OrbitReport:
+    """The report of ``checks``, noting ``empty`` when no round was checked."""
+    rep = OrbitReport(bundle.bundle_id, element, checks, list(notes))
+    if not rep.checked:
+        rep.notes.append(empty)
+    return rep
 
 
 def orbit_power_report(bundle: Bundle, j: int) -> OrbitReport:
     """Distances of shifted j-th powers of the truncated generator against the
     scheduled targets, compared with the per-round bounds.
 
-    Coordinatewise bundles check rounds with degree j (bound 2^-t); Cauchy
-    bundles additionally check rounds of higher degree, where the shifted j-th
-    power must itself be small (bound 2^-r).  Rounds whose degree never
-    appears up to the built horizon yield an empty report.
+    Coordinatewise bundles check the rounds of degree j against 2^-r.  Cauchy
+    bundles check the rounds of degree j against 2^(1-r), and the rounds of
+    higher degree, where the shifted j-th power must itself be small, against
+    2^-r.  Only the checked rounds are shifted back, and the power is formed
+    only when some round is checked; otherwise the report is empty.
     """
     if j < 1:
         raise ValueError("power must be >= 1")
     if bundle.kind == "cauchy-algebrable":
         beta = (j,) + (0,) * (bundle.K - 1)
         return orbit_element_report(bundle, AlgebraElement({beta: 1.0}, bundle.K))
-    space, w = bundle.space, bundle.weight
-    sched = bundle.schedule()
-    checks: list[RoundCheck] = []
     if bundle.is_cauchy:
-        x = bundle.generator(1)
-        xj = cauchy_power(x, j)
-        for rd in bundle.rounds:
-            img = backward_iterate(w, xj, rd.a)
-            if rd.m == j:
-                checks.append(_round_check(
-                    space, rd.r, img - sched.target(rd.l), 2.0 ** (-rd.r + 1),
-                    round_=rd.r, a=rd.a, target=rd.l, kind="target",
-                ))
-            elif rd.m > j:
-                checks.append(_round_check(
-                    space, rd.r, img, 2.0 ** (-rd.r),
-                    round_=rd.r, a=rd.a, target=rd.l, kind="zero",
-                ))
+        rounds = [rd for rd in bundle.rounds if rd.m >= j]
+        xj = cauchy_power(bundle.generator(1), j) if rounds else None
+        checks = [
+            _round_check(bundle, rd, xj, 2.0 ** (-rd.r + 1)) if rd.m == j
+            else _round_check(bundle, rd, xj, 2.0 ** (-rd.r), kind="zero")
+            for rd in rounds
+        ]
     else:
-        gens = {k: bundle.generator(k) for k in range(1, bundle.K + 1)}
-        powers = {k: coordinatewise_power(g, j) for k, g in gens.items()}
-        for rd in bundle.rounds:
-            if rd.m != j:
-                continue
-            k = sched.class_of(rd.l)
-            img = backward_iterate(w, powers[k], rd.a)
-            checks.append(_round_check(
-                space, rd.r, img - sched.target(rd.l), 2.0 ** (-rd.r),
-                round_=rd.r, a=rd.a, target=rd.l, kind="target",
-            ))
-    rep = OrbitReport(bundle.bundle_id, f"x^{j}", checks)
-    if not checks:
-        rep.notes.append(f"no round of degree {j} within the built range 1..{bundle.R}")
-    return rep
+        class_of = bundle.schedule().class_of
+        rounds = [rd for rd in bundle.rounds if rd.m == j]
+        powers = {k: coordinatewise_power(bundle.generator(k), j)
+                  for k in {class_of(rd.l) for rd in rounds}}
+        checks = [_round_check(bundle, rd, powers[class_of(rd.l)], 2.0 ** (-rd.r)) for rd in rounds]
+    return _report(bundle, f"x^{j}", checks,
+                   empty=f"no round of degree {j} within the built range 1..{bundle.R}")
 
 
 def orbit_element_report(bundle: Bundle, z: AlgebraElement, rho_threshold: float = 1e-6) -> OrbitReport:
@@ -188,151 +195,81 @@ def orbit_element_report(bundle: Bundle, z: AlgebraElement, rho_threshold: float
 
 def _element_report_coord(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
     """Coordinatewise bundles: normalize the lowest surviving diagonal
-    coefficient to 1 and compare against (sum of remaining |c| + 2) * 2^-t."""
-    space, w = bundle.space, bundle.weight
-    sched = bundle.schedule()
+    coefficient to 1 and compare against (sum of remaining |c| + 2) * 2^-r."""
     diag = {
         (sum(beta), next(k for k, e in enumerate(beta) if e > 0) + 1): c
         for beta, c in z.coeffs.items()
         if sum(1 for e in beta if e > 0) == 1
     }
     if not diag:
-        rep = OrbitReport(bundle.bundle_id, z.describe(), [])
-        rep.notes.append(
+        return _report(bundle, z.describe(), [], empty=(
             "degenerate element: all terms mix distinct generators, so the "
             "element is exactly zero by the disjoint supports"
-        )
-        return rep
+        ))
     j = min(nu for nu, _ in diag)
     k_star = min(k for nu, k in diag if nu == j)
     pivot = diag[(j, k_star)]
     scaled = {key: c / pivot for key, c in diag.items()}
     bound_factor = 2.0 + sum(abs(c) for key, c in scaled.items() if key != (j, k_star))
 
-    gens = {k: bundle.generator(k) for k in range(1, bundle.K + 1)}
-    value = FiniteSeq.zero()
-    for (nu, k), c in scaled.items():
-        value = value + coordinatewise_power(gens[k], nu).scale(WideComplex.from_complex(c))
-
-    checks = []
-    for rd in bundle.rounds:
-        if rd.m != j or sched.class_of(rd.l) != k_star:
-            continue
-        img = backward_iterate(w, value, rd.a)
-        checks.append(_round_check(
-            space, rd.r, img - sched.target(rd.l), bound_factor * 2.0 ** (-rd.r),
-            round_=rd.r, a=rd.a, target=rd.l, kind="target",
-        ))
-    rep = OrbitReport(bundle.bundle_id, z.describe(), checks)
-    if not checks:
-        rep.notes.append("no applicable round within the built range")
-    return rep
+    class_of = bundle.schedule().class_of
+    rounds = [rd for rd in bundle.rounds if rd.m == j and class_of(rd.l) == k_star]
+    value = sum((coordinatewise_power(bundle.generator(k), nu).scale(WideComplex.from_complex(c))
+                 for (nu, k), c in scaled.items()), FiniteSeq.zero()) if rounds else None
+    checks = [_round_check(bundle, rd, value, bound_factor * 2.0 ** (-rd.r)) for rd in rounds]
+    return _report(bundle, z.describe(), checks)
 
 
 def _element_report_cauchy_single(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
     """Single-generator Cauchy bundles: normalize the top coefficient to 1 and
     compare against (sum of lower |c| + 2) * 2^-r at rounds of the top degree."""
-    space, w = bundle.space, bundle.weight
-    sched = bundle.schedule()
-    coeffs = {beta[0]: c for beta, c in z.coeffs.items()}
-    m = max(coeffs)
-    top = coeffs[m]
-    scaled = {mu: c / top for mu, c in coeffs.items()}
-    bound_factor = 2.0 + sum(abs(c) for mu, c in scaled.items() if mu != m)
-
-    x = bundle.generator(1)
-    value = FiniteSeq.zero()
-    for mu, c in scaled.items():
-        value = value + cauchy_power(x, mu).scale(WideComplex.from_complex(c))
-    checks = []
-    for rd in bundle.rounds:
-        if rd.m != m:
-            continue
-        img = backward_iterate(w, value, rd.a)
-        checks.append(_round_check(
-            space, rd.r, img - sched.target(rd.l), bound_factor * 2.0 ** (-rd.r),
-            round_=rd.r, a=rd.a, target=rd.l, kind="target",
-        ))
-    rep = OrbitReport(bundle.bundle_id, z.describe(), checks)
-    if not checks:
-        rep.notes.append("no applicable round within the built range")
-    return rep
+    m = z.degree_max
+    top = z.coeffs[(m,)]
+    scaled = {beta: c / top for beta, c in z.coeffs.items()}
+    bound_factor = 2.0 + sum(abs(c) for beta, c in scaled.items() if beta != (m,))
+    rounds = [rd for rd in bundle.rounds if rd.m == m]
+    value = _substitute_cauchy(scaled, bundle.generators()) if rounds else None
+    return _report(bundle, z.describe(),
+                   [_round_check(bundle, rd, value, bound_factor * 2.0 ** (-rd.r)) for rd in rounds])
 
 
 def _element_report_cauchy_algebrable(bundle: Bundle, z: AlgebraElement, rho_threshold: float) -> OrbitReport:
     """Lambda-matrix bundles: at rounds of the top degree whose column pushes
     the top form to rho != 0, compare against |rho| 2^-r + the explicit tail."""
-    space, w = bundle.space, bundle.weight
-    sched = bundle.schedule()
     lam = LambdaMatrix.from_json(bundle.lambda_params)
     m = z.degree_max
     top = z.top_form()
-    s = z.num_generators
     # existence of a usable column (recurrence provides arbitrarily large ones)
-    nu0, rho0 = leading_form_column(top, lam, s, threshold=rho_threshold)
+    nu0, rho0 = leading_form_column(top, lam, threshold=rho_threshold)
     c_per_degree = [
-        (1.0 + mu) ** s * max((abs(c) for b, c in z.coeffs.items() if sum(b) == mu), default=0.0)
+        (1.0 + mu) ** z.num_generators
+        * max((abs(c) for b, c in z.coeffs.items() if sum(b) == mu), default=0.0)
         for mu in range(1, m + 1)
     ]
-    gens = bundle.generators()
-    value = _substitute_cauchy(z, gens)
-    checks = []
-    for rd in bundle.rounds:
-        if rd.m != m:
-            continue
-        rho = _form_at_column(top, rd.lambda_column)
-        if abs(rho) <= rho_threshold:
-            checks.append(RoundCheck(
-                round=rd.r, a=rd.a, target=rd.l, q=rd.r,
-                distance=0.0, bound=0.0, ratio=0.0, passed=True,
-                kind="target", skipped=True,
-                note="column leaves the top form below the threshold",
-            ))
-            continue
-        bound = abs(rho) * 2.0 ** (-rd.r) + tail_bound(m, c_per_degree, rd.r)
-        img = backward_iterate(w, value, rd.a)
-        target = sched.target(rd.l).scale(WideComplex.from_complex(rho))
-        checks.append(_round_check(
-            space, rd.r, img - target, bound,
-            round_=rd.r, a=rd.a, target=rd.l, kind="target",
-        ))
-    rep = OrbitReport(bundle.bundle_id, z.describe(), checks)
-    rep.notes.append(f"leading form first certified at column {nu0} with rho={rho0!r}")
-    if not [rc for rc in checks if not rc.skipped]:
-        rep.notes.append("no applicable round within the built range")
-    return rep
+    pairs = [(rd, form_at_column(top, rd.lambda_column)) for rd in bundle.rounds if rd.m == m]
+    live = any(abs(rho) > rho_threshold for _, rho in pairs)
+    value = _substitute_cauchy(z.coeffs, bundle.generators()) if live else None
+    checks = [
+        _round_check(bundle, rd, value, abs(rho) * 2.0 ** (-rd.r) + tail_bound(m, c_per_degree, rd.r),
+                     rho=rho)
+        if abs(rho) > rho_threshold else RoundCheck(
+            round=rd.r, a=rd.a, target=rd.l, q=rd.r,
+            distance=0.0, bound=0.0, ratio=0.0, passed=True,
+            kind="target", skipped=True,
+            note="column leaves the top form below the threshold",
+        )
+        for rd, rho in pairs
+    ]
+    return _report(bundle, z.describe(), checks,
+                   (f"leading form first certified at column {nu0} with rho={rho0!r}",))
 
 
-def _form_at_column(top: dict, column: list[complex]) -> complex:
-    rho = 0j
-    for beta, c in top.items():
-        term = complex(c)
-        for k, e in enumerate(beta):
-            if e:
-                lam_k = column[k] if k < len(column) else 0j
-                term *= lam_k ** e
-        rho += term
-    return rho
-
-
-def _substitute_cauchy(z: AlgebraElement, gens: list[FiniteSeq]) -> FiniteSeq:
-    powers: dict[tuple[int, int], FiniteSeq] = {}
-
-    def gp(k: int, e: int) -> FiniteSeq:
-        if (k, e) not in powers:
-            powers[(k, e)] = cauchy_power(gens[k - 1], e)
-        return powers[(k, e)]
-
-    total = FiniteSeq.zero()
-    for beta, c in z.coeffs.items():
-        term = None
-        for k, e in enumerate(beta, start=1):
-            if e == 0:
-                continue
-            piece = gp(k, e)
-            term = piece if term is None else cauchy_product(term, piece)
-        total = total + term.scale(WideComplex.from_complex(c))
-    return total
+def _substitute_cauchy(coeffs: dict[tuple[int, ...], complex], seqs: list[FiniteSeq]) -> FiniteSeq:
+    """sum_alpha c_alpha prod_i seqs[i]^{alpha_i} under the Cauchy product,
+    added in the order of ``coeffs``."""
+    monomial = cauchy_monomials(seqs)
+    return sum((monomial(alpha).scale(WideComplex.from_complex(c)) for alpha, c in coeffs.items()),
+               FiniteSeq.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -371,41 +308,22 @@ def expansion_oracle(bundle: Bundle, z: AlgebraElement, degree_cap: int | None =
         raise ElementError(f"degree cap {cap} removes every term of the element")
     zc = AlgebraElement(kept, z.num_generators)
 
-    gens = bundle.generators()
-    brute = _substitute_cauchy(zc, gens)
-
-    R = bundle.R
+    brute = _substitute_cauchy(zc.coeffs, bundle.generators())
     if bundle.kind == "cauchy-algebrable":
         lamcols = [tuple(rd.lambda_column) for rd in bundle.rounds]
     else:
         lamcols = [(1.0 + 0j,) for _ in bundle.rounds]
-    blocks = [rd.block for rd in bundle.rounds]
-    powers: dict[tuple[int, int], FiniteSeq] = {}
-
-    def bp(i: int, e: int) -> FiniteSeq:
-        if (i, e) not in powers:
-            powers[(i, e)] = cauchy_power(blocks[i - 1], e)
-        return powers[(i, e)]
-
     d_alpha: dict[tuple[int, ...], complex] = {}
-    decomp = FiniteSeq.zero()
     for mu in range(1, zc.degree_max + 1):
         form = zc.homogeneous_coeffs(mu)
         if not form:
             continue
-        for t in range(1, R + 1):
+        for t in range(1, bundle.R + 1):
             for alpha in enumerate_multi_indices(mu, t):
                 d = _d_coefficient(form, alpha, lamcols)
-                if d == 0:
-                    continue
-                d_alpha[tuple(alpha)] = d
-                piece = None
-                for i, e in enumerate(alpha, start=1):
-                    if e == 0:
-                        continue
-                    q = bp(i, e)
-                    piece = q if piece is None else cauchy_product(piece, q)
-                decomp = decomp + piece.scale(WideComplex.from_complex(d))
+                if d != 0:
+                    d_alpha[alpha] = d
+    decomp = _substitute_cauchy(d_alpha, [rd.block for rd in bundle.rounds])
     err = brute.rel_distance(decomp)
     return ExpansionReport(brute, decomp, d_alpha, err, err <= 1e-10, partial)
 
@@ -634,8 +552,7 @@ def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
         if pairing.decode(rd.r) != expect:
             failed.append("pairing")
         y = sched.target(rd.l)
-        q_part = FiniteSeq({rd.eta + j: cj for j, cj in enumerate(rd.c) if not cj.is_zero})
-        block = q_part + FiniteSeq.basis(rd.gamma, rd.b) if not rd.b.is_zero else q_part
+        q_part, block = two_part_block(rd.eta, rd.c, rd.gamma, rd.b)
         if rd.block.rel_distance(block) > 1e-12:
             failed.append("block_consistency")
         # the stored C1 bound is the round's only record of eps; without a

@@ -178,7 +178,7 @@ def test_criterion_6_lambda_matrix_generators():
         assert bundle.passed
         z = AlgebraElement({(1, 1): 1.0, (1, 0): 1.0}, 2)
         lam = LambdaMatrix.from_json(bundle.lambda_params)
-        nu, rho = leading_form_column(z.top_form(), lam, 2)
+        nu, rho = leading_form_column(z.top_form(), lam)
         assert abs(rho) > 1e-6
         rep = orbit_element_report(bundle, z)
         live = [rc for rc in rep.rounds if not rc.skipped]

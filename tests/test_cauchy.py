@@ -29,7 +29,8 @@ from hyperforge import (
     space,
 )
 from hyperforge import cauchy as cauchy_mod
-from hyperforge.cauchy import _diagonal, _power_cache, _product_for, _scan_pairs
+from hyperforge.cauchy import _diagonal, _scan_pairs
+from hyperforge.core import cauchy_monomials
 from hyperforge.errors import (
     LeadingFormVanishing,
     SearchExhausted,
@@ -218,7 +219,7 @@ class TestInductiveConstruction:
         # the structural certificate asserts max support < a_r; evaluate for real
         b = cauchy_bundle_l1
         w = b.weight
-        power = _power_cache([rd.block for rd in b.rounds])
+        monomial = cauchy_monomials([rd.block for rd in b.rounds])
         for rd in b.rounds[2:6]:
             top = (0,) * (rd.r - 1) + (rd.m,)
             excluded = []
@@ -229,8 +230,7 @@ class TestInductiveConstruction:
                 excluded.extend(enumerate_multi_indices(rd.m, t))
             excluded.extend(a for a in enumerate_multi_indices(rd.m, rd.r) if a != top)
             for alpha in excluded:
-                prod = _product_for(power, alpha)
-                assert backward_iterate(w, prod, rd.a).is_zero
+                assert backward_iterate(w, monomial(alpha), rd.a).is_zero
 
     def test_first_round_is_an_exact_forward_image(self, cauchy_bundle_l1):
         rd = cauchy_bundle_l1.rounds[0]
@@ -288,13 +288,13 @@ class TestInductiveConstruction:
 def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
     """D4/F4 as it was computed before the products were shared across t:
     every P^alpha is rebuilt for each earlier round t; kept as an oracle."""
-    power = _power_cache([rd.block for rd in prefix[: r - 1]] + [block_r])
+    monomial = cauchy_monomials([rd.block for rd in prefix[: r - 1]] + [block_r])
     worst = -math.inf
     for t in range(1, r):
         for mu in range(1, prefix[t - 1].m + 1):
             acc = -math.inf
             for alpha in enumerate_multi_indices(mu, r):
-                img = backward_iterate(w, _product_for(power, alpha), prefix[t - 1].a)
+                img = backward_iterate(w, monomial(alpha), prefix[t - 1].a)
                 val = seminorm_eval(space_, r, img).upper_log
                 if mode == "max":
                     worst = max(worst, val)
@@ -308,25 +308,33 @@ def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
 @pytest.mark.parametrize("which", ["c", "ca"])
 def test_d4_builds_each_product_once(which, monkeypatch, cauchy_bundle_ec, lambda_bundle):
     # the README c.json and ca.json rounds: the same value as the per-(t, alpha)
-    # form, with one _product_for call per distinct alpha
+    # form, with one cauchy_monomials product per distinct alpha
     b, mode = (cauchy_bundle_ec, "sum") if which == "c" else (lambda_bundle, "max")
     assert b.bundle_id == {"c": "fad6f6dcb0f45d02", "ca": "1785e5e5716db747"}[which]
-    real = cauchy_mod._product_for
-    calls = []
+    real = cauchy_mod.cauchy_monomials
+    maps, calls = [], []
 
-    def counted(power, alpha):
-        calls.append(alpha)
-        return real(power, alpha)
+    def counted(seqs):
+        maps.append(seqs)
+        monomial = real(seqs)
+
+        def count(alpha):
+            calls.append(alpha)
+            return monomial(alpha)
+
+        return count
 
     for rd in b.rounds[1:]:
         r, prefix = rd.r, b.rounds[: rd.r - 1]
         want = _d4_per_t_and_alpha(b.space, b.weight, prefix, rd.block, r, mode)
+        maps.clear()
         calls.clear()
-        monkeypatch.setattr(cauchy_mod, "_product_for", counted)
+        monkeypatch.setattr(cauchy_mod, "cauchy_monomials", counted)
         got = cauchy_mod._d4_worst(b.space, b.weight, prefix, rd.block, r, mode)
-        monkeypatch.setattr(cauchy_mod, "_product_for", real)
+        monkeypatch.setattr(cauchy_mod, "cauchy_monomials", real)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), r
         alphas = {a for mu in range(1, max(p.m for p in prefix) + 1) for a in enumerate_multi_indices(mu, r)}
+        assert len(maps) == 1, r
         assert len(calls) == len(set(calls)) and set(calls) == alphas, r
 
 
@@ -355,14 +363,14 @@ class TestLambdaMatrix:
 
     def test_leading_form_examples(self):
         lam = LambdaMatrix(l_max=2)
-        nu, rho = leading_form_column({(2,): 1.0}, lam, 1)
+        nu, rho = leading_form_column({(2,): 1.0}, lam)
         assert nu == 1 and abs(rho) == pytest.approx(1.0)
-        nu, rho = leading_form_column({(1, 1): 1.0}, lam, 2)
+        nu, rho = leading_form_column({(1, 1): 1.0}, lam)
         assert (nu, rho) == (1, 1 + 0j)
-        nu, rho = leading_form_column({(1, 0): 1.0, (0, 1): -1.0}, lam, 2)
+        nu, rho = leading_form_column({(1, 0): 1.0, (0, 1): -1.0}, lam)
         assert nu == 2 and rho != 0  # skips the equal-entries column
         with pytest.raises(LeadingFormVanishing):
-            leading_form_column({}, lam, 2)
+            leading_form_column({}, lam)
 
     def test_generators_share_windows(self, lambda_bundle):
         g1, g2 = lambda_bundle.generators()

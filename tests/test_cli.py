@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -398,6 +399,23 @@ def test_reports_on_a_saved_bundle_print_the_built_id(tmp_path):
                  ["verify", "certificates", "--bundle", out]):
         code, payload = run_command(argv)
         assert code == 0 and payload["bundle_id"] == built["bundle_id"], argv
+
+
+@pytest.mark.parametrize("argv,note", [
+    (["verify", "power", "--power", "50"], "no round of degree 50 within the built range 1..8"),
+    (["verify", "element", "--element", "x1^50"], "no applicable round within the built range"),
+], ids=["power", "element"])
+def test_report_of_an_unbuilt_degree_forms_no_power(argv, note, targets_file, tmp_path):
+    # the README c.json has no round of degree 50, so x^50 is never formed
+    out = str(tmp_path / "c.json")
+    code, _ = run_command(["build", "cauchy", "--space", "entire_cauchy", "--weight", "maclane",
+                           "--targets", targets_file, "--rounds", "8", "--out", out])
+    assert code == 0
+    start = time.perf_counter()
+    code, payload = run_command([*argv, "--bundle", out])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and payload["rounds"] == [] and payload["summary"]["notes"] == [note]
+    assert elapsed < 1.0, elapsed
 
 
 def test_untouched_bundle_passes_the_id_check(readme_ca, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -23,11 +24,13 @@ from hyperforge import (
     space,
     zero_product_report,
 )
+from hyperforge.bundle import canonical_json
 from hyperforge.cauchy import block_checks, round_checks
 from hyperforge.coordwise import coord_checks
 from hyperforge.errors import BundleError, ElementError
+from hyperforge.parser import parse_element
 
-from conftest import standard_targets
+from conftest import PHASED_TARGETS_JSON, standard_targets
 
 L1 = space("l1")
 W2 = WeightSpec.parse("const:2")
@@ -183,6 +186,42 @@ class TestExpansionOracle:
         with pytest.raises(BundleError):
             expansion_oracle(coord_bundle, AlgebraElement({(1,): 1.0}, 1))
 
+    def test_each_power_and_product_is_built_once(self, monkeypatch, lambda_bundle):
+        # the generators and the blocks each get one product map: every power
+        # of a sequence is formed once, and every monomial once
+        import hyperforge.core as core_mod
+        import hyperforge.verify as verify_mod
+
+        real_power, real_monomials = core_mod.cauchy_power, core_mod.cauchy_monomials
+        powers, maps = [], []
+
+        def counted_power(x, e):
+            powers.append((x, e))
+            return real_power(x, e)
+
+        def counted_monomials(seqs):
+            calls = []
+            maps.append((seqs, calls))
+            monomial = real_monomials(seqs)
+
+            def count(alpha):
+                calls.append(alpha)
+                return monomial(alpha)
+
+            return count
+
+        monkeypatch.setattr(core_mod, "cauchy_power", counted_power)
+        monkeypatch.setattr(verify_mod, "cauchy_monomials", counted_monomials)
+        z = AlgebraElement({(1, 1): 1.0, (1, 0): 1.0, (0, 3): 0.5, (2, 1): -0.25}, 2)
+        rep = expansion_oracle(lambda_bundle, z)
+        assert rep.agree
+        (gens, gen_calls), (blocks, block_calls) = maps
+        assert gen_calls == list(z.coeffs) and block_calls == list(rep.d_alpha)
+        assert blocks == [rd.block for rd in lambda_bundle.rounds]
+        want = {(id(gens[k]), e) for beta in gen_calls for k, e in enumerate(beta) if e}
+        want |= {(id(blocks[i]), e) for alpha in block_calls for i, e in enumerate(alpha) if e}
+        assert len(powers) == len(want) and {(id(x), e) for x, e in powers} == want
+
 
 class TestZeroProducts:
     def test_three_generators_three_exact_zero_pairs(self, coord_k3):
@@ -279,3 +318,128 @@ class TestNonFiniteGeneration:
     def test_only_lambda_bundles(self, cauchy_bundle):
         with pytest.raises(BundleError):
             nonfinite_generation_witness(cauchy_bundle)
+
+
+# -- report bytes ----------------------------------------------------------------
+
+EC = space("entire_cauchy")
+MACLANE = WeightSpec.parse("maclane")
+
+
+# the four README-session builds and a Cauchy build on phased targets, whose
+# [re, im] coefficients do not all survive a save and load
+REPORT_BUNDLES = {
+    "g": lambda: build_generator(CoordState(L1, W2, standard_targets()), 12),
+    "g3": lambda: build_algebrable(CoordState(L1, W2, standard_targets(), K=3), 12),
+    "c": lambda: build_generator_cauchy(CauchyState(EC, MACLANE, standard_targets()), 8),
+    "ca": lambda: build_algebrable_cauchy(
+        CauchyState(L1, W2, standard_targets(), algebrable=True, K=2), 8
+    ),
+    "phased": lambda: build_generator_cauchy(CauchyState(
+        EC, MACLANE, [FiniteSeq.from_json(t) for t in PHASED_TARGETS_JSON]), 6),
+}
+
+# the reports each bundle admits, besides the power reports j = 1..4 and
+# the certificate revalidation
+REPORT_KINDS = {
+    "g": ["element:x1^2 + 0.3*x1^3", "zero-products"],
+    "g3": ["element:x1^2 + 0.3*x1^3", "element:x1*x2", "zero-products"],
+    "c": ["element:x1^2 + x1", "expansion:x1^2 + x1"],
+    "ca": ["element:x1*x2 + x1", "expansion:x1*x2 + x1", "witness"],
+    "phased": ["element:x1^2 + x1", "expansion:x1^2 + x1"],
+}
+
+
+def _report_json(bundle, kind):
+    name, _, arg = kind.partition(":")
+    if name == "power":
+        return orbit_power_report(bundle, int(arg)).to_json()
+    if name == "zero-products":
+        return zero_product_report(bundle).to_json()
+    if name == "witness":
+        return nonfinite_generation_witness(bundle)
+    if name == "certificates":
+        return revalidate_bundle(bundle).to_json()
+    z = parse_element(arg, num_generators=bundle.K).element()
+    if name == "element":
+        return orbit_element_report(bundle, z).to_json()
+    return expansion_oracle(bundle, z).to_json()
+
+
+def _report_digests(bundle, which):
+    """sha256 prefix of the canonical JSON of every report kind on ``bundle``."""
+    kinds = [f"power:{j}" for j in range(1, 5)] + REPORT_KINDS[which] + ["certificates"]
+    return {
+        kind: hashlib.sha256(canonical_json(_report_json(bundle, kind)).encode()).hexdigest()[:16]
+        for kind in kinds
+    }
+
+
+# any change to the numbers or the layout of a report shows here
+REPORT_DIGESTS = {
+    "g": {
+        "power:1": "c90a199a3da50690",
+        "power:2": "023142c2098501f7",
+        "power:3": "f2f9436af338141b",
+        "power:4": "dddcef1d6f05b0f6",
+        "element:x1^2 + 0.3*x1^3": "3685202ffc5cb04c",
+        "zero-products": "366f24eaff56605d",
+        "certificates": "34f7050880f55e4c",
+    },
+    "g3": {
+        "power:1": "d885a4cbe47f4b88",
+        "power:2": "1e99bd78af36d83e",
+        "power:3": "c83033c01cc7519e",
+        "power:4": "c405d934130c4c73",
+        "element:x1^2 + 0.3*x1^3": "796315ce436193dc",
+        "element:x1*x2": "bcb1f0a118a87cd3",
+        "zero-products": "6bfc06bef20c9c68",
+        "certificates": "b7f5153fe4a36022",
+    },
+    "c": {
+        "power:1": "8f08783f8288cf57",
+        "power:2": "ced7de63e9607000",
+        "power:3": "c2adf02402eb1fb2",
+        "power:4": "1e746b04471e63fb",
+        "element:x1^2 + x1": "da0e04b442cc0f0a",
+        "expansion:x1^2 + x1": "c0796b1823afaba1",
+        "certificates": "e6dff96538f331b2",
+    },
+    "ca": {
+        "power:1": "7158eaf15935a552",
+        "power:2": "71e3ed11794edaab",
+        "power:3": "fd819aa6de00064e",
+        "power:4": "6594cd81cd9d3bf4",
+        "element:x1*x2 + x1": "5995928b64c8abe5",
+        "expansion:x1*x2 + x1": "ae4da154a585f752",
+        "witness": "c36589ea8fe0b3f9",
+        "certificates": "2bd58160c9852369",
+    },
+    "phased": {
+        "power:1": "9a0151d96cd02148",
+        "power:2": "18ecf8cdd9b77b1d",
+        "power:3": "1224f44f4b75852d",
+        "power:4": "d2d1abb17145701b",
+        "element:x1^2 + x1": "4c6f5cde89dafe30",
+        "expansion:x1^2 + x1": "c3461707ac85408c",
+        "certificates": "c6935cddaf47e6db",
+    },
+}
+# the loaded phased bundle decodes to other coefficients, which move these reports
+LOADED_DIGESTS = {
+    "phased": {
+        "power:1": "437fe9c0d350816b",
+        "expansion:x1^2 + x1": "d91296748b606071",
+    },
+}
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("which", list(REPORT_BUNDLES))
+def test_report_bytes_are_pinned(which, loaded, tmp_path):
+    bundle = REPORT_BUNDLES[which]()
+    if loaded:
+        bundle.save(str(tmp_path / "b.json"))
+        bundle = Bundle.load(str(tmp_path / "b.json"))
+    want = dict(REPORT_DIGESTS[which], **(LOADED_DIGESTS.get(which, {}) if loaded else {}))
+    assert _report_digests(bundle, which) == want
