@@ -45,7 +45,7 @@ from .element import AlgebraElement
 from .errors import HyperforgeError
 from .parser import ElementExpr, parse_element
 from .schedule import PairOrder, TargetSchedule, TripleOrder
-from .spaces import SeminormValue, SpaceSpec, basis_seminorm, seminorm_eval, space
+from .spaces import SpaceSpec, seminorm_eval, space
 from .verify import (
     OrbitReport,
     expansion_oracle,

@@ -148,7 +148,6 @@ def solve_building_block(
     eps_log: float | None = None,
     mixing: MixingCertificate | None = None,
     prop_b: PropertyBWitness | None = None,
-    pair_budget: int | None = None,
 ) -> BlockSolveResult:
     """Find eta >= N, gamma > eta + 2s, and coefficients b, c_0..c_s such that
     p = sum c_j e_{eta+j} + b e_gamma satisfies C1-C3 at seminorm index r.
@@ -186,17 +185,17 @@ def solve_building_block(
         return _assemble(space, w, y, m, r, eps_log, eta, gamma, b)
 
     if m == 1:
-        eta = _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget)
+        eta = _scan_eta_m1(space, w, y, r, N, eps_log)
         return _assemble(space, w, y, 1, r, eps_log, eta, eta + 2 * s + 1, WideComplex.zero())
 
-    eta, gamma, logb, _ = _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget)
+    eta, gamma, logb, _ = _scan_pairs(space, w, y, m, r, N, eps_log)
     return _assemble(space, w, y, m, r, eps_log, eta, gamma, WideComplex(logb, 0.0))
 
 
-def _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget) -> int:
+def _scan_eta_m1(space, w, y, r, N, eps_log) -> int:
     target = eps_log - _LN2  # aim for eps/2, mirroring the two-part split for m >= 2
     terms = [(j, w.v_log(j) + c.log_mag) for j, c in y.items()]
-    budget = pair_budget if pair_budget is not None else search_budget()
+    budget = search_budget()
     eta = N
     chunk = 1024
     while eta <= N + budget:
@@ -215,7 +214,7 @@ def _scan_eta_m1(space, w, y, r, N, eps_log, pair_budget) -> int:
     raise SearchExhausted("no eta admitted the degree-1 block within budget", N=N, eps_log=eps_log)
 
 
-def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget) -> tuple[int, int, float, int]:
+def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, int, float, int]:
     """Walk (eta, gamma) by increasing eta + gamma (then gamma) and return the
     first pair, on the anti-diagonals the walk visits, whose closed-form b
     passes C1 and C3 in the log domain.
@@ -500,8 +499,8 @@ def block_checks(space, w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq, 
     )
     res = lhs.rel_distance(forward_iterate(w, y, shift))
     return {
-        "C1": Cert.less(seminorm_eval(space, rho, block).upper_log, eps_log2),
-        "C3": Cert.less(seminorm_eval(space, rho, c3).upper_log, eps_log2),
+        "C1": Cert.less(seminorm_eval(space, rho, block), eps_log2),
+        "C3": Cert.less(seminorm_eval(space, rho, c3), eps_log2),
         "C2_residual": Cert(value=res, bound=_C2_TOL, passed=res <= _C2_TOL, op="le"),
     }
 
@@ -541,28 +540,26 @@ class LambdaMatrix:
 
     l_max: int
     denom_max: int = 1
-    entries: list[tuple[complex, ...]] = field(default_factory=list, repr=False)
+    entries: list[tuple[complex, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.l_max < 1 or self.denom_max < 1:
             raise ValueError("lambda matrix needs l_max >= 1 and denom_max >= 1")
-        if not self.entries:
-            vals = _entry_values(self.denom_max)
-            if len(vals) ** self.l_max > 1_000_000:
-                raise ValueError("lambda matrix enumeration too large; lower l_max/denom_max")
-            ents: list[tuple[complex, ...]] = []
-            for L in range(self.l_max, 0, -1):
-                idx = [0] * L
-                while True:
-                    ents.append(tuple(vals[i] for i in idx))
-                    for pos in range(L - 1, -1, -1):
-                        idx[pos] += 1
-                        if idx[pos] < len(vals):
-                            break
-                        idx[pos] = 0
-                    else:
+        vals = _entry_values(self.denom_max)
+        if len(vals) ** self.l_max > 1_000_000:
+            raise ValueError("lambda matrix enumeration too large; lower l_max/denom_max")
+        self.entries = []
+        for L in range(self.l_max, 0, -1):
+            idx = [0] * L
+            while True:
+                self.entries.append(tuple(vals[i] for i in idx))
+                for pos in range(L - 1, -1, -1):
+                    idx[pos] += 1
+                    if idx[pos] < len(vals):
                         break
-            self.entries = ents
+                    idx[pos] = 0
+                else:
+                    break
 
     @property
     def size(self) -> int:
@@ -585,26 +582,24 @@ class LambdaMatrix:
         return cls(l_max=data["l_max"], denom_max=data["denom_max"])
 
 
-def leading_form_column(
-    coeffs: dict[tuple[int, ...], complex],
-    lam: LambdaMatrix,
-    threshold: float = 1e-6,
-    scan_budget: int | None = None,
-    nu_min: int = 1,
-) -> tuple[int, complex]:
-    """First column nu >= nu_min where the top-degree form evaluates above the
-    threshold; recurrence of columns makes arbitrarily large instances exist."""
+# a column whose top-degree form has modulus at most this counts as vanishing
+RHO_THRESHOLD = 1e-6
+
+
+def leading_form_column(coeffs: dict[tuple[int, ...], complex], lam: LambdaMatrix) -> tuple[int, complex]:
+    """First column nu >= 1 where the top-degree form evaluates above
+    RHO_THRESHOLD; recurrence of columns makes arbitrarily large instances exist."""
     if not coeffs:
         raise LeadingFormVanishing("empty top-degree form")
-    budget = scan_budget if scan_budget is not None else max(4 * lam.size, 1024)
-    for nu in range(nu_min, nu_min + budget):
+    budget = max(4 * lam.size, 1024)
+    for nu in range(1, budget + 1):
         rho = form_at_column(coeffs, lam.column(nu))
-        if abs(rho) > threshold:
+        if abs(rho) > RHO_THRESHOLD:
             return nu, rho
     raise LeadingFormVanishing(
         "no column pushed the top-degree form above the threshold; "
         "the form may vanish on the scanned grid",
-        threshold=threshold,
+        threshold=RHO_THRESHOLD,
         scanned=budget,
     )
 
@@ -671,8 +666,6 @@ class CauchyState:
         algebrable: bool = False,
         K: int = 1,
         lam: LambdaMatrix | None = None,
-        mixing: MixingCertificate | None = None,
-        prop_b: PropertyBWitness | None = None,
     ):
         if not space.supports_cauchy:
             raise SpaceProductError(f"{space.cli_id} is not an algebra under the Cauchy product")
@@ -684,16 +677,13 @@ class CauchyState:
         self.pairing = TripleOrder() if algebrable else PairOrder()
         self.lam = (lam or LambdaMatrix(l_max=self.K)) if algebrable else None
         omega = space.space_id == "omega_cauchy"
-        self.mixing = mixing if mixing is not None else check_mixing(space, w)
+        self.mixing = check_mixing(space, w)
         if not omega and not self.mixing.passed:
             raise WitnessError(
                 "the weight is not mixing on this space at the checked horizon",
                 failure=self.mixing.failure,
             )
-        if omega:
-            self.prop_b = None
-        else:
-            self.prop_b = prop_b if prop_b is not None else _state_property_b(space)
+        self.prop_b = None if omega else _state_property_b(space)
         self.rounds: list[CauchyRound] = []
 
 
@@ -737,7 +727,7 @@ def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str) -> float:
             acc = NEG_INF
             for alpha in alphas[mu]:
                 img = backward_iterate(w, products[alpha], a_t)
-                val = seminorm_eval(space, r, img).upper_log
+                val = seminorm_eval(space, r, img)
                 if mode == "max":
                     worst = max(worst, val)
                 else:
@@ -765,9 +755,9 @@ def round_checks(space, w, y, prefix: list[CauchyRound], rd: CauchyRound,
     diff = backward_iterate(w, cauchy_power(rd.block, m), a) - y
     d4 = _d4_worst(space, w, prefix, rd.block, r, "max" if algebrable else "sum")
     checks = {
-        f"{label}1": Cert.less(seminorm_eval(space, r, rd.block).upper_log, -r),
+        f"{label}1": Cert.less(seminorm_eval(space, r, rd.block), -r),
         f"{label}2": _structural_d2(prefix, r, m, rd.gamma, a),
-        f"{label}3": Cert.less(seminorm_eval(space, r, diff).upper_log, -r),
+        f"{label}3": Cert.less(seminorm_eval(space, r, diff), -r),
         f"{label}4": Cert.less(d4, -r),
     }
     separated = a <= m * rd.gamma and (not prefix or rd.eta > prefix[-1].m * prefix[-1].gamma)
@@ -863,33 +853,20 @@ def build_round(state: CauchyState, r: int) -> CauchyRound:
 
 
 def build_generator_cauchy(state: CauchyState, R: int) -> Bundle:
-    """Drive rounds 1..R and assemble the truncated single-generator bundle."""
-    if state.algebrable:
-        raise ValueError("state is configured for the multi-generator construction")
+    """Drive rounds 1..R and assemble the truncated bundle: one generator, or
+    for an algebrable state K generators sharing the blocks, scaled per round
+    by the lambda column."""
     for r in range(len(state.rounds) + 1, R + 1):
         build_round(state, r)
     return Bundle(
-        kind="cauchy",
-        space=state.space,
-        weight=state.w,
-        targets=list(state.schedule.targets),
-        K=1,
-        rounds=list(state.rounds[:R]),
-    )
-
-
-def build_algebrable_cauchy(state: CauchyState, R: int) -> Bundle:
-    """K generators sharing the blocks, scaled per round by the lambda column."""
-    if not state.algebrable:
-        raise ValueError("state is configured for the single-generator construction")
-    for r in range(len(state.rounds) + 1, R + 1):
-        build_round(state, r)
-    return Bundle(
-        kind="cauchy-algebrable",
+        kind="cauchy-algebrable" if state.algebrable else "cauchy",
         space=state.space,
         weight=state.w,
         targets=list(state.schedule.targets),
         K=state.K,
         rounds=list(state.rounds[:R]),
-        lambda_params=state.lam.to_json(),
+        lambda_params=state.lam.to_json() if state.algebrable else None,
     )
+
+
+build_algebrable_cauchy = build_generator_cauchy

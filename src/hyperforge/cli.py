@@ -113,7 +113,7 @@ def _cmd_criteria(args) -> tuple[int, dict]:
             horizon_q=args.horizon_q,
             growth=args.growth,
         )
-        code, payload = 0, {"hypercyclicity": wit.to_json(max_entries=args.count)}
+        code, payload = 0, {"hypercyclicity": wit.to_json()}
     _write_json(payload, args.out)
     return code, payload
 

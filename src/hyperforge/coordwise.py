@@ -56,8 +56,6 @@ class CoordState:
         K: int = 1,
         *,
         pk: PkWitness | None = None,
-        pk_horizon_n: int = 64,
-        pk_horizon_q: int = 5,
     ):
         if not space.supports_coordinatewise:
             raise SpaceProductError(
@@ -68,7 +66,7 @@ class CoordState:
         self.schedule = TargetSchedule(targets, K)
         self.pairing = PairOrder()
         self.pk = pk if pk is not None else find_pk_witness(
-            space, w, 64, horizon_n=pk_horizon_n, horizon_q=pk_horizon_q, growth=True
+            space, w, 64, horizon_n=64, horizon_q=5, growth=True
         )
         self.rounds: list[CoordRound] = []
 
@@ -147,14 +145,14 @@ def coord_checks(space: SpaceSpec, w: WeightSpec, schedule: TargetSchedule, pair
     """A1, A2 and A3 of round r with index a and block ``block``, after the
     rounds ``prev_rounds`` (rounds 1..r-1).  The builder and bundle
     re-validation both certify through this function."""
-    checks = {"A1": Cert.less(seminorm_eval(space, r, block).upper_log, -r)}
+    checks = {"A1": Cert.less(seminorm_eval(space, r, block), -r)}
     if r >= 2:
         d_r = pairing.max_degree_before(r)
         worst = NEG_INF
         for t_round in prev_rounds:
             for nu in range(1, d_r + 1):
                 img = backward_iterate(w, coordinatewise_power(block, nu), t_round.a)
-                worst = max(worst, seminorm_eval(space, r, img).upper_log)
+                worst = max(worst, seminorm_eval(space, r, img))
         checks["A2"] = Cert.less(worst, -r)
         prev = prev_rounds[-1]
         checks["A3"] = Cert.greater(a - prev.a, schedule.s(prev.l))
@@ -223,7 +221,8 @@ def select_ar(state: CoordState, r: int) -> CoordRound:
 
 
 def build_generator(state: CoordState, R: int) -> Bundle:
-    """Drive rounds 1..R and assemble the truncated generator bundle."""
+    """Drive rounds 1..R and assemble the bundle of state.K disjointly
+    supported generators sharing one round sequence."""
     for r in range(len(state.rounds) + 1, R + 1):
         select_ar(state, r)
     _assert_disjoint(state.rounds[:R])
@@ -238,11 +237,7 @@ def build_generator(state: CoordState, R: int) -> Bundle:
     )
 
 
-def build_algebrable(state: CoordState, R: int) -> Bundle:
-    """K disjointly supported generators sharing one round sequence (K = state.K)."""
-    if state.K < 1:
-        raise ValueError("need K >= 1")
-    return build_generator(state, R)
+build_algebrable = build_generator
 
 
 def _assert_disjoint(rounds: list[CoordRound]) -> None:

@@ -496,11 +496,15 @@ class WeightSpec:
             try:
                 with open(path) as fh:
                     raw = _json.load(fh)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise WeightError(f"cannot read weight table {path!r}: {exc}") from exc
             if not isinstance(raw, list):
                 raise WeightError("weight table file must hold a JSON list of [re, im] pairs")
-            return cls("table", table=[complex(entry[0], entry[1]) for entry in raw])
+            try:
+                table = [complex(entry[0], entry[1]) for entry in raw]
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                raise WeightError(f"weight table entries must be [re, im] pairs: {exc!r}") from exc
+            return cls("table", table=table)
         raise WeightError(f"bad weight spec {spec!r}; use const:<a+bi>, maclane, or table:<path>")
 
     def to_json(self) -> dict:

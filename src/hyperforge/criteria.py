@@ -212,12 +212,11 @@ class PkWitness:
         lg = float(self.tol_log[k - 1])
         return math.exp(lg) if lg > -700 else 0.0
 
-    def to_json(self, max_entries: int | None = None) -> dict:
-        upto = self.count if max_entries is None else min(max_entries, self.count)
+    def to_json(self) -> dict:
         out = {
-            "p": [int(v) for v in self.p[:upto]],
-            "value_log": [float(v) for v in self.value_log[:upto]],
-            "tol_log": [float(v) for v in self.tol_log[:upto]],
+            "p": [int(v) for v in self.p],
+            "value_log": [float(v) for v in self.value_log],
+            "tol_log": [float(v) for v in self.tol_log],
             "count": self.count,
             "horizon_n": self.horizon_n,
             "horizon_q": self.horizon_q,
@@ -225,8 +224,8 @@ class PkWitness:
             "q_rule": f"min(k, {self.horizon_q})",
         }
         if self.growth:
-            out["vmin_log"] = [float(v) for v in self.vmin_log[:upto]]
-            out["growth_log"] = [float(v) for v in self.growth_log[:upto]]
+            out["vmin_log"] = [float(v) for v in self.vmin_log]
+            out["growth_log"] = [float(v) for v in self.growth_log]
         return out
 
     @classmethod
@@ -256,10 +255,11 @@ class PkWitness:
         hi = p[np.concatenate((starts - 1, [len(p) - 1]))] if len(p) else p
         return cls(lo, hi, horizon_n, horizon_q, growth, tol, g, arrays=arrays)
 
-    def validate(self, space: SpaceSpec, w: WeightSpec, stride: int | None = None) -> bool:
+    def validate(self, space: SpaceSpec, w: WeightSpec) -> bool:
         """Pure re-check: indices start at 1 or above and increase, tolerances
-        strictly decrease and follow the data-driven rule, and every certified
-        inequality reproduces (sampled for huge witnesses)."""
+        strictly decrease and follow the data-driven rule, growth thresholds
+        follow theirs (g_1 = -inf, g_{k+1} = vmin_k, bit for bit), and every
+        certified inequality reproduces (sampled for huge witnesses)."""
         if self.count == 0 or self.p[0] < 1 or np.any(np.diff(self.p) <= 0):
             return False
         if self.tol_log[0] != 0.0 or np.any(np.diff(self.tol_log) >= 0):
@@ -268,8 +268,9 @@ class PkWitness:
         expect = np.where(prev_val != NEG_INF, prev_val, prev_tol - _LN2)
         if np.any(self.tol_log[1:] != expect):
             return False
-        if stride is None:
-            stride = 1 if self.count <= 20000 else self.count // 10000
+        if self.growth and np.any(self.growth_log != np.concatenate(([NEG_INF], self.vmin_log[:-1]))):
+            return False
+        stride = 1 if self.count <= 20000 else self.count // 10000
         ks = sorted(set(range(1, self.count + 1, stride)) | {1, self.count})
         for k in ks:
             pk = int(self.p[k - 1])
@@ -312,8 +313,6 @@ def find_pk_witness(
     horizon_q: int = 5,
     *,
     growth: bool = False,
-    start_after: int = 0,
-    scan_limit: int | None = None,
 ) -> PkWitness:
     """Scan indices ascending, certifying each accepted one on the horizon.
 
@@ -326,7 +325,7 @@ def find_pk_witness(
     hi: list[int] = []
     tol, g = _scan_pk(
         space, w, count, horizon_n, horizon_q, growth, lo, hi,
-        k_start=1, p_start=start_after, tol0=0.0, g0=NEG_INF, scan_limit=scan_limit,
+        k_start=1, p_start=0, tol0=0.0, g0=NEG_INF,
     )
     return PkWitness(lo, hi, horizon_n, horizon_q, growth, tol, g, source=(space, w))
 
@@ -339,16 +338,15 @@ def extend_pk_witness(space: SpaceSpec, w: WeightSpec, pk: PkWitness, count: int
     tol, g = _scan_pk(
         space, w, count - pk.count, pk.horizon_n, pk.horizon_q, pk.growth, lo, hi,
         k_start=pk.count + 1, p_start=pk.last, tol0=pk.next_tol_log, g0=pk.next_growth_log,
-        scan_limit=None,
     )
     return PkWitness(lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g, source=(space, w))
 
 
-def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_start, p_start, tol0, g0, scan_limit):
+def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_start, p_start, tol0, g0):
     """Accept `need` indices past p_start, appending them to the runs
     run_lo/run_hi (merged into the last run where adjacent); returns the next
     log tolerance and log growth threshold."""
-    limit = scan_limit if scan_limit is not None else search_budget()
+    limit = search_budget()
     if w.kind == "table":
         limit = min(limit, int(w.max_index) - horizon_n - 1)
         if limit <= p_start:

@@ -90,7 +90,7 @@ class TargetSchedule:
     def __post_init__(self):
         if not self.targets:
             raise ConfigError("target schedule needs at least one target")
-        if any(t.is_zero for t in self.targets):
+        if any(t.is_zero or any(not c.log_mag < math.inf for _, c in t.items()) for t in self.targets):
             raise ConfigError("targets must be nonzero finite sequences")
         if self.K < 1:
             raise ConfigError("partition size K must be >= 1")

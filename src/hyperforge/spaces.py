@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .core import NEG_INF, FiniteSeq, WideComplex, log_decode, log_sum
+from .core import NEG_INF, FiniteSeq, log_sum
 from .errors import SpaceProductError, SpaceUnknownError
 
 CANONICAL_PRODUCT = {
@@ -32,8 +30,6 @@ CANONICAL_PRODUCT = {
 # seminorm families that are submultiplicative for the given product
 _COORDINATEWISE_ALGEBRAS = {"l_p", "c0", "l1", "entire_hadamard", "omega_coord"}
 _CAUCHY_ALGEBRAS = {"l1", "entire_cauchy", "omega_cauchy"}
-
-CIRCLE_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -113,35 +109,6 @@ _FAMILY_DOC = {
 }
 
 
-class SeminormValue:
-    """Interval enclosure [lower, upper] of a seminorm in log form.  The ends
-    are equal except for entire_cauchy, whose lower end (a circle scan that no
-    certificate reads) is sampled on the first read of ``lower``,
-    ``lower_log`` or ``is_exact``, then cached.  ``upper_log`` drives all
-    certificate comparisons; decoded values saturate to inf on overflow.
-    """
-
-    def __init__(self, upper_log: float, sample_lower_log: Callable[[], float] | None = None):
-        self.upper_log = upper_log
-        self._sample_lower_log = sample_lower_log
-
-    @cached_property
-    def lower_log(self) -> float:
-        return self.upper_log if self._sample_lower_log is None else self._sample_lower_log()
-
-    @property
-    def lower(self) -> float:
-        return log_decode(self.lower_log)
-
-    @property
-    def upper(self) -> float:
-        return log_decode(self.upper_log)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lower_log == self.upper_log
-
-
 def _check_q(q: int) -> int:
     q = int(q)
     if q < 1:
@@ -149,60 +116,29 @@ def _check_q(q: int) -> int:
     return q
 
 
-def seminorm_eval(space: SpaceSpec, q: int, x: FiniteSeq) -> SeminormValue:
-    """Evaluate the q-th seminorm of x as a sound [lower, upper] enclosure."""
+def seminorm_eval(space: SpaceSpec, q: int, x: FiniteSeq) -> float:
+    """log ||x||_q (-inf encodes the exact zero): exact, except that the
+    sup-circle norm of entire_cauchy is bounded above by sum |x_n| q^n."""
     q = _check_q(q)
     sid = space.space_id
     if sid == "l_p":
         p = space.p
         total = log_sum(c.log_mag * p for _, c in x.items())
-        return SeminormValue(total / p if total not in (NEG_INF, math.inf) else total)
+        return total / p if total not in (NEG_INF, math.inf) else total
     if sid == "c0":
-        return SeminormValue(max((c.log_mag for _, c in x.items()), default=NEG_INF))
+        return max((c.log_mag for _, c in x.items()), default=NEG_INF)
     if sid == "l1":
-        return SeminormValue(log_sum(c.log_mag for _, c in x.items()))
-    if sid == "entire_hadamard":
-        lq = math.log(q)
-        return SeminormValue(log_sum(c.log_mag + n * lq for n, c in x.items()))
-    if sid == "omega_coord":
-        return SeminormValue(
-            max((c.log_mag for n, c in x.items() if n <= q), default=NEG_INF)
-        )
-    if sid == "omega_cauchy":
-        return SeminormValue(log_sum(c.log_mag for n, c in x.items() if n <= q))
-    # entire_cauchy: upper bound sum |x_n| q^n; lower bound from sampling the
-    # circle |z| = q (valid for polynomials by the maximum principle).
-    lq = math.log(q)
-    terms = list(x.items())
-
-    def circle_max_log() -> float:
-        thetas = (2.0 * math.pi * k / CIRCLE_SAMPLES for k in range(CIRCLE_SAMPLES))
-        return max(
-            WideComplex.sum_of(WideComplex(c.log_mag + n * lq, c.phase + n * th) for n, c in terms).log_mag
-            for th in thetas
-        )
-
-    return SeminormValue(log_sum(c.log_mag + n * lq for n, c in terms), circle_max_log)
-
-
-def basis_seminorm_log(space: SpaceSpec, q: int, n: int) -> float:
-    """log ||e_n||_q in closed form (-inf encodes the exact zero)."""
-    q = _check_q(q)
-    sid = space.space_id
-    if sid in ("l_p", "c0", "l1"):
-        return 0.0
+        return log_sum(c.log_mag for _, c in x.items())
     if sid in ("entire_hadamard", "entire_cauchy"):
-        return n * math.log(q)
-    return 0.0 if n <= q else NEG_INF
-
-
-def basis_seminorm(space: SpaceSpec, q: int, n: int) -> float:
-    """Decoded ||e_n||_q; saturates to inf past double range."""
-    return log_decode(basis_seminorm_log(space, q, n))
+        lq = math.log(q)
+        return log_sum(c.log_mag + n * lq for n, c in x.items())
+    if sid == "omega_coord":
+        return max((c.log_mag for n, c in x.items() if n <= q), default=NEG_INF)
+    return log_sum(c.log_mag for n, c in x.items() if n <= q)  # omega_cauchy
 
 
 def basis_log_array(space: SpaceSpec, q: int, idx: np.ndarray) -> np.ndarray:
-    """Vectorized log ||e_n||_q over an index array."""
+    """log ||e_n||_q in closed form over an index array."""
     q = _check_q(q)
     sid = space.space_id
     if sid in ("l_p", "c0", "l1"):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .bundle import Bundle, Cert
 from .cauchy import (
+    RHO_THRESHOLD,
     LambdaMatrix,
     block_checks,
     enumerate_multi_indices,
@@ -129,7 +130,7 @@ def _round_check(bundle: Bundle, rd, value: FiniteSeq, bound: float, kind: str =
     if kind == "target":
         y = bundle.schedule().target(rd.l)
         diff = diff - (y if rho is None else y.scale(WideComplex.from_complex(rho)))
-    dist_log = seminorm_eval(bundle.space, rd.r, diff).upper_log
+    dist_log = seminorm_eval(bundle.space, rd.r, diff)
     bound_log = math.log(bound) if bound > 0.0 else NEG_INF
     ratio = 0.0 if dist_log == NEG_INF else log_decode(dist_log - bound_log)
     return RoundCheck(
@@ -181,14 +182,14 @@ def orbit_power_report(bundle: Bundle, j: int) -> OrbitReport:
                    empty=f"no round of degree {j} within the built range 1..{bundle.R}")
 
 
-def orbit_element_report(bundle: Bundle, z: AlgebraElement, rho_threshold: float = 1e-6) -> OrbitReport:
+def orbit_element_report(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
     if z.num_generators > bundle.K:
         raise ElementError(
             f"element uses {z.num_generators} generators but the bundle provides {bundle.K}"
         )
     if bundle.is_cauchy:
         if bundle.kind == "cauchy-algebrable":
-            return _element_report_cauchy_algebrable(bundle, z, rho_threshold)
+            return _element_report_cauchy_algebrable(bundle, z)
         return _element_report_cauchy_single(bundle, z)
     return _element_report_coord(bundle, z)
 
@@ -233,26 +234,26 @@ def _element_report_cauchy_single(bundle: Bundle, z: AlgebraElement) -> OrbitRep
                    [_round_check(bundle, rd, value, bound_factor * 2.0 ** (-rd.r)) for rd in rounds])
 
 
-def _element_report_cauchy_algebrable(bundle: Bundle, z: AlgebraElement, rho_threshold: float) -> OrbitReport:
+def _element_report_cauchy_algebrable(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
     """Lambda-matrix bundles: at rounds of the top degree whose column pushes
     the top form to rho != 0, compare against |rho| 2^-r + the explicit tail."""
     lam = LambdaMatrix.from_json(bundle.lambda_params)
     m = z.degree_max
     top = z.top_form()
     # existence of a usable column (recurrence provides arbitrarily large ones)
-    nu0, rho0 = leading_form_column(top, lam, threshold=rho_threshold)
+    nu0, rho0 = leading_form_column(top, lam)
     c_per_degree = [
         (1.0 + mu) ** z.num_generators
         * max((abs(c) for b, c in z.coeffs.items() if sum(b) == mu), default=0.0)
         for mu in range(1, m + 1)
     ]
     pairs = [(rd, form_at_column(top, rd.lambda_column)) for rd in bundle.rounds if rd.m == m]
-    live = any(abs(rho) > rho_threshold for _, rho in pairs)
+    live = any(abs(rho) > RHO_THRESHOLD for _, rho in pairs)
     value = _substitute_cauchy(z.coeffs, bundle.generators()) if live else None
     checks = [
         _round_check(bundle, rd, value, abs(rho) * 2.0 ** (-rd.r) + tail_bound(m, c_per_degree, rd.r),
                      rho=rho)
-        if abs(rho) > rho_threshold else RoundCheck(
+        if abs(rho) > RHO_THRESHOLD else RoundCheck(
             round=rd.r, a=rd.a, target=rd.l, q=rd.r,
             distance=0.0, bound=0.0, ratio=0.0, passed=True,
             kind="target", skipped=True,
@@ -563,7 +564,7 @@ def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
         fresh = block_checks(space, w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part, rd.block,
                              rd.rho_index, eps_log2)
         fresh.update(round_checks(space, w, y, bundle.rounds[: rd.r - 1], rd, algebrable))
-        scales = {residual: seminorm_eval(space, rd.r, y).upper_log}
+        scales = {residual: seminorm_eval(space, rd.r, y)}
         failed += _compare(fresh, rd.checks, scales)
         rows.append({"round": rd.r, "failed": failed})
     return RevalidationReport(bundle.bundle_id, rows)

@@ -39,6 +39,21 @@ def naive_power(a: dict[int, complex], m: int) -> dict[int, complex]:
     return out
 
 
+# ways to move a growth witness's thresholds off g_1 = -inf, g_{k+1} = vmin_k
+GROWTH_TAMPERS = ["all_neg_inf", "lowered_by_5", "raised_halfway"]
+
+
+def tamper_growth(wit: dict, how: str) -> None:
+    """Rewrite ``growth_log`` of a witness document in place."""
+    g, vmin = wit["growth_log"], wit["vmin_log"]
+    if how == "all_neg_inf":
+        wit["growth_log"] = [float("-inf")] * len(g)
+    elif how == "lowered_by_5":
+        wit["growth_log"] = [x - 5.0 for x in g]
+    else:
+        wit["growth_log"] = [(x + v) / 2.0 for x, v in zip(g, vmin)]
+
+
 def to_dict(x: FiniteSeq) -> dict[int, complex]:
     return {n: c.to_complex() for n, c in x.items()}
 

@@ -30,7 +30,7 @@ from hyperforge import (
 )
 from hyperforge import cauchy as cauchy_mod
 from hyperforge.cauchy import _diagonal, _scan_pairs
-from hyperforge.core import cauchy_monomials
+from hyperforge.core import cauchy_monomials, log_decode
 from hyperforge.errors import (
     LeadingFormVanishing,
     SearchExhausted,
@@ -136,9 +136,9 @@ class TestBuildingBlockSolver:
             res = solve_building_block(EC, w, y, m, 1, 0, 0.5, mixing=mix, prop_b=pb)
             assert res.passed
             # independent re-evaluation of the two seminorm conditions
-            assert seminorm_eval(EC, 1, res.block).upper < 0.5
+            assert log_decode(seminorm_eval(EC, 1, res.block)) < 0.5
             top = FiniteSeq.basis(m * res.gamma, res.b.powi(m))
-            val = seminorm_eval(EC, 1, backward_iterate(w, top, res.shift)).upper
+            val = log_decode(seminorm_eval(EC, 1, backward_iterate(w, top, res.shift)))
             assert val < 0.5
 
     def test_shifted_power_reproduces_target(self, prereqs_l1):
@@ -151,8 +151,8 @@ class TestBuildingBlockSolver:
                 w, FiniteSeq.basis(m * res.gamma, res.b.powi(m)), res.shift
             )
             # only the shifted top coefficient survives, up to rounding on y's scale
-            crumbs = seminorm_eval(L1, 1, img - y - resid).upper
-            assert crumbs <= 1e-12 * seminorm_eval(L1, 1, y).upper
+            crumbs = log_decode(seminorm_eval(L1, 1, img - y - resid))
+            assert crumbs <= 1e-12 * log_decode(seminorm_eval(L1, 1, y))
 
     def test_missing_prerequisites_rejected(self, prereqs_l1):
         w, mix, pb = prereqs_l1
@@ -277,12 +277,12 @@ class TestInductiveConstruction:
         powers = {m: cauchy_power(x, m) for m in {rd.m for rd in b.rounds}}
         for rd in b.rounds:
             img = backward_iterate(w, powers[rd.m], rd.a)
-            dist = seminorm_eval(EC, rd.r, img - sched.target(rd.l)).upper_log
+            dist = seminorm_eval(EC, rd.r, img - sched.target(rd.l))
             assert dist < (-rd.r + 1) * LN2
         for rd in b.rounds:
             for mu in range(1, rd.m):
                 img = backward_iterate(w, cauchy_power(x, mu), rd.a)
-                assert seminorm_eval(EC, rd.r, img).upper_log < -rd.r * LN2
+                assert seminorm_eval(EC, rd.r, img) < -rd.r * LN2
 
 
 def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
@@ -295,7 +295,7 @@ def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
             acc = -math.inf
             for alpha in enumerate_multi_indices(mu, r):
                 img = backward_iterate(w, monomial(alpha), prefix[t - 1].a)
-                val = seminorm_eval(space_, r, img).upper_log
+                val = seminorm_eval(space_, r, img)
                 if mode == "max":
                     worst = max(worst, val)
                 else:
@@ -359,7 +359,7 @@ class TestLambdaMatrix:
                 scaled = rd.block.scale(
                     WideComplex.from_complex(lam_k)
                 )
-                assert seminorm_eval(L1, rd.r, scaled).upper_log < -rd.r * LN2
+                assert seminorm_eval(L1, rd.r, scaled) < -rd.r * LN2
 
     def test_leading_form_examples(self):
         lam = LambdaMatrix(l_max=2)
@@ -425,12 +425,11 @@ class TestOmegaBypass:
         assert er.passed
 
 
-def test_pair_budget_exhaustion_reports_margins(prereqs_l1):
+def test_pair_budget_exhaustion_reports_margins(prereqs_l1, monkeypatch):
     w, mix, pb = prereqs_l1
+    monkeypatch.setenv("HYPERFORGE_BUDGET", "1024")
     with pytest.raises(SearchExhausted) as exc:
-        solve_building_block(
-            L1, w, FiniteSeq.basis(0), 2, 1, 0, 1e-30, mixing=mix, prop_b=pb, pair_budget=16
-        )
+        solve_building_block(L1, w, FiniteSeq.basis(0), 2, 1, 0, 1e-30, mixing=mix, prop_b=pb)
     assert "scanned" in exc.value.details
 
 

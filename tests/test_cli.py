@@ -9,7 +9,7 @@ import pytest
 from hyperforge.bundle import _digest, canonical_json
 from hyperforge.cli import export_report, main, run_command
 
-from conftest import PHASED_TARGETS_JSON, TARGETS_JSON
+from conftest import GROWTH_TAMPERS, PHASED_TARGETS_JSON, TARGETS_JSON, tamper_growth
 
 
 @pytest.fixture()
@@ -440,6 +440,30 @@ def test_malformed_targets_are_config_errors(doc, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "config_invalid"
 
 
+@pytest.mark.parametrize("construction", ["coord", "cauchy"])
+def test_infinite_target_coefficient_is_config_invalid(construction, tmp_path):
+    path = tmp_path / "targets.json"
+    path.write_text('[{"coeffs": [[0, 1e400, 0.0]]}]')  # 1e400 parses as inf
+    code, payload = run_command(["build", construction, "--space", "l1", "--weight", "const:2",
+                                 "--targets", str(path), "--rounds", "2"])
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert "finite" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "table",
+    ["[[2.0]]", "[1, 2]", '[["a", 0]]', "[[2.0, 0.0], null]", '[{"re": 2}]', "not json"],
+    ids=["short_pair", "numbers", "string_entry", "null_entry", "object_entry", "not_json"],
+)
+def test_malformed_weight_table_is_weight_invalid(table, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(table)
+    assert main(["criteria", "mixing", "--space", "l1", "--weight", f"table:{path}"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "weight_invalid"
+    assert "Traceback" not in err
+
+
 # bundle ids of the README builds; any change to the search or to the bundle
 # bytes shows here
 README_BUNDLE_IDS = [
@@ -550,6 +574,21 @@ def test_witness_past_the_weight_table_is_config_invalid(targets_file, tmp_path,
     assert code == 1 and payload["error"] == "config_invalid"
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "config_invalid"
+
+
+@pytest.mark.parametrize("how", GROWTH_TAMPERS)
+def test_witness_with_growth_thresholds_off_the_rule_is_config_invalid(how, targets_file, tmp_path):
+    path = tmp_path / "pk.json"
+    code, _ = run_command(["criteria", "hc", "--space", "l1", "--weight", "const:2",
+                           "--count", "16", "--growth", "--out", str(path)])
+    assert code == 0
+    doc = json.loads(path.read_text())
+    tamper_growth(doc["hypercyclicity"], how)
+    path.write_text(json.dumps(doc))
+    code, payload = run_command(["build", "coord", "--space", "l1", "--weight", "const:2",
+                                 "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)])
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert "does not validate" in payload["message"], payload["message"]
 
 
 def test_witness_with_indices_below_one_is_config_invalid(targets_file, tmp_path):

@@ -263,7 +263,7 @@ def test_concurrent_use_is_safe():
 
     def work(i):
         x = seqs[i % len(seqs)]
-        val = seminorm_eval(sp, 1 + i % 5, x).upper_log
+        val = seminorm_eval(sp, 1 + i % 5, x)
         shifted = backward_iterate(w, forward_iterate(w, x, 500 + i), 500 + i)
         return val, shifted.rel_distance(x) <= 1e-11
 

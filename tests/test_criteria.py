@@ -19,9 +19,12 @@ from hyperforge import (
     space,
 )
 from hyperforge import criteria as criteria_mod
+from hyperforge.core import log_decode
 from hyperforge.criteria import PkWitness, _verify_property_b, _window_extremes
 from hyperforge.spaces import basis_log_array
 from hyperforge.errors import PropertyBUnavailable, SearchExhausted, SpaceProductError, WeightError, WitnessError
+
+from conftest import GROWTH_TAMPERS, tamper_growth
 
 
 class TestHypercyclicityWitness:
@@ -57,7 +60,7 @@ class TestHypercyclicityWitness:
         # every accepted index is invisible to its certifying seminorm
         for k in range(1, 7):
             p = int(pk.p[k - 1])
-            val = seminorm_eval(oc, pk.q_index(k), FiniteSeq.basis(p)).upper
+            val = log_decode(seminorm_eval(oc, pk.q_index(k), FiniteSeq.basis(p)))
             assert val * 2.0 ** (k - 1) < 2.0 or p > pk.q_index(k)
         assert pk.validate(oc, maclane)
 
@@ -98,6 +101,16 @@ class TestHypercyclicityWitness:
             bad = PkWitness.from_json(pk.to_json())
             bad.tol_log[k] = np.nextafter(bad.tol_log[k], -np.inf)
             assert not bad.validate(sp, w), k
+
+    @pytest.mark.parametrize("how", GROWTH_TAMPERS)
+    def test_growth_thresholds_off_the_rule_fail_validation(self, weight2, how):
+        # each tamper keeps every vmin_k above its threshold, so only the
+        # rule g_1 = -inf, g_{k+1} = vmin_k catches it
+        l1 = space("l1")
+        doc = find_pk_witness(l1, weight2, 12, horizon_n=4, growth=True).to_json()
+        tamper_growth(doc, how)
+        assert all(g < v for g, v in zip(doc["growth_log"], doc["vmin_log"]))
+        assert not PkWitness.from_json(doc).validate(l1, weight2)
 
 
 def _witness_digest(pk: PkWitness) -> str:

@@ -1,14 +1,52 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from hyperforge import FiniteSeq, basis_seminorm, seminorm_eval, space
-from hyperforge.core import WideComplex, cauchy_product, coordinatewise_product
+from hyperforge import FiniteSeq, seminorm_eval, space
+from hyperforge.core import WideComplex, cauchy_product, coordinatewise_product, log_decode
 from hyperforge.errors import SpaceProductError, SpaceUnknownError
-from hyperforge.spaces import CIRCLE_SAMPLES, SpaceSpec, basis_seminorm_log, list_spaces
+from hyperforge.spaces import SpaceSpec, basis_log_array, list_spaces
 
 from conftest import from_dict, rand_seq
+
+CIRCLE_SAMPLES = 256
+
+
+def circle_max_log(x, q):
+    """log max |p(z)| over CIRCLE_SAMPLES equispaced points of |z| = q, for
+    p(z) = sum x_n z^n: attained values, so a lower bound of the sup-circle
+    norm."""
+    lq = math.log(q)
+    lower = -math.inf
+    if not x.is_zero:
+        terms = list(x.items())
+        for k in range(CIRCLE_SAMPLES):
+            theta = 2.0 * math.pi * k / CIRCLE_SAMPLES
+            val = WideComplex.sum_of(
+                WideComplex(c.log_mag + n * lq, c.phase + n * theta) for n, c in terms
+            )
+            lower = max(lower, val.log_mag)
+    return lower
+
+
+def reference_seminorm(space_, q, x):
+    """||x||_q written out per family in plain floats (entire_cauchy: the
+    bound sum |x_n| q^n)."""
+    mags = {n: math.exp(c.log_mag) for n, c in x.items()}
+    sid = space_.space_id
+    if sid == "l_p":
+        return sum(v**space_.p for v in mags.values()) ** (1.0 / space_.p)
+    if sid == "c0":
+        return max(mags.values())
+    if sid == "l1":
+        return sum(mags.values())
+    if sid in ("entire_hadamard", "entire_cauchy"):
+        return sum(v * float(q) ** n for n, v in mags.items())
+    if sid == "omega_coord":
+        return max((v for n, v in mags.items() if n <= q), default=0.0)
+    return sum(v for n, v in mags.items() if n <= q)
 
 
 def test_space_parsing_and_canonical_products():
@@ -41,54 +79,58 @@ def test_spaces_list_covers_all_ids():
 class TestSeminormValues:
     def test_point_values(self):
         eh = space("entire_hadamard")
-        assert seminorm_eval(eh, 2, FiniteSeq.basis(3)).upper == pytest.approx(8.0)
+        assert log_decode(seminorm_eval(eh, 2, FiniteSeq.basis(3))) == pytest.approx(8.0)
         l1 = space("l1")
-        assert seminorm_eval(l1, 1, from_dict({0: 1, 1: -2})).upper == pytest.approx(3.0)
+        assert log_decode(seminorm_eval(l1, 1, from_dict({0: 1, 1: -2}))) == pytest.approx(3.0)
         oc = space("omega_coord")
-        assert seminorm_eval(oc, 3, FiniteSeq.basis(5)).upper == 0.0
+        assert log_decode(seminorm_eval(oc, 3, FiniteSeq.basis(5))) == 0.0
         lp = space("l_p:2")
-        assert seminorm_eval(lp, 1, from_dict({0: 3, 1: 4})).upper == pytest.approx(5.0)
+        assert log_decode(seminorm_eval(lp, 1, from_dict({0: 3, 1: 4}))) == pytest.approx(5.0)
         c0 = space("c0")
-        assert seminorm_eval(c0, 1, from_dict({0: 3, 5: -4})).upper == pytest.approx(4.0)
+        assert log_decode(seminorm_eval(c0, 1, from_dict({0: 3, 5: -4}))) == pytest.approx(4.0)
         ocau = space("omega_cauchy")
-        assert seminorm_eval(ocau, 2, from_dict({0: 1, 2: 1, 7: 9})).upper == pytest.approx(2.0)
+        assert log_decode(seminorm_eval(ocau, 2, from_dict({0: 1, 2: 1, 7: 9}))) == pytest.approx(2.0)
 
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
             seminorm_eval(space("l1"), 0, FiniteSeq.basis(0))
 
     def test_basis_norms(self):
-        assert basis_seminorm(space("l_p:2"), 4, 100) == 1.0
-        assert basis_seminorm(space("entire_cauchy"), 3, 2) == pytest.approx(9.0)
-        assert basis_seminorm(space("omega_cauchy"), 4, 7) == 0.0
-        assert basis_seminorm(space("omega_cauchy"), 4, 4) == 1.0
+        def basis_log(sid, q, n):
+            return float(basis_log_array(space(sid), q, np.array([n]))[0])
+
+        assert log_decode(basis_log("l_p:2", 4, 100)) == 1.0
+        assert log_decode(basis_log("entire_cauchy", 3, 2)) == pytest.approx(9.0)
+        assert log_decode(basis_log("omega_cauchy", 4, 7)) == 0.0
+        assert log_decode(basis_log("omega_cauchy", 4, 4)) == 1.0
         # log form keeps huge values representable
-        assert basis_seminorm_log(space("entire_hadamard"), 10, 10**6) == pytest.approx(
-            10**6 * math.log(10)
-        )
-        assert basis_seminorm(space("entire_hadamard"), 10, 10**6) == math.inf
+        assert basis_log("entire_hadamard", 10, 10**6) == pytest.approx(10**6 * math.log(10))
+        assert log_decode(basis_log("entire_hadamard", 10, 10**6)) == math.inf
 
     def test_interval_exact_except_sup_norm(self, any_space):
+        # every family is evaluated exactly; the sup-circle norm is bounded
+        # above by sum |x_n| q^n, which lies at or above every sampled |p(z)|
         rng = random.Random(5)
         for _ in range(20):
-            val = seminorm_eval(any_space, 3, rand_seq(rng))
+            x = rand_seq(rng)
+            val = log_decode(seminorm_eval(any_space, 3, x))
+            assert val == pytest.approx(reference_seminorm(any_space, 3, x), rel=1e-12)
             if any_space.space_id == "entire_cauchy":
-                assert val.lower <= val.upper * (1 + 1e-12)
-            else:
-                assert val.is_exact
+                assert log_decode(circle_max_log(x, 3)) <= val * (1 + 1e-12)
 
     def test_sup_norm_enclosure_tight_on_monomials(self):
         ec = space("entire_cauchy")
         for q in (1, 2, 5):
             for n in (0, 1, 7):
                 val = seminorm_eval(ec, q, FiniteSeq.basis(n))
-                assert val.lower == pytest.approx(val.upper, rel=1e-12)
-                assert val.upper == pytest.approx(float(q) ** n, rel=1e-12)
+                # the bound is attained on the circle
+                assert circle_max_log(FiniteSeq.basis(n), q) == pytest.approx(val, rel=1e-12)
+                assert log_decode(val) == pytest.approx(float(q) ** n, rel=1e-12)
 
     def test_overflow_saturates_to_inf(self):
         ec = space("entire_hadamard")
         val = seminorm_eval(ec, 5, FiniteSeq.basis(10**4))
-        assert val.upper == math.inf and val.upper_log < math.inf
+        assert log_decode(val) == math.inf and val < math.inf
 
 
 class TestSeminormFamilyLaws:
@@ -96,7 +138,7 @@ class TestSeminormFamilyLaws:
         rng = random.Random(17)
         for _ in range(50):
             x = rand_seq(rng)
-            vals = [seminorm_eval(any_space, q, x).upper for q in range(1, 6)]
+            vals = [log_decode(seminorm_eval(any_space, q, x)) for q in range(1, 6)]
             assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
     def test_submultiplicative_for_declared_product(self, any_space):
@@ -105,9 +147,9 @@ class TestSeminormFamilyLaws:
         for _ in range(100):
             x, y = rand_seq(rng), rand_seq(rng)
             for q in (1, 3):
-                nx = seminorm_eval(any_space, q, x).upper
-                ny = seminorm_eval(any_space, q, y).upper
-                nxy = seminorm_eval(any_space, q, prod(x, y)).upper
+                nx = log_decode(seminorm_eval(any_space, q, x))
+                ny = log_decode(seminorm_eval(any_space, q, y))
+                nxy = log_decode(seminorm_eval(any_space, q, prod(x, y)))
                 assert nxy <= nx * ny * (1 + 1e-10)
 
     def test_triangle_inequality(self, any_space):
@@ -115,8 +157,8 @@ class TestSeminormFamilyLaws:
         for _ in range(100):
             x, y = rand_seq(rng), rand_seq(rng)
             for q in (1, 4):
-                lhs = seminorm_eval(any_space, q, x + y).upper
-                rhs = seminorm_eval(any_space, q, x).upper + seminorm_eval(any_space, q, y).upper
+                lhs = log_decode(seminorm_eval(any_space, q, x + y))
+                rhs = log_decode(seminorm_eval(any_space, q, x)) + log_decode(seminorm_eval(any_space, q, y))
                 assert lhs <= rhs * (1 + 1e-10)
 
     def test_sup_norm_lower_bound_below_upper(self):
@@ -124,29 +166,15 @@ class TestSeminormFamilyLaws:
         rng = random.Random(37)
         for _ in range(50):
             x = rand_seq(rng, 6, 9)
-            val = seminorm_eval(ec, 2, x)
-            assert val.lower <= val.upper * (1 + 1e-12)
+            val = log_decode(seminorm_eval(ec, 2, x))
+            sampled = log_decode(circle_max_log(x, 2))
+            assert sampled <= val * (1 + 1e-12)
             # the sampled value is an attained |p(z)|, hence a true lower bound
-            assert val.lower >= 0.0
+            assert sampled >= 0.0
 
 
 class TestLazyCircleScan:
-    """The entire_cauchy lower end is sampled only when read."""
-
-    @staticmethod
-    def eager_lower_log(x, q):
-        # reference: the circle scan written out as a plain loop
-        lq = math.log(q)
-        lower = -math.inf
-        if not x.is_zero:
-            terms = list(x.items())
-            for k in range(CIRCLE_SAMPLES):
-                theta = 2.0 * math.pi * k / CIRCLE_SAMPLES
-                val = WideComplex.sum_of(
-                    WideComplex(c.log_mag + n * lq, c.phase + n * theta) for n, c in terms
-                )
-                lower = max(lower, val.log_mag)
-        return lower
+    """The entire_cauchy seminorm is the closed-form bound; it samples no circle."""
 
     def test_upper_end_makes_no_circle_sums(self, monkeypatch):
         x = from_dict({0: 1, 2: -1j, 5: 0.5})
@@ -159,17 +187,5 @@ class TestLazyCircleScan:
 
         monkeypatch.setattr(WideComplex, "sum_of", classmethod(counting))
         val = seminorm_eval(space("entire_cauchy"), 3, x)
-        assert val.upper_log == pytest.approx(math.log(1 + 9 + 0.5 * 3**5))
+        assert val == pytest.approx(math.log(1 + 9 + 0.5 * 3**5))
         assert calls == []
-        val.lower_log
-        assert len(calls) == CIRCLE_SAMPLES
-        val.lower, val.is_exact
-        assert len(calls) == CIRCLE_SAMPLES  # sampled once, then cached
-
-    def test_lower_end_equals_the_eager_scan(self):
-        ec = space("entire_cauchy")
-        rng = random.Random(41)
-        seqs = [FiniteSeq.zero()] + [rand_seq(rng, 8, 40) for _ in range(40)]
-        for x in seqs:
-            for q in (1, 2, 7):
-                assert seminorm_eval(ec, q, x).lower_log == self.eager_lower_log(x, q)
