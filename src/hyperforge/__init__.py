@@ -15,7 +15,7 @@ from .cauchy import (
     solve_building_block,
     tail_bound,
 )
-from .coordwise import CoordState, build_algebrable, build_generator, homogeneous_parts, select_ar
+from .coordwise import CoordState, build_algebrable, build_generator, select_ar
 from .core import (
     FiniteSeq,
     WeightSpec,
@@ -36,10 +36,8 @@ from .criteria import (
     check_mixing,
     extend_pk_witness,
     find_pk_witness,
-    property_a_power,
     property_a_witness,
     property_b_witness,
-    root_decay_check,
 )
 from .element import AlgebraElement
 from .errors import HyperforgeError

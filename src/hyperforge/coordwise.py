@@ -1,6 +1,6 @@
 """Inductive constructions for coordinatewise-product algebras.
 
-Round r = (m, l) appends a fractional-power block (S^{a_r} y^(l))^{1/m} whose
+Round r = (m, l) appends an m-th root block (S^{a_r} y^(l))^{1/m} whose
 seminorm certificates make every polynomial in the assembled generator track
 the scheduled targets:
 
@@ -26,13 +26,11 @@ from .core import (
     NEG_INF,
     FiniteSeq,
     WeightSpec,
-    WideComplex,
     backward_iterate,
     coordinatewise_power,
     root_power_block,
 )
 from .criteria import PkWitness, extend_pk_witness, find_pk_witness
-from .element import AlgebraElement
 from .errors import SearchExhausted, SpaceProductError, search_budget
 from .schedule import PairOrder, TargetSchedule
 from .spaces import SpaceSpec, basis_log_array, seminorm_eval
@@ -164,7 +162,7 @@ def certify_coord_round(space: SpaceSpec, w: WeightSpec, schedule: TargetSchedul
                         a: int) -> CoordRound:
     """Exact certification of round r at index a via the sequence/seminorm path."""
     m, l = pairing.decode(r)
-    block = root_power_block(w, schedule.target(l), a, 1, m)
+    block = root_power_block(w, schedule.target(l), a, m)
     checks = coord_checks(space, w, schedule, pairing, prev_rounds, r, a, block)
     return CoordRound(r=r, m=m, l=l, a=a, block=block, checks=checks)
 
@@ -247,24 +245,3 @@ def _assert_disjoint(rounds: list[CoordRound]) -> None:
         if seen & s:
             raise AssertionError("block supports overlap; separation bookkeeping is broken")
         seen |= s
-
-
-def homogeneous_parts(z: AlgebraElement, generators: list[FiniteSeq]) -> dict[int, FiniteSeq]:
-    """Surviving diagonal parts Q_nu = sum_k c_{nu,k} (x^(k))^nu of z.
-
-    Terms touching two distinct generators vanish exactly (disjoint supports),
-    so only single-generator powers survive.  Keys are the degrees nu with a
-    nonzero surviving part.
-    """
-    if z.num_generators > len(generators):
-        raise ValueError(f"element uses {z.num_generators} generators, bundle has {len(generators)}")
-    parts: dict[int, FiniteSeq] = {}
-    for beta, c in z.coeffs.items():
-        active = [k for k, e in enumerate(beta) if e > 0]
-        if len(active) >= 2:
-            continue  # cross term: exact zero by disjoint supports
-        (k,) = active
-        nu = beta[k]
-        piece = coordinatewise_power(generators[k], nu).scale(WideComplex.from_complex(c))
-        parts[nu] = parts.get(nu, FiniteSeq.zero()) + piece
-    return {nu: seq for nu, seq in sorted(parts.items()) if not seq.is_zero}

@@ -79,8 +79,7 @@ class WideComplex:
     """Complex scalar as (log|z|, arg z); the exact zero has log_mag == -inf.
 
     Instances are immutable.  Integer powers and the fixed principal m-th root
-    are exact in the log domain; ``z**(j/m)`` is always the j-th power of the
-    stored m-th root, never a root of a power.
+    (phase divided by m) are exact in the log domain.
     """
 
     __slots__ = ("log_mag", "phase")
@@ -167,14 +166,6 @@ class WideComplex:
         if self.is_zero or m == 1:
             return self
         return WideComplex(self.log_mag / m, self.phase / m)
-
-    def powfrac(self, j: int, m: int) -> "WideComplex":
-        """(j/m)-th power as the j-th power of the stored principal m-th root."""
-        if j < 1 or m < 1:
-            raise ValueError("fractional power needs j >= 1, m >= 1")
-        if j == m:
-            return self
-        return self.root(m).powi(j)
 
     def __add__(self, other: "WideComplex") -> "WideComplex":
         return WideComplex.sum_of((self, other))
@@ -393,16 +384,22 @@ class FiniteSeq:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteSeq":
+        """Entries are [n, re, im] or [n, {"log_mag", "phase"}]; an index that
+        is not an int n >= 0, or a part that is not finite, raises ValueError."""
         out = {}
         for entry in data["coeffs"]:
             if len(entry) == 3:
-                n, re, im = entry
-                c = WideComplex.from_complex(complex(re, im))
+                n, *payload = entry
             else:
                 n, payload = entry
-                c = WideComplex.from_json(payload)
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValueError(f"sequence index {n!r} is not an integer n >= 0")
+            parts = (payload["log_mag"], payload["phase"]) if isinstance(payload, dict) else payload
+            if not all(math.isfinite(v) for v in parts):
+                raise ValueError(f"coefficient {n} has a part that is not finite")
+            c = WideComplex.from_json(payload)
             if not c.is_zero:
-                out[int(n)] = c
+                out[n] = c
         return cls(out, horizon=data.get("horizon"))
 
 
@@ -599,19 +596,16 @@ class WeightSpec:
 
     def ratio(self, n: int, a: int) -> WideComplex:
         """v_{n+a} / v_n."""
-        return self.ratio_root_pow(n, a, 1, 1)
+        return self.ratio_root(n, a, 1)
 
-    def ratio_root_pow(self, n: int, a: int, j: int, m: int) -> WideComplex:
-        """(w_{n+1}^{1/m} ... w_{n+a}^{1/m})^j with fixed principal roots per factor.
-
-        Computed as the j-th power of the product of m-th roots; for j == m the
-        log difference is used unscaled so the round trip through a j = m block
-        cancels bit-exactly against ``ratio``.
-        """
+    def ratio_root(self, n: int, a: int, m: int) -> WideComplex:
+        """w_{n+1}^{1/m} ... w_{n+a}^{1/m} with fixed principal roots per factor:
+        the log difference and phase difference of v_{n+a} / v_n divided by m
+        (exactly ``ratio`` for m = 1)."""
         if a < 0:
             raise ValueError("shift count must be >= 0")
-        if j < 1 or m < 1:
-            raise ValueError("fractional power needs j >= 1, m >= 1")
+        if m < 1:
+            raise ValueError("root order must be >= 1")
         if a == 0:
             return ONE
         top = n + a
@@ -620,10 +614,7 @@ class WeightSpec:
         else:
             self._check(top)
             dlog, dph = self._log1(top) - self._log1(n), self._phase1(top) - self._phase1(n)
-        if j != m:
-            dlog = (dlog / m) * j
-            dph = (dph / m) * j
-        return WideComplex(dlog, wrap_phase(dph))
+        return WideComplex(dlog / m, wrap_phase(dph / m))
 
 
 # -- sequence operations ------------------------------------------------------------
@@ -720,18 +711,17 @@ def forward_iterate(w: WeightSpec, x: FiniteSeq, a: int) -> FiniteSeq:
     return FiniteSeq(out)
 
 
-def root_power_block(w: WeightSpec, y: FiniteSeq, a: int, j: int, m: int) -> FiniteSeq:
-    """Fractional-power block sum_n (w_{n+1}^{j/m}...w_{n+a}^{j/m})^{-1} y_n^{j/m} e_{n+a}.
+def root_power_block(w: WeightSpec, y: FiniteSeq, a: int, m: int) -> FiniteSeq:
+    """m-th root block (S^a y)^{1/m} = sum_n (w_{n+1}^{1/m}...w_{n+a}^{1/m})^{-1} y_n^{1/m} e_{n+a}.
 
-    Roots are the fixed principal branches; w^{j/m} is the j-th power of the
-    stored w^{1/m}.  Zero coordinates of y contribute 0 (0^{1/m} := 0).  For
-    j == m the block is exactly the a-fold inverse-weight forward shift of y,
-    so backward_iterate(w, block, a) reproduces y to within one ulp of the
-    log ratios.
+    Roots are the fixed principal branches.  Zero coordinates of y contribute
+    0 (0^{1/m} := 0).  For m = 1 the block is exactly the a-fold inverse-weight
+    forward shift of y; for every m, backward_iterate(w, coordinatewise_power(block, m), a)
+    reproduces y up to the rounding of the log ratios.
     """
-    if j < 1 or m < 1:
-        raise ValueError("root power block needs j >= 1, m >= 1")
+    if m < 1:
+        raise ValueError("root order must be >= 1")
     out = {}
     for n, c in y.items():
-        out[n + a] = c.powfrac(j, m) / w.ratio_root_pow(n, a, j, m)
+        out[n + a] = c.root(m) / w.ratio_root(n, a, m)
     return FiniteSeq(out)

@@ -204,14 +204,7 @@ class PkWitness:
             out["growth_log"] = np.concatenate(([NEG_INF], vmins))[: len(vmins)]  # g_{k+1} = vmin_k
         return out
 
-    # -- schedules and serialization ---------------------------------------------
-    def q_index(self, k: int) -> int:
-        return min(k, self.horizon_q)
-
-    def tol(self, k: int) -> float:
-        lg = float(self.tol_log[k - 1])
-        return math.exp(lg) if lg > -700 else 0.0
-
+    # -- serialization -----------------------------------------------------------
     def to_json(self) -> dict:
         out = {
             "p": [int(v) for v in self.p],
@@ -274,7 +267,8 @@ class PkWitness:
         ks = sorted(set(range(1, self.count + 1, stride)) | {1, self.count})
         for k in ks:
             pk = int(self.p[k - 1])
-            hmax, gmin, _ = _window_extremes(space, w, self.q_index(k), self.horizon_n, pk, pk + 1, self.growth)
+            q = min(k, self.horizon_q)
+            hmax, gmin, _ = _window_extremes(space, w, q, self.horizon_n, pk, pk + 1, self.growth)
             val = float(hmax[0])
             if not val < self.tol_log[k - 1] or abs_diff(val, float(self.value_log[k - 1])) > _SLACK:
                 return False
@@ -502,11 +496,11 @@ def check_mixing(
 # ---------------------------------------------------------------------------
 
 
-def _property_a_breaks(space: SpaceSpec, m: int, r: int, q: int, C: float, n_max: int) -> np.ndarray:
-    """The indices n <= n_max where m log||e_n||_r > log C + log||e_n||_q
-    beyond the slack, i.e. where ||e_n||_r^m <= C ||e_n||_q fails."""
+def _property_a_breaks(space: SpaceSpec, r: int, q: int, C: float, n_max: int) -> np.ndarray:
+    """The indices n <= n_max where 2 log||e_n||_r > log C + log||e_n||_q
+    beyond the slack, i.e. where ||e_n||_r^2 <= C ||e_n||_q fails."""
     idx = np.arange(n_max + 1)
-    lhs = m * basis_log_array(space, r, idx)
+    lhs = 2 * basis_log_array(space, r, idx)
     return np.flatnonzero(lhs > math.log(C) + basis_log_array(space, q, idx) + _SLACK)
 
 
@@ -535,7 +529,7 @@ class PropertyAWitness:
 
     def validate(self, space: SpaceSpec) -> bool:
         return not any(
-            len(_property_a_breaks(space, 2, r, q, C, self.n_max)) for r, (q, C) in self.entries.items()
+            len(_property_a_breaks(space, r, q, C, self.n_max)) for r, (q, C) in self.entries.items()
         )
 
 
@@ -545,7 +539,7 @@ def property_a_witness(space: SpaceSpec, r_max: int = 5, n_max: int = 500) -> Pr
     entries = {}
     for r in range(1, r_max + 1):
         q, C = _property_a_step(space, r)
-        bad = _property_a_breaks(space, 2, r, q, C, n_max)
+        bad = _property_a_breaks(space, r, q, C, n_max)
         if len(bad):
             raise WitnessError(
                 f"no squared-basis-norm witness for {space.cli_id} at r={r}",
@@ -554,133 +548,6 @@ def property_a_witness(space: SpaceSpec, r_max: int = 5, n_max: int = 500) -> Pr
             )
         entries[r] = (q, C)
     return PropertyAWitness(space.cli_id, n_max, entries)
-
-
-@dataclass(frozen=True)
-class PowerBound:
-    """(q, C) with ||e_n||_r^m <= C ||e_n||_q on the verified horizon."""
-
-    m: int
-    r: int
-    q: int
-    C: float
-
-
-def property_a_power(space: SpaceSpec, m: int, r: int, n_max: int = 500) -> PowerBound:
-    """Iterate the squared-norm witness ceil(log2 m) times; non-powers of two use
-    the max of the two bracketing power-of-two bounds."""
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be >= 1")
-
-    def compose(times: int) -> tuple[int, float]:
-        q, C = r, 1.0
-        for _ in range(times):
-            q2, C2 = _property_a_step(space, q)
-            C = C * C * C2
-            q = q2
-        return q, C
-
-    if m == 1:
-        q, C = r, 1.0
-    else:
-        N = m.bit_length() - 1
-        if (1 << N) == m:
-            q, C = compose(N)
-        else:
-            q_lo, C_lo = compose(N)
-            q_hi, C_hi = compose(N + 1)
-            if q_lo > q_hi:
-                raise WitnessError("witness composition produced non-monotone indices")
-            q, C = q_hi, max(C_lo, C_hi)
-    bad = _property_a_breaks(space, m, r, q, C, n_max)
-    if len(bad):
-        raise WitnessError(
-            f"power witness failed for {space.cli_id} at m={m}, r={r}", m=m, r=r, n=int(bad[0])
-        )
-    return PowerBound(m, r, q, C)
-
-
-# ---------------------------------------------------------------------------
-# root decay along the witness indices
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RootDecayReport:
-    passed: bool
-    m_max: int
-    r_max: int
-    k_count: int
-    failure: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "m_max": self.m_max,
-            "r_max": self.r_max,
-            "k_count": self.k_count,
-            "failure": self.failure,
-        }
-
-
-def root_decay_check(
-    space: SpaceSpec,
-    w: WeightSpec,
-    pk: PkWitness,
-    m_max: int = 4,
-    r_max: int | None = None,
-    k_count: int | None = None,
-) -> RootDecayReport:
-    """Verify that any fixed m-th root of v^{-1} still decays along the witness.
-
-    Checks, per (m, r): the chain bound
-    ||v_{p_k+n}^{-1/m} e_{p_k+n}||_r <= (C ||v_{p_k+n}^{-1} e_{p_k+n}||_q)^{1/m}
-    pointwise on the horizon, monotone decay of the left side along k, and for
-    m = 1 the witness tolerances themselves.
-    """
-    r_max = r_max if r_max is not None else pk.horizon_q
-    k_count = k_count if k_count is not None else min(pk.count, 64)
-    if k_count < 2:
-        raise ValueError("root decay check needs at least two witness entries")
-    N = pk.horizon_n
-    offsets = np.arange(N + 1)
-    for m in range(1, m_max + 1):
-        for r in range(1, r_max + 1):
-            pb = property_a_power(space, m, r)
-            prev = math.inf
-            first = last = None
-            for k in range(1, k_count + 1):
-                p = int(pk.p[k - 1])
-                idx = p + offsets
-                logv = w.v_log_array(p + N, p)
-                direct = basis_log_array(space, r, idx) - logv / m
-                chain = (math.log(pb.C) + basis_log_array(space, pb.q, idx) - logv) / m
-                bad = np.nonzero(direct > chain + _SLACK)[0]
-                if len(bad):
-                    return RootDecayReport(
-                        False, m_max, r_max, k_count,
-                        {"kind": "chain", "m": m, "r": r, "k": k, "n": int(bad[0])},
-                    )
-                mk = float(np.max(direct))
-                if mk > prev + _SLACK:
-                    return RootDecayReport(
-                        False, m_max, r_max, k_count,
-                        {"kind": "monotone", "m": m, "r": r, "k": k},
-                    )
-                if m == 1 and r <= pk.q_index(k) and not mk < float(pk.tol_log[k - 1]):
-                    return RootDecayReport(
-                        False, m_max, r_max, k_count,
-                        {"kind": "tolerance", "m": m, "r": r, "k": k},
-                    )
-                prev = mk
-                if first is None:
-                    first = mk
-                last = mk
-            if not (last < first or first == NEG_INF):
-                return RootDecayReport(
-                    False, m_max, r_max, k_count, {"kind": "no_decay", "m": m, "r": r}
-                )
-    return RootDecayReport(True, m_max, r_max, k_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Polynomial elements of the algebra generated by the construction outputs."""
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .core import format_complex_literal
@@ -38,6 +39,8 @@ class AlgebraElement:
                 raise ElementError("constant term present; algebra elements must vanish at 0")
             clean[beta] = clean.get(beta, 0) + c
         clean = {b: c for b, c in clean.items() if c != 0}
+        if not all(cmath.isfinite(c) for c in clean.values()):
+            raise ElementError("element coefficients must be finite")
         if not clean:
             raise ElementError("element has no nonzero term")
         object.__setattr__(self, "coeffs", clean)

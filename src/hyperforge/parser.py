@@ -4,12 +4,14 @@
     term   := complex ('*' factor)+ | factor (('*')? factor)*
     factor := 'x' int ('^' int)?
 
-Complex literals are written a+bi without spaces ('2', '0.5i', '1+2i', 'i');
-a coefficient must be glued to its factors with '*'.  Terms with no factor
-(or total degree zero) are constant terms and rejected semantically.
+Complex literals are written a+bi without spaces ('2', '0.5i', '1+2i', 'i')
+and must be finite; a coefficient must be glued to its factors with '*'.
+Terms with no factor (or total degree zero) are constant terms and rejected
+semantically.
 """
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -55,9 +57,12 @@ def _parse_complex(tok: _Token) -> complex:
     if raw == "i":
         return 1j
     try:
-        return complex(raw.replace("i", "j"))
+        z = complex(raw.replace("i", "j"))
     except ValueError as exc:
         raise ParseError(f"bad complex literal {raw!r}", tok.pos) from exc
+    if not cmath.isfinite(z):
+        raise SemanticError(f"complex literal {raw!r} at position {tok.pos} is not finite")
+    return z
 
 
 @dataclass(frozen=True)

@@ -530,7 +530,7 @@ def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
         failed = []
         if pairing.decode(rd.r) != (rd.m, rd.l):
             failed.append("pairing")
-        expected = root_power_block(w, sched.target(rd.l), rd.a, 1, rd.m)
+        expected = root_power_block(w, sched.target(rd.l), rd.a, rd.m)
         if rd.block.rel_distance(expected) > 1e-10:
             failed.append("block_consistency")
         fresh = coord_checks(space, w, sched, pairing, bundle.rounds[: rd.r - 1], rd.r, rd.a,

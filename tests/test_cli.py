@@ -450,6 +450,45 @@ def test_infinite_target_coefficient_is_config_invalid(construction, tmp_path):
     assert "finite" in payload["message"]
 
 
+# target files whose entries once loaded as a different index or value than
+# the file holds: each built a bundle whose stored targets were [[1, 1.0, 0.0]]
+@pytest.mark.parametrize("text", [
+    '[{"coeffs": [[1.5, 1.0, 0.0]]}]',
+    '[{"coeffs": [[true, 1.0, 0.0]]}]',
+    '[{"coeffs": [[0, NaN, 0.0], [1, 1.0, 0.0]]}]',
+], ids=["float_index", "bool_index", "nan_part"])
+def test_target_entry_that_differs_from_what_is_certified_is_config_invalid(text, tmp_path, capsys):
+    path = tmp_path / "targets.json"
+    path.write_text(text)
+    argv = ["build", "coord", "--space", "l1", "--weight", "const:2", "--targets", str(path), "--rounds", "2"]
+    code, payload = run_command(argv)
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "config_invalid"
+    assert "Traceback" not in err
+
+
+def test_bundle_block_index_that_is_not_an_integer_is_bundle_invalid(readme_g3, tmp_path):
+    doc = json.loads(json.dumps(readme_g3))
+    doc["rounds"][0]["block"]["coeffs"][0][0] = 1.5
+    path = tmp_path / "g3.json"
+    _write_with_id(doc, path)
+    code, payload = run_command(["verify", "certificates", "--bundle", str(path)])
+    assert code == 1 and payload["error"] == "bundle_invalid"
+
+
+@pytest.mark.parametrize("element", ["1e400*x1", "1e400i*x1 + x1^2"])
+def test_non_finite_element_coefficient_is_a_semantic_error(element, readme_g3, tmp_path, capsys):
+    path = tmp_path / "g3.json"
+    path.write_text(json.dumps(readme_g3))
+    assert main(["verify", "element", "--bundle", str(path), "--element", element]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == "semantic_error" and "rounds" not in payload
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "table",
     ["[[2.0]]", "[1, 2]", '[["a", 0]]', "[[2.0, 0.0], null]", '[{"re": 2}]', "not json"],

@@ -11,7 +11,8 @@ from hyperforge import (
     build_algebrable,
     build_generator,
     coordinatewise_power,
-    homogeneous_parts,
+    orbit_element_report,
+    parse_element,
     root_power_block,
     select_ar,
     seminorm_eval,
@@ -155,7 +156,7 @@ class TestGeneratorAssembly:
         sched = coord_bundle.schedule()
         w = coord_bundle.weight
         for rd in coord_bundle.rounds:
-            expected = root_power_block(w, sched.target(rd.l), rd.a, 1, rd.m)
+            expected = root_power_block(w, sched.target(rd.l), rd.a, rd.m)
             assert rd.block.rel_distance(expected) <= 1e-12
 
 
@@ -191,26 +192,26 @@ class TestAlgebrable:
 
 
 class TestHomogeneousParts:
+    """Element reports keep only the single-generator (diagonal) parts: terms
+    mixing two generators vanish exactly by the disjoint supports."""
+
     def test_cross_terms_vanish(self, algebrable_bundle):
-        gens = algebrable_bundle.generators()
-        z = AlgebraElement({(1, 1, 0): 1.0}, 3)
-        assert homogeneous_parts(z, gens) == {}
+        rep = orbit_element_report(algebrable_bundle, parse_element("x1*x2", 3).element())
+        assert rep.checked == []
+        assert any("degenerate element" in n for n in rep.notes)
 
     def test_diagonal_passthrough(self, algebrable_bundle):
-        gens = algebrable_bundle.generators()
-        z = AlgebraElement({(1, 0, 0): 1.0, (2, 0, 0): 1.0}, 3)
-        parts = homogeneous_parts(z, gens)
-        assert set(parts) == {1, 2}
-        assert parts[1] == gens[0]
-        assert parts[2] == coordinatewise_power(gens[0], 2)
+        rep = orbit_element_report(algebrable_bundle, parse_element("x1 + x1^2", 3).element())
+        class_of = algebrable_bundle.schedule().class_of
+        degree_one = [rd.r for rd in algebrable_bundle.rounds if rd.m == 1 and class_of(rd.l) == 1]
+        assert degree_one and [rc.round for rc in rep.checked] == degree_one
+        assert rep.passed
 
     def test_square_of_sum_drops_the_mixed_term(self, algebrable_bundle):
-        gens = algebrable_bundle.generators()
-        z = AlgebraElement({(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 2, 0): 1.0}, 3)
-        parts = homogeneous_parts(z, gens)
-        assert set(parts) == {2}
-        expected = coordinatewise_power(gens[0], 2) + coordinatewise_power(gens[1], 2)
-        assert parts[2].rel_distance(expected) <= 1e-12
+        full = orbit_element_report(algebrable_bundle, parse_element("x1^2 + 2*x1*x2 + x2^2", 3).element())
+        diag = orbit_element_report(algebrable_bundle, parse_element("x1^2 + x2^2", 3).element())
+        assert diag.checked
+        assert full.to_json()["rounds"] == diag.to_json()["rounds"]
 
     def test_constant_terms_rejected_upstream(self):
         with pytest.raises(ElementError):

@@ -63,12 +63,6 @@ class TestWideComplex:
         # phase of an m-th root always lands in (-pi/m, pi/m]
         assert abs(WideComplex(0.0, 3.0).root(5).phase) <= math.pi / 5 + 1e-15
 
-    def test_fractional_power_is_power_of_stored_root(self):
-        z = WideComplex(2.0, 2.5)
-        assert z.powfrac(2, 4) == z.root(4).powi(2)
-        assert z.powfrac(3, 2) == z.root(2).powi(3)
-        assert z.powfrac(3, 3) == z  # j = m short-circuits exactly
-
     def test_max_rescaled_sum(self):
         terms = [WideComplex.from_real(1e-18), WideComplex.from_real(1.0)]
         s = WideComplex.sum_of(terms)
@@ -205,31 +199,39 @@ class TestWeightsAndShifts:
 
 class TestRootPowerBlocks:
     def test_block_values(self, weight2):
-        blk = root_power_block(weight2, FiniteSeq.basis(0), 3, 1, 1)
+        blk = root_power_block(weight2, FiniteSeq.basis(0), 3, 1)
         assert blk.approx_eq(from_dict({3: 0.125}), 1e-14)
         w4 = WeightSpec.parse("const:4")
-        blk2 = root_power_block(w4, FiniteSeq.basis(0), 2, 1, 2)
+        blk2 = root_power_block(w4, FiniteSeq.basis(0), 2, 2)
         assert blk2.approx_eq(from_dict({2: 0.25}), 1e-14)
 
     def test_full_power_block_inverts_the_shift(self, maclane, weight2):
         rng = random.Random(23)
         for w in (maclane, weight2):
-            for m in (1, 2, 3):
-                y = rand_seq(rng, 5, 6)
-                blk = root_power_block(w, y, 9, m, m)
-                assert backward_iterate(w, blk, 9).rel_distance(y) <= 1e-12
+            y = rand_seq(rng, 5, 6)
+            blk = root_power_block(w, y, 9, 1)
+            assert backward_iterate(w, blk, 9).rel_distance(y) <= 1e-12
+
+    @pytest.mark.parametrize("wspec", ["maclane", "const:2", "const:1+1i"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_mth_power_of_root_block_inverts_the_shift(self, wspec, m):
+        # (S^a y)^{1/m} raised to the m-th power and shifted back by a is y
+        w = WeightSpec.parse(wspec)
+        y = rand_seq(random.Random(29 + m), 5, 6)
+        blk = root_power_block(w, y, 9, m)
+        assert backward_iterate(w, coordinatewise_power(blk, m), 9).rel_distance(y) <= 1e-12
 
     def test_zero_coordinates_pass_through(self, weight2):
         y = from_dict({0: 1.0, 3: 2.0})  # indices 1, 2 are zero inside [0, s]
-        blk = root_power_block(weight2, y, 4, 1, 2)
+        blk = root_power_block(weight2, y, 4, 2)
         assert blk.support == (4, 7)
 
     def test_fractional_block_matches_scalar_path(self, maclane):
         # product of per-factor roots == root of the full ratio for positive weights
         y = from_dict({1: 0.7})
-        blk = root_power_block(maclane, y, 6, 2, 3)
+        blk = root_power_block(maclane, y, 6, 3)
         ratio = maclane.v(7).log_mag - maclane.v(1).log_mag
-        expected = y.coef(1).powfrac(2, 3).log_mag - ratio * 2 / 3
+        expected = y.coef(1).root(3).log_mag - ratio / 3
         assert blk.coef(7).log_mag == pytest.approx(expected, rel=1e-14)
 
 
@@ -244,6 +246,15 @@ class TestFiniteSeqJson:
     def test_horizon_tag_survives(self):
         x = from_dict({0: 1.0}).with_horizon(12)
         assert FiniteSeq.from_json(x.to_json()).horizon == 12
+
+    @pytest.mark.parametrize("entry", [
+        [1.5, 1.0, 0.0], [True, 1.0, 0.0], [-1, 0.0, 0.0], [0, math.nan, 0.0], [0, 1.0, math.inf],
+        [0, {"log_mag": math.inf, "phase": 0.0}], [0, {"log_mag": 1.0, "phase": math.nan}],
+        [0, {"log_mag": -math.inf, "phase": 0.0}],
+    ])
+    def test_entries_that_would_load_as_another_value_are_rejected(self, entry):
+        with pytest.raises(ValueError):
+            FiniteSeq.from_json({"coeffs": [entry, [1, 1.0, 0.0]]})
 
     def test_no_stored_zeros(self):
         x = FiniteSeq({0: WideComplex.zero(), 1: WideComplex.one()})
@@ -374,8 +385,8 @@ def test_closed_forms_match_the_one_go_expressions(wspec):
         a = min(37, size - 1 - n)
         dlog, dph = float(want[n + a] - want[n]), ph_at(n + a) - ph_at(n)
         assert a == 0 or w.ratio(n, a) == WideComplex(dlog, wrap_phase(dph))
-        want_root = WideComplex((dlog / 3) * 2, wrap_phase((dph / 3) * 2))
-        assert a == 0 or w.ratio_root_pow(n, a, 2, 3) == want_root
+        want_root = WideComplex(dlog / 3, wrap_phase(dph / 3))
+        assert a == 0 or w.ratio_root(n, a, 3) == want_root
     # a returned array cannot be written to
     got = w.v_log_array(3)
     with pytest.raises(ValueError):

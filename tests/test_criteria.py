@@ -11,10 +11,8 @@ from hyperforge import (
     check_mixing,
     extend_pk_witness,
     find_pk_witness,
-    property_a_power,
     property_a_witness,
     property_b_witness,
-    root_decay_check,
     seminorm_eval,
     space,
 )
@@ -34,17 +32,15 @@ class TestHypercyclicityWitness:
         pk = find_pk_witness(space("l1"), weight2, 5, horizon_n=3)
         assert list(pk.p) == [1, 2, 3, 4, 5]
         assert pk.validate(space("l1"), weight2)
-        tols = [pk.tol(k) for k in range(1, pk.count + 1)]
-        assert tols == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625], rel=1e-12)
-        assert [pk.q_index(k) for k in range(1, pk.count + 1)] == [1, 2, 3, 4, 5]
+        assert np.exp(pk.tol_log) == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625], rel=1e-12)
+        assert pk.to_json()["q_rule"] == "min(k, 5)"
 
     def test_schedules_monotone(self, maclane):
         pk = find_pk_witness(space("entire_hadamard"), maclane, 12, horizon_n=20)
         assert np.all(np.diff(pk.p) > 0)
-        tols = [pk.tol(k) for k in range(1, pk.count + 1)]
-        assert all(a > b > 0 for a, b in zip(tols, tols[1:]))
-        qs = [pk.q_index(k) for k in range(1, pk.count + 1)]
-        assert all(a <= b for a, b in zip(qs, qs[1:])) and max(qs) <= pk.horizon_q
+        assert pk.tol_log[0] == 0.0 and np.all(np.diff(pk.tol_log) < 0)
+        assert np.all(np.isfinite(pk.tol_log))
+        assert pk.to_json()["q_rule"] == "min(k, 5)"
 
     def test_contracting_weight_exhausts_search(self):
         with pytest.raises(SearchExhausted):
@@ -60,8 +56,9 @@ class TestHypercyclicityWitness:
         # every accepted index is invisible to its certifying seminorm
         for k in range(1, 7):
             p = int(pk.p[k - 1])
-            val = log_decode(seminorm_eval(oc, pk.q_index(k), FiniteSeq.basis(p)))
-            assert val * 2.0 ** (k - 1) < 2.0 or p > pk.q_index(k)
+            q = min(k, pk.horizon_q)
+            val = log_decode(seminorm_eval(oc, q, FiniteSeq.basis(p)))
+            assert val * 2.0 ** (k - 1) < 2.0 or p > q
         assert pk.validate(oc, maclane)
 
     def test_growth_certificates(self, weight2):
@@ -430,52 +427,6 @@ class TestSquaredNormDomination:
     def test_witness_revalidates(self, any_space):
         wit = property_a_witness(any_space, r_max=3, n_max=150)
         assert wit.validate(any_space)
-
-    def test_power_composition(self):
-        eh = space("entire_hadamard")
-        pb = property_a_power(eh, 4, 2)
-        assert (pb.q, pb.C) == (16, 1.0)
-        pb1 = property_a_power(eh, 1, 3)
-        assert (pb1.q, pb1.C) == (3, 1.0)
-
-    def test_power_three_uses_bracketing_powers_of_two(self):
-        # oracle: 2^{3n} <= max(2^{2n}, 2^{4n}) <= 16^n for every n
-        pb = property_a_power(space("entire_hadamard"), 3, 2)
-        assert (pb.q, pb.C) == (16, 1.0)
-        for n in range(0, 30):
-            assert 2.0 ** (3 * n) <= pb.C * float(pb.q) ** n
-
-    def test_power_two_matches_base_witness(self, any_space):
-        wit = property_a_witness(any_space, r_max=3)
-        for r in (1, 2, 3):
-            pb = property_a_power(any_space, 2, r)
-            assert (pb.q, pb.C) == wit.entries[r]
-
-
-class TestRootDecay:
-    def test_geometric(self, weight2):
-        pk = find_pk_witness(space("l1"), weight2, 12, horizon_n=10)
-        rep = root_decay_check(space("l1"), weight2, pk, m_max=2, k_count=8)
-        assert rep.passed
-
-    def test_factorial(self, maclane):
-        eh = space("entire_hadamard")
-        pk = find_pk_witness(eh, maclane, 12, horizon_n=10)
-        rep = root_decay_check(eh, maclane, pk, m_max=2, r_max=1, k_count=8)
-        assert rep.passed
-
-    def test_base_case_reduces_to_witness_tolerances(self, weight2):
-        pk = find_pk_witness(space("l1"), weight2, 10, horizon_n=5)
-        rep = root_decay_check(space("l1"), weight2, pk, m_max=1, k_count=8)
-        assert rep.passed
-
-    def test_broken_witness_is_caught(self, weight2):
-        l1 = space("l1")
-        pk = find_pk_witness(l1, weight2, 10, horizon_n=5)
-        bad = PkWitness.from_json(pk.to_json())
-        bad.p[5:] = bad.p[5]  # flat indices stop the decay
-        rep = root_decay_check(l1, weight2, bad, m_max=1, k_count=8)
-        assert not rep.passed
 
 
 class TestBasisNormCompatibility:

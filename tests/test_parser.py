@@ -1,7 +1,7 @@
 import pytest
 
 from hyperforge import parse_element
-from hyperforge.errors import ParseError, SemanticError
+from hyperforge.errors import ElementError, ParseError, SemanticError
 
 
 def coeffs(text, gens=None):
@@ -48,6 +48,16 @@ class TestErrors:
             parse_element("x1 + 2")
         with pytest.raises(SemanticError):
             parse_element("x1^0")
+
+    @pytest.mark.parametrize("text", ["1e400*x1", "1e400i*x1 + x1^2", "x1 - 2e308*x2"])
+    def test_non_finite_literals_are_semantic_errors(self, text):
+        with pytest.raises(SemanticError, match="not finite"):
+            parse_element(text)
+
+    def test_like_terms_summing_past_the_double_range_are_rejected(self):
+        expr = parse_element("1.7e308*x1 + 1.7e308*x1")
+        with pytest.raises(ElementError, match="finite"):
+            expr.element()
 
     def test_syntax_errors_carry_positions(self):
         with pytest.raises(ParseError) as exc:
