@@ -25,7 +25,6 @@ from .core import (
     cauchy_product,
     coordinatewise_power,
     coordinatewise_product,
-    forward_iterate,
     root_power_block,
 )
 from .criteria import (

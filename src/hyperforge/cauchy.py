@@ -34,7 +34,7 @@ from .core import (
     cauchy_monomials,
     cauchy_power,
     cauchy_product,
-    forward_iterate,
+    root_power_block,
 )
 from .criteria import (
     MixingCertificate,
@@ -459,7 +459,7 @@ def two_part_block(eta: int, c: list[WideComplex], gamma: int,
 
 
 def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSolveResult:
-    mb = WideComplex.from_real(float(m)) * b.powi(m - 1)  # m b^{m-1}; equals m when m = 1
+    mb = WideComplex.from_complex(m) * b.powi(m - 1)  # m b^{m-1}; equals m when m = 1
     coeffs: list[WideComplex] = []
     for j in range(y.max_index + 1):
         yj = y.coef(j)
@@ -495,9 +495,9 @@ def block_checks(space, w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq, 
     shift = eta + (m - 1) * gamma
     c3 = backward_iterate(w, FiniteSeq.basis(m * gamma, b.powi(m)), shift)
     lhs = cauchy_product(q_part, FiniteSeq.basis((m - 1) * gamma, b.powi(m - 1))).scale(
-        WideComplex.from_real(float(m))
+        WideComplex.from_complex(m)
     )
-    res = lhs.rel_distance(forward_iterate(w, y, shift))
+    res = lhs.rel_distance(root_power_block(w, y, shift, 1))
     return {
         "C1": Cert.less(seminorm_eval(space, rho, block), eps_log2),
         "C3": Cert.less(seminorm_eval(space, rho, c3), eps_log2),

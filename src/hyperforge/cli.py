@@ -18,7 +18,7 @@ from . import criteria as _criteria
 from . import verify as _verify
 from .bundle import Bundle, canonical_json
 from .core import FiniteSeq, WeightSpec
-from .errors import ConfigError, HyperforgeError, SearchExhausted, WeightError
+from .errors import ConfigError, HyperforgeError, SearchExhausted, WeightError, WitnessError
 from .parser import parse_element
 from .spaces import SpaceSpec, list_spaces, space as parse_space
 
@@ -119,8 +119,8 @@ def _cmd_criteria(args) -> tuple[int, dict]:
 
 
 def _load_pk_witness(path: str, space: SpaceSpec, weight: WeightSpec) -> _criteria.PkWitness:
-    """Load a witness from `criteria hc --out` and check it against the
-    space and weight of the build; the build relies on its indices increasing."""
+    """The witness of a `criteria hc --out` file, derived and checked for the
+    space and weight of the build."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -129,15 +129,15 @@ def _load_pk_witness(path: str, space: SpaceSpec, weight: WeightSpec) -> _criter
     try:
         if not isinstance(raw, dict):
             raise TypeError("the document is not a JSON object")
-        pk = _criteria.PkWitness.from_json(raw.get("hypercyclicity", raw))
-        ok = pk.validate(space, weight)
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, SearchExhausted, WeightError) as exc:
-        raise ConfigError(f"malformed witness file {path!r}: {exc!r}") from exc
-    if not ok:
+        return _criteria.PkWitness.from_json(raw.get("hypercyclicity", raw), space, weight)
+    except WitnessError as exc:
         raise ConfigError(
-            f"witness file {path!r} does not validate for {space.cli_id} with weight {weight.describe()}"
-        )
-    return pk
+            f"witness file {path!r} does not validate for {space.cli_id} with weight {weight.describe()}",
+            reason=str(exc),
+        ) from exc
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError, SearchExhausted,
+            WeightError) as exc:
+        raise ConfigError(f"malformed witness file {path!r}: {exc!r}") from exc
 
 
 def _cmd_build(args) -> tuple[int, dict]:

@@ -111,12 +111,6 @@ class WideComplex:
             return cls.zero()
         return cls(math.log(abs(z)), math.atan2(z.imag, z.real))
 
-    @classmethod
-    def from_real(cls, x: float) -> "WideComplex":
-        if x == 0:
-            return cls.zero()
-        return cls(math.log(abs(x)), 0.0 if x > 0 else math.pi)
-
     # -- predicates / accessors ---------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -691,23 +685,6 @@ def backward_iterate(w: WeightSpec, x: FiniteSeq, a: int) -> FiniteSeq:
     for n, c in x.items():
         if n >= a:
             out[n - a] = c * w.ratio(n - a, a)
-    return FiniteSeq(out)
-
-
-def forward_iterate(w: WeightSpec, x: FiniteSeq, a: int) -> FiniteSeq:
-    """a-th power of the inverse-weight forward shift: result_{n+a} = (v_n/v_{n+a}) x_n.
-
-    backward_iterate(w, forward_iterate(w, x, a), a) recovers x up to the
-    rounding of one log add/sub pair (both ratios are the same difference of
-    the same two log|v_n| values, so magnitudes cancel up to 1 ulp of the ratio).
-    """
-    if a < 0:
-        raise ValueError("shift count must be >= 0")
-    if a == 0:
-        return x
-    out = {}
-    for n, c in x.items():
-        out[n + a] = c / w.ratio(n, a)
     return FiniteSeq(out)
 
 

@@ -93,28 +93,16 @@ class PkWitness:
     memory O(runs) and ``extend_pk_witness`` resumes without reading any
     per-entry array.  The build reads its candidates through ``rank``,
     ``after``, ``index`` and ``last``.  The arrays ``p``, ``value_log``,
-    ``tol_log``, ``vmin_log`` and ``growth_log`` of a scanned or extended
-    witness are derived on first read, once per witness and from k = 1:
-    values and minima from one read of log|v| per window (window extremes are
-    exact, so they are bit for bit what the scan certified), tolerances and
-    thresholds from the data-driven rule.  A witness loaded by ``from_json``
-    serves the file's arrays, the claims that ``validate`` checks; extending
-    it gives a witness that derives all its arrays anew.
+    ``tol_log``, ``vmin_log`` and ``growth_log`` are derived on first read,
+    once per witness and from k = 1: values and minima from one read of
+    log|v| per window (window extremes are exact, so they are bit for bit
+    what the scan certified), tolerances and thresholds from the data-driven
+    rule.  A witness loaded by ``from_json`` is derived the same way.
     """
 
-    def __init__(
-        self,
-        lo,
-        hi,
-        horizon_n: int,
-        horizon_q: int,
-        growth: bool,
-        next_tol_log: float,
-        next_growth_log: float,
-        *,
-        source: tuple[SpaceSpec, WeightSpec] | None = None,
-        arrays: dict[str, np.ndarray] | None = None,
-    ):
+    def __init__(self, space: SpaceSpec, w: WeightSpec, lo, hi, horizon_n: int, horizon_q: int,
+                 growth: bool, next_tol_log: float, next_growth_log: float):
+        self._space, self._w = space, w  # what the arrays are derived from
         self._lo = np.asarray(lo, dtype=np.int64)
         self._hi = np.asarray(hi, dtype=np.int64)
         lengths = self._hi - self._lo + 1
@@ -125,8 +113,7 @@ class PkWitness:
         self.growth = growth
         self.next_tol_log = next_tol_log
         self.next_growth_log = next_growth_log
-        self._source = source  # (space, weight) the arrays are derived from
-        self._arrays = {} if arrays is None else arrays
+        self._arrays: dict[str, np.ndarray] = {}
 
     # -- run access (the build path) ---------------------------------------------
     @property
@@ -181,7 +168,7 @@ class PkWitness:
         every entry.  Entry k uses the seminorm min(k, horizon_q), so the
         first horizon_q - 1 entries take a window each and the rest one
         window per segment of nearby indices."""
-        space, w = self._source
+        space, w = self._space, self._w
         p, growth = self.p, self.growth
         values = np.empty(len(p))
         vmins = np.empty(len(p)) if growth else None
@@ -198,10 +185,10 @@ class PkWitness:
                 if growth:
                     vmins[a:e] = gmin[p[a:e] - lo]
                 a = e
-        out = {"value_log": values, "tol_log": _tolerances(values)}
+        out = {"value_log": values, "tol_log": _tolerances(values)[:-1]}
         if self.growth:
             out["vmin_log"] = vmins
-            out["growth_log"] = np.concatenate(([NEG_INF], vmins))[: len(vmins)]  # g_{k+1} = vmin_k
+            out["growth_log"] = _thresholds(vmins)[:-1]
         return out
 
     # -- serialization -----------------------------------------------------------
@@ -222,67 +209,52 @@ class PkWitness:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "PkWitness":
-        """Load a witness; its arrays become the claims ``validate`` checks.
+    def from_json(cls, data: dict, space: SpaceSpec, w: WeightSpec) -> "PkWitness":
+        """The witness whose indices a ``to_json`` document lists, with every
+        array derived for ``space`` and ``w``.
 
-        Raises KeyError, TypeError, ValueError or AttributeError on a
-        malformed document.
-        Runs are read off ``p`` as given, so validate before building on it.
+        Every entry is checked: the document's tolerances and growth
+        thresholds must follow the data-driven rule over its own values and
+        minima bit for bit, each value and minimum must lie within the slack
+        of the derived one, and every derived inequality must hold.  Raises
+        WitnessError when the document does not validate, and KeyError,
+        TypeError, ValueError, AttributeError or OverflowError when it is
+        malformed.
         """
         growth = bool(data.get("growth", False))
         names = ("p", "value_log", "tol_log") + (("vmin_log", "growth_log") if growth else ())
-        arrays = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
-        p = arrays["p"]
-        if any(a.ndim != 1 or len(a) != len(p) for a in arrays.values()):
+        claims = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
+        p = claims["p"]
+        if any(a.ndim != 1 or len(a) != len(p) for a in claims.values()):
             raise ValueError("witness arrays must be flat lists of one length")
         horizon_n, horizon_q = int(data["horizon_n"]), int(data["horizon_q"])
         if horizon_n < 0 or horizon_q < 1:
             raise ValueError("witness horizons must satisfy horizon_n >= 0 and horizon_q >= 1")
-        tol, g = 0.0, NEG_INF
-        if len(p):
-            last_val = float(arrays["value_log"][-1])
-            tol = last_val if last_val != NEG_INF else float(arrays["tol_log"][-1]) - _LN2
-            g = float(arrays["vmin_log"][-1]) if growth else NEG_INF
+        if len(p) == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
+            raise WitnessError("witness indices must start at 1 or above and increase")
+        if not np.array_equal(claims["tol_log"], _tolerances(claims["value_log"])[:-1]) or (
+            growth and not np.array_equal(claims["growth_log"], _thresholds(claims["vmin_log"])[:-1])
+        ):
+            raise WitnessError("witness tolerances or growth thresholds are off the data-driven rule")
         starts = np.flatnonzero(np.diff(p) != 1) + 1
-        lo = p[np.concatenate(([0], starts))] if len(p) else p
-        hi = p[np.concatenate((starts - 1, [len(p) - 1]))] if len(p) else p
-        return cls(lo, hi, horizon_n, horizon_q, growth, tol, g, arrays=arrays)
-
-    def validate(self, space: SpaceSpec, w: WeightSpec) -> bool:
-        """Pure re-check: indices start at 1 or above and increase, tolerances
-        strictly decrease and follow the data-driven rule, growth thresholds
-        follow theirs (g_1 = -inf, g_{k+1} = vmin_k, bit for bit), and every
-        certified inequality reproduces (sampled for huge witnesses)."""
-        if self.count == 0 or self.p[0] < 1 or np.any(np.diff(self.p) <= 0):
-            return False
-        if self.tol_log[0] != 0.0 or np.any(np.diff(self.tol_log) >= 0):
-            return False
-        prev_val, prev_tol = self.value_log[:-1], self.tol_log[:-1]
-        expect = np.where(prev_val != NEG_INF, prev_val, prev_tol - _LN2)
-        if np.any(self.tol_log[1:] != expect):
-            return False
-        if self.growth and np.any(self.growth_log != np.concatenate(([NEG_INF], self.vmin_log[:-1]))):
-            return False
-        stride = 1 if self.count <= 20000 else self.count // 10000
-        ks = sorted(set(range(1, self.count + 1, stride)) | {1, self.count})
-        for k in ks:
-            pk = int(self.p[k - 1])
-            q = min(k, self.horizon_q)
-            hmax, gmin, _ = _window_extremes(space, w, q, self.horizon_n, pk, pk + 1, self.growth)
-            val = float(hmax[0])
-            if not val < self.tol_log[k - 1] or abs_diff(val, float(self.value_log[k - 1])) > _SLACK:
-                return False
-            if self.growth:
-                vmin = float(gmin[0])
-                if not vmin > self.growth_log[k - 1] or abs_diff(vmin, float(self.vmin_log[k - 1])) > _SLACK:
-                    return False
-        return True
+        pk = cls(space, w, p[np.r_[0, starts]], p[np.r_[starts - 1, len(p) - 1]], horizon_n, horizon_q,
+                 growth, 0.0, NEG_INF)
+        pairs = [(claims["value_log"], pk.value_log)] + ([(claims["vmin_log"], pk.vmin_log)] if growth else [])
+        with np.errstate(invalid="ignore"):  # equal infinities differ by nan, so == decides them
+            if not all(np.all((a == b) | (np.abs(a - b) <= _SLACK)) for a, b in pairs):
+                raise WitnessError("witness values differ from the derived ones by more than the slack")
+        if not np.all(pk.value_log < pk.tol_log) or (growth and not np.all(pk.vmin_log > pk.growth_log)):
+            raise WitnessError("a derived witness inequality fails")
+        pk.next_tol_log = float(_tolerances(pk.value_log)[-1])
+        pk.next_growth_log = float(pk.vmin_log[-1]) if growth else NEG_INF
+        return pk
 
 
 def _tolerances(values: np.ndarray) -> np.ndarray:
     """tol_1 = 0, tol_{k+1} = value_k, or tol_k - ln 2 (one subtraction at a
-    time, as the scan does) where value_k is -inf."""
-    tol = np.concatenate(([0.0], values))[: len(values)]
+    time, as the scan does) where value_k is -inf; one longer than ``values``,
+    so the last entry is the next tolerance."""
+    tol = np.concatenate(([0.0], values))
     halved = np.flatnonzero(tol[1:] == NEG_INF) + 1
     if len(halved):
         breaks = np.flatnonzero(np.diff(halved) > 1)
@@ -293,10 +265,10 @@ def _tolerances(values: np.ndarray) -> np.ndarray:
     return tol
 
 
-def abs_diff(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    return abs(a - b)
+def _thresholds(vmins: np.ndarray) -> np.ndarray:
+    """g_1 = -inf, g_{k+1} = vmin_k; one longer than ``vmins``, so the last
+    entry is the next threshold."""
+    return np.concatenate(([NEG_INF], vmins))
 
 
 def find_pk_witness(
@@ -321,7 +293,7 @@ def find_pk_witness(
         space, w, count, horizon_n, horizon_q, growth, lo, hi,
         k_start=1, p_start=0, tol0=0.0, g0=NEG_INF,
     )
-    return PkWitness(lo, hi, horizon_n, horizon_q, growth, tol, g, source=(space, w))
+    return PkWitness(space, w, lo, hi, horizon_n, horizon_q, growth, tol, g)
 
 
 def extend_pk_witness(space: SpaceSpec, w: WeightSpec, pk: PkWitness, count: int) -> PkWitness:
@@ -333,7 +305,7 @@ def extend_pk_witness(space: SpaceSpec, w: WeightSpec, pk: PkWitness, count: int
         space, w, count - pk.count, pk.horizon_n, pk.horizon_q, pk.growth, lo, hi,
         k_start=pk.count + 1, p_start=pk.last, tol0=pk.next_tol_log, g0=pk.next_growth_log,
     )
-    return PkWitness(lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g, source=(space, w))
+    return PkWitness(space, w, lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g)
 
 
 def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_start, p_start, tol0, g0):

@@ -60,11 +60,6 @@ class AlgebraElement:
     def degree_max(self) -> int:
         return max(sum(b) for b in self.coeffs)
 
-    def scaled(self, factor: complex) -> "AlgebraElement":
-        if factor == 0:
-            raise ElementError("cannot scale an element by zero")
-        return AlgebraElement({b: c * factor for b, c in self.coeffs.items()}, self.num_generators)
-
     def top_form(self) -> dict[tuple[int, ...], complex]:
         """Coefficients of the highest total degree."""
         m = self.degree_max
@@ -72,22 +67,6 @@ class AlgebraElement:
 
     def homogeneous_coeffs(self, degree: int) -> dict[tuple[int, ...], complex]:
         return {b: c for b, c in self.coeffs.items() if sum(b) == degree}
-
-    def to_json(self) -> dict:
-        return {
-            "generators": self.num_generators,
-            "terms": [
-                {"beta": list(b), "coef": [c.real, c.imag]}
-                for b, c in sorted(self.coeffs.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AlgebraElement":
-        return cls(
-            {tuple(t["beta"]): complex(t["coef"][0], t["coef"][1]) for t in data["terms"]},
-            data["generators"],
-        )
 
     def describe(self) -> str:
         parts = []

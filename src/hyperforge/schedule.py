@@ -68,12 +68,6 @@ class TripleOrder:
             rem -= block
         raise AssertionError("triple decode fell through")
 
-    def max_degree_before(self, r: int) -> int:
-        best = 0
-        for rp in range(1, r):
-            best = max(best, self.decode(rp)[0])
-        return best
-
 
 @dataclass
 class TargetSchedule:

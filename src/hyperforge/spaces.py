@@ -103,7 +103,7 @@ _FAMILY_DOC = {
     "c0": "sup_n |x_n|, constant in q",
     "l1": "sum |x_n|, constant in q",
     "entire_hadamard": "sum |x_n| q^n",
-    "entire_cauchy": "sup_{|z|<=q} |sum x_n z^n| (interval enclosure)",
+    "entire_cauchy": "sup_{|z|<=q} |sum x_n z^n|, bounded above by sum |x_n| q^n",
     "omega_coord": "sup_{n<=q} |x_n|",
     "omega_cauchy": "sum_{n<=q} |x_n|",
 }

@@ -18,6 +18,7 @@ use upper bounds (the sound direction).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -194,6 +195,18 @@ def orbit_element_report(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
     return _element_report_coord(bundle, z)
 
 
+def _normalized(coeffs: dict, pivot_key) -> tuple[dict, float]:
+    """``coeffs`` divided by the pivot coefficient, and the bound factor 2 +
+    the sum of the other normalized |c|; raises ElementError when either
+    overflows (a subnormal pivot), since the report would then pass vacuously."""
+    pivot = coeffs[pivot_key]
+    scaled = {key: c / pivot for key, c in coeffs.items()}
+    bound_factor = 2.0 + sum(abs(c) for key, c in scaled.items() if key != pivot_key)
+    if not (math.isfinite(bound_factor) and all(cmath.isfinite(c) for c in scaled.values())):
+        raise ElementError(f"normalizing by the coefficient {pivot!r} leaves a coefficient or the bound not finite")
+    return scaled, bound_factor
+
+
 def _element_report_coord(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
     """Coordinatewise bundles: normalize the lowest surviving diagonal
     coefficient to 1 and compare against (sum of remaining |c| + 2) * 2^-r."""
@@ -209,9 +222,7 @@ def _element_report_coord(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
         ))
     j = min(nu for nu, _ in diag)
     k_star = min(k for nu, k in diag if nu == j)
-    pivot = diag[(j, k_star)]
-    scaled = {key: c / pivot for key, c in diag.items()}
-    bound_factor = 2.0 + sum(abs(c) for key, c in scaled.items() if key != (j, k_star))
+    scaled, bound_factor = _normalized(diag, (j, k_star))
 
     class_of = bundle.schedule().class_of
     rounds = [rd for rd in bundle.rounds if rd.m == j and class_of(rd.l) == k_star]
@@ -225,9 +236,7 @@ def _element_report_cauchy_single(bundle: Bundle, z: AlgebraElement) -> OrbitRep
     """Single-generator Cauchy bundles: normalize the top coefficient to 1 and
     compare against (sum of lower |c| + 2) * 2^-r at rounds of the top degree."""
     m = z.degree_max
-    top = z.coeffs[(m,)]
-    scaled = {beta: c / top for beta, c in z.coeffs.items()}
-    bound_factor = 2.0 + sum(abs(c) for beta, c in scaled.items() if beta != (m,))
+    scaled, bound_factor = _normalized(z.coeffs, (m,))
     rounds = [rd for rd in bundle.rounds if rd.m == m]
     value = _substitute_cauchy(scaled, bundle.generators()) if rounds else None
     return _report(bundle, z.describe(),

@@ -15,6 +15,7 @@ from hyperforge import (
     CauchyState,
     CoordState,
     LambdaMatrix,
+    PkWitness,
     WeightSpec,
     WideComplex,
     backward_iterate,
@@ -28,7 +29,6 @@ from hyperforge import (
     coordinatewise_product,
     expansion_oracle,
     find_pk_witness,
-    forward_iterate,
     leading_form_column,
     nonfinite_generation_witness,
     orbit_element_report,
@@ -36,6 +36,7 @@ from hyperforge import (
     property_a_witness,
     property_b_witness,
     revalidate_bundle,
+    root_power_block,
     seminorm_eval,
     solve_building_block,
     space,
@@ -138,7 +139,7 @@ def test_criterion_4_building_block_solver():
             assert res.checks["C1"].passed and res.checks["C3"].passed
             if m == 1:
                 expected = (mac.v(0) * y.coef(0)) / (
-                    WideComplex.from_real(1.0) * mac.v(res.eta)
+                    WideComplex.from_complex(1.0) * mac.v(res.eta)
                 )
                 assert res.c[0] == expected
             elapsed = time.perf_counter() - t0
@@ -237,7 +238,7 @@ def test_criterion_7_oracle_suites():
             for _ in range(1000):
                 x = rand_seq(rng)
                 a = rng.randint(0, 25)
-                back = backward_iterate(w, forward_iterate(w, x, a), a)
+                back = backward_iterate(w, root_power_block(w, x, a, 1), a)
                 assert back.rel_distance(x) <= 1e-12
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -263,7 +264,7 @@ def test_criterion_8_criteria_suite():
         w2, mac = WeightSpec.parse("const:2"), WeightSpec.parse("maclane")
         for sp, w in ((space("l1"), w2), (space("entire_hadamard"), mac)):
             pk = find_pk_witness(sp, w, 16, horizon_n=500, growth=True)
-            assert pk.validate(sp, w)
+            assert PkWitness.from_json(pk.to_json(), sp, w).count == 16
         for sp, w in ((space("l1"), w2), (space("entire_cauchy"), mac)):
             cert = check_mixing(sp, w, horizon_n=500)
             assert cert.passed
@@ -278,7 +279,7 @@ def test_criterion_9_negative_controls():
         for idx in range(bundle.R):
             corrupt = Bundle.from_json(bundle.to_json())
             rd = corrupt.rounds[idx]
-            rd.block = rd.block.scale(WideComplex.from_real(2.0))
+            rd.block = rd.block.scale(WideComplex.from_complex(2.0))
             reval = revalidate_bundle(corrupt)
             rep = orbit_power_report(corrupt, rd.m)
             assert (not reval.passed) or (not rep.passed), f"round {idx + 1} undetected"
@@ -287,5 +288,5 @@ def test_criterion_9_negative_controls():
         for idx in range(cb.R):
             corrupt = Bundle.from_json(cb.to_json())
             rd = corrupt.rounds[idx]
-            rd.block = rd.block.scale(WideComplex.from_real(2.0))
+            rd.block = rd.block.scale(WideComplex.from_complex(2.0))
             assert not revalidate_bundle(corrupt).passed, f"round {idx + 1} undetected"

@@ -251,7 +251,7 @@ class TestInductiveConstruction:
                 piece = cauchy_power(q_part, rd.m - k)
                 piece = cauchy_product(piece, cauchy_power(top, k))
                 total = total + piece.scale(
-                    WideComplex.from_real(float(math.comb(rd.m, k)))
+                    WideComplex.from_complex(float(math.comb(rd.m, k)))
                 )
             assert total.rel_distance(cauchy_power(rd.block, rd.m)) <= 1e-10
 

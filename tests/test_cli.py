@@ -489,6 +489,33 @@ def test_non_finite_element_coefficient_is_a_semantic_error(element, readme_g3, 
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def readme_c(tmp_path_factory):
+    """The README cauchy bundle (entire_cauchy, maclane, 8 rounds), as its document."""
+    tmp = tmp_path_factory.mktemp("c")
+    targets = tmp / "targets.json"
+    targets.write_text(json.dumps(TARGETS_JSON))
+    out = tmp / "c.json"
+    code, _ = run_command(["build", "cauchy", "--space", "entire_cauchy", "--weight", "maclane",
+                           "--targets", str(targets), "--rounds", "8", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("bundle,element", [("g3", "1e-320*x1 + x1^2"), ("c", "1e-320*x1^2 + x1")])
+def test_subnormal_pivot_is_element_invalid(bundle, element, readme_g3, readme_c, tmp_path, capsys):
+    # dividing by the subnormal pivot (the lowest diagonal coefficient of a
+    # coordinatewise element, the top one of a Cauchy element) overflows the
+    # other coefficient, and an infinite bound would pass vacuously
+    path = tmp_path / f"{bundle}.json"
+    path.write_text(json.dumps(readme_g3 if bundle == "g3" else readme_c))
+    assert main(["verify", "element", "--bundle", str(path), "--element", element]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == "element_invalid" and "rounds" not in payload
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "table",
     ["[[2.0]]", "[1, 2]", '[["a", 0]]', "[[2.0, 0.0], null]", '[{"re": 2}]', "not json"],
@@ -560,11 +587,13 @@ def _damaged_witness(doc, damage):
         wit["tol_log"].pop()
     elif damage == "bad_horizon":
         wit["horizon_q"] = 0
+    elif damage == "p_past_int64":
+        wit["p"][-1] = 10**30
     return doc
 
 
 @pytest.mark.parametrize(
-    "damage", ["no_p", "a_list", "reversed_p", "value_past_slack", "short_array", "bad_horizon"]
+    "damage", ["no_p", "a_list", "reversed_p", "value_past_slack", "short_array", "bad_horizon", "p_past_int64"]
 )
 def test_malformed_witness_is_config_invalid(damage, readme_pk, targets_file, tmp_path, capsys):
     path = tmp_path / "pk.json"
@@ -648,3 +677,24 @@ def test_witness_with_indices_below_one_is_config_invalid(targets_file, tmp_path
                                      "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)])
         assert code == 1 and payload["error"] == "config_invalid"
         assert "does not validate" in payload["message"], payload["message"]
+
+
+def test_value_claim_past_a_sampled_check_is_config_invalid(targets_file, tmp_path):
+    # a 40,000-entry witness whose third value claim is raised by 0.35, with
+    # the next tolerance moved to match: the tolerance rule and every claimed
+    # inequality still hold, so only a check of that very entry (which a
+    # check sampling every fourth entry from k = 1 skips) catches it
+    path = tmp_path / "pk.json"
+    code, _ = run_command(["criteria", "hc", "--space", "l1", "--weight", "const:2",
+                           "--count", "40000", "--out", str(path)])
+    assert code == 0
+    doc = json.loads(path.read_text())
+    wit = doc["hypercyclicity"]
+    wit["value_log"][2] += 0.35
+    wit["tol_log"][3] = wit["value_log"][2]
+    assert wit["value_log"][3] < wit["tol_log"][3] and wit["value_log"][2] < wit["tol_log"][2]
+    path.write_text(json.dumps(doc))
+    code, payload = run_command(["build", "coord", "--space", "l1", "--weight", "const:2",
+                                 "--targets", targets_file, "--rounds", "3", "--pk-witness", str(path)])
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert "does not validate" in payload["message"], payload["message"]

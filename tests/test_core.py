@@ -14,7 +14,6 @@ from hyperforge import (
     cauchy_product,
     coordinatewise_power,
     coordinatewise_product,
-    forward_iterate,
     root_power_block,
 )
 from hyperforge.errors import SearchExhausted, WeightError
@@ -53,10 +52,10 @@ class TestWideComplex:
     def test_zero_flag_is_canonical(self):
         z = WideComplex.zero()
         assert z.is_zero and z.phase == 0.0
-        assert (WideComplex.from_real(5.0) - WideComplex.from_real(5.0)).is_zero
+        assert (WideComplex.from_complex(5.0) - WideComplex.from_complex(5.0)).is_zero
 
     def test_principal_root_branch(self):
-        minus_one = WideComplex.from_real(-1.0)
+        minus_one = WideComplex.from_complex(-1.0)
         assert minus_one.root(2).approx_eq(WideComplex.from_complex(1j), 1e-15)
         i = WideComplex.from_complex(1j)
         assert i.root(2).phase == pytest.approx(math.pi / 4)
@@ -64,7 +63,7 @@ class TestWideComplex:
         assert abs(WideComplex(0.0, 3.0).root(5).phase) <= math.pi / 5 + 1e-15
 
     def test_max_rescaled_sum(self):
-        terms = [WideComplex.from_real(1e-18), WideComplex.from_real(1.0)]
+        terms = [WideComplex.from_complex(1e-18), WideComplex.from_complex(1.0)]
         s = WideComplex.sum_of(terms)
         assert abs(s.to_complex() - (1.0 + 1e-18)) < 1e-15
 
@@ -160,7 +159,7 @@ class TestWeightsAndShifts:
         with pytest.raises(WeightError):
             WeightSpec("table", table=[1, 0, 2])
         t = WeightSpec("table", table=[2, 3, 4])
-        assert t.v(3).approx_eq(WideComplex.from_real(24.0), 1e-14)
+        assert t.v(3).approx_eq(WideComplex.from_complex(24.0), 1e-14)
         with pytest.raises(WeightError):
             t.v(4)
         path = tmp_path / "w.json"
@@ -170,8 +169,8 @@ class TestWeightsAndShifts:
 
     def test_weight_products(self, weight2, maclane):
         assert weight2.v(0) == WideComplex.one()  # w_0 = 1
-        assert weight2.v(10).approx_eq(WideComplex.from_real(1024.0), 1e-13)
-        assert maclane.v(5).approx_eq(WideComplex.from_real(120.0), 1e-13)
+        assert weight2.v(10).approx_eq(WideComplex.from_complex(1024.0), 1e-13)
+        assert maclane.v(5).approx_eq(WideComplex.from_complex(120.0), 1e-13)
 
     def test_backward_shift_definition(self, weight2, maclane):
         assert backward_iterate(maclane, FiniteSeq.basis(3), 1).approx_eq(
@@ -182,25 +181,20 @@ class TestWeightsAndShifts:
         )
         assert backward_iterate(weight2, FiniteSeq.basis(0), 1).is_zero
 
-    def test_forward_shift_definition(self, weight2):
-        assert forward_iterate(weight2, FiniteSeq.basis(0), 3).approx_eq(
-            from_dict({3: 0.125}), 1e-14
-        )
-        x = from_dict({0: 1j, 4: -2})
-        assert forward_iterate(weight2, x, 0) == x
-
     @settings(max_examples=40, deadline=None)
     @given(seqs(), st.integers(0, 20), st.sampled_from(["const:2", "maclane", "const:0.5+0.5i"]))
     def test_backward_undoes_forward(self, d, a, wspec):
         w = WeightSpec.parse(wspec)
         x = from_dict(d)
-        assert backward_iterate(w, forward_iterate(w, x, a), a).rel_distance(x) <= 1e-12
+        assert backward_iterate(w, root_power_block(w, x, a, 1), a).rel_distance(x) <= 1e-12
 
 
 class TestRootPowerBlocks:
     def test_block_values(self, weight2):
         blk = root_power_block(weight2, FiniteSeq.basis(0), 3, 1)
         assert blk.approx_eq(from_dict({3: 0.125}), 1e-14)
+        x = from_dict({0: 1j, 4: -2})  # m = 1 with a = 0 is the identity, complex inputs too
+        assert root_power_block(weight2, x, 0, 1) == x
         w4 = WeightSpec.parse("const:4")
         blk2 = root_power_block(w4, FiniteSeq.basis(0), 2, 2)
         assert blk2.approx_eq(from_dict({2: 0.25}), 1e-14)
@@ -238,7 +232,7 @@ class TestRootPowerBlocks:
 class TestFiniteSeqJson:
     def test_roundtrip_plain_and_extreme(self):
         x = FiniteSeq(
-            {2: WideComplex.from_real(0.5), 1000: WideComplex(5e5, 1.0), 7: WideComplex(-4e5, -2.0)}
+            {2: WideComplex.from_complex(0.5), 1000: WideComplex(5e5, 1.0), 7: WideComplex(-4e5, -2.0)}
         )
         data = x.to_json()
         assert FiniteSeq.from_json(data) == x
@@ -275,7 +269,7 @@ def test_concurrent_use_is_safe():
     def work(i):
         x = seqs[i % len(seqs)]
         val = seminorm_eval(sp, 1 + i % 5, x)
-        shifted = backward_iterate(w, forward_iterate(w, x, 500 + i), 500 + i)
+        shifted = backward_iterate(w, root_power_block(w, x, 500 + i, 1), 500 + i)
         return val, shifted.rel_distance(x) <= 1e-11
 
     with ThreadPoolExecutor(8) as pool:

@@ -31,7 +31,7 @@ class TestHypercyclicityWitness:
         # k-th tolerance 2^(1-k) admits p = k and nothing smaller
         pk = find_pk_witness(space("l1"), weight2, 5, horizon_n=3)
         assert list(pk.p) == [1, 2, 3, 4, 5]
-        assert pk.validate(space("l1"), weight2)
+        assert PkWitness.from_json(pk.to_json(), space("l1"), weight2).count == 5
         assert np.exp(pk.tol_log) == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625], rel=1e-12)
         assert pk.to_json()["q_rule"] == "min(k, 5)"
 
@@ -59,11 +59,11 @@ class TestHypercyclicityWitness:
             q = min(k, pk.horizon_q)
             val = log_decode(seminorm_eval(oc, q, FiniteSeq.basis(p)))
             assert val * 2.0 ** (k - 1) < 2.0 or p > q
-        assert pk.validate(oc, maclane)
+        assert PkWitness.from_json(pk.to_json(), oc, maclane).count == 6
 
     def test_growth_certificates(self, weight2):
         pk = find_pk_witness(space("l1"), weight2, 8, horizon_n=4, growth=True)
-        assert pk.growth and pk.validate(space("l1"), weight2)
+        assert pk.growth and PkWitness.from_json(pk.to_json(), space("l1"), weight2).growth
         for k in range(1, 9):
             assert weight2.v_log(int(pk.p[k - 1])) >= (k - 1) * math.log(2) - 1e-12
 
@@ -76,15 +76,16 @@ class TestHypercyclicityWitness:
 
     def test_json_roundtrip(self, weight2):
         pk = find_pk_witness(space("l1"), weight2, 6, horizon_n=4)
-        back = PkWitness.from_json(pk.to_json())
+        back = PkWitness.from_json(pk.to_json(), space("l1"), weight2)
         assert list(back.p) == list(pk.p) and back.horizon_q == pk.horizon_q
+        assert back.to_json() == pk.to_json()
 
     def test_tampered_witness_fails_validation(self, weight2):
         l1 = space("l1")
-        pk = find_pk_witness(l1, weight2, 6, horizon_n=4)
-        bad = PkWitness.from_json(pk.to_json())
-        bad.p[:] = bad.p - 1  # shift every index down; stored values no longer match
-        assert not bad.validate(l1, weight2)
+        doc = find_pk_witness(l1, weight2, 6, horizon_n=4).to_json()
+        doc["p"] = [p + 1 for p in doc["p"]]  # shift every index up; stored values no longer match
+        with pytest.raises(WitnessError, match="slack"):
+            PkWitness.from_json(doc, l1, weight2)
 
     @pytest.mark.parametrize("sid,wspec", [("l1", "const:2"), ("omega_coord", "maclane")])
     def test_tolerance_off_the_data_driven_rule_fails_validation(self, sid, wspec):
@@ -93,11 +94,12 @@ class TestHypercyclicityWitness:
         # tolerances strictly decreasing and above the values
         sp, w = space(sid), WeightSpec.parse(wspec)
         pk = find_pk_witness(sp, w, 12, horizon_n=4)
-        assert pk.validate(sp, w)
+        PkWitness.from_json(pk.to_json(), sp, w)
         for k in (1, pk.count - 1):
-            bad = PkWitness.from_json(pk.to_json())
-            bad.tol_log[k] = np.nextafter(bad.tol_log[k], -np.inf)
-            assert not bad.validate(sp, w), k
+            bad = pk.to_json()
+            bad["tol_log"][k] = float(np.nextafter(bad["tol_log"][k], -np.inf))
+            with pytest.raises(WitnessError, match="rule"):
+                PkWitness.from_json(bad, sp, w)
 
     @pytest.mark.parametrize("how", GROWTH_TAMPERS)
     def test_growth_thresholds_off_the_rule_fail_validation(self, weight2, how):
@@ -107,7 +109,8 @@ class TestHypercyclicityWitness:
         doc = find_pk_witness(l1, weight2, 12, horizon_n=4, growth=True).to_json()
         tamper_growth(doc, how)
         assert all(g < v for g, v in zip(doc["growth_log"], doc["vmin_log"]))
-        assert not PkWitness.from_json(doc).validate(l1, weight2)
+        with pytest.raises(WitnessError, match="rule"):
+            PkWitness.from_json(doc, l1, weight2)
 
 
 def _witness_digest(pk: PkWitness) -> str:
@@ -204,9 +207,11 @@ def test_derived_arrays_match_the_array_scan(sid, wspec, N, Q, growth, counts):
         pk = extend_pk_witness(sp, w, pk, count)
     want = _scan_arrays(sp, w, counts[-1], N, Q, growth)
     _assert_arrays_match(pk, want)
-    assert pk.validate(sp, w)
+    loaded = PkWitness.from_json(pk.to_json(), sp, w)
+    _assert_arrays_match(loaded, want)
     last_val = want[1][-1]
     assert pk.next_tol_log == (last_val if last_val != -math.inf else want[2][-1] - math.log(2.0))
+    assert (loaded.next_tol_log, loaded.next_growth_log) == (pk.next_tol_log, pk.next_growth_log)
     if sid == "omega_coord":
         assert np.sum(want[1] == -math.inf) > 100  # the halving rule is exercised
     if wspec == "bumpy":
@@ -233,36 +238,37 @@ def test_loaded_witness_extended_by_the_scan(sid, wspec, growth):
     sp = space(sid)
     w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
     pk = find_pk_witness(sp, w, 20, horizon_n=8, horizon_q=3, growth=growth)
-    loaded = PkWitness.from_json(pk.to_json())
-    assert loaded.validate(sp, w)
+    loaded = PkWitness.from_json(pk.to_json(), sp, w)
+    _assert_arrays_match(loaded, _scan_arrays(sp, w, 20, 8, 3, growth))
+    assert (loaded.next_tol_log, loaded.next_growth_log) == (pk.next_tol_log, pk.next_growth_log)
     ext = extend_pk_witness(sp, w, extend_pk_witness(sp, w, loaded, 90), 400)
     _assert_arrays_match(ext, _scan_arrays(sp, w, 400, 8, 3, growth))
-    # the extension derives every entry from k = 1; the loaded claims agree
+    # the extension derives every entry from k = 1; the loaded arrays agree
     for name in _ARRAYS[: 5 if growth else 3]:
         assert getattr(ext, name)[:20].tobytes() == getattr(loaded, name).tobytes(), name
     assert loaded.count == 20
 
 
 def test_extension_of_a_loaded_witness_derives_every_entry(weight2):
-    # a value nudged within the validation slack stays the loaded witness's
-    # claim; the extension serves the recomputed value, not the file's
+    # a value nudged within the slack loads, but the loaded witness and its
+    # extension serve the derived value, not the file's
     l1 = space("l1")
     pk = find_pk_witness(l1, weight2, 20, horizon_n=8, horizon_q=3, growth=True)
     doc = pk.to_json()
     doc["value_log"][19] = float(np.nextafter(doc["value_log"][19], -np.inf))
-    loaded = PkWitness.from_json(doc)
-    assert loaded.validate(l1, weight2)
-    assert loaded.value_log[19] == doc["value_log"][19]
+    loaded = PkWitness.from_json(doc, l1, weight2)
+    assert loaded.value_log[19] == pk.value_log[19] != doc["value_log"][19]
+    assert loaded.next_tol_log == pk.next_tol_log
     ext = extend_pk_witness(l1, weight2, loaded, 40)
-    assert ext.value_log[19] == pk.value_log[19] != loaded.value_log[19]
+    assert ext.value_log[19] == pk.value_log[19]
     _assert_arrays_match(ext, _scan_arrays(l1, weight2, 40, 8, 3, True))
-    assert ext.validate(l1, weight2)
+    PkWitness.from_json(ext.to_json(), l1, weight2)
 
 
 def _runs_witness():
     # runs [1, 5], [10, 50], [100, 5000], [5002, 5002], [5004, 5010]
     lo, hi = [1, 10, 100, 5002, 5004], [5, 50, 5000, 5002, 5010]
-    return PkWitness(lo, hi, 8, 5, False, 0.0, -math.inf)
+    return PkWitness(space("l1"), WeightSpec.parse("const:2"), lo, hi, 8, 5, False, 0.0, -math.inf)
 
 
 def test_after_matches_searchsorted_over_the_indices():

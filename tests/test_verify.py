@@ -260,7 +260,7 @@ class TestRevalidation:
     def test_doubling_any_coordinatewise_block_fails(self, coord_bundle, round_index):
         corrupt = Bundle.from_json(coord_bundle.to_json())
         rd = corrupt.rounds[round_index]
-        rd.block = rd.block.scale(WideComplex.from_real(2.0))
+        rd.block = rd.block.scale(WideComplex.from_complex(2.0))
         rep = revalidate_bundle(corrupt)
         power_rep = orbit_power_report(corrupt, rd.m)
         assert (not rep.passed) or (not power_rep.passed)
@@ -270,14 +270,14 @@ class TestRevalidation:
     def test_doubling_any_cauchy_block_fails(self, cauchy_bundle, round_index):
         corrupt = Bundle.from_json(cauchy_bundle.to_json())
         rd = corrupt.rounds[round_index]
-        rd.block = rd.block.scale(WideComplex.from_real(2.0))
+        rd.block = rd.block.scale(WideComplex.from_complex(2.0))
         rep = revalidate_bundle(corrupt)
         assert not rep.passed
 
     def test_failing_a2_is_named_by_its_check(self, coord_bundle):
         corrupt = Bundle.from_json(coord_bundle.to_json())
         rd = corrupt.rounds[4]
-        rd.block = rd.block.scale(WideComplex.from_real(2.0 ** 20))
+        rd.block = rd.block.scale(WideComplex.from_complex(2.0 ** 20))
         rows = revalidate_bundle(corrupt).rounds
         assert [row["failed"] for row in rows] == [
             ["block_consistency", "A1_value", "A2", "A2_value"] if row["round"] == 5 else []
@@ -305,7 +305,7 @@ class TestRevalidation:
     def test_perturbed_orbit_report_also_fails(self, coord_bundle):
         corrupt = Bundle.from_json(coord_bundle.to_json())
         rd = corrupt.rounds[4]
-        rd.block = rd.block.scale(WideComplex.from_real(2.0))
+        rd.block = rd.block.scale(WideComplex.from_complex(2.0))
         rep = orbit_power_report(corrupt, rd.m)
         assert not rep.passed
 
