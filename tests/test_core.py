@@ -181,6 +181,14 @@ class TestWeightsAndShifts:
         )
         assert backward_iterate(weight2, FiniteSeq.basis(0), 1).is_zero
 
+    def test_forward_shift_definition(self, weight2):
+        # the forward shift F^a is the m = 1 root-power block
+        assert root_power_block(weight2, FiniteSeq.basis(0), 3, 1).approx_eq(
+            from_dict({3: 0.125}), 1e-14
+        )
+        x = from_dict({0: 1j, 4: -2})
+        assert root_power_block(weight2, x, 0, 1) == x
+
     @settings(max_examples=40, deadline=None)
     @given(seqs(), st.integers(0, 20), st.sampled_from(["const:2", "maclane", "const:0.5+0.5i"]))
     def test_backward_undoes_forward(self, d, a, wspec):
@@ -193,8 +201,6 @@ class TestRootPowerBlocks:
     def test_block_values(self, weight2):
         blk = root_power_block(weight2, FiniteSeq.basis(0), 3, 1)
         assert blk.approx_eq(from_dict({3: 0.125}), 1e-14)
-        x = from_dict({0: 1j, 4: -2})  # m = 1 with a = 0 is the identity, complex inputs too
-        assert root_power_block(weight2, x, 0, 1) == x
         w4 = WeightSpec.parse("const:4")
         blk2 = root_power_block(w4, FiniteSeq.basis(0), 2, 2)
         assert blk2.approx_eq(from_dict({2: 0.25}), 1e-14)
