@@ -222,6 +222,8 @@ class PkWitness:
         malformed.
         """
         growth = bool(data.get("growth", False))
+        if not all(type(k) is int for k in data["p"]):  # a float or a bool would be cast to an index
+            raise ValueError("witness indices must be integers")
         names = ("p", "value_log", "tol_log") + (("vmin_log", "growth_log") if growth else ())
         claims = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
         p = claims["p"]

@@ -52,10 +52,7 @@ class TestCriteriaCommands:
         # a horizon past the budget ends before any array of that size exists
         import tracemalloc
 
-        from hyperforge import WeightSpec
-
         monkeypatch.delenv("HYPERFORGE_BUDGET", raising=False)
-        WeightSpec.parse("maclane")  # imports scipy outside the measurement
         argv = ["criteria", check, "--space", space_id, "--weight", "maclane", "--horizon-n", "300000000"]
         tracemalloc.start()
         try:
@@ -394,7 +391,7 @@ def test_reports_on_a_saved_bundle_print_the_built_id(tmp_path):
         ["build", "cauchy", "--space", "entire_cauchy", "--weight", "maclane",
          "--targets", str(targets), "--rounds", "6", "--out", out]
     )
-    assert code == 0 and built["bundle_id"] == "9bbd262b0d4c3a3a"
+    assert code == 0 and built["bundle_id"] == "8f805c30c7038a8f"
     for argv in (["verify", "power", "--bundle", out, "--power", "1"],
                  ["verify", "certificates", "--bundle", out]):
         code, payload = run_command(argv)
@@ -538,7 +535,7 @@ README_BUNDLE_IDS = [
     (["algebrable-coord", "--space", "l1", "--weight", "const:2", "--rounds", "12", "--K", "3"],
      "5e5c3e37137c5580"),
     (["cauchy", "--space", "entire_cauchy", "--weight", "maclane", "--rounds", "8"],
-     "fad6f6dcb0f45d02"),
+     "83967ddd36a7f5bb"),
     (["algebrable-cauchy", "--space", "l1", "--weight", "const:2", "--rounds", "8", "--K", "2"],
      "1785e5e5716db747"),
 ]
@@ -555,10 +552,20 @@ def test_readme_builds_keep_their_bundle_ids(args, bundle_id, targets_file, tmp_
     assert code == 0 and payload["summary"]["pass"]
 
 
-def test_import_leaves_scipy_special_unloaded():
-    probe = "import sys, hyperforge, hyperforge.cli; print('scipy.special' in sys.modules)"
+def test_import_leaves_scipy_special_unloaded(targets_file):
+    # nor does any maclane command load scipy, which the package does not need
+    probe = f"""
+import sys, hyperforge, hyperforge.cli
+print('scipy.special' in sys.modules)
+from hyperforge.cli import run_command
+for argv in (["criteria", "mixing", "--space", "entire_cauchy", "--weight", "maclane"],
+             ["build", "cauchy", "--space", "entire_cauchy", "--weight", "maclane",
+              "--targets", {targets_file!r}, "--rounds", "3"]):
+    assert run_command(argv)[0] == 0, argv
+print('scipy' in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 @pytest.fixture(scope="module")
@@ -589,11 +596,16 @@ def _damaged_witness(doc, damage):
         wit["horizon_q"] = 0
     elif damage == "p_past_int64":
         wit["p"][-1] = 10**30
+    elif damage == "p_float":
+        wit["p"][0] = 1.9
+    elif damage == "p_bool":
+        wit["p"][0] = True
     return doc
 
 
 @pytest.mark.parametrize(
-    "damage", ["no_p", "a_list", "reversed_p", "value_past_slack", "short_array", "bad_horizon", "p_past_int64"]
+    "damage", ["no_p", "a_list", "reversed_p", "value_past_slack", "short_array", "bad_horizon", "p_past_int64",
+               "p_float", "p_bool"]
 )
 def test_malformed_witness_is_config_invalid(damage, readme_pk, targets_file, tmp_path, capsys):
     path = tmp_path / "pk.json"

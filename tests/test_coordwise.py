@@ -302,7 +302,7 @@ class TestScreenMatchesCertification:
 
 # bundle ids of the benchmark's deep builds on the README targets
 DEEP_BUNDLE_IDS = [
-    ("entire_hadamard", "maclane", 1, 12, "4eee70775378ac61"),
+    ("entire_hadamard", "maclane", 1, 12, "2e1e16e8ab2a645f"),
     ("l1", "const:2", 3, 18, "611924f598a9c1cf"),
 ]
 

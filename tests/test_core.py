@@ -1,5 +1,8 @@
+import functools
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -343,12 +346,86 @@ def test_table_weight_past_its_end_stays_a_weight_error():
 _PHASED = [k * (1.0 + 0.4 * math.sin(k)) * complex(math.cos(0.7 * k), math.sin(0.7 * k))
            for k in range(1, 5001)]
 
+# log n! is checked exactly for every n up to here, and at sampled n past it
+_EXACT_TOP = 20_000
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899863")
+# B_2k for k = 1..8
+_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+              Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510)]
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_log_factorials() -> tuple[Decimal, ...]:
+    """ln n! for n = 0.._EXACT_TOP at 50 digits, summed from ln k; ln k is a
+    decimal ln for a prime k and the sum of two earlier ln for a composite."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        factor = list(range(_EXACT_TOP + 1))  # smallest prime factor
+        for i in range(2, math.isqrt(_EXACT_TOP) + 1):
+            if factor[i] == i:
+                for j in range(i * i, _EXACT_TOP + 1, i):
+                    factor[j] = min(factor[j], i)
+        ln_k = [Decimal(0)] * (_EXACT_TOP + 1)
+        out = [Decimal(0)] * (_EXACT_TOP + 1)
+        for k in range(2, _EXACT_TOP + 1):
+            f = factor[k]
+            ln_k[k] = Decimal(k).ln() if f == k else ln_k[f] + ln_k[k // f]
+            out[k] = out[k - 1] + ln_k[k]
+        # the sums against the decimal ln of math.factorial itself
+        for n in (255, 256, _EXACT_TOP):
+            assert abs(Decimal(math.factorial(n)).ln() - out[n]) < Decimal("1e-40"), n
+    return tuple(out)
+
+
+def _stirling_log_factorial(n: int) -> Decimal:
+    """ln n! for n >= 256 at 60 digits: the Stirling series for ln Gamma(n + 1)
+    through the B_16 term, whose truncation error is below 1e-45 there."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(n + 1)
+        out = (x - Decimal("0.5")) * x.ln() - x + (2 * _PI).ln() / 2
+        for k, b in enumerate(_BERNOULLI, start=1):
+            out += Decimal(b.numerator) / (b.denominator * 2 * k * (2 * k - 1) * x ** (2 * k - 1))
+    return out
+
+
+def _assert_log_factorial_bound(values, indices):
+    """Each value lies within the stated error bound of ln n!:
+    5 * 2^-53 * (n + 1) * ln(n + 1)."""
+    exact = _exact_log_factorials()
+    for v, n in zip(values, indices):
+        want = exact[n] if n <= _EXACT_TOP else _stirling_log_factorial(n)
+        bound = 5 * 2.0**-53 * (n + 1) * math.log(n + 1)
+        assert abs(Decimal(v) - want) <= Decimal(bound), (n, v, want)
+
+
+def test_maclane_log_factorial_at_sampled_indices_to_2_53():
+    # log-uniform indices from 256 to 2^53 - 1 and both sides of 2^52, where
+    # x - 1/2 stops being exact: within the bound, and the scalar, array and
+    # one-entry range paths agree bit for bit
+    import numpy as np
+
+    exact = _exact_log_factorials()
+    for n in (256, 300, 4097, _EXACT_TOP):  # the two references meet where both reach
+        assert abs(_stirling_log_factorial(n) - exact[n]) < Decimal("1e-40"), n
+    w = WeightSpec.parse("maclane")
+    rng = np.random.default_rng(11)
+    idx = np.exp(rng.uniform(math.log(256), math.log(2**53 - 1), 400)).astype(np.int64)
+    idx = np.concatenate((idx, [256, 257, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]))
+    got = w.v_log(idx)
+    _assert_log_factorial_bound(got.tolist(), idx.tolist())
+    for n, v in zip(idx.tolist(), got.tolist()):
+        assert w.v_log(n) == v and w.v_log_array(n, n)[0] == v, n
+
 
 @pytest.mark.parametrize("wspec", ["const:2", "const:1.5+0.5i", "const:0.5-0.5i", "maclane", "table"])
 def test_closed_forms_match_the_one_go_expressions(wspec):
     # the whole-table expressions the weight cache held before log v_n was
     # evaluated per index; every value is bit for bit the same, including the
-    # +0.0 at n = 0 where log|lambda| or arg(lambda) is negative
+    # +0.0 at n = 0 where log|lambda| or arg(lambda) is negative.  maclane has
+    # no one-go expression: its whole table is checked against exact log n!
+    # (every n up to 20,000 and the sampled ones), and each other path must
+    # give its values bit for bit
     import numpy as np
 
     from hyperforge.core import wrap_phase
@@ -362,9 +439,7 @@ def test_closed_forms_match_the_one_go_expressions(wspec):
         w, size = WeightSpec.parse(wspec), 3_000_001
         idx = np.arange(size, dtype=np.float64)
         if wspec == "maclane":
-            from scipy.special import gammaln
-
-            want, want_ph = gammaln(idx + 1.0), None
+            want, want_ph = WeightSpec.parse(wspec).v_log_array(size - 1), None
         else:
             lam = w.value
             want = idx * math.log(abs(lam))
@@ -377,6 +452,9 @@ def test_closed_forms_match_the_one_go_expressions(wspec):
     picks = np.random.default_rng(5).integers(0, size, 4000)
     picks[:2] = 0, size - 1
     assert w.v_log(picks).tobytes() == want[picks].tobytes()
+    if wspec == "maclane":
+        _assert_log_factorial_bound(want[: _EXACT_TOP + 1].tolist(), range(_EXACT_TOP + 1))
+        _assert_log_factorial_bound(want[picks[:300]].tolist(), picks[:300].tolist())
     ph_at = (lambda n: 0.0) if want_ph is None else (lambda n: float(want_ph[n]))
     for n in picks[:300].tolist():
         assert np.float64(w.v_log(n)).tobytes() == want[n].tobytes(), n
@@ -409,10 +487,14 @@ def test_weight_table_is_read_only(wspec):
 
 @pytest.mark.parametrize("wspec", ["const:2", "maclane", "table"])
 def test_negative_weight_index_is_rejected(wspec):
-    # a table used to be sliced from its end, const and maclane evaluated log v_{-3}
+    # a table used to be read from its end, const and maclane evaluated log v_{-3}
+    import numpy as np
+
     w = WeightSpec("table", table=[2.0] * 10) if wspec == "table" else WeightSpec.parse(wspec)
-    with pytest.raises(ValueError, match="negative"):
-        w.v_log_array(5, -3)
+    for call in (lambda: w.v_log_array(5, -3), lambda: w.v_log(-3), lambda: w.v_log(np.array([4, -3])),
+                 lambda: w.v(-3), lambda: w.ratio(-3, 2), lambda: w.ratio_root(-3, 0, 2)):
+        with pytest.raises(ValueError, match="negative"):
+            call()
     assert len(w.v_log_array(5, 0)) == 6
 
 
@@ -432,9 +514,13 @@ def test_weight_table_grown_in_place_matches_one_go(wspec):
     got = np.concatenate(pieces)
     idx = np.arange(len(got), dtype=np.float64)
     if wspec == "maclane":
-        from scipy.special import gammaln
-
-        want, want_ph = gammaln(idx + 1.0), None
+        # no one-go expression: the one-go read is checked against exact log n!
+        # up to 20,000 and at each piece's ends, where the scalar path must agree
+        want, want_ph = WeightSpec.parse(wspec).v_log_array(len(got) - 1), None
+        ends = [n for upto in (1500, 5000, 9000, 70000, len(got) - 1) for n in (upto, upto + 1)][:-1]
+        _assert_log_factorial_bound(want[: _EXACT_TOP + 1].tolist(), range(_EXACT_TOP + 1))
+        _assert_log_factorial_bound(want[ends].tolist(), ends)
+        assert [w.v_log(n) for n in ends] == want[ends].tolist()
     else:
         lam = WeightSpec.parse(wspec).value
         want = idx * math.log(abs(lam))

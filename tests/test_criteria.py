@@ -126,7 +126,7 @@ def test_deep_growth_witness_bytes_are_pinned(maclane):
     pk = find_pk_witness(sp, maclane, 64, horizon_n=64, horizon_q=5, growth=True)
     pk = extend_pk_witness(sp, maclane, pk, 1 << 16)
     assert pk.count == 1 << 16
-    assert _witness_digest(pk) == "8f1ba06ac774e73a"
+    assert _witness_digest(pk) == "00b949ea9f32cbd2"
 
 
 def _table_weight(length: int) -> WeightSpec:
@@ -309,12 +309,12 @@ def test_scanned_witness_is_held_as_runs():
 # entire_hadamard/maclane with growth and at horizon 64, omega_coord, l_p:2
 HC_OUTPUT_DIGESTS = [
     (["--space", "l1", "--weight", "const:2", "--count", "16"], "b273b32e3638d97b"),
-    (["--space", "entire_hadamard", "--weight", "maclane", "--count", "3000", "--growth"], "68d0c785e9b79fa1"),
+    (["--space", "entire_hadamard", "--weight", "maclane", "--count", "3000", "--growth"], "e80461d46bb1c44e"),
     (["--space", "entire_hadamard", "--weight", "maclane", "--count", "70000", "--horizon-n", "64"],
-     "012eeeebd6b97c4c"),
+     "a910525315ba6ef7"),
     (["--space", "entire_hadamard", "--weight", "maclane", "--count", "70000", "--horizon-n", "64",
-      "--growth"], "e5108955b3f83de6"),
-    (["--space", "omega_coord", "--weight", "maclane", "--count", "500", "--growth"], "f50f45f36de8bdea"),
+      "--growth"], "bfa97884f93295ab"),
+    (["--space", "omega_coord", "--weight", "maclane", "--count", "500", "--growth"], "c84c6e52698efc65"),
     (["--space", "l_p:2", "--weight", "const:1.5", "--count", "2000"], "cbd2818761986eab"),
 ]
 

@@ -397,13 +397,13 @@ REPORT_DIGESTS = {
         "certificates": "b7f5153fe4a36022",
     },
     "c": {
-        "power:1": "8f08783f8288cf57",
-        "power:2": "ced7de63e9607000",
-        "power:3": "c2adf02402eb1fb2",
-        "power:4": "1e746b04471e63fb",
-        "element:x1^2 + x1": "da0e04b442cc0f0a",
-        "expansion:x1^2 + x1": "c0796b1823afaba1",
-        "certificates": "e6dff96538f331b2",
+        "power:1": "4be9e2a4be28bebe",
+        "power:2": "3852104951ceb6b1",
+        "power:3": "3ec40a2c19272683",
+        "power:4": "55d1465fb0eeebed",
+        "element:x1^2 + x1": "e1a05fe5bde46d65",
+        "expansion:x1^2 + x1": "1c1d3093c4d5dcd3",
+        "certificates": "45d10c057bc5eecd",
     },
     "ca": {
         "power:1": "7158eaf15935a552",
@@ -416,20 +416,20 @@ REPORT_DIGESTS = {
         "certificates": "2bd58160c9852369",
     },
     "phased": {
-        "power:1": "9a0151d96cd02148",
-        "power:2": "18ecf8cdd9b77b1d",
-        "power:3": "1224f44f4b75852d",
-        "power:4": "d2d1abb17145701b",
-        "element:x1^2 + x1": "4c6f5cde89dafe30",
-        "expansion:x1^2 + x1": "c3461707ac85408c",
-        "certificates": "c6935cddaf47e6db",
+        "power:1": "4d783cffdbc66dcc",
+        "power:2": "ae5c6b1d7c02ad78",
+        "power:3": "b751e5a9dec2696e",
+        "power:4": "fee358d98fe36d06",
+        "element:x1^2 + x1": "74fa84c67a612b61",
+        "expansion:x1^2 + x1": "ff7c433729788830",
+        "certificates": "88cd21591f6dfe6e",
     },
 }
 # the loaded phased bundle decodes to other coefficients, which move these reports
 LOADED_DIGESTS = {
     "phased": {
-        "power:1": "437fe9c0d350816b",
-        "expansion:x1^2 + x1": "d91296748b606071",
+        "power:1": "7f7418f953703070",
+        "expansion:x1^2 + x1": "1de9f6f7831bbeab",
     },
 }
 
