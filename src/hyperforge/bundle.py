@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import FiniteSeq, WeightSpec, WideComplex, log_decode
 from .errors import BundleError
-from .schedule import PairOrder, TargetSchedule, TripleOrder
+from .schedule import LambdaMatrix, PairOrder, TargetSchedule, TripleOrder
 from .spaces import SpaceSpec, space as parse_space
 
 FORMAT = "hyperforge-bundle/1"
@@ -175,10 +175,6 @@ class Bundle:
     K: int
     rounds: list
     lambda_params: dict | None = None
-    # canonical text of the document a loaded bundle was read from; such a
-    # bundle serializes as that text, because [re, im] coefficients do not
-    # always decode and re-encode to the same last digit
-    source: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def R(self) -> int:
@@ -225,15 +221,13 @@ class Bundle:
         else:
             for rd in self.rounds:
                 total = total + rd.block
-        return total.with_horizon(self.R)
+        return total
 
     def generators(self) -> list[FiniteSeq]:
         return [self.generator(k) for k in range(1, self.K + 1)]
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
-        if self.source is not None:
-            return json.loads(self.source)
         body = {
             "format": FORMAT,
             "kind": self.kind,
@@ -251,43 +245,57 @@ class Bundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Bundle":
-        """Rebuild a bundle that serializes as ``data`` and keeps its id; a
-        document of the wrong shape (rounds not numbered 1..R in order
-        included), or one whose stored bundle_id is missing or is not the
-        digest of the rest of the document, raises BundleError."""
+        """Rebuild the bundle that ``data`` encodes.  Raises BundleError for a
+        document whose stored bundle_id is missing or is not the digest of the
+        rest of it, one of the wrong shape, one whose rounds are not numbered
+        1..R in order or carry labels (and, with a lambda matrix, a column)
+        other than the pairing rule and the matrix give, and one that is not
+        the canonical encoding of the bundle it holds."""
         if not isinstance(data, dict) or data.get("format") != FORMAT:
             raise BundleError(f"not a {FORMAT} document")
         try:
-            # the digest is taken over the stored body, not over a re-encoding:
-            # [re, im] coefficients do not always decode and re-encode to the
-            # same last digit
             stored = data.get("bundle_id")
             if stored != _digest({k: v for k, v in data.items() if k != "bundle_id"}):
                 raise BundleError(f"bundle_id {stored!r} does not match the bundle contents")
             kind = data["kind"]
             round_cls = CauchyRound if kind.startswith("cauchy") else CoordRound
-            rounds = [round_cls.from_json(rd) for rd in data["rounds"]]
-            if [rd.r for rd in rounds] != list(range(1, len(rounds) + 1)):
-                raise BundleError("rounds are not numbered 1, 2, ... in order")
-            return cls(
+            bundle = cls(
                 kind=kind,
                 space=parse_space(data["space"]),
                 weight=WeightSpec.from_json(data["weight"]),
                 targets=[FiniteSeq.from_json(t) for t in data["targets"]],
                 K=data["partition_K"],
-                rounds=rounds,
+                rounds=[round_cls.from_json(rd) for rd in data["rounds"]],
                 lambda_params=data.get("lambda"),
-                source=canonical_json(data),
             )
+            bundle._check_labels()
+            if canonical_json(bundle.to_json()) != canonical_json(data):
+                raise BundleError("the document is not the canonical encoding of its bundle")
+            return bundle
         except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
             raise BundleError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc
+
+    def _check_labels(self) -> None:
+        """Rounds numbered 1..R in order, each labelled (m, l[, nu]) as the
+        pairing rule decodes its number, with the lambda matrix's column nu."""
+        if [rd.r for rd in self.rounds] != list(range(1, self.R + 1)):
+            raise BundleError("rounds are not numbered 1, 2, ... in order")
+        algebrable = self.kind == "cauchy-algebrable"
+        lam = LambdaMatrix.from_json(self.lambda_params) if algebrable else None
+        pairing = self.pairing()
+        for rd in self.rounds:
+            labels = (rd.m, rd.l, rd.nu) if algebrable else (rd.m, rd.l)
+            if labels != pairing.decode(rd.r):
+                raise BundleError(f"round {rd.r} is labelled {labels}, not as the pairing rule gives")
+            if algebrable and rd.lambda_column != [lam.lam(k, rd.nu) for k in range(1, self.K + 1)]:
+                raise BundleError(f"round {rd.r} does not hold column {rd.nu} of the lambda matrix")
 
     @property
     def bundle_id(self) -> str:
         return self.to_json()["bundle_id"]
 
     def dumps(self) -> str:
-        return self.source if self.source is not None else canonical_json(self.to_json())
+        return canonical_json(self.to_json())
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

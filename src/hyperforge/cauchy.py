@@ -19,8 +19,7 @@ skipped ones hold no passing pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .errors import (
     search_budget,
     small_budget,
 )
-from .schedule import PairOrder, TargetSchedule, TripleOrder
+from .schedule import LambdaMatrix, PairOrder, TargetSchedule, TripleOrder
 from .spaces import SpaceSpec, basis_log_array, seminorm_eval
 
 _LN2 = math.log(2.0)
@@ -108,7 +107,6 @@ class BlockSolveResult:
     gamma: int
     m: int
     seminorm_index: int
-    eps: float
     b: WideComplex
     c: list[WideComplex]
     q_part: FiniteSeq
@@ -467,13 +465,11 @@ def _assemble(space, w, y, m, r, eps_log, eta, gamma, b: WideComplex) -> BlockSo
                       else (w.v(j) * yj) / (mb * w.v(eta + j + (m - 1) * gamma)))
     q_part, block = two_part_block(eta, coeffs, gamma, b)
     checks = block_checks(space, w, y, m, eta, gamma, b, q_part, block, r, eps_log / _LN2)
-    eps = math.exp(eps_log) if eps_log > -700 else 0.0
     return BlockSolveResult(
         eta=eta,
         gamma=gamma,
         m=m,
         seminorm_index=r,
-        eps=eps,
         b=b,
         c=coeffs,
         q_part=q_part,
@@ -503,83 +499,6 @@ def block_checks(space, w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq, 
         "C3": Cert.less(seminorm_eval(space, rho, c3), eps_log2),
         "C2_residual": Cert(value=res, bound=_C2_TOL, passed=res <= _C2_TOL, op="le"),
     }
-
-
-# ---------------------------------------------------------------------------
-# lambda matrix (columns cycling a dense set of bounded finite sequences)
-# ---------------------------------------------------------------------------
-
-
-def _entry_values(denom_max: int) -> list[complex]:
-    """Rational-complex values of modulus <= 1; nonzero values first, then 0."""
-    seen: set[complex] = set()
-    vals: list[complex] = []
-    for q in range(1, denom_max + 1):
-        cands = []
-        for p_re in range(-q, q + 1):
-            for p_im in range(-q, q + 1):
-                z = complex(Fraction(p_re, q), Fraction(p_im, q))
-                if abs(z) > 1.0 + 1e-12 or z in seen:
-                    continue
-                cands.append(z)
-        cands.sort(key=lambda z: (z == 0, -(z.real**2 + z.imag**2), -z.real, -z.imag))
-        for z in cands:
-            seen.add(z)
-            vals.append(z)
-    return vals
-
-
-@dataclass
-class LambdaMatrix:
-    """Columns cycle an enumerated set A of finite sequences with entries of
-    modulus <= 1, so every element of A appears infinitely often as a column.
-
-    A holds all tuples over the rational-complex entry grid, longest length
-    first so low column indices carry full-support elements.
-    """
-
-    l_max: int
-    denom_max: int = 1
-    entries: list[tuple[complex, ...]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.l_max < 1 or self.denom_max < 1:
-            raise ValueError("lambda matrix needs l_max >= 1 and denom_max >= 1")
-        vals = _entry_values(self.denom_max)
-        if len(vals) ** self.l_max > 1_000_000:
-            raise ValueError("lambda matrix enumeration too large; lower l_max/denom_max")
-        self.entries = []
-        for L in range(self.l_max, 0, -1):
-            idx = [0] * L
-            while True:
-                self.entries.append(tuple(vals[i] for i in idx))
-                for pos in range(L - 1, -1, -1):
-                    idx[pos] += 1
-                    if idx[pos] < len(vals):
-                        break
-                    idx[pos] = 0
-                else:
-                    break
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def column(self, nu: int) -> tuple[complex, ...]:
-        if nu < 1:
-            raise ValueError("column indices start at 1")
-        return self.entries[(nu - 1) % len(self.entries)]
-
-    def lam(self, k: int, nu: int) -> complex:
-        col = self.column(nu)
-        return col[k - 1] if k <= len(col) else 0j
-
-    def to_json(self) -> dict:
-        return {"l_max": self.l_max, "denom_max": self.denom_max}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LambdaMatrix":
-        return cls(l_max=data["l_max"], denom_max=data["denom_max"])
 
 
 # a column whose top-degree form has modulus at most this counts as vanishing

@@ -20,7 +20,7 @@ from .errors import SearchExhausted, WeightError
 
 NEG_INF = float("-inf")
 _TWO_PI = 2.0 * math.pi
-# decoded re/im entries round-trip cleanly below this; beyond it JSON uses log form
+# JSON writes a coefficient as [re, im] only below this; beyond it, log form
 _LOG_JSON_LIMIT = 300.0
 # decoded seminorm values overflow double past this
 _LOG_OVERFLOW = 709.0
@@ -215,10 +215,13 @@ class WideComplex:
         return f"WideComplex(log_mag={self.log_mag:.6g}, phase={self.phase:.6g})"
 
     def to_json(self):
-        """Decoded [re, im] at human scale, {"log_mag","phase"} at extreme scale."""
+        """Decoded [re, im] at human scale where that pair decodes back to this
+        value bit for bit, {"log_mag","phase"} otherwise, so that
+        ``from_json(to_json(c)) == c`` for every c."""
         if abs(self.log_mag) <= _LOG_JSON_LIMIT or self.is_zero:
             z = self.to_complex()
-            return [z.real, z.imag]
+            if WideComplex.from_complex(z) == self:
+                return [z.real, z.imag]
         return {"log_mag": self.log_mag, "phase": self.phase}
 
     @classmethod
@@ -234,15 +237,11 @@ ONE = WideComplex.one()
 
 
 class FiniteSeq:
-    """Finitely supported complex sequence; stored coefficients are nonzero.
+    """Finitely supported complex sequence; stored coefficients are nonzero."""
 
-    ``horizon`` optionally tags a truncation of an infinite object with the
-    construction round it was cut at; exact finite inputs carry ``None``.
-    """
+    __slots__ = ("_coef", "_indices")
 
-    __slots__ = ("_coef", "_indices", "horizon")
-
-    def __init__(self, coef: Mapping[int, WideComplex] | None = None, *, horizon: int | None = None):
+    def __init__(self, coef: Mapping[int, WideComplex] | None = None):
         clean = {}
         for n, c in (coef or {}).items():
             n = int(n)
@@ -252,7 +251,6 @@ class FiniteSeq:
                 clean[n] = c
         object.__setattr__(self, "_coef", clean)
         object.__setattr__(self, "_indices", tuple(sorted(clean)))
-        object.__setattr__(self, "horizon", horizon)
 
     def __setattr__(self, *_):
         raise AttributeError("FiniteSeq is immutable")
@@ -331,9 +329,6 @@ class FiniteSeq:
             return FiniteSeq.zero()
         return FiniteSeq({n: c * factor for n, c in self.items()})
 
-    def with_horizon(self, horizon: int | None) -> "FiniteSeq":
-        return FiniteSeq(self._coef, horizon=horizon)
-
     # -- comparison -------------------------------------------------------------
     def rel_distance(self, other: "FiniteSeq") -> float:
         """sup-norm distance divided by the larger sup-norm (0.0 when both zero)."""
@@ -373,10 +368,7 @@ class FiniteSeq:
                 coeffs.append([n, enc[0], enc[1]])
             else:
                 coeffs.append([n, enc])
-        out = {"coeffs": coeffs}
-        if self.horizon is not None:
-            out["horizon"] = self.horizon
-        return out
+        return {"coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteSeq":
@@ -396,7 +388,7 @@ class FiniteSeq:
             c = WideComplex.from_json(payload)
             if not c.is_zero:
                 out[n] = c
-        return cls(out, horizon=data.get("horizon"))
+        return cls(out)
 
 
 def parse_complex_literal(text: str) -> complex:

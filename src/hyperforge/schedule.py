@@ -1,8 +1,10 @@
-"""Round bookkeeping: pairings of round numbers with tuples, and target cycling."""
+"""Round bookkeeping: pairings of round numbers with tuples, target cycling,
+and the lambda matrix whose columns the rounds cycle."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import FiniteSeq
 from .errors import ConfigError
@@ -100,3 +102,82 @@ class TargetSchedule:
     def s(self, l: int) -> int:
         """Largest index of the nonzero coordinates of y^(l)."""
         return self.target(l).max_index
+
+
+# most columns a lambda matrix may enumerate
+_LAMBDA_ENTRIES_MAX = 1_000_000
+
+
+def _entry_values(denom_max: int, l_max: int) -> list[complex]:
+    """Rational-complex values of modulus <= 1; nonzero values first, then 0.
+    Raises ValueError as soon as the l_max-tuples over the values found so far
+    outnumber _LAMBDA_ENTRIES_MAX, before the grids of larger denominators are
+    walked."""
+    seen: set[complex] = set()
+    vals: list[complex] = []
+    for q in range(1, denom_max + 1):
+        cands = []
+        for p_re in range(-q, q + 1):
+            for p_im in range(-q, q + 1):
+                z = complex(Fraction(p_re, q), Fraction(p_im, q))
+                if abs(z) > 1.0 + 1e-12 or z in seen:
+                    continue
+                cands.append(z)
+        cands.sort(key=lambda z: (z == 0, -(z.real**2 + z.imag**2), -z.real, -z.imag))
+        for z in cands:
+            seen.add(z)
+            vals.append(z)
+        if len(vals) ** l_max > _LAMBDA_ENTRIES_MAX:
+            raise ValueError("lambda matrix enumeration too large; lower l_max/denom_max")
+    return vals
+
+
+@dataclass
+class LambdaMatrix:
+    """Columns cycle an enumerated set A of finite sequences with entries of
+    modulus <= 1, so every element of A appears infinitely often as a column.
+
+    A holds all tuples over the rational-complex entry grid, longest length
+    first so low column indices carry full-support elements.
+    """
+
+    l_max: int
+    denom_max: int = 1
+    entries: list[tuple[complex, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.l_max < 1 or self.denom_max < 1:
+            raise ValueError("lambda matrix needs l_max >= 1 and denom_max >= 1")
+        vals = _entry_values(self.denom_max, self.l_max)
+        self.entries = []
+        for L in range(self.l_max, 0, -1):
+            idx = [0] * L
+            while True:
+                self.entries.append(tuple(vals[i] for i in idx))
+                for pos in range(L - 1, -1, -1):
+                    idx[pos] += 1
+                    if idx[pos] < len(vals):
+                        break
+                    idx[pos] = 0
+                else:
+                    break
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def column(self, nu: int) -> tuple[complex, ...]:
+        if nu < 1:
+            raise ValueError("column indices start at 1")
+        return self.entries[(nu - 1) % len(self.entries)]
+
+    def lam(self, k: int, nu: int) -> complex:
+        col = self.column(nu)
+        return col[k - 1] if k <= len(col) else 0j
+
+    def to_json(self) -> dict:
+        return {"l_max": self.l_max, "denom_max": self.denom_max}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "LambdaMatrix":
+        return cls(l_max=data["l_max"], denom_max=data["denom_max"])

@@ -13,8 +13,8 @@ Re-validation certifies each stored round through the same functions the
 builders use (``coordwise.coord_checks``, ``cauchy.block_checks`` and
 ``cauchy.round_checks``), fed with the stored round and the stored rounds
 before it, and compares the result with the stored certificates; it keeps only
-the pairing and block-consistency checks of its own.  All seminorm comparisons
-use upper bounds (the sound direction).
+the block-consistency check of its own.  All seminorm comparisons use upper
+bounds (the sound direction).
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from .bundle import Bundle, Cert
 from .cauchy import (
     RHO_THRESHOLD,
-    LambdaMatrix,
     block_checks,
     enumerate_multi_indices,
     form_at_column,
@@ -50,6 +49,7 @@ from .core import (
 )
 from .element import AlgebraElement
 from .errors import BundleError, ElementError
+from .schedule import LambdaMatrix
 from .spaces import seminorm_eval
 
 _LN2 = math.log(2.0)
@@ -454,19 +454,19 @@ def revalidate_bundle(bundle: Bundle) -> RevalidationReport:
     it, and compared with the stored ones name by name: a failing recomputed
     certificate flags ``<name>``, and a name missing on either side, or a
     certificate that ``_cert_differs`` from its recomputation, flags
-    ``<name>_value``.  Two checks are revalidation's own: ``pairing`` (the
-    round's degree and labels against the pairing rule) and
-    ``block_consistency`` (the stored block against the schedule's target for
-    coordinatewise bundles, or against the stored closed-form coefficients for
-    Cauchy ones), so coefficient tampering is caught even where the
-    inequalities would still pass.
+    ``<name>_value``.  One check is revalidation's own: ``block_consistency``,
+    the stored block against the one rebuilt, bit for bit, from the schedule's
+    target for coordinatewise bundles, or from the stored closed-form
+    coefficients for Cauchy ones, so coefficient tampering is caught even where
+    the inequalities would still pass.  Loading the bundle has already checked
+    each round's labels against the pairing rule.
     """
     return (
         _revalidate_cauchy(bundle) if bundle.is_cauchy else _revalidate_coord(bundle)
     )
 
 
-def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> bool:
+def _cert_differs(stored: Cert | None, fresh: Cert) -> bool:
     """Whether a stored certificate is missing or disagrees with its
     recomputation ``fresh``.
 
@@ -475,12 +475,6 @@ def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> 
     within 1e-9 x max(1, |stored|); None matches only None.  A log-domain
     certificate's decoded ``value`` must match its own value_log2 to within
     1e-9 of itself (two ulps where it is subnormal).
-
-    With ``scale_log`` the value is a residual against a quantity of natural
-    log size ``scale_log``.  A residual is mostly cancellation, and decoding
-    the bundle's [re, im] coefficients moves it by far more than 1e-9 of
-    itself, so stored and fresh values, and a decoded value and its
-    value_log2, are compared as fractions of max(1, that size), to within 1e-9.
     """
     if stored is None:
         return True
@@ -493,19 +487,14 @@ def _cert_differs(stored: Cert | None, fresh: Cert, scale_log: float | None) -> 
     expect = fresh.value_log2 if log_domain else fresh.value
     if value is not None and not isinstance(value, (int, float)):
         return True
-    if log_domain and not _decodes_to(stored.value, value, scale_log):
+    if log_domain and not _decodes_to(stored.value, value):
         return True
-    if scale_log is not None:
-        def share(v):
-            return 0.0 if v is None else log_decode(v * _LN2 - max(0.0, scale_log))
-
-        return not abs(share(value) - share(expect)) <= _VALUE_RTOL
     if value is None or expect is None:
         return value is not expect
     return not (value == expect or abs(value - expect) <= _VALUE_RTOL * max(1.0, abs(value)))
 
 
-def _decodes_to(value, value_log2: float | None, scale_log: float | None) -> bool:
+def _decodes_to(value, value_log2: float | None) -> bool:
     """Whether a stored decoded ``value`` agrees with 2^value_log2, by the
     rule of ``_cert_differs``."""
     if not isinstance(value, (int, float)):
@@ -513,19 +502,18 @@ def _decodes_to(value, value_log2: float | None, scale_log: float | None) -> boo
     decoded = 0.0 if value_log2 is None else log_decode(value_log2 * _LN2)
     if value == decoded:
         return True
-    scale = abs(decoded) if scale_log is None else log_decode(max(0.0, scale_log))
-    return math.isfinite(decoded) and abs(value - decoded) <= max(_VALUE_RTOL * scale, 2 * math.ulp(decoded))
+    tol = max(_VALUE_RTOL * abs(decoded), 2 * math.ulp(decoded))
+    return math.isfinite(decoded) and abs(value - decoded) <= tol
 
 
-def _compare(fresh: dict[str, Cert], stored: dict[str, Cert],
-             scales: dict[str, float]) -> list[str]:
+def _compare(fresh: dict[str, Cert], stored: dict[str, Cert]) -> list[str]:
     """Failure names of one round: recomputed certificates in order, then
     stored names that were not recomputed."""
     failed = []
     for name, cert in fresh.items():
         if not cert.passed:
             failed.append(name)
-        if _cert_differs(stored.get(name), cert, scales.get(name)):
+        if _cert_differs(stored.get(name), cert):
             failed.append(f"{name}_value")
     return failed + [f"{name}_value" for name in stored if name not in fresh]
 
@@ -537,14 +525,11 @@ def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
     rows = []
     for rd in bundle.rounds:
         failed = []
-        if pairing.decode(rd.r) != (rd.m, rd.l):
-            failed.append("pairing")
-        expected = root_power_block(w, sched.target(rd.l), rd.a, rd.m)
-        if rd.block.rel_distance(expected) > 1e-10:
+        if rd.block != root_power_block(w, sched.target(rd.l), rd.a, rd.m):
             failed.append("block_consistency")
         fresh = coord_checks(space, w, sched, pairing, bundle.rounds[: rd.r - 1], rd.r, rd.a,
                              rd.block)
-        failed += _compare(fresh, rd.checks, {})
+        failed += _compare(fresh, rd.checks)
         rows.append({"round": rd.r, "failed": failed})
     return RevalidationReport(bundle.bundle_id, rows)
 
@@ -552,18 +537,13 @@ def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
 def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
     space, w = bundle.space, bundle.weight
     sched = bundle.schedule()
-    pairing = bundle.pairing()
     algebrable = bundle.kind == "cauchy-algebrable"
-    residual = "F3" if algebrable else "D3"
     rows = []
     for rd in bundle.rounds:
         failed = []
-        expect = (rd.m, rd.l, rd.nu) if algebrable else (rd.m, rd.l)
-        if pairing.decode(rd.r) != expect:
-            failed.append("pairing")
         y = sched.target(rd.l)
         q_part, block = two_part_block(rd.eta, rd.c, rd.gamma, rd.b)
-        if rd.block.rel_distance(block) > 1e-12:
+        if rd.block != block:
             failed.append("block_consistency")
         # the stored C1 bound is the round's only record of eps; without a
         # float there, NaN makes C1 and C3 fail
@@ -573,8 +553,7 @@ def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
         fresh = block_checks(space, w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part, rd.block,
                              rd.rho_index, eps_log2)
         fresh.update(round_checks(space, w, y, bundle.rounds[: rd.r - 1], rd, algebrable))
-        scales = {residual: seminorm_eval(space, rd.r, y)}
-        failed += _compare(fresh, rd.checks, scales)
+        failed += _compare(fresh, rd.checks)
         rows.append({"round": rd.r, "failed": failed})
     return RevalidationReport(bundle.bundle_id, rows)
 

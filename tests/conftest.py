@@ -93,8 +93,9 @@ TARGETS_JSON = [
 
 
 # the README targets turned by the seeded unit phases of the benchmark's seed 1;
-# their [re, im] coefficients do not all decode and re-encode to the same last
-# digit, so bundles built on them test that a loaded bundle keeps its bytes
+# bundles built on them hold coefficients whose [re, im] pair would not decode
+# back to them, so they test that such coefficients are stored in log form and
+# a loaded bundle keeps its bytes
 PHASED_TARGETS_JSON = [
     {"coeffs": [[0, 0.6643029539301958, 0.7474634341555553]]},
     {"coeffs": [[0, 0.5746645712253898, -0.8183890459789518],

@@ -341,6 +341,45 @@ def test_misnumbered_round_is_bundle_invalid(r, readme_ca, tmp_path):
     assert code == 1 and payload["error"] == "bundle_invalid"
 
 
+@pytest.mark.parametrize("m", [2, 12])
+def test_round_off_the_pairing_rule_is_bundle_invalid(m, readme_c, tmp_path):
+    # round 1 is (m, l) = (1, 1); a degree-12 round would make the reports
+    # form twelfth powers before they could notice
+    doc = json.loads(json.dumps(readme_c))
+    doc["rounds"][0]["m"] = m
+    path = tmp_path / "c.json"
+    _write_with_id(doc, path)
+    start = time.perf_counter()
+    for argv in (["verify", "certificates"], ["verify", "power", "--power", str(m)]):
+        code, payload = run_command([*argv, "--bundle", str(path)])
+        assert code == 1 and payload["error"] == "bundle_invalid", argv
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lambda_column_off_the_matrix_is_bundle_invalid(readme_ca, tmp_path):
+    # 5 is no entry of the |lambda| <= 1 grid the matrix cycles
+    doc = json.loads(json.dumps(readme_ca))
+    for rd in doc["rounds"]:
+        rd["lambda_column"] = [[5.0, 0.0], [5.0, 0.0]]
+    path = tmp_path / "ca.json"
+    _write_with_id(doc, path)
+    for argv in (["verify", "certificates"], ["verify", "element", "--element", "x1*x2 + x1"]):
+        code, payload = run_command([*argv, "--bundle", str(path)])
+        assert code == 1 and payload["error"] == "bundle_invalid", argv
+
+
+def test_lambda_denominator_past_the_limit_stops_before_enumerating(targets_file):
+    # the (2q + 1)^2 grid points of every q <= 100 are not walked: the count
+    # of entries passes the limit within the first denominators
+    start = time.perf_counter()
+    code, payload = run_command(
+        ["build", "algebrable-cauchy", "--space", "l1", "--weight", "const:2", "--targets", targets_file,
+         "--rounds", "2", "--K", "2", "--lambda-denom", "100"]
+    )
+    assert code == 1 and payload["error"] == "config_invalid"
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.fixture(scope="module")
 def readme_g3(tmp_path_factory):
     """The README algebrable-coord bundle (K = 3), as its document."""
@@ -382,8 +421,8 @@ def test_edited_a2_value_fails_revalidation(case, readme_g3, tmp_path):
 
 
 def test_reports_on_a_saved_bundle_print_the_built_id(tmp_path):
-    # a phased target whose coefficients move in the last digit when decoded
-    # and re-encoded: every report on the saved file must still name its id
+    # a phased target whose [re, im] coefficients would not all decode back
+    # to themselves: every report on the saved file must still name its id
     targets = tmp_path / "targets.json"
     targets.write_text(json.dumps(PHASED_TARGETS_JSON))
     out = str(tmp_path / "c.json")
@@ -391,7 +430,7 @@ def test_reports_on_a_saved_bundle_print_the_built_id(tmp_path):
         ["build", "cauchy", "--space", "entire_cauchy", "--weight", "maclane",
          "--targets", str(targets), "--rounds", "6", "--out", out]
     )
-    assert code == 0 and built["bundle_id"] == "8f805c30c7038a8f"
+    assert code == 0 and built["bundle_id"] == "59d2a87dc656420e"
     for argv in (["verify", "power", "--bundle", out, "--power", "1"],
                  ["verify", "certificates", "--bundle", out]):
         code, payload = run_command(argv)

@@ -24,7 +24,7 @@ from hyperforge import (
     space,
     zero_product_report,
 )
-from hyperforge.bundle import canonical_json
+from hyperforge.bundle import _digest, canonical_json
 from hyperforge.cauchy import block_checks, round_checks
 from hyperforge.coordwise import coord_checks
 from hyperforge.errors import BundleError, ElementError
@@ -284,6 +284,14 @@ class TestRevalidation:
             for row in rows
         ]
 
+    def test_edited_loaded_bundle_serializes_as_edited(self, coord_bundle):
+        loaded = Bundle.from_json(json.loads(coord_bundle.dumps()))
+        assert loaded.bundle_id == "74a7bfe76f7316e2"
+        rd = loaded.rounds[4]
+        rd.block = rd.block.scale(WideComplex.from_complex(2.0 ** 20))
+        assert loaded.bundle_id != "74a7bfe76f7316e2" and loaded.dumps() != coord_bundle.dumps()
+        assert "block_consistency" in revalidate_bundle(loaded).rounds[4]["failed"]
+
     @pytest.mark.parametrize("name", ["coord_bundle", "coord_k3", "cauchy_bundle", "lambda_bundle"])
     def test_shared_checks_cover_every_stored_certificate(self, name, request):
         # the builders' check functions, run on each loaded round, give back
@@ -326,8 +334,9 @@ EC = space("entire_cauchy")
 MACLANE = WeightSpec.parse("maclane")
 
 
-# the four README-session builds and a Cauchy build on phased targets, whose
-# [re, im] coefficients do not all survive a save and load
+# the four README-session builds and a Cauchy build on phased targets, some
+# of whose coefficients are stored in log form because their [re, im] pair
+# would not decode back to them
 REPORT_BUNDLES = {
     "g": lambda: build_generator(CoordState(L1, W2, standard_targets()), 12),
     "g3": lambda: build_algebrable(CoordState(L1, W2, standard_targets(), K=3), 12),
@@ -411,27 +420,46 @@ REPORT_DIGESTS = {
         "power:3": "fd819aa6de00064e",
         "power:4": "6594cd81cd9d3bf4",
         "element:x1*x2 + x1": "5995928b64c8abe5",
-        "expansion:x1*x2 + x1": "ae4da154a585f752",
+        "expansion:x1*x2 + x1": "b1f6637e943a04e6",
         "witness": "c36589ea8fe0b3f9",
         "certificates": "2bd58160c9852369",
     },
     "phased": {
-        "power:1": "4d783cffdbc66dcc",
-        "power:2": "ae5c6b1d7c02ad78",
-        "power:3": "b751e5a9dec2696e",
-        "power:4": "fee358d98fe36d06",
-        "element:x1^2 + x1": "74fa84c67a612b61",
-        "expansion:x1^2 + x1": "ff7c433729788830",
-        "certificates": "88cd21591f6dfe6e",
+        "power:1": "d2e018ec8ad640d8",
+        "power:2": "957c3944666e034f",
+        "power:3": "6c4e875e8f75c1e2",
+        "power:4": "b7e4e2ab89ce9ba8",
+        "element:x1^2 + x1": "ed7ecad415945b91",
+        "expansion:x1^2 + x1": "fb1dfe314648b8b4",
+        "certificates": "7b63556adb50d8bf",
     },
 }
-# the loaded phased bundle decodes to other coefficients, which move these reports
-LOADED_DIGESTS = {
-    "phased": {
-        "power:1": "7f7418f953703070",
-        "expansion:x1^2 + x1": "1de9f6f7831bbeab",
-    },
-}
+
+
+def _decode_a_log_form_coefficient(doc):
+    """Rewrite the first block coefficient stored in log form at human scale
+    as the [re, im] pair it decodes to, which does not decode back to it."""
+    for rd in doc["rounds"]:
+        for entry in rd["block"]["coeffs"]:
+            if len(entry) == 2 and abs(entry[1]["log_mag"]) <= 300:
+                z = WideComplex.from_json(entry[1]).to_complex()
+                entry[1:] = [z.real, z.imag]
+                return
+    raise AssertionError("no block coefficient is stored in log form")
+
+
+@pytest.mark.parametrize("edit", [
+    _decode_a_log_form_coefficient,
+    lambda doc: doc["rounds"][0]["checks"]["C1"].pop("op"),
+], ids=["decoded_pair", "op_removed"])
+def test_non_canonical_document_is_bundle_invalid(edit):
+    # each edited document loads as a bundle whose encoding is not the document
+    doc = json.loads(REPORT_BUNDLES["phased"]().dumps())
+    edit(doc)
+    doc.pop("bundle_id")
+    doc["bundle_id"] = _digest(doc)
+    with pytest.raises(BundleError, match="canonical"):
+        Bundle.from_json(doc)
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
@@ -441,5 +469,4 @@ def test_report_bytes_are_pinned(which, loaded, tmp_path):
     if loaded:
         bundle.save(str(tmp_path / "b.json"))
         bundle = Bundle.load(str(tmp_path / "b.json"))
-    want = dict(REPORT_DIGESTS[which], **(LOADED_DIGESTS.get(which, {}) if loaded else {}))
-    assert _report_digests(bundle, which) == want
+    assert _report_digests(bundle, which) == REPORT_DIGESTS[which]
