@@ -2,13 +2,16 @@
 verification, all emitting canonical JSON on stdout.
 
 Exit codes: 0 all certificates/reports pass; 1 a check failed or a domain
-error occurred (stdout carries {"error": code, ...}); 2 bad usage.
+error occurred (stdout carries {"error": code, ...}), or the reader closed
+stdout before the output was written (nothing more is printed, no
+traceback); 2 bad usage.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -272,7 +275,14 @@ def main(argv: list[str] | None = None) -> int:
         code, payload = run_command(argv)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
-    print(canonical_json(payload))
+    try:
+        print(canonical_json(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; stdout is pointed at devnull so that
+        # the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -663,15 +663,26 @@ def _verify_property_b(space: SpaceSpec, wit: PropertyBWitness) -> None:
             if bad.any():
                 k, n = divmod(int(bad.argmax()), n_max + 1)
                 raise WitnessError("condition (ii) failed", r=r, n=n, k=k0 + k)
+    # condition (iii) reads, once per seminorm index and m, tables over k <= M_max
+    # and n <= n_max; an instance compares the view [:M + 1, M:] of them
+    M_top = max((M for _, M, _, _ in wit.cond_iii), default=0)
+    ks = np.arange(M_top + 1)[:, None]
+    tables: dict[tuple, np.ndarray] = {}
+
+    def table(kind: str, m: int, q: int) -> np.ndarray:
+        key = (kind, m, q)
+        if key not in tables:
+            if kind == "shift":  # [k, n]: log ||e_{m n - k}||_q, clipped at 0 where n < M
+                at = np.maximum(m * idx - ks, 0)
+                tables[key] = basis_log_array(space, q, at.ravel()).reshape(at.shape)
+            else:  # [n]: log ||e_{m n}||_q
+                tables[key] = basis_log_array(space, q, m * idx)
+        return tables[key]
+
     for (m, M, r, t), (rho, tau, C2) in wit.cond_iii.items():
-        ns = np.arange(M, n_max + 1)
-        ks = np.arange(M + 1)[:, None]  # row k holds n - k and m n - k
-        bt = basis_log_array(space, t, m * ns)
-        btau = basis_log_array(space, tau, m * ns)
-        brho = basis_log_array(space, rho, np.arange(m * n_max + 1))
-        lhs = bt + basis_log_array(space, r, idx)[ns - ks]
-        rhs = math.log(C2) + btau / m + brho[m * ns - ks]
+        lhs = table("at", m, t)[M:] + table("shift", 1, r)[: M + 1, M:]
+        rhs = math.log(C2) + table("at", m, tau)[M:] / m + table("shift", m, rho)[: M + 1, M:]
         bad = lhs > rhs + _SLACK
         if bad.any():
-            k, i = divmod(int(bad.argmax()), len(ns))
-            raise WitnessError("condition (iii) failed", m=m, M=M, r=r, t=t, k=k, n=int(ns[i]))
+            k, i = divmod(int(bad.argmax()), n_max + 1 - M)
+            raise WitnessError("condition (iii) failed", m=m, M=M, r=r, t=t, k=k, n=M + i)

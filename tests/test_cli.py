@@ -607,6 +607,21 @@ print('scipy' in sys.modules)
     assert out.stdout.split() == ["False", "False"]
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 0.9 MB of JSON, far past a pipe's buffer, so the write meets the closed
+    # pipe whatever the reader managed to take first
+    argv = [sys.executable, "-m", "hyperforge", "criteria", "hc", "--space", "l1",
+            "--weight", "const:2", "--count", "20000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(150)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{"hypercyclicity":')
+    assert err == b""
+
+
 @pytest.fixture(scope="module")
 def readme_pk(tmp_path_factory):
     """The README `criteria hc` witness (l1, const:2, 16 entries), as its document."""

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperforge import (
@@ -21,7 +23,7 @@ from hyperforge import (
 from hyperforge import coordwise
 from hyperforge.bundle import Cert
 from hyperforge.coordwise import certify_coord_round
-from hyperforge.core import log_decode
+from hyperforge.core import WideComplex, log_decode
 from hyperforge.errors import ElementError, SearchExhausted, SpaceProductError
 
 from conftest import from_dict, standard_targets
@@ -251,7 +253,8 @@ class TestScreenMatchesCertification:
         [pytest.param(sid, wspec, 1, 5, id=f"{sid}-{wspec}")
          for sid, wspec in [("l_p:2", "const:2"), ("c0", "const:2"), ("l1", "const:2"),
                             ("entire_hadamard", "maclane"), ("omega_coord", "maclane")]]
-        # round 12 walks 4,686 witness entries, past the first 4096-entry screen window
+        # round 12's a_r lies 4,686 witness entries past its floor, beyond the
+        # first 4096-entry window of a walk from the floor
         + [pytest.param("l1", "const:2", 3, 12, id="l1-const:2-K3")],
     )
     def test_selected_index_is_minimal_across_spaces(self, sid, wspec, K, R):
@@ -349,3 +352,118 @@ def test_build_reads_the_witness_only_through_its_runs(weight2, monkeypatch):
     st = CoordState(L1, weight2, standard_targets(), K=3)
     assert build_algebrable(st, 14).bundle_id == build_algebrable(ref, 14).bundle_id
     assert st.pk.count == ref.pk.count > 64  # the witness was extended
+
+
+# -- the certified skip of select_ar -------------------------------------------
+
+
+def _first_difference_rises(k, m, nu, a_t):
+    """Exactly: does the first difference (1 - nu/m) log k - log(k - a_t) + log R
+    of an A1/A2 log term (maclane weight, k = a + n + 1) grow from k to k + 1?
+    Raised to the m-th power, R cancels."""
+    step = Fraction(k + 1, k) ** (m - nu) * Fraction(k - a_t, k + 1 - a_t) ** m
+    return step > 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_every_maclane_term_is_concave_in_the_shift(m):
+    # the skip bounds a condition on (lower, J] by its terms' values at the two
+    # ends, which holds because no first difference ever grows; const terms
+    # change by the constant -nu log|lambda|/m + log R
+    for nu in range(1, 7):
+        for a_t in (0, 1, 2, 7, 40):
+            for k in range(a_t + 1, a_t + 300):
+                assert not _first_difference_rises(k, m, nu, a_t), (k, m, nu, a_t)
+    # the oracle is not vacuous: a convex term, log k! + log k!, has first
+    # difference 2 log k, which rises; in its form, nu = -m
+    assert _first_difference_rises(5, m, -m, 0)
+
+
+def _no_skip(state, r, m, y, lower):
+    return lower
+
+
+SKIP_BUILDS = [
+    ("l1", "const:2", 14),
+    ("l_p:2", "const:1.5", 14),
+    ("c0", "const:1+1i", 14),
+    ("entire_hadamard", "maclane", 12),
+    ("omega_coord", "const:2", 14),
+    ("l1", "table", 8),
+]
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("sid,wspec,R", SKIP_BUILDS, ids=[f"{s}-{w}" for s, w, _ in SKIP_BUILDS])
+def test_skip_leaves_every_bundle_as_the_walk_from_lower_builds_it(monkeypatch, sid, wspec, R, K):
+    def build():
+        w = WeightSpec("table", table=[2.0] * 2000) if wspec == "table" else WeightSpec.parse(wspec)
+        return build_algebrable(CoordState(space(sid), w, standard_targets(), K=K), R).dumps()
+
+    skipped = build()
+    monkeypatch.setattr(coordwise, "_skip_target", _no_skip)
+    assert skipped == build()
+
+
+@pytest.mark.parametrize("sid,wspec,R", [
+    ("l1", "const:2", 12), ("l_p:2", "const:1.5", 12), ("c0", "const:1+1i", 12),
+    ("entire_hadamard", "maclane", 10),
+])
+def test_the_screen_rejects_every_witness_index_the_skip_passes(sid, wspec, R):
+    # brute force: each round, screen exactly the witness indices in (lower, J]
+    st = CoordState(space(sid), WeightSpec.parse(wspec), standard_targets(), K=3)
+    skipped = 0
+    for r in range(1, R + 1):
+        m, l = st.pairing.decode(r)
+        y = st.schedule.target(l)
+        lower = coordwise._candidate_lower_bound(st, r)
+        J = coordwise._skip_target(st, r, m, y, lower)
+        rd = select_ar(st, r)
+        assert lower <= J < rd.a
+        inside = st.pk.rank(J) - st.pk.rank(lower)
+        if inside:
+            assert len(coordwise._screen(st, r, m, y, lower, inside)) == 0
+        skipped += inside
+    assert skipped > 0.9 * st.rounds[-1].a  # and the skip is not idle
+
+
+def test_table_weights_and_omega_coord_skip_nothing(weight2):
+    for st in (CoordState(space("omega_coord"), weight2, standard_targets()),
+               CoordState(L1, WeightSpec("table", table=[2.0] * 2000), standard_targets())):
+        build_generator(st, 4)
+        m, l = st.pairing.decode(5)
+        assert coordwise._skip_target(st, 5, m, st.schedule.target(l), 123) == 123
+
+
+@pytest.mark.parametrize("scale,hit", [(0.0, False), (0.5, False), (2.0, True)])
+def test_skip_predicate_around_bound_plus_delta(weight2, scale, hit):
+    # round 1 on l1/const:2 with y = c e_0: A1 alone, its one term
+    # log|c| - a log 2 falls, so G(J) is its value at J; J = 2 computes
+    # log|c| - 2 log 2, which is bound + scale * delta for log|c| = log 2 + scale * delta
+    # (delta is read at log|c| = log 2: it moves by a part in 1e10 from there)
+    at = np.array([1, 2, 3])
+    y0 = FiniteSeq.basis(0, WideComplex(LN2))
+    delta = coordwise._skip_delta(CoordState(L1, weight2, [y0]), 1, 1, y0, at)[1]
+    y = FiniteSeq.basis(0, WideComplex(LN2 + scale * delta))
+    st = CoordState(L1, weight2, [y])
+    assert 0.0 < delta < 1e-9
+    assert list(coordwise._skip_hits(st, 1, 1, y, 0, at)) == [True, hit, False]
+    assert coordwise._skip_target(st, 1, 1, y, 0) == (2 if hit else 1)
+    assert select_ar(st, 1).a == 3
+
+
+@pytest.mark.parametrize("scale,hit", [(0.5, False), (2.0, True)])
+def test_skip_predicate_bounds_a_rising_term_by_its_left_end(weight2, scale, hit):
+    # on l1/const:0.5 the A1 term log|c| + a log 2 rises with a, so over
+    # (0, J] its least value is at a = 1 whatever J is; log|c| = -2 log 2 +
+    # scale * delta puts that value at bound + scale * delta, for the least
+    # delta of the probes when scale < 1 and the largest when scale > 1
+    at = np.array([1, 2, 4, 8])
+    half = WeightSpec.parse("const:0.5")
+    pk = CoordState(L1, weight2, [FiniteSeq.basis(0)]).pk  # never read: no walk runs
+    y0 = FiniteSeq.basis(0, WideComplex(-2 * LN2))
+    deltas = coordwise._skip_delta(CoordState(L1, half, [y0], pk=pk), 1, 1, y0, at)
+    delta = deltas.max() if scale > 1 else deltas.min()
+    y = FiniteSeq.basis(0, WideComplex(-2 * LN2 + scale * delta))
+    st = CoordState(L1, half, [y], pk=pk)
+    assert list(coordwise._skip_hits(st, 1, 1, y, 0, at)) == [hit] * 4

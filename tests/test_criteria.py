@@ -533,6 +533,28 @@ class TestPropertyBAgainstTheDoubleLoop:
         assert _property_b_first_failure(sp, wit) == want
         assert _checker_failure(sp, wit) == want
 
+    @pytest.mark.parametrize("sid,key,entry,want", [
+        # as above, C2 = (t / r)^(M - 1/2) fails first in the last row, k = M
+        ("entire_cauchy", (3, 4, 2, 5), "C2=2.5^3.5", {"m": 3, "M": 4, "r": 2, "t": 5, "k": 4, "n": 4}),
+        # tau = 1 leaves (n - k) log r + (k - M) log t, positive once n > 4 log 5 / log 2
+        ("entire_cauchy", (2, 4, 2, 5), "tau=1", {"m": 2, "M": 4, "r": 2, "t": 5, "k": 0, "n": 10}),
+        # rho = 1 leaves (m n - M) log t - k log r, positive at k = 0 from n = 2
+        ("entire_cauchy", (2, 2, 3, 2), "rho=1", {"m": 2, "M": 2, "r": 3, "t": 2, "k": 0, "n": 2}),
+        # a lowered constant on l1, where every basis norm is 1, fails at once
+        ("l1", (2, 3, 2, 1), "C2=0.5", {"m": 2, "M": 3, "r": 2, "t": 1, "k": 0, "n": 3}),
+    ])
+    def test_condition_iii_failures(self, sid, key, entry, want):
+        sp = space(sid)
+        wit = property_b_witness(sp, m_max=3, M_max=4, r_max=3, n_max=60, t_max=5)
+        rho, tau, C2 = wit.cond_iii[key]
+        name, value = entry.split("=")
+        value = 2.5**3.5 if value == "2.5^3.5" else float(value)
+        wit.cond_iii[key] = {"C2": (rho, tau, value), "tau": (rho, int(value), C2),
+                             "rho": (int(value), tau, C2)}[name]
+        assert _property_b_first_failure(sp, wit) == want
+        assert _checker_failure(sp, wit) == want
+        assert not wit.validate(sp)
+
     def test_pairs_past_the_budget_end_before_allocating(self, monkeypatch):
         monkeypatch.setenv("HYPERFORGE_BUDGET", "1024")
         assert property_b_witness(space("l1"), n_max=31).n_max == 31  # 32^2 = 1024 pairs
