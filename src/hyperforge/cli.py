@@ -25,6 +25,10 @@ from .errors import ConfigError, HyperforgeError, SearchExhausted, WeightError, 
 from .parser import parse_element
 from .spaces import SpaceSpec, list_spaces, space as parse_space
 
+# most entries `criteria hc` lists: its output holds up to five numbers per
+# entry, printed and written whole
+_HC_COUNT_MAX = 1_000_000
+
 
 @dataclass
 class RunConfig:
@@ -108,6 +112,9 @@ def _cmd_criteria(args) -> tuple[int, dict]:
         )
         code, payload = (0 if cert.passed else 1), {"mixing": cert.to_json()}
     else:
+        if args.count > _HC_COUNT_MAX:
+            raise ConfigError(f"--count {args.count} is past the limit of {_HC_COUNT_MAX} entries",
+                              count=args.count, max=_HC_COUNT_MAX)
         wit = _criteria.find_pk_witness(
             sp,
             WeightSpec.parse(args.weight),

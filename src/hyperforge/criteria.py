@@ -25,6 +25,7 @@ from .spaces import SpaceSpec, basis_log_array
 
 _LN2 = math.log(2.0)
 _SLACK = 1e-9
+_U = 2.0**-53  # unit roundoff of float64
 
 
 def _check_horizon(horizon_n: int) -> None:
@@ -98,6 +99,17 @@ class PkWitness:
     log|v| per window (window extremes are exact, so they are bit for bit
     what the scan certified), tolerances and thresholds from the data-driven
     rule.  A witness loaded by ``from_json`` is derived the same way.
+
+    For const and maclane weights on l_p, c0, l1 and entire_*, the scan
+    certifies a contiguous tail in closed form and reads only its two end
+    windows, so extending a witness costs O(1) reads of log|v| however many
+    entries it adds.  The certificate is an a-priori bound rho(n) on the
+    rounding of the computed log ||v_j^{-1} e_j||_q and log|v_j| at j <= n
+    (``_monotone_tail``): where the exact step of both exceeds 2 rho, both
+    computed sequences are strictly monotone, every window extreme is its
+    left edge, and the chunk scan would accept every index with the same
+    elementwise values, so the runs and next tolerance and threshold are
+    the chunk scan's bit for bit (``_scan_pk``).
     """
 
     def __init__(self, space: SpaceSpec, w: WeightSpec, lo, hi, horizon_n: int, horizon_q: int,
@@ -310,10 +322,63 @@ def extend_pk_witness(space: SpaceSpec, w: WeightSpec, pk: PkWitness, count: int
     return PkWitness(space, w, lo, hi, pk.horizon_n, pk.horizon_q, pk.growth, tol, g)
 
 
+def _monotone_tail(space: SpaceSpec, w: WeightSpec, q: int, start: int, end: int) -> bool:
+    """Whether, by an a-priori bound alone, the computed
+    h_j = log ||e_j||_q - log|v_j| strictly falls and the computed log|v_j|
+    strictly rises at every step j -> j + 1 with start <= j < end.
+
+    Only const and maclane weights on l_p, c0, l1 and entire_* qualify.  With
+    l = log R, the double that ``basis_log_array`` multiplies by (R = q on
+    entire_*; R = 1 elsewhere, where log ||e_j|| is exactly 0), the exact h
+    falls by L - l per step for const (L the double log|lambda|) and by
+    log(j + 1) - l for maclane, least at j = start.  With u = 2^-53, a
+    computed value at j <= n lies within rho(n) of its exact counterpart,
+    where
+
+        rho(n) = 3u n (l + |L|)                    for const,
+        rho(n) = 8u (n + 1)(l + log(n + 1))        for maclane:
+
+    j l is one product (u j l), j L one product (u j |L|), log j! is within
+    the ``log_factorial`` radius 5u(j + 1) log(j + 1), and the subtraction
+    adds u |log ||e_j|| - log|v_j||; the sum is at most (2 + 2u) u j (l + |L|)
+    and 7u (j + 1)(l + log(j + 1)), and the spare factor covers the rounding
+    of the fall itself.  A fall above 2 rho(end) therefore orders every pair
+    of computed neighbours; log|v_j| rises by L, or log(j + 1), which is at
+    least the fall of h, and its rounding is at most rho.
+    """
+    if w.kind == "table" or space.space_id in ("omega_coord", "omega_cauchy"):
+        return False
+    log_r = math.log(q) if space.space_id in ("entire_hadamard", "entire_cauchy") else 0.0
+    if w.kind == "const":
+        log_abs = math.log(abs(w.value))
+        fall, rho = log_abs - log_r, 3 * _U * end * (log_r + abs(log_abs))
+    else:
+        fall, rho = math.log(start + 1) - log_r, 8 * _U * (end + 1) * (log_r + math.log(end + 1))
+    return fall > 2 * rho
+
+
 def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_start, p_start, tol0, g0):
     """Accept `need` indices past p_start, appending them to the runs
     run_lo/run_hi (merged into the last run where adjacent); returns the next
-    log tolerance and log growth threshold."""
+    log tolerance and log growth threshold.
+
+    Indices are read in chunks through ``_window_extremes``, with one
+    closed-form tail.  Once the seminorm index is fixed (k > horizon_q) and
+    the last index p - 1 was accepted, let E = min(p + need - found,
+    limit + 1).  If ``_monotone_tail`` orders the computed h_j and log|v_j|
+    strictly at every step from p - 1 on through index E - 1 + horizon_n, the
+    whole range [p, E) is accepted as one run, after one read of the window
+    at p (its value must be finite and below the tolerance, and with growth
+    its minimum above the threshold) and one at E - 1 (the next tolerance and
+    threshold).  The output is the chunk scan's, bit for bit: on that range
+    every window extreme is its left edge, h_j or log|v_j|, so each chunk the
+    scan would read is strictly monotone, passes its chained test, and stores
+    the same elementwise values.  The tolerance after p - 1 is h_{p-1} > h_p
+    and the threshold log|v_{p-1}| < log|v_p|, so the read at p only fails on
+    a witness whose tolerances the scan did not make.  Everything the bound
+    does not cover (table weights, omega spaces, small maclane indices,
+    near-cancelling const weights, gaps) takes the chunk scan.
+    """
     limit = search_budget()
     if w.kind == "table":
         limit = min(limit, int(w.max_index) - horizon_n - 1)
@@ -344,8 +409,22 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_sta
                 "the weight likely fails the hypercyclicity criterion at this horizon",
                 scanned_to=p - 1, entries_found=found, needed=need, best_margin_log=best_seen,
             )
-        hi = min(p + chunk, limit + 1)
         q = min(k, horizon_q)
+        end = min(p + need - found, limit + 1)
+        if k > horizon_q and last_accept == p - 1 and _monotone_tail(space, w, q, p - 1, end + horizon_n):
+            wm, gmin, _ = _window_extremes(space, w, q, horizon_n, p, p + 1, growth)
+            if wm[0] != NEG_INF and wm[0] < tol and (gmin is None or gmin[0] > g):
+                if end - 1 > p:
+                    wm, gmin, _ = _window_extremes(space, w, q, horizon_n, end - 1, end, growth)
+                add_run(p, end - 1)
+                found += end - p
+                k += end - p
+                tol = float(wm[0])
+                if growth:
+                    g = float(gmin[0])
+                p, last_accept = end, end - 1
+                continue
+        hi = min(p + chunk, limit + 1)
         wm = gmin = logv = None  # the last chunk's arrays are freed before the next read
         wm, gmin, logv = _window_extremes(space, w, q, horizon_n, p, hi, growth)
 

@@ -37,6 +37,22 @@ class TestCriteriaCommands:
         code, payload = run_command(["criteria", "hc", "--space", "l1", "--count", "-1"])
         assert code == 1 and payload["error"] == "config_invalid"
 
+    def test_count_past_the_limit_is_config_invalid_before_any_scan(self, monkeypatch, capsys):
+        # a witness of 20M entries would print and write some 900 MB of JSON
+        import hyperforge.criteria
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(hyperforge.criteria, "find_pk_witness", no_scan)
+        argv = ["criteria", "hc", "--space", "l1", "--weight", "const:2", "--count", "20000000"]
+        code, payload = run_command(argv)
+        assert code == 1 and payload["error"] == "config_invalid"
+        assert payload["details"] == {"count": 20000000, "max": 1000000}
+        assert main(argv[:-1] + ["1000001"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out)["details"] == {"count": 1000001, "max": 1000000} and out.err == ""
+
     def test_contracting_weight_reports_search_exhausted(self):
         code, payload = run_command(
             ["criteria", "hc", "--space", "l1", "--weight", "const:0.5", "--count", "3",

@@ -316,6 +316,25 @@ def test_deep_builds_keep_their_bundle_ids(sid, wspec, K, R, bundle_id):
     assert build_algebrable(st, R).bundle_id == bundle_id
 
 
+def test_deep_maclane_round_keeps_its_bundle_id(monkeypatch):
+    # round 14 of entire_hadamard/maclane extends the witness past
+    # a_14 = 150,372,923; its tail is certified in closed form, so the build
+    # holds no array of that length
+    import tracemalloc
+
+    monkeypatch.setenv("HYPERFORGE_BUDGET", "300000000")
+    st = CoordState(space("entire_hadamard"), WeightSpec.parse("maclane"), standard_targets())
+    tracemalloc.start()
+    try:
+        bundle = build_generator(st, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.passed and bundle.rounds[-1].a == 150_372_923
+    assert bundle.bundle_id == "f48372c874526be0"
+    assert peak < 8 << 20, peak
+
+
 def test_table_weight_end_to_end():
     from hyperforge import WeightSpec, find_pk_witness, orbit_power_report
 

@@ -406,6 +406,129 @@ def test_scan_reads_each_window_of_log_v_once(sid, wspec, monkeypatch):
     assert len(reads) > 1 and los == sorted(set(los)), reads[:8]
 
 
+# -- the closed-form tail against the chunk scan ---------------------------------
+
+
+def _grown(sp, w, counts, N, growth):
+    pk = find_pk_witness(sp, w, counts[0], horizon_n=N, horizon_q=5, growth=growth)
+    for count in counts[1:]:
+        pk = extend_pk_witness(sp, w, pk, count)
+    return pk
+
+
+def _scan_state(pk):
+    """Everything the scan leaves in a witness, as bytes."""
+    return (pk._lo.tobytes(), pk._hi.tobytes(), pk.count,
+            np.float64(pk.next_tol_log).tobytes(), np.float64(pk.next_growth_log).tobytes())
+
+
+def _tail_off(monkeypatch):
+    monkeypatch.setattr(criteria_mod, "_monotone_tail", lambda *args: False)
+
+
+TAIL_CASES = [
+    # (space, weight, horizon_n, growth, counts); counts up to 20000 also
+    # meet the naive oracle
+    ("l1", "const:2", 64, True, [64, 5000, 3_000_000]),
+    ("l_p:2", "const:1.5", 500, False, [8, 20000, 3_000_000]),
+    ("c0", "const:1+1i", 64, True, [64, 3_000_000]),
+    ("entire_hadamard", "const:7", 500, True, [8, 20000, 1_000_000]),
+    ("entire_hadamard", "maclane", 64, True, [64, 9000, 3_000_000]),
+    ("l1", "maclane", 500, False, [8, 3_000_000]),
+]
+
+
+@pytest.mark.parametrize("sid,wspec,N,growth,counts", TAIL_CASES)
+def test_tail_leaves_the_witness_the_chunk_scan_leaves(sid, wspec, N, growth, counts, monkeypatch):
+    sp, w = space(sid), WeightSpec.parse(wspec)
+    certified = []
+    original = criteria_mod._monotone_tail
+
+    def recorded(*args):
+        certified.append(original(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(criteria_mod, "_monotone_tail", recorded)
+    got = [_grown(sp, w, counts[: i + 1], N, growth) for i in range(len(counts))]
+    assert any(certified)
+    _tail_off(monkeypatch)
+    for i, pk in enumerate(got):
+        assert _scan_state(pk) == _scan_state(_grown(sp, w, counts[: i + 1], N, growth)), counts[i]
+        if counts[i] <= 20000:
+            _assert_arrays_match(pk, _scan_arrays(sp, w, counts[i], N, 5, growth))
+
+
+def test_near_cancelling_const_weight_takes_the_chunk_scan(monkeypatch):
+    # log 5.000000000001 - log 5 is about 2e-13, below twice the rounding
+    # bound at index 500, so from the first index the tail could take, with
+    # the seminorm fixed at q = 5, the certificate declines
+    sp, w = space("entire_hadamard"), WeightSpec.parse("const:5.000000000001")
+    assert not criteria_mod._monotone_tail(sp, w, 5, 5, 5 + 8 + 500)
+    assert criteria_mod._monotone_tail(sp, WeightSpec.parse("const:5.001"), 5, 5, 5 + 8 + 500)
+    errors = []
+    for tail in (True, False):
+        if not tail:
+            _tail_off(monkeypatch)
+        with pytest.raises(SearchExhausted) as exc:
+            find_pk_witness(sp, w, 8)
+        errors.append(exc.value.to_json())
+    assert errors[0] == errors[1]
+    assert (errors[0]["details"]["scanned_to"], errors[0]["details"]["entries_found"]) == (36864, 4)
+
+
+@pytest.mark.parametrize("growth", [False, True])
+def test_tail_reads_the_window_at_its_start(growth, monkeypatch):
+    # a witness whose next tolerance (or threshold) the scan did not make:
+    # the bound holds, but the first index fails, so the chunk scan decides
+    l1, w = space("l1"), WeightSpec.parse("const:2")
+    tol, g = (0.0, 1000.0) if growth else (-1000.0, -math.inf)
+    pk = PkWitness(l1, w, [1], [64], 64, 5, growth, tol, g)
+    states = []
+    for tail in (True, False):
+        if not tail:
+            _tail_off(monkeypatch)
+        states.append(_scan_state(extend_pk_witness(l1, w, pk, 5000)))
+    assert states[0] == states[1]
+    assert np.frombuffer(states[0][0], dtype=np.int64).tolist() == [1, 1443]  # first j log 2 past 1000
+
+
+@pytest.mark.parametrize("sid,wspec,found", [("l1", "const:2", 99936), ("entire_hadamard", "maclane", 99927)])
+def test_tail_meets_the_budget_as_the_chunk_scan_does(sid, wspec, found, monkeypatch):
+    # the tail's range ends at the budget, and the next step reports it
+    monkeypatch.setenv("HYPERFORGE_BUDGET", "100000")
+    sp, w = space(sid), WeightSpec.parse(wspec)
+    errors = []
+    for tail in (True, False):
+        if not tail:
+            _tail_off(monkeypatch)
+        pk = find_pk_witness(sp, w, 64, horizon_n=64, growth=True)
+        with pytest.raises(SearchExhausted) as exc:
+            extend_pk_witness(sp, w, pk, 200000)
+        errors.append(exc.value.to_json())
+    assert errors[0] == errors[1]
+    assert errors[0]["details"] == {"scanned_to": 100000, "entries_found": found, "needed": 199936,
+                                    "best_margin_log": math.inf}
+
+
+@pytest.mark.parametrize("sid,wspec", [("l1", "const:2"), ("entire_hadamard", "maclane")])
+def test_tail_extension_reads_a_bounded_number_of_weight_values(sid, wspec, monkeypatch):
+    # extending to 2^24 entries reads the windows at the two ends of the tail
+    sp, w = space(sid), WeightSpec.parse(wspec)
+    pk = find_pk_witness(sp, w, 64, horizon_n=64, horizon_q=5, growth=True)
+    read = []
+    original = WeightSpec.v_log_array
+
+    def counted(self, upto, lo=0):
+        read.append(upto - lo + 1)
+        return original(self, upto, lo)
+
+    monkeypatch.setattr(WeightSpec, "v_log_array", counted)
+    pk = extend_pk_witness(sp, w, pk, 1 << 24)
+    monkeypatch.setattr(WeightSpec, "v_log_array", original)
+    assert pk.count == 1 << 24 and len(pk._lo) <= 5
+    assert sum(read) < 10**4, read
+
+
 class TestMixing:
     def test_factorial_beats_exponential(self, maclane):
         # oracle: q^n / n! at q = 2 first stays below 1e-3 from n = 10 onward
