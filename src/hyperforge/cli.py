@@ -129,8 +129,8 @@ def _cmd_criteria(args) -> tuple[int, dict]:
 
 
 def _load_pk_witness(path: str, space: SpaceSpec, weight: WeightSpec) -> _criteria.PkWitness:
-    """The witness of a `criteria hc --out` file, derived and checked for the
-    space and weight of the build."""
+    """The witness of a `criteria hc --out` file, which must equal the
+    scan's own witness for the space and weight of the build."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -170,7 +170,7 @@ def _cmd_build(args) -> tuple[int, dict]:
         state = _cauchy.CauchyState(cfg.space, cfg.weight, cfg.targets)
         bundle_ = _cauchy.build_generator_cauchy(state, cfg.rounds)
     else:
-        lam = _cauchy.LambdaMatrix(l_max=args.lambda_lmax or cfg.K, denom_max=args.lambda_denom)
+        lam = _cauchy.LambdaMatrix(l_max=cfg.K, denom_max=args.lambda_denom)
         state = _cauchy.CauchyState(
             cfg.space, cfg.weight, cfg.targets, algebrable=True, K=cfg.K, lam=lam
         )
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_b.add_argument("--rounds", type=int, required=True)
     sp_b.add_argument("--K", type=int, default=1)
     sp_b.add_argument("--pk-witness", help="reuse a witness JSON from `criteria hc --out`")
-    sp_b.add_argument("--lambda-lmax", type=int, default=None)
     sp_b.add_argument("--lambda-denom", type=int, default=1)
     sp_b.add_argument("--out")
     sp_b.set_defaults(handler=_cmd_build)

@@ -98,7 +98,7 @@ class PkWitness:
     once per witness and from k = 1: values and minima from one read of
     log|v| per window (window extremes are exact, so they are bit for bit
     what the scan certified), tolerances and thresholds from the data-driven
-    rule.  A witness loaded by ``from_json`` is derived the same way.
+    rule.  A witness loaded by ``from_json`` is the scan's own witness.
 
     For const and maclane weights on l_p, c0, l1 and entire_*, the scan
     certifies a contiguous tail in closed form and reads only its two end
@@ -197,18 +197,18 @@ class PkWitness:
                 if growth:
                     vmins[a:e] = gmin[p[a:e] - lo]
                 a = e
-        out = {"value_log": values, "tol_log": _tolerances(values)[:-1]}
+        out = {"value_log": values, "tol_log": _tolerances(values)}
         if self.growth:
             out["vmin_log"] = vmins
-            out["growth_log"] = _thresholds(vmins)[:-1]
+            out["growth_log"] = _thresholds(vmins)
         return out
 
     # -- serialization -----------------------------------------------------------
     def to_json(self) -> dict:
         out = {
-            "p": [int(v) for v in self.p],
-            "value_log": [float(v) for v in self.value_log],
-            "tol_log": [float(v) for v in self.tol_log],
+            "p": self.p.tolist(),
+            "value_log": self.value_log.tolist(),
+            "tol_log": self.tol_log.tolist(),
             "count": self.count,
             "horizon_n": self.horizon_n,
             "horizon_q": self.horizon_q,
@@ -216,59 +216,37 @@ class PkWitness:
             "q_rule": f"min(k, {self.horizon_q})",
         }
         if self.growth:
-            out["vmin_log"] = [float(v) for v in self.vmin_log]
-            out["growth_log"] = [float(v) for v in self.growth_log]
+            out["vmin_log"] = self.vmin_log.tolist()
+            out["growth_log"] = self.growth_log.tolist()
         return out
 
     @classmethod
     def from_json(cls, data: dict, space: SpaceSpec, w: WeightSpec) -> "PkWitness":
-        """The witness whose indices a ``to_json`` document lists, with every
-        array derived for ``space`` and ``w``.
+        """The witness of a ``to_json`` document for ``space`` and ``w``.
 
-        Every entry is checked: the document's tolerances and growth
-        thresholds must follow the data-driven rule over its own values and
-        minima bit for bit, each value and minimum must lie within the slack
-        of the derived one, and every derived inequality must hold.  Raises
-        WitnessError when the document does not validate, and KeyError,
-        TypeError, ValueError, AttributeError or OverflowError when it is
-        malformed.
+        The scan is run again with the document's count, horizons and growth
+        flag, and the document must equal the scanned witness's ``to_json``
+        exactly.  Raises WitnessError when it does not, KeyError, TypeError
+        or ValueError when it is malformed, and SearchExhausted or
+        WeightError when the scan cannot run.
         """
-        growth = bool(data.get("growth", False))
-        if not all(type(k) is int for k in data["p"]):  # a float or a bool would be cast to an index
-            raise ValueError("witness indices must be integers")
-        names = ("p", "value_log", "tol_log") + (("vmin_log", "growth_log") if growth else ())
-        claims = {name: np.array(data[name], dtype=np.int64 if name == "p" else np.float64) for name in names}
-        p = claims["p"]
-        if any(a.ndim != 1 or len(a) != len(p) for a in claims.values()):
-            raise ValueError("witness arrays must be flat lists of one length")
-        horizon_n, horizon_q = int(data["horizon_n"]), int(data["horizon_q"])
-        if horizon_n < 0 or horizon_q < 1:
-            raise ValueError("witness horizons must satisfy horizon_n >= 0 and horizon_q >= 1")
-        if len(p) == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
-            raise WitnessError("witness indices must start at 1 or above and increase")
-        if not np.array_equal(claims["tol_log"], _tolerances(claims["value_log"])[:-1]) or (
-            growth and not np.array_equal(claims["growth_log"], _thresholds(claims["vmin_log"])[:-1])
-        ):
-            raise WitnessError("witness tolerances or growth thresholds are off the data-driven rule")
-        starts = np.flatnonzero(np.diff(p) != 1) + 1
-        pk = cls(space, w, p[np.r_[0, starts]], p[np.r_[starts - 1, len(p) - 1]], horizon_n, horizon_q,
-                 growth, 0.0, NEG_INF)
-        pairs = [(claims["value_log"], pk.value_log)] + ([(claims["vmin_log"], pk.vmin_log)] if growth else [])
-        with np.errstate(invalid="ignore"):  # equal infinities differ by nan, so == decides them
-            if not all(np.all((a == b) | (np.abs(a - b) <= _SLACK)) for a, b in pairs):
-                raise WitnessError("witness values differ from the derived ones by more than the slack")
-        if not np.all(pk.value_log < pk.tol_log) or (growth and not np.all(pk.vmin_log > pk.growth_log)):
-            raise WitnessError("a derived witness inequality fails")
-        pk.next_tol_log = float(_tolerances(pk.value_log)[-1])
-        pk.next_growth_log = float(pk.vmin_log[-1]) if growth else NEG_INF
+        count, horizon_n, horizon_q, growth = (data[k] for k in ("count", "horizon_n", "horizon_q", "growth"))
+        if any(type(v) is not int for v in (count, horizon_n, horizon_q)) or type(growth) is not bool:
+            raise TypeError("witness count and horizons must be integers, and growth a boolean")
+        # the rescan is bounded by the document's own length; a float or a
+        # bool index would compare equal to the integer it stands for
+        if count != len(data["p"]) or not set(map(type, data["p"])) <= {int}:
+            raise ValueError("witness indices must be `count` integers")
+        pk = find_pk_witness(space, w, count, horizon_n, horizon_q, growth=growth)
+        if pk.to_json() != data:
+            raise WitnessError("the witness differs from the one the scan finds")
         return pk
 
 
 def _tolerances(values: np.ndarray) -> np.ndarray:
     """tol_1 = 0, tol_{k+1} = value_k, or tol_k - ln 2 (one subtraction at a
-    time, as the scan does) where value_k is -inf; one longer than ``values``,
-    so the last entry is the next tolerance."""
-    tol = np.concatenate(([0.0], values))
+    time, as the scan does) where value_k is -inf."""
+    tol = np.concatenate(([0.0], values))[: len(values)]
     halved = np.flatnonzero(tol[1:] == NEG_INF) + 1
     if len(halved):
         breaks = np.flatnonzero(np.diff(halved) > 1)
@@ -280,9 +258,8 @@ def _tolerances(values: np.ndarray) -> np.ndarray:
 
 
 def _thresholds(vmins: np.ndarray) -> np.ndarray:
-    """g_1 = -inf, g_{k+1} = vmin_k; one longer than ``vmins``, so the last
-    entry is the next threshold."""
-    return np.concatenate(([NEG_INF], vmins))
+    """g_1 = -inf, g_{k+1} = vmin_k."""
+    return np.concatenate(([NEG_INF], vmins))[: len(vmins)]
 
 
 def find_pk_witness(
@@ -299,8 +276,8 @@ def find_pk_witness(
     Raises SearchExhausted when the scan stalls, which signals that the weight
     likely fails the hypercyclicity criterion at this horizon (e.g. |lambda| <= 1).
     """
-    if count < 0:
-        raise ValueError("the witness count must be >= 0")
+    if count < 0 or horizon_n < 0 or horizon_q < 1:
+        raise ValueError("a witness needs count >= 0, horizon_n >= 0 and horizon_q >= 1")
     lo: list[int] = []
     hi: list[int] = []
     tol, g = _scan_pk(
@@ -425,8 +402,8 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_sta
                 p, last_accept = end, end - 1
                 continue
         hi = min(p + chunk, limit + 1)
-        wm = gmin = logv = None  # the last chunk's arrays are freed before the next read
-        wm, gmin, logv = _window_extremes(space, w, q, horizon_n, p, hi, growth)
+        wm = gmin = None  # the last chunk's arrays are freed before the next read
+        wm, gmin, _ = _window_extremes(space, w, q, horizon_n, p, hi, growth)
 
         if k >= horizon_q:
             # with a fixed seminorm index and strict monotone data, every index
@@ -448,14 +425,13 @@ def _scan_pk(space, w, need, horizon_n, horizon_q, growth, run_lo, run_hi, k_sta
                 chunk = min(chunk * 2, 1 << 20)
                 continue
 
+        base = 0  # wm[i - base] is the window value at p + i for the seminorm q
         for i in range(hi - p):
             cand = p + i
-            qk = min(k, horizon_q)
-            if qk == q:
-                val = wm[i]
-            else:  # a later seminorm over the same window of the chunk's read
-                window = np.arange(cand, cand + horizon_n + 1)
-                val = float((basis_log_array(space, qk, window) - logv[i : i + horizon_n + 1]).max())
+            if min(k, horizon_q) != q:  # a later seminorm: the rest of the chunk is read again
+                q, base = min(k, horizon_q), i
+                wm = _window_extremes(space, w, q, horizon_n, cand, hi, False)[0]
+            val = wm[i - base]
             best_seen = min(best_seen, val - tol)
             if val < tol and (gmin is None or gmin[i] > g):
                 add_run(cand, cand)
@@ -507,16 +483,6 @@ class MixingCertificate:
             "thresholds": {str(q): n for q, n in self.thresholds.items()},
             "failure": list(self.failure) if self.failure else None,
         }
-
-    def validate(self, space: SpaceSpec, w: WeightSpec) -> bool:
-        """Pure re-check: recomputing over the same horizon reproduces this
-        certificate."""
-        fresh = check_mixing(space, w, self.horizon_n, self.horizon_q, self.tol)
-        return (
-            fresh.passed == self.passed
-            and fresh.thresholds == self.thresholds
-            and fresh.failure == self.failure
-        )
 
 
 def check_mixing(
@@ -580,11 +546,6 @@ class PropertyAWitness:
             "entries": {str(r): [q, C] for r, (q, C) in sorted(self.entries.items())},
         }
 
-    def validate(self, space: SpaceSpec) -> bool:
-        return not any(
-            len(_property_a_breaks(space, r, q, C, self.n_max)) for r, (q, C) in self.entries.items()
-        )
-
 
 def property_a_witness(space: SpaceSpec, r_max: int = 5, n_max: int = 500) -> PropertyAWitness:
     """Closed-form certificates per built-in space, verified on the horizon."""
@@ -613,9 +574,8 @@ class PropertyBWitness:
     """Closed-form certificates for the three basis-norm conditions of the
     Cauchy building-block hypotheses, verified on a horizon.
 
-    Condition (iii) nests quantifiers; the parameter t is exposed so a caller
-    can request the instance it needs (``cond_iii_for``), and the table holds
-    the instances verified here.
+    Condition (iii) nests quantifiers; ``cond_iii`` maps each instance
+    (m, M, r, t) verified here to its (rho, tau, C2).
     """
 
     space_id: str
@@ -627,12 +587,6 @@ class PropertyBWitness:
     cond_i_q: int
     cond_ii: dict[int, tuple[int, float]]
     cond_iii: dict[tuple[int, int, int, int], tuple[int, int, float]] = field(repr=False)
-
-    def cond_iii_for(self, m: int, M: int, r: int, t: int) -> tuple[int, int, float]:
-        key = (m, M, r, t)
-        if key in self.cond_iii:
-            return self.cond_iii[key]
-        return _property_b_rules(self.space_id)[2](m, M, r, t)
 
     def to_json(self) -> dict:
         return {
@@ -646,13 +600,6 @@ class PropertyBWitness:
                 for (m, M, r, t), (rho, tau, C2) in sorted(self.cond_iii.items())
             ],
         }
-
-    def validate(self, space: SpaceSpec) -> bool:
-        try:
-            _verify_property_b(space, self)
-        except WitnessError:
-            return False
-        return True
 
 
 def _property_b_rules(space_id: str):

@@ -4,6 +4,7 @@ Every error the CLI can surface carries a distinct machine-readable ``code``.
 """
 from __future__ import annotations
 
+import math
 import os
 
 DEFAULT_BUDGET = 50_000_000
@@ -23,6 +24,10 @@ class HyperforgeError(Exception):
 
 
 def _plain(obj):
+    """``obj`` as strict JSON values: a non-finite float becomes None, and
+    anything that is not a JSON value its repr."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

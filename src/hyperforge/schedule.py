@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+
+import numpy as np
 
 from .core import FiniteSeq
 from .errors import ConfigError
@@ -36,11 +37,11 @@ class PairOrder:
         return m, l
 
     def max_degree_before(self, r: int) -> int:
-        """max m' over all rounds r' < r (0 when r == 1)."""
-        best = 0
-        for rp in range(1, r):
-            best = max(best, self.decode(rp)[0])
-        return best
+        """max m' over all rounds r' < r (0 when r == 1).  With (m, l) the
+        pair of r and d = m + l, every pair of smaller sum comes before r,
+        (d - 2, 1) the one of largest degree, and a pair of sum d before r
+        has degree below m <= d - 1."""
+        return sum(self.decode(r)) - 2
 
 
 class TripleOrder:
@@ -110,25 +111,30 @@ _LAMBDA_ENTRIES_MAX = 1_000_000
 
 def _entry_values(denom_max: int, l_max: int) -> list[complex]:
     """Rational-complex values of modulus <= 1; nonzero values first, then 0.
-    Raises ValueError as soon as the l_max-tuples over the values found so far
-    outnumber _LAMBDA_ENTRIES_MAX, before the grids of larger denominators are
-    walked."""
-    seen: set[complex] = set()
-    vals: list[complex] = []
+
+    The values of denominator q are the points (p_re + i p_im)/q with
+    gcd(p_re, p_im, q) = 1 and p_re^2 + p_im^2 <= q^2, decided on integers,
+    so each value is listed once, at its least denominator.  The values of
+    every denominator are counted before any is formed, and ValueError is
+    raised as soon as the l_max-tuples over them outnumber
+    _LAMBDA_ENTRIES_MAX.
+    """
+    masks, count = [], 0
     for q in range(1, denom_max + 1):
-        cands = []
-        for p_re in range(-q, q + 1):
-            for p_im in range(-q, q + 1):
-                z = complex(Fraction(p_re, q), Fraction(p_im, q))
-                if abs(z) > 1.0 + 1e-12 or z in seen:
-                    continue
-                cands.append(z)
-        cands.sort(key=lambda z: (z == 0, -(z.real**2 + z.imag**2), -z.real, -z.imag))
-        for z in cands:
-            seen.add(z)
-            vals.append(z)
-        if len(vals) ** l_max > _LAMBDA_ENTRIES_MAX:
+        grid = np.arange(-q, q + 1)
+        p_re, p_im = grid[:, None], grid[None, :]
+        masks.append((np.gcd(np.gcd(p_re, p_im), q) == 1) & (p_re * p_re + p_im * p_im <= q * q))
+        count += int(masks[-1].sum())
+        if count**l_max > _LAMBDA_ENTRIES_MAX:
             raise ValueError("lambda matrix enumeration too large; lower l_max/denom_max")
+    vals: list[complex] = []
+    for q, mask in enumerate(masks, start=1):
+        re, im = (np.stack(np.nonzero(mask)) - q) / q
+        # the modulus key is summed in Python floats, as ties between equal
+        # exact moduli have always been broken
+        mod2 = np.array([x**2 + y**2 for x, y in zip(re.tolist(), im.tolist())])
+        order = np.lexsort((-im, -re, -mod2, (re == 0) & (im == 0)))
+        vals += map(complex, re[order].tolist(), im[order].tolist())
     return vals
 
 
@@ -138,38 +144,37 @@ class LambdaMatrix:
     modulus <= 1, so every element of A appears infinitely often as a column.
 
     A holds all tuples over the rational-complex entry grid, longest length
-    first so low column indices carry full-support elements.
+    first so low column indices carry full-support elements; the tuples of
+    one length follow in odometer order (last entry fastest), so column nu
+    is unranked from its base-N digits, N the number of entry values.
     """
 
     l_max: int
     denom_max: int = 1
-    entries: list[tuple[complex, ...]] = field(init=False, repr=False)
+    values: list[complex] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.l_max < 1 or self.denom_max < 1:
             raise ValueError("lambda matrix needs l_max >= 1 and denom_max >= 1")
-        vals = _entry_values(self.denom_max, self.l_max)
-        self.entries = []
-        for L in range(self.l_max, 0, -1):
-            idx = [0] * L
-            while True:
-                self.entries.append(tuple(vals[i] for i in idx))
-                for pos in range(L - 1, -1, -1):
-                    idx[pos] += 1
-                    if idx[pos] < len(vals):
-                        break
-                    idx[pos] = 0
-                else:
-                    break
+        self.values = _entry_values(self.denom_max, self.l_max)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return sum(len(self.values) ** L for L in range(1, self.l_max + 1))
 
     def column(self, nu: int) -> tuple[complex, ...]:
         if nu < 1:
             raise ValueError("column indices start at 1")
-        return self.entries[(nu - 1) % len(self.entries)]
+        j, n = (nu - 1) % self.size, len(self.values)
+        for L in range(self.l_max, 0, -1):
+            if j < n**L:
+                break
+            j -= n**L
+        digits = []
+        for _ in range(L):
+            j, d = divmod(j, n)
+            digits.append(self.values[d])
+        return tuple(reversed(digits))
 
     def lam(self, k: int, nu: int) -> complex:
         col = self.column(nu)

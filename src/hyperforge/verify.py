@@ -52,9 +52,6 @@ from .errors import BundleError, ElementError
 from .schedule import LambdaMatrix
 from .spaces import seminorm_eval
 
-_LN2 = math.log(2.0)
-_VALUE_RTOL = 1e-9
-
 
 @dataclass
 class RoundCheck:
@@ -453,7 +450,7 @@ def revalidate_bundle(bundle: Bundle) -> RevalidationReport:
     and ``round_checks``) on the stored round after the stored rounds before
     it, and compared with the stored ones name by name: a failing recomputed
     certificate flags ``<name>``, and a name missing on either side, or a
-    certificate that ``_cert_differs`` from its recomputation, flags
+    stored certificate that does not equal its recomputation, flags
     ``<name>_value``.  One check is revalidation's own: ``block_consistency``,
     the stored block against the one rebuilt, bit for bit, from the schedule's
     target for coordinatewise bundles, or from the stored closed-form
@@ -466,46 +463,6 @@ def revalidate_bundle(bundle: Bundle) -> RevalidationReport:
     )
 
 
-def _cert_differs(stored: Cert | None, fresh: Cert) -> bool:
-    """Whether a stored certificate is missing or disagrees with its
-    recomputation ``fresh``.
-
-    op, pass flag, bound and bound_log2 must match exactly.  The value
-    (value_log2 of a log-domain certificate, value otherwise) must match to
-    within 1e-9 x max(1, |stored|); None matches only None.  A log-domain
-    certificate's decoded ``value`` must match its own value_log2 to within
-    1e-9 of itself (two ulps where it is subnormal).
-    """
-    if stored is None:
-        return True
-    if (stored.op, stored.passed, stored.bound, stored.bound_log2) != (
-        fresh.op, fresh.passed, fresh.bound, fresh.bound_log2
-    ):
-        return True
-    log_domain = fresh.bound_log2 is not None
-    value = stored.value_log2 if log_domain else stored.value
-    expect = fresh.value_log2 if log_domain else fresh.value
-    if value is not None and not isinstance(value, (int, float)):
-        return True
-    if log_domain and not _decodes_to(stored.value, value):
-        return True
-    if value is None or expect is None:
-        return value is not expect
-    return not (value == expect or abs(value - expect) <= _VALUE_RTOL * max(1.0, abs(value)))
-
-
-def _decodes_to(value, value_log2: float | None) -> bool:
-    """Whether a stored decoded ``value`` agrees with 2^value_log2, by the
-    rule of ``_cert_differs``."""
-    if not isinstance(value, (int, float)):
-        return False
-    decoded = 0.0 if value_log2 is None else log_decode(value_log2 * _LN2)
-    if value == decoded:
-        return True
-    tol = max(_VALUE_RTOL * abs(decoded), 2 * math.ulp(decoded))
-    return math.isfinite(decoded) and abs(value - decoded) <= tol
-
-
 def _compare(fresh: dict[str, Cert], stored: dict[str, Cert]) -> list[str]:
     """Failure names of one round: recomputed certificates in order, then
     stored names that were not recomputed."""
@@ -513,7 +470,7 @@ def _compare(fresh: dict[str, Cert], stored: dict[str, Cert]) -> list[str]:
     for name, cert in fresh.items():
         if not cert.passed:
             failed.append(name)
-        if _cert_differs(stored.get(name), cert):
+        if stored.get(name) != cert:
             failed.append(f"{name}_value")
     return failed + [f"{name}_value" for name in stored if name not in fresh]
 

@@ -254,10 +254,10 @@ def test_criterion_8_criteria_suite():
 
         wb1 = property_b_witness(space("l1"))
         assert wb1.cond_i_q == 1 and wb1.cond_ii[3] == (1, 1.0)
-        assert wb1.cond_iii_for(4, 16, 5, 5) == (1, 1, 1.0)
+        assert wb1.cond_iii[(4, 16, 5, 5)] == (1, 1, 1.0)
         wb2 = property_b_witness(space("entire_cauchy"))
         assert wb2.cond_ii[3] == (3, 1.0)
-        assert wb2.cond_iii_for(2, 3, 2, 5) == (5, 2, 125.0)
+        assert wb2.cond_iii[(2, 3, 2, 5)] == (5, 2, 125.0)
         with pytest.raises(PropertyBUnavailable, match="does not satisfy condition \\(i\\)"):
             property_b_witness(space("omega_cauchy"))
 

@@ -341,16 +341,19 @@ def test_d4_builds_each_product_once(which, monkeypatch, cauchy_bundle_ec, lambd
 class TestLambdaMatrix:
     def test_entries_bounded_and_recur(self):
         lam = LambdaMatrix(l_max=2)
-        assert all(abs(v) <= 1.0 + 1e-12 for col in lam.entries for v in col)
+        cols = [lam.column(nu) for nu in range(1, lam.size + 1)]
+        assert all(abs(v) <= 1.0 + 1e-12 for col in cols for v in col)
         for nu in range(1, 10):
             assert lam.column(nu) == lam.column(nu + lam.size)
-        # every element appears as a column in each window of lam.size columns
-        assert {lam.column(nu) for nu in range(1, lam.size + 1)} == set(lam.entries)
+        # every tuple of length 1..l_max over the values appears exactly once
+        # in each window of lam.size columns
+        assert len(set(cols)) == lam.size == 5 + 5**2
 
     def test_full_support_elements_come_first(self):
         lam = LambdaMatrix(l_max=2)
         assert lam.column(1) == (1 + 0j, 1 + 0j)
-        assert all(len(e) == 2 for e in lam.entries[:25])
+        assert all(len(lam.column(nu)) == 2 for nu in range(1, 26))
+        assert len(lam.column(26)) == 1
 
     def test_column_scaling_keeps_round_bounds(self, lambda_bundle):
         for rd in lambda_bundle.rounds:

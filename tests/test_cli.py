@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import time
@@ -52,6 +53,19 @@ class TestCriteriaCommands:
         assert main(argv[:-1] + ["1000001"]) == 1
         out = capsys.readouterr()
         assert json.loads(out.out)["details"] == {"count": 1000001, "max": 1000000} and out.err == ""
+
+    def test_error_object_is_strict_json(self, monkeypatch, capsys):
+        # the budget ends the scan before any per-index margin is taken, so
+        # the best margin is +inf, which JSON has no number for
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        monkeypatch.setenv("HYPERFORGE_BUDGET", "1024")
+        argv = ["criteria", "hc", "--space", "l1", "--weight", "const:2", "--count", "5000",
+                "--horizon-q", "1", "--horizon-n", "8"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert payload["error"] == "search_exhausted" and payload["details"]["best_margin_log"] is None
 
     def test_contracting_weight_reports_search_exhausted(self):
         code, payload = run_command(
@@ -312,6 +326,9 @@ CA_VALUE_EDITS = {
     "C1_text": (1, lambda c: c["C1"].update(value_log2="-60"), ["C1_value"]),
     "C3_none": (1, lambda c: c["C3"].update(value_log2=-80.0), ["C3_value"]),
     "F1": (1, lambda c: c["F1"].update(value_log2=c["F1"]["value_log2"] * (1 + 1e-6)), ["F1_value"]),
+    # a stored value passes only when it is the recomputed one bit for bit
+    "C1_one_ulp": (1, lambda c: c["C1"].update(value_log2=math.nextafter(c["C1"]["value_log2"], -math.inf)),
+                   ["C1_value"]),
     "C2_residual": (1, lambda c: c["C2_residual"].update(value=1e-6), ["C2_residual_value"]),
     "F3": (1, lambda c: c["F3"].update(value_log2=-20.0), ["F3_value"]),
     "F3_decoded_value": (1, lambda c: c["F3"].update(value=1e-3), ["F3_value"]),
@@ -660,6 +677,8 @@ def _damaged_witness(doc, damage):
         wit["p"].reverse()
     elif damage == "value_past_slack":
         wit["value_log"][3] += 1e-6
+    elif damage == "value_one_ulp":  # the last value, which no tolerance in the file repeats
+        wit["value_log"][-1] = math.nextafter(wit["value_log"][-1], -math.inf)
     elif damage == "short_array":
         wit["tol_log"].pop()
     elif damage == "bad_horizon":
@@ -675,7 +694,7 @@ def _damaged_witness(doc, damage):
 
 @pytest.mark.parametrize(
     "damage", ["no_p", "a_list", "reversed_p", "value_past_slack", "short_array", "bad_horizon", "p_past_int64",
-               "p_float", "p_bool"]
+               "p_float", "p_bool", "value_one_ulp"]
 )
 def test_malformed_witness_is_config_invalid(damage, readme_pk, targets_file, tmp_path, capsys):
     path = tmp_path / "pk.json"

@@ -84,7 +84,7 @@ class TestHypercyclicityWitness:
         l1 = space("l1")
         doc = find_pk_witness(l1, weight2, 6, horizon_n=4).to_json()
         doc["p"] = [p + 1 for p in doc["p"]]  # shift every index up; stored values no longer match
-        with pytest.raises(WitnessError, match="slack"):
+        with pytest.raises(WitnessError, match="differs from the one the scan finds"):
             PkWitness.from_json(doc, l1, weight2)
 
     @pytest.mark.parametrize("sid,wspec", [("l1", "const:2"), ("omega_coord", "maclane")])
@@ -98,7 +98,7 @@ class TestHypercyclicityWitness:
         for k in (1, pk.count - 1):
             bad = pk.to_json()
             bad["tol_log"][k] = float(np.nextafter(bad["tol_log"][k], -np.inf))
-            with pytest.raises(WitnessError, match="rule"):
+            with pytest.raises(WitnessError, match="differs from the one the scan finds"):
                 PkWitness.from_json(bad, sp, w)
 
     @pytest.mark.parametrize("how", GROWTH_TAMPERS)
@@ -109,7 +109,7 @@ class TestHypercyclicityWitness:
         doc = find_pk_witness(l1, weight2, 12, horizon_n=4, growth=True).to_json()
         tamper_growth(doc, how)
         assert all(g < v for g, v in zip(doc["growth_log"], doc["vmin_log"]))
-        with pytest.raises(WitnessError, match="rule"):
+        with pytest.raises(WitnessError, match="differs from the one the scan finds"):
             PkWitness.from_json(doc, l1, weight2)
 
 
@@ -250,14 +250,16 @@ def test_loaded_witness_extended_by_the_scan(sid, wspec, growth):
 
 
 def test_extension_of_a_loaded_witness_derives_every_entry(weight2):
-    # a value nudged within the slack loads, but the loaded witness and its
-    # extension serve the derived value, not the file's
+    # a value nudged by one ulp does not load; the untampered file loads and
+    # its extension derives every entry as the scan does
     l1 = space("l1")
     pk = find_pk_witness(l1, weight2, 20, horizon_n=8, horizon_q=3, growth=True)
-    doc = pk.to_json()
-    doc["value_log"][19] = float(np.nextafter(doc["value_log"][19], -np.inf))
-    loaded = PkWitness.from_json(doc, l1, weight2)
-    assert loaded.value_log[19] == pk.value_log[19] != doc["value_log"][19]
+    for name in ("value_log", "vmin_log"):
+        doc = pk.to_json()
+        doc[name][19] = float(np.nextafter(doc[name][19], -np.inf))
+        with pytest.raises(WitnessError):
+            PkWitness.from_json(doc, l1, weight2)
+    loaded = PkWitness.from_json(pk.to_json(), l1, weight2)
     assert loaded.next_tol_log == pk.next_tol_log
     ext = extend_pk_witness(l1, weight2, loaded, 40)
     assert ext.value_log[19] == pk.value_log[19]
@@ -387,8 +389,9 @@ class TestWindowExtreme:
                                        ("l1", "bumpy")])
 def test_scan_reads_each_window_of_log_v_once(sid, wspec, monkeypatch):
     # the scan asks for log|v| once per chunk, for seminorm values and growth
-    # minima alike, and the per-index path for k < horizon_q reads nothing
-    # more, so the reads start at strictly increasing indices
+    # minima alike, and the per-index path for k < horizon_q reads only the
+    # rest of its chunk again, from the index where the seminorm changes, so
+    # the reads start at strictly increasing indices
     sp = space(sid)
     w = _bumpy_table(4000) if wspec == "bumpy" else WeightSpec.parse(wspec)
     reads = []
@@ -506,8 +509,10 @@ def test_tail_meets_the_budget_as_the_chunk_scan_does(sid, wspec, found, monkeyp
             extend_pk_witness(sp, w, pk, 200000)
         errors.append(exc.value.to_json())
     assert errors[0] == errors[1]
+    # no per-index margin was taken, so the margin is +inf, written as null
+    assert exc.value.details["best_margin_log"] == math.inf
     assert errors[0]["details"] == {"scanned_to": 100000, "entries_found": found, "needed": 199936,
-                                    "best_margin_log": math.inf}
+                                    "best_margin_log": None}
 
 
 @pytest.mark.parametrize("sid,wspec", [("l1", "const:2"), ("entire_hadamard", "maclane")])
@@ -555,7 +560,8 @@ class TestSquaredNormDomination:
 
     def test_witness_revalidates(self, any_space):
         wit = property_a_witness(any_space, r_max=3, n_max=150)
-        assert wit.validate(any_space)
+        for r, (q, C) in wit.entries.items():
+            assert len(criteria_mod._property_a_breaks(any_space, r, q, C, wit.n_max)) == 0, r
 
 
 class TestBasisNormCompatibility:
@@ -563,22 +569,22 @@ class TestBasisNormCompatibility:
         wit = property_b_witness(space("l1"), n_max=120)
         assert wit.cond_i_q == 1
         assert wit.cond_ii[4] == (1, 1.0)
-        assert wit.cond_iii_for(2, 3, 2, 5) == (1, 1, 1.0)
-        assert wit.validate(space("l1"))
+        assert wit.cond_iii[(2, 3, 2, 5)] == (1, 1, 1.0)
+        assert _checker_failure(space("l1"), wit) is None
 
     def test_power_series_certificate(self):
         wit = property_b_witness(space("entire_cauchy"), n_max=120)
         assert wit.cond_ii[3] == (3, 1.0)
-        assert wit.cond_iii_for(2, 3, 2, 5) == (5, 2, 125.0)
+        assert wit.cond_iii[(2, 3, 2, 5)] == (5, 2, 125.0)
         # the inequality itself: t^{mn} r^{n-k} <= C2 tau^{n} rho^{mn-k}
         m, M, r, t = 2, 3, 2, 5
-        rho, tau, C2 = wit.cond_iii_for(m, M, r, t)
+        rho, tau, C2 = wit.cond_iii[(m, M, r, t)]
         for n in range(M, 40):
             for k in range(M + 1):
                 lhs = float(t) ** (m * n) * float(r) ** (n - k)
                 rhs = C2 * float(tau) ** n * float(rho) ** (m * n - k)
                 assert lhs <= rhs * (1 + 1e-12)
-        assert wit.validate(space("entire_cauchy"))
+        assert _checker_failure(space("entire_cauchy"), wit) is None
 
     def test_omega_rejected_on_condition_i(self):
         with pytest.raises(PropertyBUnavailable, match="does not satisfy condition \\(i\\)"):
@@ -642,7 +648,6 @@ class TestPropertyBAgainstTheDoubleLoop:
         wit.cond_ii[key] = entry
         assert _property_b_first_failure(sp, wit) == want
         assert _checker_failure(sp, wit) == want
-        assert not wit.validate(sp)
 
     def test_condition_iii_failure(self):
         # t^{mn} r^{n-k} <= C2 tau^n rho^{mn-k} with rho = t, tau = r reads
@@ -676,7 +681,6 @@ class TestPropertyBAgainstTheDoubleLoop:
                              "rho": (int(value), tau, C2)}[name]
         assert _property_b_first_failure(sp, wit) == want
         assert _checker_failure(sp, wit) == want
-        assert not wit.validate(sp)
 
     def test_pairs_past_the_budget_end_before_allocating(self, monkeypatch):
         monkeypatch.setenv("HYPERFORGE_BUDGET", "1024")
@@ -704,6 +708,6 @@ class TestBudgetAndRevalidation:
 
     def test_mixing_certificate_revalidates(self, weight2, maclane):
         cert = check_mixing(space("l1"), weight2, horizon_n=60)
-        assert cert.validate(space("l1"), weight2)
+        assert check_mixing(space("l1"), weight2, cert.horizon_n, cert.horizon_q, cert.tol) == cert
         bad = check_mixing(space("entire_cauchy"), maclane, horizon_n=60)
-        assert not bad.validate(space("l1"), weight2)
+        assert check_mixing(space("l1"), weight2, bad.horizon_n, bad.horizon_q, bad.tol) != bad

@@ -1,8 +1,12 @@
+import random
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperforge import FiniteSeq, PairOrder, TargetSchedule, TripleOrder
+from hyperforge import FiniteSeq, LambdaMatrix, PairOrder, TargetSchedule, TripleOrder
 from hyperforge.errors import ConfigError
 
 from conftest import standard_targets
@@ -28,6 +32,11 @@ class TestPairOrder:
         assert vals[0] == 0
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert po.max_degree_before(7) == 3
+        # the closed form is the max over every earlier round's degree
+        best = 0
+        for r in range(1, 3000):
+            assert po.max_degree_before(r) == best, r
+            best = max(best, po.decode(r)[0])
 
 
 class TestTripleOrder:
@@ -80,3 +89,62 @@ class TestTargetSchedule:
             TargetSchedule([FiniteSeq.zero()])
         with pytest.raises(ConfigError):
             TargetSchedule(standard_targets(), K=0)
+
+
+def _enumerated_columns(l_max: int, denom_max: int) -> list[tuple[complex, ...]]:
+    """The lambda matrix's columns as first enumerated: every grid point
+    p/q + i p'/q (q ascending) as a Fraction complex, |z| <= 1 tested in
+    floats and first occurrence by set membership, each denominator sorted
+    by the float key; then every tuple by an odometer, longest first."""
+    seen: set[complex] = set()
+    vals: list[complex] = []
+    for q in range(1, denom_max + 1):
+        cands = []
+        for p_re in range(-q, q + 1):
+            for p_im in range(-q, q + 1):
+                z = complex(Fraction(p_re, q), Fraction(p_im, q))
+                if abs(z) > 1.0 + 1e-12 or z in seen:
+                    continue
+                cands.append(z)
+        cands.sort(key=lambda z: (z == 0, -(z.real**2 + z.imag**2), -z.real, -z.imag))
+        seen.update(cands)
+        vals += cands
+    cols = []
+    for L in range(l_max, 0, -1):
+        idx = [0] * L
+        while True:
+            cols.append(tuple(vals[i] for i in idx))
+            for pos in range(L - 1, -1, -1):
+                idx[pos] += 1
+                if idx[pos] < len(vals):
+                    break
+                idx[pos] = 0
+            else:
+                break
+    return cols
+
+
+class TestLambdaMatrix:
+    @pytest.mark.parametrize("l_max,denom_max", [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2), (1, 3), (2, 3),
+                                                 (1, 8), (1, 20)])
+    def test_columns_match_the_enumeration_over_a_cycle(self, l_max, denom_max):
+        want = _enumerated_columns(l_max, denom_max)
+        lam = LambdaMatrix(l_max, denom_max)
+        assert lam.size == len(want)
+        assert [lam.column(nu) for nu in range(1, 2 * len(want) + 1)] == want + want
+
+    @pytest.mark.parametrize("l_max,denom_max", [(1, 60), (2, 8)])
+    def test_sampled_columns_match_the_enumeration(self, l_max, denom_max):
+        want = _enumerated_columns(l_max, denom_max)
+        start = time.perf_counter()
+        lam = LambdaMatrix(l_max, denom_max)
+        assert time.perf_counter() - start < 1.0  # the enumeration takes 2 s at (1, 60)
+        rng = random.Random(0)
+        for nu in (1, len(want), len(want) + 1, *(rng.randrange(1, 3 * len(want)) for _ in range(1000))):
+            assert lam.column(nu) == want[(nu - 1) % len(want)], nu
+
+    def test_too_many_columns_are_refused_before_any_value_is_formed(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            LambdaMatrix(1, 100000)  # the limit falls at q = 105
+        assert time.perf_counter() - start < 1.0
