@@ -185,10 +185,6 @@ class Bundle:
         return self.kind.startswith("cauchy")
 
     @property
-    def product(self) -> str:
-        return "cauchy" if self.is_cauchy else "coordinatewise"
-
-    @property
     def passed(self) -> bool:
         return all(rd.passed for rd in self.rounds)
 
@@ -276,11 +272,22 @@ class Bundle:
             raise BundleError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc
 
     def _check_labels(self) -> None:
-        """Rounds numbered 1..R in order, each labelled (m, l[, nu]) as the
+        """Integer fields that are ints (not floats or bools), partition_K >= 1,
+        rounds numbered 1..R in order, each labelled (m, l[, nu]) as the
         pairing rule decodes its number, with the lambda matrix's column nu."""
+        if not _is_int(self.K) or self.K < 1:
+            raise BundleError(f"partition_K {self.K!r} is not an integer >= 1")
+        for rd in self.rounds:
+            fields = [rd.r, rd.m, rd.l, rd.a]
+            if self.is_cauchy:
+                fields += [rd.eta, rd.gamma, rd.rho_index] + ([] if rd.nu is None else [rd.nu])
+            if not all(map(_is_int, fields)):
+                raise BundleError(f"round {rd.r!r} holds an integer field that is not an integer")
         if [rd.r for rd in self.rounds] != list(range(1, self.R + 1)):
             raise BundleError("rounds are not numbered 1, 2, ... in order")
         algebrable = self.kind == "cauchy-algebrable"
+        if algebrable and not all(_is_int(self.lambda_params.get(k)) for k in ("l_max", "denom_max")):
+            raise BundleError("the lambda matrix's l_max and denom_max must be integers")
         lam = LambdaMatrix.from_json(self.lambda_params) if algebrable else None
         pairing = self.pairing()
         for rd in self.rounds:
@@ -310,6 +317,10 @@ class Bundle:
         except (OSError, json.JSONDecodeError) as exc:
             raise BundleError(f"cannot load bundle from {path!r}: {exc}") from exc
         return cls.from_json(data)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def canonical_json(obj) -> str:

@@ -321,9 +321,6 @@ class FiniteSeq:
                 out[n] = -c
         return FiniteSeq(out)
 
-    def __neg__(self) -> "FiniteSeq":
-        return FiniteSeq({n: -c for n, c in self.items()})
-
     def scale(self, factor: WideComplex) -> "FiniteSeq":
         if factor.is_zero:
             return FiniteSeq.zero()

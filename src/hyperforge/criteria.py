@@ -490,8 +490,8 @@ def check_mixing(
 ) -> MixingCertificate:
     """Certify ||v_n^{-1} e_n||_q < tol for every q <= horizon_q and all n past a
     reported threshold; fails with the witnessing (n, q) if decay is not observed."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (horizon_n >= 0 and horizon_q >= 1 and 0 < tol < math.inf):
+        raise ValueError("mixing needs horizon_n >= 0, horizon_q >= 1 and a finite tol > 0")
     _check_horizon(horizon_n)
     log_tol = math.log(tol)
     thresholds: dict[int, int] = {}
@@ -549,6 +549,8 @@ class PropertyAWitness:
 
 def property_a_witness(space: SpaceSpec, r_max: int = 5, n_max: int = 500) -> PropertyAWitness:
     """Closed-form certificates per built-in space, verified on the horizon."""
+    if n_max < 0 or r_max < 1:
+        raise ValueError("property A needs n_max >= 0 and r_max >= 1")
     _check_horizon(n_max)
     entries = {}
     for r in range(1, r_max + 1):
@@ -618,6 +620,8 @@ def property_b_witness(
     n_max: int = 500,
     t_max: int | None = None,
 ) -> PropertyBWitness:
+    if n_max < 0 or min(m_max, M_max, r_max) < 1:
+        raise ValueError("property B needs n_max >= 0 and m_max, M_max, r_max >= 1")
     if space.product != "cauchy":
         raise SpaceProductError(
             f"the building-block conditions apply to Cauchy-product algebras; "

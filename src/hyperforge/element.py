@@ -45,17 +45,6 @@ class AlgebraElement:
             raise ElementError("element has no nonzero term")
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def from_terms(cls, terms, num_generators: int | None = None) -> "AlgebraElement":
-        """Build from (coefficient, beta) pairs, padding betas to a common width."""
-        terms = list(terms)
-        width = num_generators or max((len(b) for _, b in terms), default=0)
-        merged: dict[tuple[int, ...], complex] = {}
-        for c, beta in terms:
-            beta = tuple(beta) + (0,) * (width - len(beta))
-            merged[beta] = merged.get(beta, 0) + complex(c)
-        return cls(merged, width)
-
     @property
     def degree_max(self) -> int:
         return max(sum(b) for b in self.coeffs)
@@ -64,9 +53,6 @@ class AlgebraElement:
         """Coefficients of the highest total degree."""
         m = self.degree_max
         return {b: c for b, c in self.coeffs.items() if sum(b) == m}
-
-    def homogeneous_coeffs(self, degree: int) -> dict[tuple[int, ...], complex]:
-        return {b: c for b, c in self.coeffs.items() if sum(b) == degree}
 
     def describe(self) -> str:
         parts = []

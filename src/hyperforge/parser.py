@@ -74,13 +74,14 @@ class ElementExpr:
     num_generators: int
 
     def element(self) -> AlgebraElement:
-        pairs = []
+        merged: dict[tuple[int, ...], complex] = {}
         for coef, expmap in self.terms:
             beta = [0] * self.num_generators
             for k, e in expmap:
                 beta[k - 1] += e
-            pairs.append((coef, tuple(beta)))
-        return AlgebraElement.from_terms(pairs, self.num_generators)
+            key = tuple(beta)
+            merged[key] = merged.get(key, 0) + complex(coef)
+        return AlgebraElement(merged, self.num_generators)
 
 
 class _Parser:

@@ -27,11 +27,8 @@ class PairOrder:
     def decode(self, r: int) -> tuple[int, int]:
         if r < 1:
             raise ValueError("round numbers start at 1")
+        # the largest x with x(x+1)/2 < r: (2x+1)^2 <= 8r - 7 iff x(x+1) <= 2r - 2
         x = (math.isqrt(8 * r - 7) - 1) // 2
-        while x * (x + 1) // 2 >= r:
-            x -= 1
-        while (x + 1) * (x + 2) // 2 < r:
-            x += 1
         m = r - x * (x + 1) // 2
         l = (x + 2) - m
         return m, l

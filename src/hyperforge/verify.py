@@ -7,10 +7,15 @@ reproducible bit-for-bit from the file.
 Every orbit report measures ||T^{a_r} P(x) - rho y^(l)||_r through one round
 check, at the rounds it applies to only, and forms P(x) only when some round
 is checked.  The reports and the expansion oracle build their Cauchy products
-through ``core.cauchy_monomials``, as the D4/F4 certificate does.
+through ``core.cauchy_monomials``, as the D4/F4 certificate does.  The oracle
+finds the coefficients d_alpha of z over the block products P^alpha by
+multiplying out each term of z over the linear forms x_k = sum_r
+lambda_{k,nu_r} p_r of the round blocks p_r.
 
-Re-validation certifies each stored round through the same functions the
-builders use (``coordwise.coord_checks``, ``cauchy.block_checks`` and
+Re-validation walks the rounds once.  It rebuilds each round's block (the
+root-power block of a coordinatewise round, the two-part block of a Cauchy
+one), certifies the stored round through the same functions the builders use
+(``coordwise.coord_checks``, or ``cauchy.block_checks`` and
 ``cauchy.round_checks``), fed with the stored round and the stored rounds
 before it, and compares the result with the stored certificates; it keeps only
 the block-consistency check of its own.  All seminorm comparisons use upper
@@ -26,10 +31,8 @@ from .bundle import Bundle, Cert
 from .cauchy import (
     RHO_THRESHOLD,
     block_checks,
-    enumerate_multi_indices,
     form_at_column,
     leading_form_column,
-    multinomial,
     round_checks,
     tail_bound,
     two_part_block,
@@ -320,77 +323,44 @@ def expansion_oracle(bundle: Bundle, z: AlgebraElement, degree_cap: int | None =
         lamcols = [tuple(rd.lambda_column) for rd in bundle.rounds]
     else:
         lamcols = [(1.0 + 0j,) for _ in bundle.rounds]
-    d_alpha: dict[tuple[int, ...], complex] = {}
-    for mu in range(1, zc.degree_max + 1):
-        form = zc.homogeneous_coeffs(mu)
-        if not form:
-            continue
-        for t in range(1, bundle.R + 1):
-            for alpha in enumerate_multi_indices(mu, t):
-                d = _d_coefficient(form, alpha, lamcols)
-                if d != 0:
-                    d_alpha[alpha] = d
+    d_alpha = _block_coefficients(zc, lamcols)
     decomp = _substitute_cauchy(d_alpha, [rd.block for rd in bundle.rounds])
     err = brute.rel_distance(decomp)
     return ExpansionReport(brute, decomp, d_alpha, err, err <= 1e-10, partial)
 
 
-def _d_coefficient(form: dict, alpha: tuple[int, ...], lamcols: list[tuple]) -> complex:
-    """Coefficient of prod_r p_r^{alpha_r} in sum_beta c_beta prod_k (sum_r
-    lambda_{k,nu_r} p_r)^{beta_k}."""
-    slots = [i for i, e in enumerate(alpha, start=1) if e > 0]
-    need = {i: alpha[i - 1] for i in slots}
-    total = 0j
-    for beta, c in form.items():
-        ks = [k for k, e in enumerate(beta, start=1) if e > 0]
+def _block_coefficients(z: AlgebraElement, lamcols: list[tuple]) -> dict[tuple[int, ...], complex]:
+    """The nonzero d_alpha of z(L_1, ..., L_K) = sum_alpha d_alpha prod_r
+    p_r^{alpha_r}, for the linear forms L_k = sum_r lambda_{k,r} p_r with
+    lambda_{k,r} = lamcols[r-1][k-1] (zero past the end of the column).
 
-        def rec(ki: int, remaining: dict) -> complex:
-            if ki == len(ks):
-                return 1.0 + 0j if all(v == 0 for v in remaining.values()) else 0j
-            k = ks[ki]
-            bk = beta[k - 1]
-            out = 0j
-            for comp in _compositions(bk, slots):
-                if any(comp[i] > remaining[i] for i in slots):
-                    continue
-                coef = multinomial(bk, tuple(comp[i] for i in slots))
-                lam_term = 1.0 + 0j
-                ok = True
-                for i in slots:
-                    if comp[i]:
-                        lam_k = lamcols[i - 1][k - 1] if k - 1 < len(lamcols[i - 1]) else 0j
-                        if lam_k == 0:
-                            ok = False
-                            break
-                        lam_term *= lam_k ** comp[i]
-                if not ok:
-                    continue
-                rest = {i: remaining[i] - comp[i] for i in slots}
-                out += coef * lam_term * rec(ki + 1, rest)
-            return out
-
-        total += c * rec(0, dict(need))
-    return total
-
-
-def _compositions(total: int, slots: list[int]) -> list[dict[int, int]]:
-    out: list[dict[int, int]] = []
-
-    def rec(idx: int, left: int, acc: dict[int, int]):
-        if idx == len(slots) - 1:
-            acc2 = dict(acc)
-            acc2[slots[idx]] = left
-            out.append(acc2)
-            return
-        for v in range(left + 1):
-            acc[slots[idx]] = v
-            rec(idx + 1, left - v, acc)
-        del acc[slots[idx]]
-
-    if not slots:
-        return [{}] if total == 0 else []
-    rec(0, total, {})
-    return out
+    Each term c_beta x^beta is multiplied out one factor L_k at a time from 1,
+    and c_beta times the product is added to d_alpha, term by term in the
+    order of ``z.coeffs``; c_beta comes last so that, where the lambda products
+    are exact, each term adds c_beta times an exact number.  alpha drops its
+    trailing zeros, and the result is ordered by (|alpha|, len alpha, alpha)."""
+    R = len(lamcols)
+    forms = [[(r, col[k]) for r, col in enumerate(lamcols) if k < len(col) and col[k] != 0]
+             for k in range(z.num_generators)]
+    d: dict[tuple[int, ...], complex] = {}
+    for beta, c in z.coeffs.items():
+        u = {(0,) * R: 1.0 + 0j}
+        for k, e in enumerate(beta):
+            for _ in range(e):
+                nxt: dict[tuple[int, ...], complex] = {}
+                for mono, v in u.items():
+                    for r, lam in forms[k]:
+                        key = mono[:r] + (mono[r] + 1,) + mono[r + 1:]
+                        nxt[key] = nxt.get(key, 0j) + v * lam
+                u = nxt
+        for mono, v in u.items():
+            d[mono] = d.get(mono, 0j) + c * v
+    trimmed = {}
+    for mono, v in d.items():
+        if v != 0:
+            t = max(r for r, e in enumerate(mono, start=1) if e)
+            trimmed[mono[:t]] = v
+    return {a: trimmed[a] for a in sorted(trimmed, key=lambda a: (sum(a), len(a), a))}
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +426,32 @@ def revalidate_bundle(bundle: Bundle) -> RevalidationReport:
     target for coordinatewise bundles, or from the stored closed-form
     coefficients for Cauchy ones, so coefficient tampering is caught even where
     the inequalities would still pass.  Loading the bundle has already checked
-    each round's labels against the pairing rule.
+    each round's integer fields, and its labels against the pairing rule.
     """
-    return (
-        _revalidate_cauchy(bundle) if bundle.is_cauchy else _revalidate_coord(bundle)
-    )
+    space, w = bundle.space, bundle.weight
+    sched = bundle.schedule()
+    pairing = bundle.pairing()
+    algebrable = bundle.kind == "cauchy-algebrable"
+    rows = []
+    for rd in bundle.rounds:
+        before = bundle.rounds[: rd.r - 1]
+        y = sched.target(rd.l)
+        if bundle.is_cauchy:
+            q_part, block = two_part_block(rd.eta, rd.c, rd.gamma, rd.b)
+            # the stored C1 bound is the round's only record of eps; without a
+            # float there, NaN makes C1 and C3 fail
+            eps_log2 = getattr(rd.checks.get("C1"), "bound_log2", None)
+            if not isinstance(eps_log2, float):
+                eps_log2 = math.nan
+            fresh = block_checks(space, w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part, rd.block,
+                                 rd.rho_index, eps_log2)
+            fresh.update(round_checks(space, w, y, before, rd, algebrable))
+        else:
+            block = root_power_block(w, y, rd.a, rd.m)
+            fresh = coord_checks(space, w, sched, pairing, before, rd.r, rd.a, rd.block)
+        failed = ["block_consistency"] if rd.block != block else []
+        rows.append({"round": rd.r, "failed": failed + _compare(fresh, rd.checks)})
+    return RevalidationReport(bundle.bundle_id, rows)
 
 
 def _compare(fresh: dict[str, Cert], stored: dict[str, Cert]) -> list[str]:
@@ -473,46 +464,6 @@ def _compare(fresh: dict[str, Cert], stored: dict[str, Cert]) -> list[str]:
         if stored.get(name) != cert:
             failed.append(f"{name}_value")
     return failed + [f"{name}_value" for name in stored if name not in fresh]
-
-
-def _revalidate_coord(bundle: Bundle) -> RevalidationReport:
-    space, w = bundle.space, bundle.weight
-    sched = bundle.schedule()
-    pairing = bundle.pairing()
-    rows = []
-    for rd in bundle.rounds:
-        failed = []
-        if rd.block != root_power_block(w, sched.target(rd.l), rd.a, rd.m):
-            failed.append("block_consistency")
-        fresh = coord_checks(space, w, sched, pairing, bundle.rounds[: rd.r - 1], rd.r, rd.a,
-                             rd.block)
-        failed += _compare(fresh, rd.checks)
-        rows.append({"round": rd.r, "failed": failed})
-    return RevalidationReport(bundle.bundle_id, rows)
-
-
-def _revalidate_cauchy(bundle: Bundle) -> RevalidationReport:
-    space, w = bundle.space, bundle.weight
-    sched = bundle.schedule()
-    algebrable = bundle.kind == "cauchy-algebrable"
-    rows = []
-    for rd in bundle.rounds:
-        failed = []
-        y = sched.target(rd.l)
-        q_part, block = two_part_block(rd.eta, rd.c, rd.gamma, rd.b)
-        if rd.block != block:
-            failed.append("block_consistency")
-        # the stored C1 bound is the round's only record of eps; without a
-        # float there, NaN makes C1 and C3 fail
-        eps_log2 = getattr(rd.checks.get("C1"), "bound_log2", None)
-        if not isinstance(eps_log2, float):
-            eps_log2 = math.nan
-        fresh = block_checks(space, w, y, rd.m, rd.eta, rd.gamma, rd.b, q_part, rd.block,
-                             rd.rho_index, eps_log2)
-        fresh.update(round_checks(space, w, y, bundle.rounds[: rd.r - 1], rd, algebrable))
-        failed += _compare(fresh, rd.checks)
-        rows.append({"round": rd.r, "failed": failed})
-    return RevalidationReport(bundle.bundle_id, rows)
 
 
 def nonfinite_generation_witness(bundle: Bundle) -> dict:

@@ -115,6 +115,26 @@ class TestCriteriaCommands:
         assert code == 1 and payload["error"] == "search_exhausted"
         assert payload["details"] == {"horizon_n": 8000, "budget": 50_000_000}
 
+    @pytest.mark.parametrize("argv", [
+        ["prop-b", "--horizon-n", "-1"],
+        ["prop-b", "--horizon-n", "-2"],
+        ["prop-b", "--r-max", "0"],
+        ["prop-b", "--M-max", "-3"],
+        ["prop-b", "--m-max", "0"],
+        ["prop-a", "--horizon-n", "-1"],
+        ["prop-a", "--r-max", "-1"],
+        ["mixing", "--horizon-n", "-1"],
+        ["mixing", "--horizon-q", "0"],
+        ["mixing", "--tol", "nan"],
+        ["mixing", "--tol", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_parameter_out_of_range_is_config_invalid(self, argv, capsys):
+        space = "l1" if argv[0] == "prop-b" else "l_p:2"
+        assert main(["criteria", *argv, "--space", space]) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert payload["error"] == "config_invalid" and "Traceback" not in err
+
     def test_bad_space_is_a_distinct_code(self):
         code, payload = run_command(["criteria", "hc", "--space", "nope"])
         assert code == 1 and payload["error"] == "space_unknown"
@@ -545,6 +565,41 @@ def test_bundle_block_index_that_is_not_an_integer_is_bundle_invalid(readme_g3, 
     _write_with_id(doc, path)
     code, payload = run_command(["verify", "certificates", "--bundle", str(path)])
     assert code == 1 and payload["error"] == "bundle_invalid"
+
+
+# integer fields of the README g3.json and ca.json written as a float, a bool
+# or out of range, each followed by a recomputed bundle_id: (bundle, edit)
+INTEGER_FIELD_EDITS = {
+    "r": ("g3", lambda d: d["rounds"][0].update(r=1.0)),
+    "m": ("g3", lambda d: d["rounds"][2].update(m=2.0)),
+    "m_true": ("g3", lambda d: d["rounds"][0].update(m=True)),
+    "l": ("g3", lambda d: d["rounds"][1].update(l=2.0)),
+    "a_r": ("g3", lambda d: d["rounds"][3].update(a_r=float(d["rounds"][3]["a_r"]))),
+    "partition_K": ("g3", lambda d: d.update(partition_K=3.0)),
+    "partition_K_zero": ("g3", lambda d: d.update(partition_K=0)),
+    "cauchy_a_r": ("ca", lambda d: d["rounds"][1].update(a_r=float(d["rounds"][1]["a_r"]))),
+    "eta": ("ca", lambda d: d["rounds"][1].update(eta=float(d["rounds"][1]["eta"]))),
+    "gamma": ("ca", lambda d: d["rounds"][1].update(gamma=float(d["rounds"][1]["gamma"]))),
+    "rho": ("ca", lambda d: d["rounds"][1].update(rho=float(d["rounds"][1]["rho"]))),
+    "nu": ("ca", lambda d: d["rounds"][0].update(nu=1.0)),
+    "l_max": ("ca", lambda d: d["lambda"].update(l_max=2.0)),
+    "denom_max": ("ca", lambda d: d["lambda"].update(denom_max=True)),
+}
+
+
+@pytest.mark.parametrize("case", list(INTEGER_FIELD_EDITS))
+def test_integer_field_that_is_not_an_integer_is_bundle_invalid(case, readme_g3, readme_ca, tmp_path, capsys):
+    which, edit = INTEGER_FIELD_EDITS[case]
+    doc = json.loads(json.dumps(readme_g3 if which == "g3" else readme_ca))
+    edit(doc)
+    path = tmp_path / f"{which}.json"
+    _write_with_id(doc, path)
+    reports = ([["zero-products"], ["power"], ["element", "--element", "x1"]] if which == "g3" else
+               [["power"], ["element", "--element", "x1*x2 + x1"], ["expansion", "--element", "x1*x2 + x1"]])
+    for report in [["certificates"], *reports]:
+        assert main(["verify", *report, "--bundle", str(path)]) == 1, report
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "bundle_invalid" and "Traceback" not in err, report
 
 
 @pytest.mark.parametrize("element", ["1e400*x1", "1e400i*x1 + x1^2"])

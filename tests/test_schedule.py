@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -37,6 +38,18 @@ class TestPairOrder:
         for r in range(1, 3000):
             assert po.max_degree_before(r) == best, r
             best = max(best, po.decode(r)[0])
+
+
+    def test_decode_inverts_index_without_correction(self):
+        # decode takes x = (isqrt(8r - 7) - 1) // 2 as the diagonal before r
+        po = PairOrder()
+        for r in [*range(1, 100_000), *range(10**15 - 500, 10**15 + 500)]:
+            m, l = po.decode(r)
+            assert m >= 1 and l >= 1 and po.index(m, l) == r
+        d = math.isqrt(2 * 10**15)  # the diagonals m + l = d hold r near 10^15
+        for s in range(d - 2, d + 3):
+            for m, l in ((1, s - 1), (2, s - 2), (s - 2, 2), (s - 1, 1)):
+                assert po.decode(po.index(m, l)) == (m, l)
 
 
 class TestTripleOrder:

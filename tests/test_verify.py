@@ -25,10 +25,12 @@ from hyperforge import (
     zero_product_report,
 )
 from hyperforge.bundle import _digest, canonical_json
-from hyperforge.cauchy import block_checks, round_checks
+from hyperforge.cauchy import block_checks, enumerate_multi_indices, multinomial, round_checks
 from hyperforge.coordwise import coord_checks
 from hyperforge.errors import BundleError, ElementError
 from hyperforge.parser import parse_element
+from hyperforge.schedule import LambdaMatrix
+from hyperforge.verify import _block_coefficients
 
 from conftest import PHASED_TARGETS_JSON, standard_targets
 
@@ -221,6 +223,140 @@ class TestExpansionOracle:
         want = {(id(gens[k]), e) for beta in gen_calls for k, e in enumerate(beta) if e}
         want |= {(id(blocks[i]), e) for alpha in block_calls for i, e in enumerate(alpha) if e}
         assert len(powers) == len(want) and {(id(x), e) for x, e in powers} == want
+
+
+# the composition recursion the expansion oracle used before it multiplied out
+# linear forms, kept as the reference for its block coefficients
+
+
+def _d_coefficient(form: dict, alpha: tuple[int, ...], lamcols: list[tuple]) -> complex:
+    """Coefficient of prod_r p_r^{alpha_r} in sum_beta c_beta prod_k (sum_r
+    lambda_{k,nu_r} p_r)^{beta_k}."""
+    slots = [i for i, e in enumerate(alpha, start=1) if e > 0]
+    need = {i: alpha[i - 1] for i in slots}
+    total = 0j
+    for beta, c in form.items():
+        ks = [k for k, e in enumerate(beta, start=1) if e > 0]
+
+        def rec(ki: int, remaining: dict) -> complex:
+            if ki == len(ks):
+                return 1.0 + 0j if all(v == 0 for v in remaining.values()) else 0j
+            k = ks[ki]
+            bk = beta[k - 1]
+            out = 0j
+            for comp in _compositions(bk, slots):
+                if any(comp[i] > remaining[i] for i in slots):
+                    continue
+                coef = multinomial(bk, tuple(comp[i] for i in slots))
+                lam_term = 1.0 + 0j
+                ok = True
+                for i in slots:
+                    if comp[i]:
+                        lam_k = lamcols[i - 1][k - 1] if k - 1 < len(lamcols[i - 1]) else 0j
+                        if lam_k == 0:
+                            ok = False
+                            break
+                        lam_term *= lam_k ** comp[i]
+                if not ok:
+                    continue
+                rest = {i: remaining[i] - comp[i] for i in slots}
+                out += coef * lam_term * rec(ki + 1, rest)
+            return out
+
+        total += c * rec(0, dict(need))
+    return total
+
+
+def _compositions(total: int, slots: list[int]) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = []
+
+    def rec(idx: int, left: int, acc: dict[int, int]):
+        if idx == len(slots) - 1:
+            acc2 = dict(acc)
+            acc2[slots[idx]] = left
+            out.append(acc2)
+            return
+        for v in range(left + 1):
+            acc[slots[idx]] = v
+            rec(idx + 1, left - v, acc)
+        del acc[slots[idx]]
+
+    if not slots:
+        return [{}] if total == 0 else []
+    rec(0, total, {})
+    return out
+
+
+def _reference_block_coefficients(z: AlgebraElement, lamcols: list[tuple]) -> dict:
+    d_alpha = {}
+    for mu in range(1, z.degree_max + 1):
+        form = {b: c for b, c in z.coeffs.items() if sum(b) == mu}
+        if not form:
+            continue
+        for t in range(1, len(lamcols) + 1):
+            for alpha in enumerate_multi_indices(mu, t):
+                d = _d_coefficient(form, alpha, lamcols)
+                if d != 0:
+                    d_alpha[alpha] = d
+    return d_alpha
+
+
+def _random_case(rng, entries):
+    """A random element of K <= 3 generators and degree <= 4, and R <= 8
+    lambda columns over ``entries``, some shorter than K."""
+    K = rng.randint(1, 3)
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        beta = [0] * K
+        for _ in range(rng.randint(1, 4)):
+            beta[rng.randrange(K)] += 1
+        coeffs[tuple(beta)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    lamcols = [tuple(rng.choice(entries) for _ in range(rng.randint(max(0, K - 1), K)))
+               for _ in range(rng.randint(1, 8))]
+    return AlgebraElement(coeffs, K), lamcols
+
+
+def _bits(d_alpha: dict) -> list:
+    return [(alpha, d.real.hex(), d.imag.hex()) for alpha, d in d_alpha.items()]
+
+
+class TestBlockCoefficients:
+    # every value of the denominator <= 2 grid, 0 included
+    DYADIC = LambdaMatrix(1, 2).values
+
+    def test_dyadic_lambdas_match_the_reference_bit_for_bit(self):
+        assert 0j in self.DYADIC and 0.5j in self.DYADIC
+        rng = random.Random(25)
+        zeros = short = 0
+        for _ in range(150):
+            z, lamcols = _random_case(rng, self.DYADIC)
+            zeros += any(0j in col for col in lamcols)
+            short += any(len(col) < z.num_generators for col in lamcols)
+            assert _bits(_block_coefficients(z, lamcols)) == _bits(_reference_block_coefficients(z, lamcols))
+        assert zeros and short
+
+    def test_single_generator_bundles_match_the_reference_bit_for_bit(self, cauchy_bundle):
+        lamcols = [(1.0 + 0j,)] * cauchy_bundle.R
+        z = AlgebraElement({(4,): 0.3 - 1.1j, (3,): 1.0, (1,): -2.5}, 1)
+        got = _block_coefficients(z, lamcols)
+        assert _bits(got) == _bits(_reference_block_coefficients(z, lamcols))
+        assert got == expansion_oracle(cauchy_bundle, z).d_alpha
+
+    def test_arbitrary_lambdas_match_the_reference_within_rounding(self):
+        # entries such as 1/3 or 0.1 + 0.7i make inexact products, which the
+        # two orders group differently: each d_alpha agrees to 1e-14 of the
+        # sum of the absolute values of its terms
+        entries = [1 / 3, -2 / 3j, 0.1 + 0.7j, -0.45 + 0.2j, 0.9, 0j]
+        rng = random.Random(26)
+        for _ in range(100):
+            z, lamcols = _random_case(rng, entries)
+            got = _block_coefficients(z, lamcols)
+            want = _reference_block_coefficients(z, lamcols)
+            scale = _block_coefficients(AlgebraElement({b: abs(c) for b, c in z.coeffs.items()}, z.num_generators),
+                                        [tuple(abs(lam) for lam in col) for col in lamcols])
+            assert list(got) == [alpha for alpha in want if alpha in got]
+            for alpha in set(got) | set(want):
+                assert abs(got.get(alpha, 0j) - want.get(alpha, 0j)) <= 1e-14 * scale[alpha].real
 
 
 class TestZeroProducts:
