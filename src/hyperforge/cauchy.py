@@ -15,6 +15,24 @@ accepts far smaller windows than the worst-case constants would.  The scan
 returns the first passing pair on the anti-diagonals it visits; it jumps over
 anti-diagonals by extrapolating the failure margin, without a proof that the
 skipped ones hold no passing pair.
+
+Each pair is screened in two stages.  Since min(B1, B2) <= B2 in the closed
+form of log b, every C1 term t_j, and so the screen's lower bound ``lower`` on
+max(C1, C3), is at least
+
+  P = max_j (base_j + D_j) - max_i D_i / 2 - (m-1)/(2m) H,
+
+with D_i = log ||e_{eta+i}||_r - log v_{eta+(m-1)gamma+i} and
+H = log v_{gamma-eta} - log v_{m gamma} - log ||e_{gamma-eta}||_r: three
+differences of table entries and no log b.  The computed P - sigma never
+exceeds the computed ``lower``, where sigma = (m + 4) S 2^-48 for a bound S on
+every entry read (``_bound``).  A pair reaches the exact screen only if
+P - sigma is at most its anti-diagonal's threshold T = max(cut(L + 1),
+log eps), L the anti-diagonal's smallest P - sigma; one whose exact threshold
+max(cut, log eps) exceeds T is screened again whole, and so is a pack of
+anti-diagonals of which the first stage keeps more than half the pairs
+(``_batch``).  So the exact screen keeps the pairs it would keep on the whole
+anti-diagonal, and the scan's pairs, margins and jumps are unchanged.
 """
 from __future__ import annotations
 
@@ -221,13 +239,19 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     shrinks at a measurable rate it jumps over most of the estimated remaining
     distance, without proving that the skipped diagonals hold no such pair.
 
-    Inside a batch, runs of consecutive short diagonals are evaluated together
-    as one pack (see ``_packs``), and each long diagonal on its own.  Every
-    diagonal is screened first (see ``_diagonal``): a cheap lower bound on
-    max(C1, C3) rejects almost every pair, and the exact value is computed only
-    on the pairs it cannot reject.  The screen keeps the first passing pair and
-    the diagonal minimum bit for bit, so the walk, its margin and its jumps are
-    those of an unscreened scan, one diagonal at a time.
+    A batch is evaluated in two stages (see ``_batch``).  The first reads
+    every pair, a pack of consecutive short diagonals or one long diagonal at
+    a time (see ``_packs``), and computes Q = P - sigma, a certified lower
+    bound on the screen's bound ``lower`` that needs no log b (see
+    ``_bound``); a pair goes on only if Q is at most its diagonal's
+    threshold, which clears almost every pair.  The second runs the exact
+    screen (see ``_screen``) on the pairs kept, mostly in one call per batch,
+    and screens a diagonal again whole if its exact threshold exceeds the
+    first stage's; where the first stage keeps most pairs, the rest of the
+    batch is screened whole.  Together they keep the first passing pair, its
+    log b and each diagonal's minimum of max(C1, C3) bit for bit, so the
+    walk, its margin and its jumps are those of an unscreened scan, one
+    diagonal at a time.
 
     A batch reads log v_n up to n = m gamma; one that would read past the
     search budget, as a long jump can, raises SearchExhausted before anything
@@ -264,18 +288,10 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
                 )
             logv = np.concatenate((logv, w.v_log_array(min(top + top // 4, reach), len(logv))))
         basis = basis_log_array(space, r, np.arange(d_last + s + 1))
-        minima = []
-        for pack in _packs(rows):
-            starts, keep, worst, logb = _diagonal(logv, basis, yterms, s, m, pack, log_eps)
-            hit = np.nonzero(worst < log_eps)[0]
-            if len(hit):
-                i = int(keep[hit[0]])
-                row = int(starts.searchsorted(i, side="right")) - 1
-                dd, g_lo, _ = pack[row]
-                gamma = g_lo + i - int(starts[row])
-                return dd - gamma, gamma, float(logb[i]), scanned
-            minima.append(worst.min())
-        margin = float(np.min(minima)) - log_eps
+        hit, low = _batch(logv[: top + 1], basis, yterms, s, m, rows, log_eps)
+        if hit is not None:
+            return (*hit, scanned)
+        margin = low - log_eps
         best = min(best, margin + log_eps)
         # deep rounds sit far past the first feasible total; walking every
         # anti-diagonal there is quadratic, so once the failure margin shrinks
@@ -296,6 +312,128 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
         best_margin_log=best - log_eps,
         scanned=scanned,
     )
+
+
+def _batch(logv, basis, yterms, s, m, rows, log_eps):
+    """The first pair of ``rows`` (eta + gamma, first gamma, last gamma), in
+    scan order, whose max(C1, C3) lies below log eps, as ``((eta, gamma,
+    log b), None)``; without one, ``(None, min max(C1, C3) over the rows)``.
+
+    The first stage (``_survivors``) keeps a pair only where its bound Q is
+    at most its row's threshold T, and the exact screen (``_screen``) runs
+    on the pairs kept.  Q never exceeds the computed ``lower`` (see
+    ``_bound``), so a row whose T is at least max(cut, log eps), the
+    threshold ``_screen`` applies to the whole row, keeps every pair that
+    the whole row's screen keeps, and every passing pair, as T >= log eps.
+    T = max(cut(min Q + 1), log eps) guesses that the row's smallest
+    ``lower`` L lies within 1 of its smallest Q.  If T clears L, every pair
+    kept has ``lower`` > T, so the threshold that ``_screen`` then computes
+    exceeds T, and the row is screened again whole (see ``_settle``).
+    Otherwise L was kept, the cut is the whole row's, and the row's kept
+    pairs, first passing pair and minimum are the unscreened row's.
+
+    The survivors of consecutive packs go to one ``_screen`` call, made once
+    they pass _PACK_PAIRS, before a pack screened whole, and at the end of
+    the batch.  Rows before the first one with Q < log eps hold no passing
+    pair, so the call is also made right after that row.  A pack of which the first stage keeps more than half the
+    pairs, or more than _PACK_PAIRS, is screened whole (see ``_whole``), and
+    so is the rest of the batch, without the first stage; so is every pack
+    when a table holds inf or NaN (no finite S, see ``_sigma``).
+    """
+    sigma = _sigma(logv, basis, yterms, m)
+    dense = not sigma < math.inf
+    lows, pending, held = [], [], 0
+    for pack in _packs(rows):
+        first = len(pack)
+        if not dense:
+            eta, gamma, counts, thr, low_q = _survivors(logv, basis, yterms, s, m, pack, log_eps, sigma)
+            maybe = np.flatnonzero(low_q < log_eps)
+            first = int(maybe[0]) + 1 if len(maybe) else len(pack)
+            dense = 2 * len(gamma) > sum(g_hi - g_lo + 1 for _, g_lo, g_hi in pack) or len(gamma) > _PACK_PAIRS
+        if not dense:
+            k = int(counts[:first].sum())
+            pending.append((pack[:first], eta[:k], gamma[:k], counts[:first], thr[:first]))
+            held += k
+            if len(maybe) or held > _PACK_PAIRS:
+                if hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
+                    return hit, None
+                pending, held = [], 0
+            if first < len(pack):
+                pending.append((pack[first:], eta[k:], gamma[k:], counts[first:], thr[first:]))
+                held += len(gamma) - k
+            continue
+        if pending and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
+            return hit, None
+        pending = []
+        for part in (pack[:first], pack[first:]):
+            if part:
+                hit, low = _whole(logv, basis, yterms, s, m, part, log_eps)
+                if hit:
+                    return hit, None
+                lows.append(low)
+    if pending and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
+        return hit, None
+    return None, float(np.min(lows))
+
+
+def _survivors(logv, basis, yterms, s, m, pack, log_eps, sigma):
+    """The first stage over the rows of ``pack``: ``(eta, gamma, counts,
+    thresholds, lows)``, the pairs whose bound Q (see ``_bound``) is at most
+    their row's threshold max(cut(min Q + 1), log eps), in scan order, then
+    per row the number kept, the threshold and the smallest Q.  Every row
+    keeps its smallest Q."""
+    k = len(yterms)
+    counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in pack])
+    starts = _FIRST if len(pack) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
+    q = _bound(*_atoms(logv, basis, s, m, pack, counts, starts)[:5], yterms, m, sigma)
+    if len(pack) == 1:  # scalar bookkeeping: a long row costs a few array passes
+        low = float(q.min())
+        thr = max(_cut(low + 1.0, k), log_eps)
+        gamma = np.flatnonzero(q <= thr) + pack[0][1]
+        return pack[0][0] - gamma, gamma, np.array([len(gamma)]), np.array([thr]), np.array([low])
+    low = np.minimum.reduceat(q, starts)
+    thr = np.maximum(_cut(low + 1.0, k), log_eps)
+    sel = np.flatnonzero(q <= np.repeat(thr, counts))
+    row = starts.searchsorted(sel, side="right") - 1
+    gamma = sel + np.array([g_lo for _, g_lo, _ in pack])[row] - starts[row]
+    eta = np.array([dd for dd, _, _ in pack])[row] - gamma
+    return eta, gamma, np.bincount(row, minlength=len(pack)), thr, low
+
+
+def _settle(logv, basis, yterms, s, m, chunks, log_eps, lows):
+    """The exact screen on the survivors ``chunks``, each ``(rows, eta,
+    gamma, counts, thresholds)`` from ``_survivors``, in scan order: the
+    first passing pair, or None after appending the smallest max(C1, C3) to
+    ``lows``.  A row whose exact threshold max(cut, log eps) exceeds the
+    first stage's is screened again whole."""
+    rows = [row for chunk in chunks for row in chunk[0]]
+    eta, gamma, counts, used = (np.concatenate(x) for x in zip(*(chunk[1:] for chunk in chunks)))
+    starts = _FIRST if len(counts) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
+    atoms = _gather(logv, basis, s, m, eta, gamma)
+    _, keep, worst, logb, thr = _screen(*atoms, yterms, m, starts, counts, log_eps)
+    hit = np.nonzero(worst < log_eps)[0]
+    if len(hit):
+        i = int(keep[hit[0]])
+        return int(eta[i]), int(gamma[i]), float(logb[i])
+    lows.append(worst.min())
+    # without a hit no row was dropped, so thr has one entry per row
+    for pack in _packs([row for row, a in zip(rows, np.atleast_1d(thr) > used) if a]):
+        lows.append(_whole(logv, basis, yterms, s, m, pack, log_eps)[1])  # no pair of it passes
+    return None
+
+
+def _whole(logv, basis, yterms, s, m, rows, log_eps):
+    """``_diagonal`` over the whole ``rows``: ``((eta, gamma, log b), None)``
+    for the first passing pair, else ``(None, min max(C1, C3))``."""
+    starts, keep, worst, logb = _diagonal(logv, basis, yterms, s, m, rows, log_eps)
+    hit = np.nonzero(worst < log_eps)[0]
+    if len(hit):
+        i = int(keep[hit[0]])
+        row = int(starts.searchsorted(i, side="right")) - 1
+        dd, g_lo, _ = rows[row]
+        gamma = g_lo + i - int(starts[row])
+        return (dd - gamma, gamma, float(logb[i])), None
+    return None, worst.min()
 
 
 # a diagonal shorter than _PACK_ROW pairs joins a pack of consecutive short
@@ -338,7 +476,7 @@ def _diagonal(logv, basis, yterms, s, m, rows, log_eps):
     counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in rows])
     starts = _FIRST if len(rows) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
     atoms = _atoms(logv, basis, s, m, rows, counts, starts)
-    return _screen(*atoms, yterms, m, starts, counts, log_eps)
+    return _screen(*atoms, yterms, m, starts, counts, log_eps)[:4]
 
 
 def _atoms(logv, basis, s, m, rows, counts, starts):
@@ -364,21 +502,101 @@ def _atoms(logv, basis, s, m, rows, counts, starts):
     first = np.array([g_lo for _, g_lo, _ in rows])
     gamma = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
     eta = np.repeat(np.array([dd for dd, _, _ in rows]), counts) - gamma
+    return _gather(logv, basis, s, m, eta, gamma)
+
+
+def _gather(logv, basis, s, m, eta, gamma):
+    """``_atoms`` at the pairs (eta, gamma) of two index arrays."""
     top, gap = eta + (m - 1) * gamma, gamma - eta
     basis_j = [basis.take(eta + j) for j in range(s + 1)]
     logv_j = [logv.take(top + j) for j in range(s + 1)]
     return basis_j, logv_j, logv.take(gap), logv.take(m * gamma), basis.take(gap), basis.take(gamma)
 
 
+def _bound(basis_j, logv_j, logv_gap, logv_mg, basis_gap, yterms, m, sigma):
+    """The first stage: at each pair, Q = P - sigma as computed, where P is a
+    lower bound on ``_screen``'s ``lower`` that needs no log b.
+
+    In ``_screen``'s notation, with a_i = log ||e_{eta+i}||_r and
+    v_i = log v_{eta+(m-1)gamma+i} (i = 0..s), D_i = a_i - v_i,
+    H = log v_{gamma-eta} - log v_{m gamma} - log ||e_{gamma-eta}||_r and
+    base_j the ``yterms``: log b = (max_i D_i / (m-1) + min(B1, B2)) / 2 with
+    B2 = H / m, so min(B1, B2) <= B2 gives, in exact arithmetic,
+
+      lower >= t_j >= P_j = base_j + D_j - max_i D_i / 2 - (m-1)/(2m) H,
+
+    and P = max_j P_j; for s = 0, P = base + D_0 / 2 - (m-1)/(2m) H.
+
+    Rounding (N. J. Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3).  Let every operand (a_i, v_i, the three
+    parts of H, log ||e_gamma||_r and base_j) be at most S >= 1 in modulus,
+    and u = 2^-53.  An addition or subtraction of computed values adds
+    their errors and u times its own modulus; multiplying by a constant
+    scales the error and adds u times the modulus (and 1.5 u S here for
+    the rounded constant (m-1)/(2m)); max and min pass on the larger error.
+    Following ``_screen``'s expressions, |max A| <= 2S/(m-1) with error
+    4uS/(m-1), |B2| <= 3S/m with error 8uS/m, |log b| <= 1.75 S with error
+    5.75 uS, |(m-1) log b| <= (m+2)S/2, and each computed t_j is within
+    (7.75 m + 4.25) uS <= 8(m+1) uS of its exact value.  Here, h = (m-1)/(2m)
+    H is within 5.5 uS, h + max D / 2 within 9 uS, D_j + (base_j - sigma)
+    within 6 uS, and Q within 22 uS of the same expression in the rounded
+    operand base_j - sigma, which itself is within 2 uS of the exact one.
+    So the computed Q is at most P - sigma + (8m + 32) uS, and hence at most
+    the computed ``lower``, when sigma >= 8(m + 4) uS.  ``_sigma`` takes
+    (m + 4) S 2^-48 = 32 (m + 4) uS, four times that, which also covers the
+    second-order terms and any underflow; S < 2^1000 keeps every
+    intermediate finite.  For s = 0 this is seven passes over the pairs, and
+    for s = 1 or 2 twelve, against about twenty for ``lower``.
+    """
+    d = [np.subtract(a, v) for a, v in zip(basis_j, logv_j)]
+    h = np.subtract(logv_gap, logv_mg)
+    h -= basis_gap
+    h *= (m - 1) / (2 * m)
+    if len(d) == 1:
+        (q,), (base,) = d, yterms.values()
+        q *= 0.5
+        q += base - sigma
+    else:
+        half = np.maximum(d[0], d[1])
+        for x in d[2:]:
+            np.maximum(half, x, out=half)
+        half *= 0.5
+        h += half
+        q = None
+        for j, base in yterms.items():
+            d[j] += base - sigma
+            q = d[j] if q is None else np.maximum(q, d[j], out=q)
+    q -= h
+    return q
+
+
+def _sigma(logv, basis, yterms, m):
+    """``_bound``'s sigma for pairs that read only these tables, or inf when
+    a table holds inf or NaN (or a modulus of 2^1000 or more)."""
+    S = np.max([1.0, logv.max(), -logv.min(), basis.max(), -basis.min(), *map(abs, yterms.values())])
+    return (m + 4) * float(S) * 2.0**-48 if S < 2.0**1000 else math.inf
+
+
+def _cut(low, k):
+    """``_screen``'s cut for a row whose smallest ``lower`` is ``low``, with
+    k target terms."""
+    return low + (math.log(k + 1) + 1.0 + (k + 1) * abs(low) * 2.0**-48)
+
+
 def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, starts, counts, log_eps):
     """max(C1, C3) and log b from the atoms of ``_atoms``, screened per row.
+
+    The scan calls it on the pairs that ``_bound`` cannot clear, a batch
+    at a time, laid end to end with one ``starts`` entry per row (see
+    ``_batch``); ``_diagonal`` calls it on whole rows.
 
     C1 = logaddexp(log ||q||_r, log ||b e_gamma||_r), where log ||q||_r is a
     logaddexp chain over the k target terms t_j.  Two facts screen the pairs:
 
     - in floating point, logaddexp(x, y) = max(x, y) + log1p(exp(-|x - y|))
       and the added term is >= 0, so ``lower = max(C3, log ||b e_gamma||_r,
-      t_0, ..., t_{k-1})`` never exceeds the computed max(C1, C3);
+      t_0, ..., t_{k-1})`` (see ``_lower``) never exceeds the computed
+      max(C1, C3);
     - in exact arithmetic, max(C1, C3) <= lower + ln(k + 1).
 
     So a pair whose bound is at least log eps cannot pass, and a pair whose
@@ -388,18 +606,42 @@ def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, s
     step rounds one addition, by at most half an ulp of a result within
     ln(k + 1) + 1 of L (an error in an earlier, smaller result shrinks by the
     exp of its distance to the final one), plus an absolute error under 2^-50
-    from log1p and exp.  So the cut adds 1.0, which covers the absolute part
-    and the magnitudes near zero, and (k + 1) 2^-48 |L|, which covers the
-    relative part at any index the scan can reach.  The chain, C1 and the max
-    run only on the other pairs, by the same elementwise expressions as on
-    the whole row, so the first pair with max(C1, C3) < log eps and the row
-    minimum are exact.  A NaN or infinite L makes the row's cut NaN or +inf,
-    which keeps every pair of the row.  By the same bound, a row whose cut
-    lies below log eps holds a passing pair, so the rows after it cannot hold
-    the first one and are dropped.
+    from log1p and exp.  So the cut (``_cut``) adds 1.0, which covers the
+    absolute part and the magnitudes near zero, and (k + 1) 2^-48 |L|, which
+    covers the relative part at any index the scan can reach.  The chain, C1
+    and the max run only on the other pairs, by the same elementwise
+    expressions as on the whole row, so the first pair with
+    max(C1, C3) < log eps and the row minimum are exact.  A NaN or infinite L
+    makes the row's cut NaN or +inf, which keeps every pair of the row.  By
+    the same bound, a row whose cut lies below log eps holds a passing pair,
+    so the rows after it cannot hold the first one and are dropped.
 
-    Returns ``(starts, keep, worst, logb)`` as ``_diagonal`` does.
+    Returns ``(starts, keep, worst, logb, thr)``: ``_diagonal``'s four values
+    and max(cut, log eps) of each row evaluated (a scalar for a lone row).
     """
+    logb, terms, be, c3, lower = _lower(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m)
+    k = len(terms)
+    many = len(starts) > 1
+    low = np.minimum.reduceat(lower, starts) if many else lower.min()
+    cut = _cut(low, k)
+    if many:
+        sure = (cut < log_eps).nonzero()[0]
+        if len(sure):  # that row holds a passing pair, so no later row holds the first
+            starts, counts, cut = starts[: sure[0] + 1], counts[: sure[0] + 1], cut[: sure[0] + 1]
+            lower = lower[: starts[-1] + counts[-1]]
+    thr = np.maximum(cut, log_eps)
+    keep = (~(lower > (np.repeat(thr, counts) if many else thr))).nonzero()[0]  # a NaN cut stays NaN
+
+    logq = terms[0][keep]
+    for t in terms[1:]:
+        np.logaddexp(logq, t[keep], out=logq)
+    c1 = np.logaddexp(logq, be[keep], out=logq)
+    return starts, keep, np.maximum(c1, c3[keep], out=c1), logb, thr
+
+
+def _lower(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m):
+    """``(logb, terms, be, c3, lower)`` at every pair of the atoms: log b, the
+    C1 terms t_j, log ||b e_gamma||_r, C3 and their maximum ``lower``."""
     # log b = (max_j A_j + min(B1, B2)) / 2; the max runs over all of 0..s
     maxA = None
     for b_j, v_j in zip(basis_j, logv_j):
@@ -431,22 +673,7 @@ def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, s
     lower = np.maximum(c3, be)
     for t in terms:
         np.maximum(lower, t, out=lower)
-    k = len(terms)
-    low = lower.min() if len(starts) == 1 else np.minimum.reduceat(lower, starts)
-    cut = low + (math.log(k + 1) + 1.0 + (k + 1) * abs(low) * 2.0**-48)
-    if len(starts) > 1:
-        sure = (cut < log_eps).nonzero()[0]
-        if len(sure):  # that row holds a passing pair, so no later row holds the first
-            starts, counts, cut = starts[: sure[0] + 1], counts[: sure[0] + 1], cut[: sure[0] + 1]
-            lower = lower[: starts[-1] + counts[-1]]
-        cut = np.repeat(cut, counts)
-    keep = (~(lower > np.maximum(cut, log_eps))).nonzero()[0]  # a NaN cut stays NaN
-
-    logq = terms[0][keep]
-    for t in terms[1:]:
-        np.logaddexp(logq, t[keep], out=logq)
-    c1 = np.logaddexp(logq, be[keep], out=logq)
-    return starts, keep, np.maximum(c1, c3[keep], out=c1), logb
+    return logb, terms, be, c3, lower
 
 
 def two_part_block(eta: int, c: list[WideComplex], gamma: int,

@@ -2,19 +2,32 @@
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 from .core import format_complex_literal
 from .errors import ElementError
 
 
+def _exponent(b) -> int:
+    """``b`` as an int; a bool, a float or any other non-integer exponent is
+    an ElementError, never truncated."""
+    if not isinstance(b, bool):
+        try:
+            return operator.index(b)
+        except TypeError:
+            pass
+    raise ElementError(f"exponent {b!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """A polynomial sum c_beta * (x1^beta_1) ... (xK^beta_K) with no constant term.
 
-    ``coeffs`` maps exponent multi-indices (tuples over the K generators) to
-    complex coefficients.  The all-zero multi-index is rejected: the algebra
-    statements concern non-constant polynomials only.
+    ``coeffs`` maps exponent multi-indices (tuples of ints, numpy integers
+    included, over the K generators) to complex coefficients.  The all-zero
+    multi-index is rejected: the algebra statements concern non-constant
+    polynomials only.
     """
 
     coeffs: dict[tuple[int, ...], complex]
@@ -25,7 +38,7 @@ class AlgebraElement:
             raise ElementError("element needs at least one generator slot")
         clean = {}
         for beta, c in self.coeffs.items():
-            beta = tuple(int(b) for b in beta)
+            beta = tuple(_exponent(b) for b in beta)
             if len(beta) != self.num_generators:
                 raise ElementError(
                     f"exponent tuple {beta} does not match {self.num_generators} generators"

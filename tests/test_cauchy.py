@@ -717,11 +717,14 @@ def _random_tables(rng, m, s, k, kind, rows):
     """Tables wide enough for ``rows``.  Values lie on a coarse grid, so ties
     abound, except for "close" tables, whose small steps keep the C1 terms
     within ln(k + 1) of each other, so the smallest bound need not sit at the
-    diagonal minimum."""
+    diagonal minimum, and "large" ones, whose entries lie near +-1e7."""
     dd, g_hi = max(row[0] for row in rows), max(row[2] for row in rows)
     if kind == "close":
         logv = np.cumsum(rng.uniform(0.0, 0.3, m * g_hi + s + 1))
         basis = rng.uniform(-0.3, 0.3, dd + s + 1)
+    elif kind == "large":  # magnitudes near 1e7, where rounding reaches 1e-9
+        logv = 1e7 + np.cumsum(rng.uniform(0.0, 0.3, m * g_hi + s + 1))
+        basis = rng.choice([-1e7, 1e7], dd + s + 1) + rng.uniform(-0.3, 0.3, dd + s + 1)
     else:
         logv = np.cumsum(rng.integers(0, 6, m * g_hi + s + 1) * 0.5)
         basis = rng.integers(-6, 6, dd + s + 1) * 0.25 * np.arange(dd + s + 1)
@@ -885,3 +888,154 @@ def test_screen_sends_few_pairs_to_logaddexp(monkeypatch):
     assert b.bundle_id == "83967ddd36a7f5bb"
     assert scanned > 1_000_000
     assert 0 < counting.elements < 0.01 * scanned, (counting.elements, scanned)
+
+
+
+def test_first_stage_sends_few_pairs_to_the_exact_screen(monkeypatch):
+    # the README entire_cauchy/maclane build: the exact lower expressions run
+    # only on the pairs the first stage cannot clear
+    scanned = reached = 0
+    real_scan, real_screen = cauchy_mod._scan_pairs, cauchy_mod._screen
+
+    def counted_scan(*args):
+        nonlocal scanned
+        out = real_scan(*args)
+        scanned += out[3]
+        return out
+
+    def counted_screen(*args):
+        nonlocal reached
+        reached += np.size(args[5])  # log ||e_gamma||_r, one entry per pair
+        return real_screen(*args)
+
+    monkeypatch.setattr(cauchy_mod, "_scan_pairs", counted_scan)
+    monkeypatch.setattr(cauchy_mod, "_screen", counted_screen)
+    b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
+    assert b.bundle_id == "83967ddd36a7f5bb"
+    assert scanned > 1_000_000
+    assert 0 < reached < 0.01 * scanned, (reached, scanned)
+
+
+def test_deep_build_peak_memory():
+    # the benchmark's deep Cauchy build: the first stage holds one pack's or
+    # one long diagonal's bound at a time, and only the survivors' atoms
+    # beyond it
+    import tracemalloc
+
+    state = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets())
+    tracemalloc.start()
+    try:
+        b = build_generator_cauchy(state, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.bundle_id == "1ade706ced96c35d"
+    assert peak <= 7 << 20, peak / 2**20
+
+# -- the first stage: its bound, and the two stages against the unscreened rows --
+
+
+def test_first_stage_bound_never_exceeds_lower():
+    # Q = P - sigma as _bound computes it, against lower as _screen computes
+    # it, on lone rows (strided reads; for m = 2 each v_i is one scalar) and
+    # packs (gathered reads)
+    rng = np.random.default_rng(0)
+    seen = set()
+    for kind in ("grid", "close", "large"):
+        for m in (2, 3, 4):
+            for s in (0, 1, 2):
+                for k in range(1, s + 2):
+                    for size in (1, 1, 1, 4):
+                        rows = _random_rows(rng, s, size)
+                        logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
+                        counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in rows])
+                        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+                        atoms = cauchy_mod._atoms(logv, basis, s, m, rows, counts, starts)
+                        sigma = cauchy_mod._sigma(logv, basis, yterms, m)
+                        q = cauchy_mod._bound(*atoms[:5], yterms, m, sigma)
+                        lower = cauchy_mod._lower(*atoms, yterms, m)[4]
+                        assert np.all(q <= lower), (kind, m, s, k, float(np.max(q - lower)))
+                        _, _, logv_gap, logv_mg, basis_gap, basis_g = atoms
+                        b2 = (logv_gap - logv_mg - basis_gap) / m < -basis_g
+                        seen.update({f"{kind} B2" if b else f"{kind} B1" for b in b2.tolist()})
+                        if np.any(lower - q <= 1e-6 * np.abs(lower)):
+                            seen.update({f"{kind} tight", f"tight m={m}", f"tight s={s}"})
+    want = {f"{kind} {w}" for kind in ("grid", "large") for w in ("B1", "B2", "tight")}
+    want |= {"close B2", "close tight"}  # close tables make B2 the smaller branch
+    want |= {f"tight m={m}" for m in (2, 3, 4)} | {f"tight s={s}" for s in (0, 1, 2)}
+    assert want <= seen, want - seen
+
+
+def _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps):
+    """``_batch`` by ``_diagonal_unscreened``, row by row."""
+    minima = []
+    for dd, g_lo, g_hi in rows:
+        worst, logb = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+        hit = _first_hit(worst, log_eps)
+        if hit is not None:
+            return (dd - g_lo - hit, g_lo + hit, float(logb[hit])), None
+        minima.append(worst.min())
+    return None, float(np.min(minima))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
+@pytest.mark.parametrize("kind", ["grid", "close", "large", "inf", "nan"])
+def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
+    # the first passing pair with its log b bits, or the batch minimum, of
+    # _batch (two stages on finite tables, the exact screen alone on inf or
+    # NaN ones) against the unscreened rows; small pack limits also make
+    # more rows long, pack fewer short ones and settle the survivors sooner
+    rng = np.random.default_rng(["grid", "close", "large", "inf", "nan"].index(kind))
+    calls = []
+
+    def recorded(name):
+        real = getattr(cauchy_mod, name)
+
+        def call(*args):
+            calls.append(name)
+            try:
+                return real(*args)
+            finally:
+                calls.append("/" + name)
+
+        monkeypatch.setattr(cauchy_mod, name, call)
+
+    for name in ("_survivors", "_settle", "_whole"):
+        recorded(name)
+    seen = set()
+    for pack_row, pack_pairs in ((1024, 8192), (16, 48)):
+        monkeypatch.setattr(cauchy_mod, "_PACK_ROW", pack_row)
+        monkeypatch.setattr(cauchy_mod, "_PACK_PAIRS", pack_pairs)
+        for m in (2, 3, 4):
+            for s in (0, 1, 2):
+                for k in range(1, s + 2):
+                    for size in (1, 1, 2, 5, 8):
+                        rows = _random_rows(rng, s, size)
+                        logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
+                        dd, g_lo, g_hi = rows[int(rng.integers(size))]
+                        worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+                        for log_eps in _eps_picks(worst):
+                            calls.clear()
+                            want = _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps)
+                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps)
+                            if want[0] is None:
+                                assert got[0] is None and (got[1] == want[1] or math.isnan(want[1])
+                                                           and math.isnan(got[1])), (m, s, k, log_eps)
+                                seen.add("minimum")
+                            else:
+                                assert got[0][:2] == want[0][:2], (m, s, k, log_eps)
+                                assert np.float64(got[0][2]).tobytes() == np.float64(want[0][2]).tobytes()
+                                seen.add("hit")
+                            trail = " ".join(calls)
+                            if "_settle _whole" in trail:
+                                seen.add("screened again")
+                            if "/_survivors _whole" in trail or "/_settle _whole" in trail:
+                                seen.add("whole after the first stage")
+                            if calls.count("_settle") > 1:
+                                seen.add("settled twice")
+                            if kind in ("inf", "nan"):
+                                assert "_survivors" not in calls  # no finite bound: the exact screen alone
+    want = {"hit", "minimum"}
+    if kind in ("grid", "large"):
+        want |= {"screened again", "whole after the first stage", "settled twice"}
+    assert want <= seen, want - seen

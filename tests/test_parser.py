@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from hyperforge import parse_element
+from hyperforge import AlgebraElement, parse_element
 from hyperforge.errors import ElementError, ParseError, SemanticError
 
 
@@ -58,6 +59,20 @@ class TestErrors:
         expr = parse_element("1.7e308*x1 + 1.7e308*x1")
         with pytest.raises(ElementError, match="finite"):
             expr.element()
+
+    @pytest.mark.parametrize(
+        "beta", [(1.5,), (True, 0), (2.0,), (np.float64(2.0),), (np.True_,), ("2",)],
+        ids=["fraction", "bool", "integral-float", "numpy-float", "numpy-bool", "string"],
+    )
+    def test_non_integer_exponents_are_element_errors(self, beta):
+        # int() would truncate 1.5 to 1 and read True as 1
+        with pytest.raises(ElementError, match="not an integer"):
+            AlgebraElement({beta: 2.0}, len(beta))
+
+    def test_numpy_integer_exponents_are_ints(self):
+        z = AlgebraElement({(np.int64(2), np.int32(1)): 1.0}, 2)
+        assert z.coeffs == {(2, 1): 1 + 0j}
+        assert all(type(e) is int for e in next(iter(z.coeffs)))
 
     def test_syntax_errors_carry_positions(self):
         with pytest.raises(ParseError) as exc:
