@@ -27,12 +27,11 @@ H = log v_{gamma-eta} - log v_{m gamma} - log ||e_{gamma-eta}||_r: three
 differences of table entries and no log b.  The computed P - sigma never
 exceeds the computed ``lower``, where sigma = (m + 4) S 2^-48 for a bound S on
 every entry read (``_bound``).  A pair reaches the exact screen only if
-P - sigma is at most its anti-diagonal's threshold T = max(cut(L + 1),
-log eps), L the anti-diagonal's smallest P - sigma; one whose exact threshold
-max(cut, log eps) exceeds T is screened again whole, and so is a pack of
-anti-diagonals of which the first stage keeps more than half the pairs
-(``_batch``).  So the exact screen keeps the pairs it would keep on the whole
-anti-diagonal, and the scan's pairs, margins and jumps are unchanged.
+P - sigma is at most one threshold per batch of 64 anti-diagonals, and a
+batch whose exact threshold exceeds it is screened again without the first
+stage (``_batch``).  So the exact screen keeps every passing pair and the
+pair holding the batch minimum, and the scan's pairs, margins and jumps are
+unchanged.
 """
 from __future__ import annotations
 
@@ -43,6 +42,7 @@ import numpy as np
 
 from .bundle import Bundle, Cert, CauchyRound
 from .core import (
+    _U,
     NEG_INF,
     FiniteSeq,
     WeightSpec,
@@ -239,21 +239,16 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     shrinks at a measurable rate it jumps over most of the estimated remaining
     distance, without proving that the skipped diagonals hold no such pair.
 
-    A batch is evaluated in two stages (see ``_batch``).  The first reads
-    every pair, a pack of consecutive short diagonals or one long diagonal at
-    a time (see ``_packs``), and computes Q = P - sigma, a certified lower
-    bound on the screen's bound ``lower`` that needs no log b (see
-    ``_bound``); a pair goes on only if Q is at most its diagonal's
-    threshold, which clears almost every pair.  The second runs the exact
-    screen (see ``_screen``) on the pairs kept, mostly in one call per batch,
-    and screens a diagonal again whole if its exact threshold exceeds the
-    first stage's; where the first stage keeps most pairs, the rest of the
-    batch is screened whole.  Together they keep the first passing pair, its
-    log b and each diagonal's minimum of max(C1, C3) bit for bit, so the
-    walk, its margin and its jumps are those of an unscreened scan, one
-    diagonal at a time.
+    A batch is evaluated in two stages (see ``_batch``): a certified lower
+    bound that needs no log b (``_bound``) clears almost every pair, and the
+    exact screen (``_screen``) runs on the rest, mostly once per batch.  The
+    first passing pair, its log b and the batch minimum of max(C1, C3) are
+    those of an unscreened scan, bit for bit, and so are the walk, its margin
+    and its jumps.
 
-    A batch reads log v_n up to n = m gamma; one that would read past the
+    The tables of log v_n and log ||e_n||_r grow by concatenation, and so
+    does S, the bound on their moduli that fixes sigma (``_extend``).  A
+    batch reads log v_n up to n = m gamma; one that would read past the
     search budget, as a long jump can, raises SearchExhausted before anything
     is allocated.
     """
@@ -262,7 +257,9 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     yterms = {j: w.v_log(j) + c.log_mag - math.log(m) for j, c in y.items()}
     budget = pair_budget if pair_budget is not None else search_budget()
     reach = search_budget()
-    logv = np.empty(0)  # log v_n for n = 0, 1, ..., extended when a batch reads past its end
+    # log v_n and log ||e_n||_r for n = 0, 1, ..., extended when a batch reads past an end
+    logv = basis = np.empty(0)
+    S = np.max([1.0, *map(abs, yterms.values())])
     scanned = 0
     best = math.inf
     g_min = N + 2 * s + 1
@@ -277,7 +274,7 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
         d += batch_rows
         if not rows:
             continue
-        scanned += sum(g_hi - g_lo + 1 for _, g_lo, g_hi in rows)
+        scanned += _size(rows)
         d_last = rows[-1][0]
         top = m * (d_last - N)  # the largest weight index of the batch
         if top >= len(logv):
@@ -286,9 +283,11 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
                     "the (eta, gamma) pair scan reached past the search budget",
                     index=top, m=m, N=N, eps_log=eps_log, scanned=scanned,
                 )
-            logv = np.concatenate((logv, w.v_log_array(min(top + top // 4, reach), len(logv))))
-        basis = basis_log_array(space, r, np.arange(d_last + s + 1))
-        hit, low = _batch(logv[: top + 1], basis, yterms, s, m, rows, log_eps)
+            logv, S = _extend(logv, S, w.v_log_array(min(top + top // 4, reach), len(logv)))
+        hi = d_last + s  # the largest basis index of the batch
+        if hi >= len(basis):
+            basis, S = _extend(basis, S, basis_log_array(space, r, np.arange(len(basis), hi + hi // 4 + 1)))
+        hit, low = _batch(logv[: top + 1], basis[: hi + 1], yterms, s, m, rows, log_eps, _sigma(S, m))
         if hit is not None:
             return (*hit, scanned)
         margin = low - log_eps
@@ -314,133 +313,94 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     )
 
 
-def _batch(logv, basis, yterms, s, m, rows, log_eps):
+def _batch(logv, basis, yterms, s, m, rows, log_eps, sigma):
     """The first pair of ``rows`` (eta + gamma, first gamma, last gamma), in
     scan order, whose max(C1, C3) lies below log eps, as ``((eta, gamma,
     log b), None)``; without one, ``(None, min max(C1, C3) over the rows)``.
 
-    The first stage (``_survivors``) keeps a pair only where its bound Q is
-    at most its row's threshold T, and the exact screen (``_screen``) runs
-    on the pairs kept.  Q never exceeds the computed ``lower`` (see
-    ``_bound``), so a row whose T is at least max(cut, log eps), the
-    threshold ``_screen`` applies to the whole row, keeps every pair that
-    the whole row's screen keeps, and every passing pair, as T >= log eps.
-    T = max(cut(min Q + 1), log eps) guesses that the row's smallest
-    ``lower`` L lies within 1 of its smallest Q.  If T clears L, every pair
-    kept has ``lower`` > T, so the threshold that ``_screen`` then computes
-    exceeds T, and the row is screened again whole (see ``_settle``).
-    Otherwise L was kept, the cut is the whole row's, and the row's kept
-    pairs, first passing pair and minimum are the unscreened row's.
+    The first stage computes Q at every pair of a pack (see ``_packs``) and
+    keeps the pairs with Q <= T = max(cut(L_Q + 1), log eps), L_Q the
+    smallest Q of the batch's packs so far, this one included.  The exact
+    screen (``_screen``) takes one cut per call.  A passing pair has
+    Q <= ``lower`` < log eps <= T (see ``_bound``), so both stages keep every
+    passing pair, and the first one found is the first in scan order.
 
-    The survivors of consecutive packs go to one ``_screen`` call, made once
-    they pass _PACK_PAIRS, before a pack screened whole, and at the end of
-    the batch.  Rows before the first one with Q < log eps hold no passing
-    pair, so the call is also made right after that row.  A pack of which the first stage keeps more than half the
-    pairs, or more than _PACK_PAIRS, is screened whole (see ``_whole``), and
-    so is the rest of the batch, without the first stage; so is every pack
-    when a table holds inf or NaN (no finite S, see ``_sigma``).
+    For the minimum, let T_min be the smallest T used and L the smallest
+    ``lower`` the exact screen saw.  If T_min >= max(cut(L), log eps), the
+    pair holding the batch's true smallest ``lower`` L* was kept: otherwise
+    L* >= Q* > T_min >= cut(L) > L >= L*.  So L = L*, and the pair holding
+    the smallest max(C1, C3), whose Q and ``lower`` are at most that minimum
+    and so at most cut(L*) (see ``_screen``), was kept by both stages: the
+    minimum is exact.  Otherwise the batch is evaluated again with
+    sigma = inf, which skips the first stage.
+
+    The survivors of consecutive packs go to one exact screen (``_settle``)
+    once they pass _PACK_PAIRS, before a pack screened whole, at the end of
+    the batch, and right after the first row with Q < log eps, as the rows
+    before it hold no passing pair.  A pack of which the first stage keeps
+    more than half the pairs, or more than _PACK_PAIRS, is screened whole,
+    split after that row, and so is the rest of the batch, without the first
+    stage; so is every pack when sigma is inf (see ``_sigma``).
     """
-    sigma = _sigma(logv, basis, yterms, m)
+    k = len(yterms)
     dense = not sigma < math.inf
     lows, pending, held = [], [], 0
+    low_q = t_min = math.inf
     for pack in _packs(rows):
-        first = len(pack)
+        split = len(pack)  # the rows up to the first with a pair of Q < log eps
         if not dense:
-            eta, gamma, counts, thr, low_q = _survivors(logv, basis, yterms, s, m, pack, log_eps, sigma)
-            maybe = np.flatnonzero(low_q < log_eps)
-            first = int(maybe[0]) + 1 if len(maybe) else len(pack)
-            dense = 2 * len(gamma) > sum(g_hi - g_lo + 1 for _, g_lo, g_hi in pack) or len(gamma) > _PACK_PAIRS
+            q = _bound(*_atoms(logv, basis, s, m, pack)[:5], yterms, m, sigma)
+            low_q = min(low_q, float(q.min()))
+            thr = max(_cut(low_q + 1.0, k), log_eps)
+            sel = np.flatnonzero(q <= thr)
+            first = sel[np.flatnonzero(q[sel] < log_eps)[:1]]  # the first pair with Q < log eps
+            del q  # a dense pack's exact screen runs without it
+            if len(first):
+                eta, gamma = _pairs(pack, first)
+                split = sum(row[0] <= eta[0] + gamma[0] for row in pack)
+            dense = 2 * len(sel) > _size(pack) or len(sel) > _PACK_PAIRS
         if not dense:
-            k = int(counts[:first].sum())
-            pending.append((pack[:first], eta[:k], gamma[:k], counts[:first], thr[:first]))
-            held += k
-            if len(maybe) or held > _PACK_PAIRS:
+            t_min = min(t_min, thr)
+            n = int(sel.searchsorted(_size(pack[:split])))
+            eta, gamma = _pairs(pack, sel)
+            pending.append((eta[:n], gamma[:n]))
+            held += n
+            if len(first) or held > _PACK_PAIRS:
                 if hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
                     return hit, None
                 pending, held = [], 0
-            if first < len(pack):
-                pending.append((pack[first:], eta[k:], gamma[k:], counts[first:], thr[first:]))
-                held += len(gamma) - k
+            pending.append((eta[n:], gamma[n:]))
+            held += len(sel) - n
             continue
-        if pending and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
+        sel = None  # the first stage's offsets die before the exact screen
+        if held and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
             return hit, None
-        pending = []
-        for part in (pack[:first], pack[first:]):
-            if part:
-                hit, low = _whole(logv, basis, yterms, s, m, part, log_eps)
-                if hit:
-                    return hit, None
-                lows.append(low)
-    if pending and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
+        pending, held = [], 0
+        for part in (pack[:split], pack[split:]):
+            if part and (hit := _screen(*_atoms(logv, basis, s, m, part), yterms, m, log_eps, lows)):
+                eta, gamma = _pairs(part, hit[0])
+                return (int(eta), int(gamma), hit[1]), None
+    if held and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
         return hit, None
-    return None, float(np.min(lows))
+    worst, low = np.min(lows, axis=0)
+    if t_min < max(_cut(low, k), log_eps):
+        return _batch(logv, basis, yterms, s, m, rows, log_eps, math.inf)
+    return None, float(worst)
 
 
-def _survivors(logv, basis, yterms, s, m, pack, log_eps, sigma):
-    """The first stage over the rows of ``pack``: ``(eta, gamma, counts,
-    thresholds, lows)``, the pairs whose bound Q (see ``_bound``) is at most
-    their row's threshold max(cut(min Q + 1), log eps), in scan order, then
-    per row the number kept, the threshold and the smallest Q.  Every row
-    keeps its smallest Q."""
-    k = len(yterms)
-    counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in pack])
-    starts = _FIRST if len(pack) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
-    q = _bound(*_atoms(logv, basis, s, m, pack, counts, starts)[:5], yterms, m, sigma)
-    if len(pack) == 1:  # scalar bookkeeping: a long row costs a few array passes
-        low = float(q.min())
-        thr = max(_cut(low + 1.0, k), log_eps)
-        gamma = np.flatnonzero(q <= thr) + pack[0][1]
-        return pack[0][0] - gamma, gamma, np.array([len(gamma)]), np.array([thr]), np.array([low])
-    low = np.minimum.reduceat(q, starts)
-    thr = np.maximum(_cut(low + 1.0, k), log_eps)
-    sel = np.flatnonzero(q <= np.repeat(thr, counts))
-    row = starts.searchsorted(sel, side="right") - 1
-    gamma = sel + np.array([g_lo for _, g_lo, _ in pack])[row] - starts[row]
-    eta = np.array([dd for dd, _, _ in pack])[row] - gamma
-    return eta, gamma, np.bincount(row, minlength=len(pack)), thr, low
-
-
-def _settle(logv, basis, yterms, s, m, chunks, log_eps, lows):
-    """The exact screen on the survivors ``chunks``, each ``(rows, eta,
-    gamma, counts, thresholds)`` from ``_survivors``, in scan order: the
-    first passing pair, or None after appending the smallest max(C1, C3) to
-    ``lows``.  A row whose exact threshold max(cut, log eps) exceeds the
-    first stage's is screened again whole."""
-    rows = [row for chunk in chunks for row in chunk[0]]
-    eta, gamma, counts, used = (np.concatenate(x) for x in zip(*(chunk[1:] for chunk in chunks)))
-    starts = _FIRST if len(counts) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
-    atoms = _gather(logv, basis, s, m, eta, gamma)
-    _, keep, worst, logb, thr = _screen(*atoms, yterms, m, starts, counts, log_eps)
-    hit = np.nonzero(worst < log_eps)[0]
-    if len(hit):
-        i = int(keep[hit[0]])
-        return int(eta[i]), int(gamma[i]), float(logb[i])
-    lows.append(worst.min())
-    # without a hit no row was dropped, so thr has one entry per row
-    for pack in _packs([row for row, a in zip(rows, np.atleast_1d(thr) > used) if a]):
-        lows.append(_whole(logv, basis, yterms, s, m, pack, log_eps)[1])  # no pair of it passes
-    return None
-
-
-def _whole(logv, basis, yterms, s, m, rows, log_eps):
-    """``_diagonal`` over the whole ``rows``: ``((eta, gamma, log b), None)``
-    for the first passing pair, else ``(None, min max(C1, C3))``."""
-    starts, keep, worst, logb = _diagonal(logv, basis, yterms, s, m, rows, log_eps)
-    hit = np.nonzero(worst < log_eps)[0]
-    if len(hit):
-        i = int(keep[hit[0]])
-        row = int(starts.searchsorted(i, side="right")) - 1
-        dd, g_lo, _ = rows[row]
-        gamma = g_lo + i - int(starts[row])
-        return (dd - gamma, gamma, float(logb[i])), None
-    return None, worst.min()
+def _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
+    """The exact screen on the survivors ``pending``, a list of (eta, gamma)
+    arrays in scan order: the first passing pair as ``(eta, gamma, log b)``,
+    or None after ``_screen`` appends to ``lows``."""
+    eta, gamma = (np.concatenate(x) for x in zip(*pending))
+    hit = _screen(*_gather(logv, basis, s, m, eta, gamma), yterms, m, log_eps, lows)
+    return hit and (int(eta[hit[0]]), int(gamma[hit[0]]), hit[1])
 
 
 # a diagonal shorter than _PACK_ROW pairs joins a pack of consecutive short
 # diagonals holding at most _PACK_PAIRS pairs; a longer one is evaluated alone
 _PACK_ROW = 1024
 _PACK_PAIRS = 8192
-_FIRST = np.zeros(1, dtype=np.intp)  # the row starts of a lone diagonal
 
 
 def _packs(rows):
@@ -461,28 +421,30 @@ def _packs(rows):
         yield pack
 
 
-def _diagonal(logv, basis, yterms, s, m, rows, log_eps):
-    """Screened max(C1, C3) over the pairs of the anti-diagonals ``rows``
-    (eta + gamma, first gamma, last gamma), laid end to end in
-    (eta + gamma, gamma) order.
-
-    Returns ``(starts, keep, worst, logb)``: the offset of each evaluated
-    row's first pair, the kept offsets in ascending order, max(C1, C3) at
-    those offsets and log b at every offset.  ``_atoms`` reads the tables and
-    ``_screen`` does the arithmetic, so a row gives the same values alone or
-    in a pack.  Rows past one that surely holds a passing pair are not
-    evaluated, and ``starts`` then stops at that row.
-    """
-    counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in rows])
-    starts = _FIRST if len(rows) == 1 else np.concatenate(([0], np.cumsum(counts[:-1])))
-    atoms = _atoms(logv, basis, s, m, rows, counts, starts)
-    return _screen(*atoms, yterms, m, starts, counts, log_eps)[:4]
+def _size(rows):
+    """The number of pairs on the anti-diagonals ``rows``."""
+    return sum(g_hi - g_lo + 1 for _, g_lo, g_hi in rows)
 
 
-def _atoms(logv, basis, s, m, rows, counts, starts):
-    """The table entries the closed forms read at each pair: log ||e_{eta+j}||_r
-    and log v_{eta+(m-1)gamma+j} for j = 0..s, log v_{gamma-eta},
-    log v_{m gamma}, log ||e_{gamma-eta}||_r and log ||e_gamma||_r.
+def _pairs(rows, offsets):
+    """(eta, gamma) at ``offsets`` into the pairs of the anti-diagonals
+    ``rows`` (eta + gamma, first gamma, last gamma), laid end to end in
+    (eta + gamma, gamma) order."""
+    if len(rows) == 1:  # most first-stage packs are one long row: no search
+        gamma = offsets + rows[0][1]
+        return rows[0][0] - gamma, gamma
+    dd, g_lo, g_hi = np.array(rows).T
+    ends = np.cumsum(g_hi - g_lo + 1)
+    row = ends.searchsorted(offsets, side="right")
+    gamma = offsets + (g_hi + 1 - ends)[row]
+    return dd[row] - gamma, gamma
+
+
+def _atoms(logv, basis, s, m, rows):
+    """The table entries the closed forms read at each pair of the
+    anti-diagonals ``rows``, laid end to end: log ||e_{eta+j}||_r and
+    log v_{eta+(m-1)gamma+j} for j = 0..s, log v_{gamma-eta}, log v_{m gamma},
+    log ||e_{gamma-eta}||_r and log ||e_gamma||_r.
 
     ``logv`` is the log-weight table and ``basis`` the basis table
     (log ||e_n||_r for n = 0, 1, ...).  Every index is an arithmetic
@@ -499,10 +461,7 @@ def _atoms(logv, basis, s, m, rows, counts, starts):
         logv_j = [logv[top + j] if m == 2 else logv[top + j :: m - 2][:n] for j in range(s + 1)]
         return (basis_j, logv_j, logv[lo::2][:n], logv[m * g_lo :: m][:n],
                 basis[lo::2][:n], basis[g_lo : g_hi + 1])
-    first = np.array([g_lo for _, g_lo, _ in rows])
-    gamma = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
-    eta = np.repeat(np.array([dd for dd, _, _ in rows]), counts) - gamma
-    return _gather(logv, basis, s, m, eta, gamma)
+    return _gather(logv, basis, s, m, *_pairs(rows, np.arange(_size(rows))))
 
 
 def _gather(logv, basis, s, m, eta, gamma):
@@ -570,25 +529,30 @@ def _bound(basis_j, logv_j, logv_gap, logv_mg, basis_gap, yterms, m, sigma):
     return q
 
 
-def _sigma(logv, basis, yterms, m):
-    """``_bound``'s sigma for pairs that read only these tables, or inf when
-    a table holds inf or NaN (or a modulus of 2^1000 or more)."""
-    S = np.max([1.0, logv.max(), -logv.min(), basis.max(), -basis.min(), *map(abs, yterms.values())])
-    return (m + 4) * float(S) * 2.0**-48 if S < 2.0**1000 else math.inf
+def _extend(table, S, piece):
+    """``table`` followed by ``piece``, and the bound S on the moduli raised
+    to cover ``piece``: NaN if it holds NaN, which ``_sigma`` takes as inf."""
+    return np.concatenate((table, piece)), np.max([S, piece.max(), -piece.min()])
+
+
+def _sigma(S, m):
+    """``_bound``'s sigma for pairs that read only entries of modulus at most
+    S, or inf when S is inf or NaN (a table holds inf or NaN) or 2^1000 or
+    more."""
+    return (m + 4) * float(S) * (32 * _U) if S < 2.0**1000 else math.inf
 
 
 def _cut(low, k):
-    """``_screen``'s cut for a row whose smallest ``lower`` is ``low``, with
+    """``_screen``'s cut for pairs whose smallest ``lower`` is ``low``, with
     k target terms."""
-    return low + (math.log(k + 1) + 1.0 + (k + 1) * abs(low) * 2.0**-48)
+    return low + (math.log(k + 1) + 1.0 + (k + 1) * abs(low) * (32 * _U))
 
 
-def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, starts, counts, log_eps):
-    """max(C1, C3) and log b from the atoms of ``_atoms``, screened per row.
-
-    The scan calls it on the pairs that ``_bound`` cannot clear, a batch
-    at a time, laid end to end with one ``starts`` entry per row (see
-    ``_batch``); ``_diagonal`` calls it on whole rows.
+def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, log_eps, lows):
+    """The first pair, in the order of the atoms from ``_atoms`` or
+    ``_gather``, whose max(C1, C3) lies below log eps, as ``(offset, log b)``;
+    without one, None after appending ``(min max(C1, C3), L)`` to ``lows``,
+    L the smallest ``lower`` of the pairs.
 
     C1 = logaddexp(log ||q||_r, log ||b e_gamma||_r), where log ||q||_r is a
     logaddexp chain over the k target terms t_j.  Two facts screen the pairs:
@@ -600,43 +564,36 @@ def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, s
     - in exact arithmetic, max(C1, C3) <= lower + ln(k + 1).
 
     So a pair whose bound is at least log eps cannot pass, and a pair whose
-    bound lies more than ln(k + 1) above the smallest bound L of its row
-    cannot hold the row minimum, up to the rounding of the k logaddexp steps
-    that take the terms of the pair with bound L to its computed C1.  Each
-    step rounds one addition, by at most half an ulp of a result within
-    ln(k + 1) + 1 of L (an error in an earlier, smaller result shrinks by the
-    exp of its distance to the final one), plus an absolute error under 2^-50
-    from log1p and exp.  So the cut (``_cut``) adds 1.0, which covers the
-    absolute part and the magnitudes near zero, and (k + 1) 2^-48 |L|, which
-    covers the relative part at any index the scan can reach.  The chain, C1
-    and the max run only on the other pairs, by the same elementwise
-    expressions as on the whole row, so the first pair with
-    max(C1, C3) < log eps and the row minimum are exact.  A NaN or infinite L
-    makes the row's cut NaN or +inf, which keeps every pair of the row.  By
-    the same bound, a row whose cut lies below log eps holds a passing pair,
-    so the rows after it cannot hold the first one and are dropped.
-
-    Returns ``(starts, keep, worst, logb, thr)``: ``_diagonal``'s four values
-    and max(cut, log eps) of each row evaluated (a scalar for a lone row).
+    bound lies more than ln(k + 1) above L cannot hold the minimum, up to the
+    rounding of the k logaddexp steps that take the terms of the pair with
+    bound L to its computed C1.  Each step rounds one addition, by at most
+    half an ulp of a result within ln(k + 1) + 1 of L (an error in an
+    earlier, smaller result shrinks by the exp of its distance to the final
+    one), plus an absolute error under 2^-50 from log1p and exp.  So the cut
+    (``_cut``) adds 1.0, which covers the absolute part and the magnitudes
+    near zero, and (k + 1) 2^-48 |L|, which covers the relative part at any
+    index the scan can reach: the computed max(C1, C3) of that pair is at
+    most cut(L).  The chain, C1 and the max run only on the pairs whose bound
+    is at most max(cut(L), log eps), by the same elementwise expressions as
+    on all of them, so the first passing pair and the minimum are exact.  A
+    NaN or infinite L makes the cut NaN or +inf, which keeps every pair.
     """
     logb, terms, be, c3, lower = _lower(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m)
-    k = len(terms)
-    many = len(starts) > 1
-    low = np.minimum.reduceat(lower, starts) if many else lower.min()
-    cut = _cut(low, k)
-    if many:
-        sure = (cut < log_eps).nonzero()[0]
-        if len(sure):  # that row holds a passing pair, so no later row holds the first
-            starts, counts, cut = starts[: sure[0] + 1], counts[: sure[0] + 1], cut[: sure[0] + 1]
-            lower = lower[: starts[-1] + counts[-1]]
-    thr = np.maximum(cut, log_eps)
-    keep = (~(lower > (np.repeat(thr, counts) if many else thr))).nonzero()[0]  # a NaN cut stays NaN
+    low = lower.min()
+    thr = np.maximum(_cut(low, len(terms)), log_eps)
+    keep = (~(lower > thr)).nonzero()[0]  # a NaN cut stays NaN
 
     logq = terms[0][keep]
     for t in terms[1:]:
         np.logaddexp(logq, t[keep], out=logq)
-    c1 = np.logaddexp(logq, be[keep], out=logq)
-    return starts, keep, np.maximum(c1, c3[keep], out=c1), logb, thr
+    worst = np.logaddexp(logq, be[keep], out=logq)
+    np.maximum(worst, c3[keep], out=worst)
+    hit = (worst < log_eps).nonzero()[0]
+    if len(hit):
+        i = int(keep[hit[0]])
+        return i, float(logb[i])
+    lows.append((worst.min(), low))
+    return None
 
 
 def _lower(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m):

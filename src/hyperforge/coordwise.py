@@ -24,6 +24,7 @@ import numpy as np
 from .bundle import Bundle, Cert, CoordRound
 from .core import (
     _INDEX_LIMIT,
+    _U,
     NEG_INF,
     FiniteSeq,
     WeightSpec,
@@ -37,7 +38,6 @@ from .schedule import PairOrder, TargetSchedule
 from .spaces import SpaceSpec, basis_log_array, seminorm_eval
 
 _LN2 = math.log(2.0)
-_U = 2.0**-53  # unit roundoff of float64
 # witness entries per screen window: the first window is small because the
 # first survivor usually certifies; the cap bounds each window's A2 work
 _WINDOW_MIN = 1 << 12

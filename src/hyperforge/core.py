@@ -19,6 +19,7 @@ import numpy as np
 from .errors import SearchExhausted, WeightError
 
 NEG_INF = float("-inf")
+_U = 2.0**-53  # unit roundoff of float64
 _TWO_PI = 2.0 * math.pi
 # JSON writes a coefficient as [re, im] only below this; beyond it, log form
 _LOG_JSON_LIMIT = 300.0

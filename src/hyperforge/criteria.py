@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, WeightSpec
+from .core import _U, NEG_INF, WeightSpec
 from .errors import (
     PropertyBUnavailable,
     SearchExhausted,
@@ -25,7 +25,6 @@ from .spaces import SpaceSpec, basis_log_array
 
 _LN2 = math.log(2.0)
 _SLACK = 1e-9
-_U = 2.0**-53  # unit roundoff of float64
 
 
 def _check_horizon(horizon_n: int) -> None:

@@ -29,7 +29,7 @@ from hyperforge import (
     space,
 )
 from hyperforge import cauchy as cauchy_mod
-from hyperforge.cauchy import _diagonal, _scan_pairs
+from hyperforge.cauchy import _scan_pairs
 from hyperforge.core import cauchy_monomials, log_decode
 from hyperforge.errors import (
     LeadingFormVanishing,
@@ -490,6 +490,13 @@ def test_deep_builds_keep_their_bundle_ids(deep_ec):
     assert build_algebrable_cauchy(st, 10).bundle_id == "47fc4840f404c3a5"
 
 
+def test_flat_build_keeps_its_bundle_id(cauchy_bundle_l1):
+    # l1/const:2: at m = 2 the first-stage bound is constant along an
+    # anti-diagonal, so the pair scan of this build screens about 300 packs
+    # whole, without the first stage; the id pins the walk through that path
+    assert cauchy_bundle_l1.bundle_id == "4928a014eea7762e"
+
+
 @pytest.mark.parametrize(
     "algebrable,bundle_id", [(False, "cb755b34396ca41b"), (True, "72c4d1de630f6ee7")],
     ids=["single", "K2"],
@@ -751,36 +758,37 @@ def _first_hit(worst, log_eps):
     return int(hit[0]) if len(hit) else None
 
 
-def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, label):
-    """The screened rows, alone or packed, against ``_diagonal_unscreened``
-    row by row: the first hit, the minimum and the log b bytes at the hit."""
-    starts, keep, kept, logb_s = _diagonal(logv, basis, yterms, s, m, rows, log_eps)
-    assert np.all(np.diff(keep) > 0)
-    if len(starts) < len(rows):  # rows past a sure hit are dropped
-        assert np.any(kept[keep >= starts[-1]] < log_eps)
-        seen.add(f"{label} dropped")
-    for (dd, g_lo, g_hi), start in zip(rows, starts.tolist()):
-        n = g_hi - g_lo + 1
-        worst, logb = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
-        a, b = keep.searchsorted([start, start + n])
-        row_keep, row_kept = keep[a:b] - start, kept[a:b]
-        if np.isnan(worst).any():  # a NaN bound keeps every pair of its row
-            assert len(row_keep) == n
-        hit = _first_hit(worst, log_eps)
-        got = _first_hit(row_kept, log_eps)
-        got = None if got is None else int(row_keep[got])
-        assert got == hit, (m, s, label, log_eps)
-        if hit is not None:
-            assert logb_s[start + hit].tobytes() == logb[hit].tobytes()
-            seen.add(f"{label} hit")
-        want_min, got_min = worst.min(), row_kept.min()
+def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, label, counting):
+    """The exact screen over the atoms of the rows, alone or packed, against
+    ``_diagonal_unscreened`` on the rows laid end to end: the first hit with
+    the log b bytes at it, else the minimum.  ``counting`` counts the pairs
+    that reach the logaddexp chain."""
+    unscreened = [_diagonal_unscreened(logv, basis, yterms, s, m, *row) for row in rows]
+    worst, logb = (np.concatenate(x) for x in zip(*unscreened))
+    lows = []
+    counting.elements, counting.active = 0, True
+    try:
+        got = cauchy_mod._screen(*cauchy_mod._atoms(logv, basis, s, m, rows), yterms, m, log_eps, lows)
+    finally:
+        counting.active = False
+    reached = counting.elements // len(yterms)  # the chain and C1 take k logaddexp steps
+    if np.isnan(worst).any():  # a NaN bound keeps every pair
+        assert reached == len(worst)
+    hit = _first_hit(worst, log_eps)
+    if hit is not None:
+        assert got is not None and got[0] == hit, (m, s, label, log_eps)
+        assert np.float64(got[1]).tobytes() == logb[hit].tobytes()
+        seen.add(f"{label} hit")
+    else:
+        assert got is None and len(lows) == 1, (m, s, label, log_eps)
+        want_min, got_min = worst.min(), lows[0][0]
         if np.isnan(want_min):
             assert np.isnan(got_min)
             seen.add(f"{label} nan minimum")
         else:
             assert got_min == want_min, (m, s, label, log_eps)
-        if len(row_keep) < n:
-            seen.add(f"{label} screened")
+    if reached < len(worst):
+        seen.add(f"{label} screened")
 
 
 def _eps_picks(worst):
@@ -791,10 +799,12 @@ def _eps_picks(worst):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
 @pytest.mark.parametrize("kind", ["grid", "close", "inf", "nan"])
-def test_screened_diagonal_matches_the_unscreened_one(kind):
+def test_screened_diagonal_matches_the_unscreened_one(kind, monkeypatch):
     # each diagonal alone (strided reads), then packs of 2-8 diagonals on
-    # shared tables (gathered reads, one cut per diagonal)
+    # shared tables (gathered reads, one cut per call)
     rng = np.random.default_rng(["grid", "close", "inf", "nan"].index(kind))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(cauchy_mod, "np", counting)
     seen = set()
     for m in (2, 3, 4):
         for s in (0, 1, 2):
@@ -803,17 +813,17 @@ def test_screened_diagonal_matches_the_unscreened_one(kind):
                     logv, basis, yterms, dd, g_lo, g_hi = _random_diagonal(rng, m, s, k, kind)
                     worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
                     for log_eps in _eps_picks(worst):
-                        _check_screen(logv, basis, yterms, s, m, [(dd, g_lo, g_hi)], log_eps, seen, "row")
+                        _check_screen(logv, basis, yterms, s, m, [(dd, g_lo, g_hi)], log_eps, seen, "row",
+                                      counting)
                 for size in range(2, 9):
                     rows = _random_rows(rng, s, size)
                     logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
                     dd, g_lo, g_hi = rows[int(rng.integers(size))]
                     worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
                     for log_eps in _eps_picks(worst):
-                        _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, "pack")
+                        _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, "pack", counting)
     want = {"hit", "nan minimum"} if kind == "nan" else {"hit", "screened"}
     assert {f"{label} {w}" for label in ("row", "pack") for w in want} <= seen, seen
-    assert kind == "nan" or "pack dropped" in seen
 
 
 def test_packs_keep_to_their_pair_limit(monkeypatch):
@@ -935,6 +945,19 @@ def test_deep_build_peak_memory():
 # -- the first stage: its bound, and the two stages against the unscreened rows --
 
 
+def _table_sigma(logv, basis, yterms, m):
+    """``_bound``'s sigma for pairs read from these tables, with S grown piece
+    by piece as the pair scan grows its tables; inf when an entry is inf or
+    NaN."""
+    S = np.max([1.0, *map(abs, yterms.values())])
+    for table in (logv, basis):
+        grown = np.empty(0)
+        for piece in (table[: len(table) // 2], table[len(table) // 2 :]):
+            grown, S = cauchy_mod._extend(grown, S, piece)
+        assert grown.tobytes() == table.tobytes()
+    return cauchy_mod._sigma(S, m)
+
+
 def test_first_stage_bound_never_exceeds_lower():
     # Q = P - sigma as _bound computes it, against lower as _screen computes
     # it, on lone rows (strided reads; for m = 2 each v_i is one scalar) and
@@ -948,10 +971,8 @@ def test_first_stage_bound_never_exceeds_lower():
                     for size in (1, 1, 1, 4):
                         rows = _random_rows(rng, s, size)
                         logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
-                        counts = np.array([g_hi - g_lo + 1 for _, g_lo, g_hi in rows])
-                        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-                        atoms = cauchy_mod._atoms(logv, basis, s, m, rows, counts, starts)
-                        sigma = cauchy_mod._sigma(logv, basis, yterms, m)
+                        atoms = cauchy_mod._atoms(logv, basis, s, m, rows)
+                        sigma = _table_sigma(logv, basis, yterms, m)
                         q = cauchy_mod._bound(*atoms[:5], yterms, m, sigma)
                         lower = cauchy_mod._lower(*atoms, yterms, m)[4]
                         assert np.all(q <= lower), (kind, m, s, k, float(np.max(q - lower)))
@@ -978,6 +999,19 @@ def _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps):
     return None, float(np.min(minima))
 
 
+def _whole_after_first_stage(calls):
+    """Whether a recorded ``_batch`` screened rows whole (a ``_screen`` call
+    not made by ``_settle``) after a first-stage ``_bound`` call, before any
+    second evaluation of the batch."""
+    outer = calls[: calls.index("_batch", 1)] if calls.count("_batch") > 1 else calls
+    bound = False
+    for prev, name in zip(outer, outer[1:]):
+        bound = bound or name == "_bound"
+        if bound and name == "_screen" and prev != "_settle":
+            return True
+    return False
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
 @pytest.mark.parametrize("kind", ["grid", "close", "large", "inf", "nan"])
 def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
@@ -1000,7 +1034,7 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
 
         monkeypatch.setattr(cauchy_mod, name, call)
 
-    for name in ("_survivors", "_settle", "_whole"):
+    for name in ("_batch", "_bound", "_settle", "_screen"):
         recorded(name)
     seen = set()
     for pack_row, pack_pairs in ((1024, 8192), (16, 48)):
@@ -1014,10 +1048,12 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
                         logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
                         dd, g_lo, g_hi = rows[int(rng.integers(size))]
                         worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+                        sigma = _table_sigma(logv, basis, yterms, m)
+                        assert (sigma == math.inf) == (kind in ("inf", "nan"))
                         for log_eps in _eps_picks(worst):
                             calls.clear()
                             want = _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps)
-                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps)
+                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, sigma)
                             if want[0] is None:
                                 assert got[0] is None and (got[1] == want[1] or math.isnan(want[1])
                                                            and math.isnan(got[1])), (m, s, k, log_eps)
@@ -1026,15 +1062,14 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
                                 assert got[0][:2] == want[0][:2], (m, s, k, log_eps)
                                 assert np.float64(got[0][2]).tobytes() == np.float64(want[0][2]).tobytes()
                                 seen.add("hit")
-                            trail = " ".join(calls)
-                            if "_settle _whole" in trail:
+                            if calls.count("_batch") > 1:
                                 seen.add("screened again")
-                            if "/_survivors _whole" in trail or "/_settle _whole" in trail:
+                            if _whole_after_first_stage(calls):
                                 seen.add("whole after the first stage")
                             if calls.count("_settle") > 1:
                                 seen.add("settled twice")
                             if kind in ("inf", "nan"):
-                                assert "_survivors" not in calls  # no finite bound: the exact screen alone
+                                assert "_bound" not in calls  # no finite bound: the exact screen alone
     want = {"hit", "minimum"}
     if kind in ("grid", "large"):
         want |= {"screened again", "whole after the first stage", "settled twice"}
