@@ -26,12 +26,15 @@ with D_i = log ||e_{eta+i}||_r - log v_{eta+(m-1)gamma+i} and
 H = log v_{gamma-eta} - log v_{m gamma} - log ||e_{gamma-eta}||_r: three
 differences of table entries and no log b.  The computed P - sigma never
 exceeds the computed ``lower``, where sigma = (m + 4) S 2^-48 for a bound S on
-every entry read (``_bound``).  A pair reaches the exact screen only if
-P - sigma is at most one threshold per batch of 64 anti-diagonals, and a
-batch whose exact threshold exceeds it is screened again without the first
-stage (``_batch``).  So the exact screen keeps every passing pair and the
-pair holding the batch minimum, and the scan's pairs, margins and jumps are
-unchanged.
+every entry read (``_bound``).  Where log ||e_n||_r is affine and log v_n
+convex in n, P is bounded in turn on blocks of 256 consecutive gamma of an
+anti-diagonal, from the table entries at the block's ends
+(``_block_bound``), so P is computed only on the few blocks whose bound can
+reach the batch's threshold.  A pair reaches the exact screen only if
+P - sigma is at most that threshold, and a batch whose exact threshold
+exceeds it is screened again without the first stage (``_batch``).  So the
+exact screen keeps every passing pair and the pair holding the batch
+minimum, and the scan's pairs, margins and jumps are unchanged.
 """
 from __future__ import annotations
 
@@ -240,14 +243,16 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     distance, without proving that the skipped diagonals hold no such pair.
 
     A batch is evaluated in two stages (see ``_batch``): a certified lower
-    bound that needs no log b (``_bound``) clears almost every pair, and the
-    exact screen (``_screen``) runs on the rest, mostly once per batch.  The
-    first passing pair, its log b and the batch minimum of max(C1, C3) are
-    those of an unscreened scan, bit for bit, and so are the walk, its margin
-    and its jumps.
+    bound that needs no log b (``_bound``), itself bounded on whole blocks of
+    each anti-diagonal from a few table entries (``_block_bound``), clears
+    almost every pair, and the exact screen (``_screen``) runs on the rest,
+    mostly once per batch.  The first passing pair, its log b and the batch
+    minimum of max(C1, C3) are those of an unscreened scan, bit for bit, and
+    so are the walk, its margin and its jumps.
 
     The tables of log v_n and log ||e_n||_r grow by concatenation, and so
-    does S, the bound on their moduli that fixes sigma (``_extend``).  A
+    does S, the bound on their moduli that fixes sigma and the block bound's
+    margin (``_extend``, ``_delta``).  A
     batch reads log v_n up to n = m gamma; one that would read past the
     search budget, as a long jump can, raises SearchExhausted before anything
     is allocated.
@@ -257,6 +262,9 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     yterms = {j: w.v_log(j) + c.log_mag - math.log(m) for j, c in y.items()}
     budget = pair_budget if pair_budget is not None else search_budget()
     reach = search_budget()
+    # the block bound's premises (see ``_block_bound``): log ||e_n||_r affine
+    # and log v_n convex in n
+    convex = w.kind != "table" and space.space_id in ("l1", "entire_cauchy")
     # log v_n and log ||e_n||_r for n = 0, 1, ..., extended when a batch reads past an end
     logv = basis = np.empty(0)
     S = np.max([1.0, *map(abs, yterms.values())])
@@ -287,7 +295,8 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
         hi = d_last + s  # the largest basis index of the batch
         if hi >= len(basis):
             basis, S = _extend(basis, S, basis_log_array(space, r, np.arange(len(basis), hi + hi // 4 + 1)))
-        hit, low = _batch(logv[: top + 1], basis[: hi + 1], yterms, s, m, rows, log_eps, _sigma(S, m))
+        hit, low = _batch(logv[: top + 1], basis[: hi + 1], yterms, s, m, rows, log_eps, _sigma(S, m),
+                          _delta(S, m) if convex else math.inf)
         if hit is not None:
             return (*hit, scanned)
         margin = low - log_eps
@@ -313,21 +322,29 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     )
 
 
-def _batch(logv, basis, yterms, s, m, rows, log_eps, sigma):
+def _batch(logv, basis, yterms, s, m, rows, log_eps, sigma, delta):
     """The first pair of ``rows`` (eta + gamma, first gamma, last gamma), in
     scan order, whose max(C1, C3) lies below log eps, as ``((eta, gamma,
     log b), None)``; without one, ``(None, min max(C1, C3) over the rows)``.
 
-    The first stage computes Q at every pair of a pack (see ``_packs``) and
-    keeps the pairs with Q <= T = max(cut(L_Q + 1), log eps), L_Q the
-    smallest Q of the batch's packs so far, this one included.  The exact
-    screen (``_screen``) takes one cut per call.  A passing pair has
-    Q <= ``lower`` < log eps <= T (see ``_bound``), so both stages keep every
-    passing pair, and the first one found is the first in scan order.
+    The first stage splits each row into blocks of _BLOCK consecutive gamma
+    and bounds Q from below on every block of the batch, _PACK_PAIRS blocks
+    per call (``_block_bound``, with margin ``delta``: inf where its premises
+    fail, and then every block is evaluated).  It computes Q on the block
+    with the smallest bound, whose minimum q* gives T' = max(cut(q* + 1),
+    log eps), and then, pack by pack (see ``_packs``), only on the blocks
+    whose bound is at most T': on the whole pack when that is all of them.
+    A pack keeps the pairs with Q <= T = max(cut(L_Q + 1), log eps), L_Q the
+    smallest Q computed so far, q* included, so T <= T'.
+    The exact screen (``_screen``) takes one cut per call.  A passing pair has
+    Q <= ``lower`` < log eps <= T (see ``_bound``), and its block's bound is
+    at most its Q, so both stages keep every passing pair, and the first one
+    found is the first in scan order.
 
-    For the minimum, let T_min be the smallest T used and L the smallest
-    ``lower`` the exact screen saw.  If T_min >= max(cut(L), log eps), the
-    pair holding the batch's true smallest ``lower`` L* was kept: otherwise
+    For the minimum, let T_min be the smallest of T' and the T used, and L
+    the smallest ``lower`` the exact screen saw; every pair the first stage
+    dropped has Q > T_min.  If T_min >= max(cut(L), log eps), the pair
+    holding the batch's true smallest ``lower`` L* was kept: otherwise
     L* >= Q* > T_min >= cut(L) > L >= L*.  So L = L*, and the pair holding
     the smallest max(C1, C3), whose Q and ``lower`` are at most that minimum
     and so at most cut(L*) (see ``_screen``), was kept by both stages: the
@@ -339,40 +356,64 @@ def _batch(logv, basis, yterms, s, m, rows, log_eps, sigma):
     the batch, and right after the first row with Q < log eps, as the rows
     before it hold no passing pair.  A pack of which the first stage keeps
     more than half the pairs, or more than _PACK_PAIRS, is screened whole,
-    split after that row, and so is the rest of the batch, without the first
-    stage; so is every pack when sigma is inf (see ``_sigma``).
+    split after that row (``l1`` with ``const`` weights at m = 2, where Q is
+    flat along an anti-diagonal); so is every pack when sigma is inf (see
+    ``_sigma``).
     """
     k = len(yterms)
-    dense = not sigma < math.inf
-    lows, pending, held = [], [], 0
     low_q = t_min = math.inf
+    picked = None  # without a finite block bound, every block is evaluated
+    if sigma < math.inf and delta < math.inf:
+        blocks, n = _blocks(rows)
+        # _PACK_PAIRS blocks per call, so a batch of long rows needs little memory
+        beta = np.concatenate([_block_bound(logv, basis, yterms, s, m, *(x[i : i + _PACK_PAIRS] for x in blocks),
+                                            delta) for i in range(0, len(blocks[0]), _PACK_PAIRS)])
+        i = int(beta.argmin())
+        pairs = _all_pairs(*(x[i : i + 1] for x in blocks))
+        low_q = float(_bound(*_gather(logv, basis, s, m, *pairs)[:5], yterms, m, sigma).min())
+        t_min = max(_cut(low_q + 1.0, k), log_eps)
+        picked = beta <= t_min
+        row_blocks, row_picked = n.tolist(), np.add.reduceat(picked, np.cumsum(n) - n, dtype=np.intp).tolist()
+    lows, pending, held, r0, b0 = [], [], 0, 0, 0
     for pack in _packs(rows):
         split = len(pack)  # the rows up to the first with a pair of Q < log eps
-        if not dense:
-            q = _bound(*_atoms(logv, basis, s, m, pack)[:5], yterms, m, sigma)
+        if sigma < math.inf:
+            whole = True
+            if picked is not None:
+                r1 = r0 + len(pack)
+                lo, b0 = b0, b0 + sum(row_blocks[r0:r1])  # the pack's blocks are lo..b0-1
+                picks, r0 = sum(row_picked[r0:r1]), r1
+                if not picks:
+                    continue  # every pair of the pack has Q > T'
+                whole = picks == b0 - lo
+            if whole:  # a lone row reads strided views
+                q = _bound(*_atoms(logv, basis, s, m, pack)[:5], yterms, m, sigma)
+            else:
+                sel = np.flatnonzero(picked[lo:b0]) + lo
+                eta, gamma = _all_pairs(*(x[sel] for x in blocks))
+                q = _bound(*_gather(logv, basis, s, m, eta, gamma)[:5], yterms, m, sigma)
             low_q = min(low_q, float(q.min()))
             thr = max(_cut(low_q + 1.0, k), log_eps)
-            sel = np.flatnonzero(q <= thr)
-            first = sel[np.flatnonzero(q[sel] < log_eps)[:1]]  # the first pair with Q < log eps
+            keep = np.flatnonzero(q <= thr)
+            first = keep[q[keep] < log_eps][:1]
             del q  # a dense pack's exact screen runs without it
+
+            def at(i):
+                return _pairs(pack, i) if whole else (eta[i], gamma[i])
+
             if len(first):
-                eta, gamma = _pairs(pack, first)
-                split = sum(row[0] <= eta[0] + gamma[0] for row in pack)
-            dense = 2 * len(sel) > _size(pack) or len(sel) > _PACK_PAIRS
-        if not dense:
-            t_min = min(t_min, thr)
-            n = int(sel.searchsorted(_size(pack[:split])))
-            eta, gamma = _pairs(pack, sel)
-            pending.append((eta[:n], gamma[:n]))
-            held += n
-            if len(first) or held > _PACK_PAIRS:
-                if hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
-                    return hit, None
-                pending, held = [], 0
-            pending.append((eta[n:], gamma[n:]))
-            held += len(sel) - n
-            continue
-        sel = None  # the first stage's offsets die before the exact screen
+                e, g = at(first)
+                split = sum(row[0] <= e[0] + g[0] for row in pack)
+            if 2 * len(keep) <= _size(pack) and len(keep) <= _PACK_PAIRS:
+                t_min = min(t_min, thr)
+                pending.append(at(keep))
+                held += len(keep)
+                if len(first) or held > _PACK_PAIRS:
+                    if hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
+                        return hit, None
+                    pending, held = [], 0
+                continue
+            eta = gamma = keep = None  # the first stage's arrays die before the exact screen
         if held and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
             return hit, None
         pending, held = [], 0
@@ -384,7 +425,7 @@ def _batch(logv, basis, yterms, s, m, rows, log_eps, sigma):
         return hit, None
     worst, low = np.min(lows, axis=0)
     if t_min < max(_cut(low, k), log_eps):
-        return _batch(logv, basis, yterms, s, m, rows, log_eps, math.inf)
+        return _batch(logv, basis, yterms, s, m, rows, log_eps, math.inf, delta)
     return None, float(worst)
 
 
@@ -401,6 +442,8 @@ def _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
 # diagonals holding at most _PACK_PAIRS pairs; a longer one is evaluated alone
 _PACK_ROW = 1024
 _PACK_PAIRS = 8192
+# the first stage bounds Q on blocks of this many consecutive gamma of a diagonal
+_BLOCK = 256
 
 
 def _packs(rows):
@@ -430,14 +473,21 @@ def _pairs(rows, offsets):
     """(eta, gamma) at ``offsets`` into the pairs of the anti-diagonals
     ``rows`` (eta + gamma, first gamma, last gamma), laid end to end in
     (eta + gamma, gamma) order."""
-    if len(rows) == 1:  # most first-stage packs are one long row: no search
+    if len(rows) == 1:  # a long row is evaluated alone: no table of its pairs
         gamma = offsets + rows[0][1]
         return rows[0][0] - gamma, gamma
-    dd, g_lo, g_hi = np.array(rows).T
-    ends = np.cumsum(g_hi - g_lo + 1)
-    row = ends.searchsorted(offsets, side="right")
-    gamma = offsets + (g_hi + 1 - ends)[row]
-    return dd[row] - gamma, gamma
+    eta, gamma = _all_pairs(*np.array(rows).T)
+    return eta[offsets], gamma[offsets]
+
+
+def _all_pairs(dd, g_lo, g_hi):
+    """(eta, gamma) at every pair of the runs of consecutive gamma (eta +
+    gamma, first gamma, last gamma) held in three arrays, anti-diagonals or
+    blocks of them, laid end to end."""
+    n = g_hi - g_lo + 1
+    ends = np.cumsum(n)
+    gamma = np.arange(ends[-1]) + np.repeat(g_lo - ends + n, n)
+    return np.repeat(dd, n) - gamma, gamma
 
 
 def _atoms(logv, basis, s, m, rows):
@@ -461,7 +511,7 @@ def _atoms(logv, basis, s, m, rows):
         logv_j = [logv[top + j] if m == 2 else logv[top + j :: m - 2][:n] for j in range(s + 1)]
         return (basis_j, logv_j, logv[lo::2][:n], logv[m * g_lo :: m][:n],
                 basis[lo::2][:n], basis[g_lo : g_hi + 1])
-    return _gather(logv, basis, s, m, *_pairs(rows, np.arange(_size(rows))))
+    return _gather(logv, basis, s, m, *_all_pairs(*np.array(rows).T))
 
 
 def _gather(logv, basis, s, m, eta, gamma):
@@ -470,6 +520,71 @@ def _gather(logv, basis, s, m, eta, gamma):
     basis_j = [basis.take(eta + j) for j in range(s + 1)]
     logv_j = [logv.take(top + j) for j in range(s + 1)]
     return basis_j, logv_j, logv.take(gap), logv.take(m * gamma), basis.take(gap), basis.take(gamma)
+
+
+def _blocks(rows):
+    """The blocks of the anti-diagonals ``rows`` (eta + gamma, first gamma,
+    last gamma), in scan order: _BLOCK consecutive gamma each, the last of a
+    row shorter, as arrays (eta + gamma, first gamma, last gamma), and the
+    number of blocks of each row."""
+    dd, g_lo, g_hi = np.array(rows).T
+    n = (g_hi - g_lo) // _BLOCK + 1
+    ends = np.cumsum(n)
+    g1 = np.repeat(g_lo, n) + (np.arange(ends[-1]) - np.repeat(ends - n, n)) * _BLOCK
+    return (np.repeat(dd, n), g1, np.minimum(g1 + (_BLOCK - 1), np.repeat(g_hi, n))), n
+
+
+def _block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta):
+    """A lower bound beta - delta on the computed Q (``_bound``) at every pair
+    of each block: anti-diagonal d = ``dd``, gamma = g from g1 to g2.  It reads
+    the tables at the two ends of a block and at one more weight index.
+
+    In ``_bound``'s notation, with c = (m-1)/(2m), F = D_0 / 2 - c H and
+    R_i = D_i - D_0, P = max_j (base_j + R_j) - max_i R_i / 2 + F.  Premises:
+    log ||e_n||_r is affine in n (``l1``, ``entire_cauchy``) and log v_n is
+    convex in n (``maclane``, ``const``).  Then each R_i, a difference of
+    basis entries less log v_{t+i} - log v_t with t = d + (m-2) g, does not
+    increase with g, and F is a concave function of g plus c log v_{m g},
+    which is convex in g and so at least its chord of the first step,
+    c (log v_{m g1} + (g - g1) (log v_{m g1 + m} - log v_{m g1})).  What is
+    left is concave, with its minimum at an end, so in exact arithmetic
+    every pair of the block has
+
+      P >= beta = max_j (base_j + R_j(g2)) - max_i R_i(g1) / 2
+                  + min(F(g1), F(g2) - c gap),
+      gap = log v_{m g2} - log v_{m g1} - (g2 - g1)(log v_{m g1 + m} - log v_{m g1}),
+
+    where a block of one pair reads g1 for g1 + 1, so its gap is 0.
+
+    Rounding, in units of u S (u = 2^-53, S >= 1 bounding every entry read
+    and every base_j, as for sigma).  The tables lie within E <= 17 u S of
+    sequences that meet the premises: ``core.log_factorial`` is within
+    5 u (n+1) log(n+1) <= 17 u max(1, log n!) of log n!, a ``const`` entry
+    n l within u |n l| of n times the double l, and log ||e_n||_r = n log r
+    within u |n log r|.  These errors move P by at most 4.5 E and beta by
+    at most (8.5 + B) E, where g2 - g1 < B = _BLOCK scales the chord step;
+    beta's own arithmetic, on results of modulus at most (B + 10) S, adds at
+    most 20 (B + 10) u S; and the computed Q is at least
+    P - sigma - (8m + 32) u S, sigma = 32 (m + 4) u S (see ``_bound``).
+    These sum to at most (37 B + 40 m + 581) u S, which ``_delta``,
+    64 (B + m + 18) u S, covers.  The slack that clears a block is many
+    nats, so the generous margin costs nothing.
+    """
+    c = (m - 1) / (2 * m)
+    ends = []
+    for g in (g1, g2):
+        basis_j, logv_j, logv_gap, logv_mg, basis_gap, _ = _gather(logv, basis, s, m, dd - g, g)
+        d = [a - v for a, v in zip(basis_j, logv_j)]
+        ends.append(([x - d[0] for x in d], d[0] / 2 - c * (logv_gap - logv_mg - basis_gap), logv_mg))
+    (r1, f1, mg1), (r2, f2, mg2) = ends
+    gap = mg2 - mg1 - (g2 - g1) * (logv.take(m * np.minimum(g1 + 1, g2)) - mg1)
+    top = np.max([base + r2[j] for j, base in yterms.items()], axis=0)
+    return top - np.max(r1, axis=0) / 2 + np.minimum(f1, f2 - c * gap) - delta
+
+
+def _delta(S, m):
+    """``_block_bound``'s margin for tables and base_j of modulus at most S."""
+    return (_BLOCK + m + 18) * float(S) * (64 * _U)
 
 
 def _bound(basis_j, logv_j, logv_gap, logv_mg, basis_gap, yterms, m, sigma):
@@ -531,8 +646,13 @@ def _bound(basis_j, logv_j, logv_gap, logv_mg, basis_gap, yterms, m, sigma):
 
 def _extend(table, S, piece):
     """``table`` followed by ``piece``, and the bound S on the moduli raised
-    to cover ``piece``: NaN if it holds NaN, which ``_sigma`` takes as inf."""
-    return np.concatenate((table, piece)), np.max([S, piece.max(), -piece.min()])
+    to cover ``piece``: NaN if it holds NaN, which ``_sigma`` takes as inf.
+    A table of zeros (the basis norms of ``l1``) is a read-only view of one
+    zero, so none of its pages is written."""
+    S = np.max([S, piece.max(), -piece.min()])
+    if piece.any() or table.any():
+        return np.concatenate((table, piece)), S
+    return np.broadcast_to(0.0, len(table) + len(piece)), S
 
 
 def _sigma(S, m):

@@ -78,6 +78,19 @@ def log_sum(terms: Iterable[float]) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in ts))
 
 
+def _sum_polar(terms: list[float]) -> tuple[float, float]:
+    """(log|s|, arg s) of the sum s of two or more nonzero terms, given as
+    log|z| and arg z of each in turn, by max-rescaled accumulation;
+    (-inf, 0.0) when they cancel exactly."""
+    m = max(terms[::2])
+    acc = 0j
+    for log_mag, phase in zip(terms[::2], terms[1::2]):
+        acc += math.exp(log_mag - m) * _unit(phase)
+    if acc == 0:
+        return NEG_INF, 0.0
+    return m + math.log(abs(acc)), math.atan2(acc.imag, acc.real)
+
+
 class WideComplex:
     """Complex scalar as (log|z|, arg z); the exact zero has log_mag == -inf.
 
@@ -178,13 +191,7 @@ class WideComplex:
             return cls.zero()
         if len(live) == 1:
             return live[0]
-        m = max(t.log_mag for t in live)
-        acc = 0j
-        for t in live:
-            acc += math.exp(t.log_mag - m) * _unit(t.phase)
-        if acc == 0:
-            return cls.zero()
-        return cls(m + math.log(abs(acc)), math.atan2(acc.imag, acc.real))
+        return cls(*_sum_polar([x for t in live for x in (t.log_mag, t.phase)]))
 
     # -- comparison / io ------------------------------------------------------
     def approx_eq(self, other: "WideComplex", rel: float = 1e-12) -> bool:
@@ -690,12 +697,23 @@ def coordinatewise_power(x: FiniteSeq, j: int) -> FiniteSeq:
 
 
 def cauchy_product(x: FiniteSeq, y: FiniteSeq) -> FiniteSeq:
-    """Discrete convolution z_n = sum_{k<=n} x_k y_{n-k}."""
-    buckets: dict[int, list[WideComplex]] = {}
+    """Discrete convolution z_n = sum_{k<=n} x_k y_{n-k}.
+
+    Each product x_k y_{n-k} is a (log|.|, arg) pair, formed and wrapped as
+    ``WideComplex.__mul__`` forms it, and each z_n is summed by the helper of
+    ``WideComplex.sum_of``: the same operations in the same order, with no
+    WideComplex per term.
+    """
+    ys = [(k, d.log_mag, d.phase) for k, d in y.items()]
+    buckets: dict[int, list[float]] = {}  # log|.| and arg of each term, in turn
     for n, c in x.items():
-        for k, d in y.items():
-            buckets.setdefault(n + k, []).append(c * d)
-    return FiniteSeq({n: WideComplex.sum_of(terms) for n, terms in buckets.items()})
+        log_c, phase_c = c.log_mag, c.phase
+        for k, log_d, phase_d in ys:
+            log_mag = log_c + log_d
+            if log_mag != NEG_INF and log_mag == log_mag:  # else the product is the zero, which sum_of drops
+                buckets.setdefault(n + k, []).extend((log_mag, wrap_phase(phase_c + phase_d)))
+    return FiniteSeq({n: WideComplex(*(terms if len(terms) == 2 else _sum_polar(terms)))
+                      for n, terms in buckets.items()})
 
 
 def cauchy_power(x: FiniteSeq, m: int) -> FiniteSeq:

@@ -1053,7 +1053,7 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
                         for log_eps in _eps_picks(worst):
                             calls.clear()
                             want = _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps)
-                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, sigma)
+                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, sigma, math.inf)
                             if want[0] is None:
                                 assert got[0] is None and (got[1] == want[1] or math.isnan(want[1])
                                                            and math.isnan(got[1])), (m, s, k, log_eps)
@@ -1074,3 +1074,169 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
     if kind in ("grid", "large"):
         want |= {"screened again", "whole after the first stage", "settled twice"}
     assert want <= seen, want - seen
+
+
+# -- the block bound: real tables, where its premises hold -----------------------
+
+
+class _Lazy:
+    """A table read only through ``take``, computed at the indices asked for,
+    so that real tables can be read far past what fits in memory."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def take(self, idx):
+        return self.at(np.asarray(idx))
+
+
+_BLOCK_CASES = [(sid, wname) for sid in ("l1", "entire_cauchy") for wname in ("maclane", "const:2", "const:0.5")]
+
+
+def _real_tables(sid, wname, r, lazy, top=None, hi=None):
+    """log v_n and log ||e_n||_r as the pair scan reads them: whole arrays up
+    to ``top`` and ``hi``, or lazy tables."""
+    w, sp = WeightSpec.parse(wname), space(sid)
+    if lazy:
+        return _Lazy(w.v_log), _Lazy(lambda n: basis_log_array(sp, r, n))
+    return w.v_log_array(top), basis_log_array(sp, r, np.arange(hi + 1))
+
+
+def _real_S(logv, basis, yterms, top, hi):
+    """S for these monotone tables: the largest modulus sits at an end."""
+    ends = [*logv.take([0, top]), *basis.take([0, hi])]
+    return max(1.0, *map(abs, yterms.values()), *map(abs, ends))
+
+
+def _real_rows(rng, s, count, d_max):
+    """``count`` distinct anti-diagonals among the 200 below ``d_max``, of at
+    most 1,500 pairs each: N lies close to d_max / 2, as in deep rounds."""
+    N = max(1, d_max // 2 - int(rng.integers(s + 110, 1500)))
+    dds = sorted(int(dd) for dd in rng.choice(np.arange(d_max - 200, d_max), count, replace=False))
+    return [(dd, max(N + 2 * s + 1, (dd + 2 * s + 2) // 2), dd - N) for dd in dds]
+
+
+def _real_yterms(rng, s, k, m):
+    support = sorted([s, *rng.choice(s, k - 1, replace=False).tolist()])
+    return {j: float(rng.uniform(-8.0, 8.0)) - math.log(m) for j in support}
+
+
+def test_block_bound_never_exceeds_q():
+    # beta - delta against the computed Q at every pair of its block, on real
+    # maclane and const tables, l1 and entire_cauchy bases, indices from a few
+    # hundred up to 2^26, blocks of _BLOCK pairs, shorter ends and one pair
+    rng = np.random.default_rng(26)
+    seen = set()
+    for sid, wname in _BLOCK_CASES:
+        r = int(rng.integers(1, 4))
+        logv, basis = _real_tables(sid, wname, r, lazy=True)
+        for m in (2, 3, 4):
+            for s in (0, 1, 2):
+                for k in range(1, s + 2):
+                    for d_max in (600, 5000, 2**26 // m):
+                        rows = _real_rows(rng, s, 2, d_max)
+                        yterms = _real_yterms(rng, s, k, m)
+                        (dd, g1, g2), _ = cauchy_mod._blocks(rows)
+                        ones = rng.integers(g1, g2 + 1)  # a one-pair block inside each
+                        dd, g1, g2 = np.concatenate([dd, dd]), np.concatenate([g1, ones]), np.concatenate([g2, ones])
+                        top, hi = m * int(g2.max()), int(dd.max()) + s
+                        S = _real_S(logv, basis, yterms, top, hi)
+                        beta = cauchy_mod._block_bound(logv, basis, yterms, s, m, dd, g1, g2, cauchy_mod._delta(S, m))
+                        eta, gamma = cauchy_mod._all_pairs(dd, g1, g2)
+                        atoms = cauchy_mod._gather(logv, basis, s, m, eta, gamma)
+                        q = cauchy_mod._bound(*atoms[:5], yterms, m, cauchy_mod._sigma(S, m))
+                        q_min = np.minimum.reduceat(q, np.cumsum(g2 - g1 + 1) - (g2 - g1 + 1))
+                        assert np.all(beta <= q_min), (sid, wname, m, s, d_max, float(np.max(beta - q_min)))
+                        slack = q_min - beta
+                        if np.any(slack[: len(slack) // 2] < 1.0):
+                            seen.add(f"tight block m={m}")
+                        if np.any(slack[len(slack) // 2 :] < 1e-6 * np.abs(q_min[len(slack) // 2 :]) + 1e-9):
+                            seen.add(f"tight pair {'deep' if d_max > 5000 else 'shallow'}")
+                        if np.any(slack > 50.0):
+                            seen.add("clears")
+    want = {f"tight block m={m}" for m in (2, 3, 4)} | {"tight pair deep", "tight pair shallow", "clears"}
+    assert want <= seen, want - seen
+
+
+@pytest.mark.parametrize("block", [1, 4, 16, 256])
+def test_block_batch_matches_the_unscreened_rows(block, monkeypatch):
+    # _batch with the block bound on real tables against the unscreened rows:
+    # the first passing pair with its log b bits, or the batch minimum
+    monkeypatch.setattr(cauchy_mod, "_BLOCK", block)
+    evaluated = []
+    real_bound = cauchy_mod._bound
+
+    def bound(*args):
+        evaluated.append(np.size(args[2]))
+        return real_bound(*args)
+
+    monkeypatch.setattr(cauchy_mod, "_bound", bound)
+    rng = np.random.default_rng(block)
+    seen = set()
+    for sid, wname in _BLOCK_CASES:
+        r = int(rng.integers(1, 4))
+        for m in (2, 3, 4):
+            for s in (0, 1, 2):
+                for k in range(1, s + 2):
+                    for size in (1, 3, 8):
+                        rows = _real_rows(rng, s, size, int(rng.integers(300, 3000)))
+                        top, hi = m * rows[-1][2], rows[-1][0] + s
+                        logv, basis = _real_tables(sid, wname, r, False, top, hi)
+                        yterms = _real_yterms(rng, s, k, m)
+                        S = _real_S(logv, basis, yterms, top, hi)
+                        sigma, delta = cauchy_mod._sigma(S, m), cauchy_mod._delta(S, m)
+                        dd, g_lo, g_hi = rows[int(rng.integers(size))]
+                        worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
+                        for log_eps in _eps_picks(worst):
+                            evaluated.clear()
+                            want = _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps)
+                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, sigma, delta)
+                            if want[0] is None:
+                                assert got == want, (sid, wname, m, s, k, log_eps)
+                                seen.add("minimum")
+                            else:
+                                assert got[0][:2] == want[0][:2], (sid, wname, m, s, k, log_eps)
+                                assert np.float64(got[0][2]).tobytes() == np.float64(want[0][2]).tobytes()
+                                seen.add("hit")
+                            if sum(evaluated) < cauchy_mod._size(rows) // 2:
+                                seen.add("blocks cleared")
+    assert seen == {"hit", "minimum", "blocks cleared"}, seen
+
+
+def test_first_stage_evaluates_q_at_few_pairs(monkeypatch):
+    # the README entire_cauchy/maclane build: the block bound leaves Q to be
+    # computed at few pairs; a first stage that reads every pair computes it
+    # at about 97% of them
+    scanned = evaluated = 0
+    real_scan, real_bound = cauchy_mod._scan_pairs, cauchy_mod._bound
+
+    def counted_scan(*args):
+        nonlocal scanned
+        out = real_scan(*args)
+        scanned += out[3]
+        return out
+
+    def counted_bound(*args):
+        nonlocal evaluated
+        evaluated += np.size(args[2])  # log v_{gamma-eta}, one entry per pair
+        return real_bound(*args)
+
+    monkeypatch.setattr(cauchy_mod, "_scan_pairs", counted_scan)
+    monkeypatch.setattr(cauchy_mod, "_bound", counted_bound)
+    b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
+    assert b.bundle_id == "83967ddd36a7f5bb"
+    assert scanned > 1_000_000
+    assert 0 < evaluated < 0.05 * scanned, (evaluated, scanned)
+
+
+def test_zero_tables_stay_unwritten():
+    # the l1 basis table grows as a view of one zero; any other table, or a
+    # NaN, is written out
+    table, S = np.empty(0), 1.0
+    for n in (5, 7):
+        table, S = cauchy_mod._extend(table, S, basis_log_array(L1, 2, np.arange(len(table), len(table) + n)))
+        assert table.strides == (0,) and len(table) == 12 - 7 * (n == 5) and S == 1.0
+    grown, S = cauchy_mod._extend(table, S, np.array([0.0, -3.0]))
+    assert grown.strides == (8,) and grown.tolist() == [0.0] * 12 + [0.0, -3.0] and S == 3.0
+    grown, S = cauchy_mod._extend(table, 1.0, np.array([np.nan]))
+    assert np.isnan(S) and len(grown) == 13

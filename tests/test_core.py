@@ -118,6 +118,43 @@ class TestProducts:
             x, y = rand_seq(rng), rand_seq(rng)
             assert cauchy_product(x, y).max_index == x.max_index + y.max_index
 
+    def test_cauchy_product_is_the_object_form_bit_for_bit(self):
+        # the float-pair product against products and sums of WideComplex
+        # objects: random log-polar sequences whose coefficients cancel to
+        # zero, whose phases sum to +-pi and past it, and whose logs pass 700
+        def object_form(x, y):
+            buckets = {}
+            for n, c in x.items():
+                for k, d in y.items():
+                    buckets.setdefault(n + k, []).append(c * d)
+            return FiniteSeq({n: WideComplex.sum_of(terms) for n, terms in buckets.items()})
+
+        def bits(seq):
+            return [(n, c.log_mag.hex(), c.phase.hex()) for n, c in seq.items()]
+
+        rng = random.Random(29)
+        phases = [0.0, math.pi, -math.pi / 2, math.pi / 2, 3.0, -3.0, 2.5]
+        logs = [0.0, 0.5, 700.0, 705.5, -700.0, 1e308, -1e308]  # +-1e308 overflow when added
+        seen = set()
+        for _ in range(400):
+            x, y = (FiniteSeq({n: WideComplex(rng.choice(logs) + rng.choice([0.0, rng.uniform(-2, 2)]),
+                                              rng.choice(phases + [rng.uniform(-4, 4)]))
+                               for n in rng.sample(range(8), rng.randint(1, 5))}) for _ in range(2))
+            got, want = cauchy_product(x, y), object_form(x, y)
+            assert bits(got) == bits(want)
+            if len(got) < len(want.support) or set(got.support) != {
+                    n + k for n in x.support for k in y.support}:
+                seen.add("cancelled or underflowed")
+            if any(abs(c.phase) == math.pi for _, c in got.items()):
+                seen.add("pi")
+            if any(c.log_mag > 700 for _, c in got.items()):
+                seen.add("past 700")
+        # e_0 + e_1 times e_0 - e_1 cancels at index 1
+        z = cauchy_product(from_dict({0: 1, 1: 1}), from_dict({0: 1, 1: -1}))
+        assert z.support == (0, 2) and bits(z) == bits(object_form(from_dict({0: 1, 1: 1}),
+                                                                  from_dict({0: 1, 1: -1})))
+        assert seen == {"cancelled or underflowed", "pi", "past 700"}, seen
+
     def test_cauchy_power_examples(self):
         cube = cauchy_power(from_dict({0: 1, 1: 1}), 3)
         assert cube.approx_eq(from_dict({0: 1, 1: 3, 2: 3, 3: 1}), 1e-14)
