@@ -16,25 +16,22 @@ returns the first passing pair on the anti-diagonals it visits; it jumps over
 anti-diagonals by extrapolating the failure margin, without a proof that the
 skipped ones hold no passing pair.
 
-Each pair is screened in two stages.  Since min(B1, B2) <= B2 in the closed
-form of log b, every C1 term t_j, and so the screen's lower bound ``lower`` on
-max(C1, C3), is at least
+Each batch of pairs is screened in two steps.  Since min(B1, B2) <= B2 in
+the closed form of log b, every C1 term t_j, and so the screen's lower bound
+``lower`` on max(C1, C3), is at least
 
   P = max_j (base_j + D_j) - max_i D_i / 2 - (m-1)/(2m) H,
 
 with D_i = log ||e_{eta+i}||_r - log v_{eta+(m-1)gamma+i} and
 H = log v_{gamma-eta} - log v_{m gamma} - log ||e_{gamma-eta}||_r: three
-differences of table entries and no log b.  The computed P - sigma never
-exceeds the computed ``lower``, where sigma = (m + 4) S 2^-48 for a bound S on
-every entry read (``_bound``).  Where log ||e_n||_r is affine and log v_n
-convex in n, P is bounded in turn on blocks of 256 consecutive gamma of an
-anti-diagonal, from the table entries at the block's ends
-(``_block_bound``), so P is computed only on the few blocks whose bound can
-reach the batch's threshold.  A pair reaches the exact screen only if
-P - sigma is at most that threshold, and a batch whose exact threshold
-exceeds it is screened again without the first stage (``_batch``).  So the
-exact screen keeps every passing pair and the pair holding the batch
-minimum, and the scan's pairs, margins and jumps are unchanged.
+differences of table entries and no log b.  Where log ||e_n||_r is affine and
+log v_n convex in n, P is bounded in turn on blocks of 256 consecutive gamma
+of an anti-diagonal, from the table entries at the block's ends, less a
+rounding margin that keeps the bound at most the computed ``lower`` of every
+pair of the block (``_block_bound``).  Only the blocks whose bound can reach
+the batch's threshold go to the exact screen (``_batch``), which keeps every
+passing pair and the pair holding the batch minimum, so the scan's pairs,
+margins and jumps are those of an unscreened scan.
 """
 from __future__ import annotations
 
@@ -242,20 +239,20 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     shrinks at a measurable rate it jumps over most of the estimated remaining
     distance, without proving that the skipped diagonals hold no such pair.
 
-    A batch is evaluated in two stages (see ``_batch``): a certified lower
-    bound that needs no log b (``_bound``), itself bounded on whole blocks of
-    each anti-diagonal from a few table entries (``_block_bound``), clears
-    almost every pair, and the exact screen (``_screen``) runs on the rest,
-    mostly once per batch.  The first passing pair, its log b and the batch
-    minimum of max(C1, C3) are those of an unscreened scan, bit for bit, and
-    so are the walk, its margin and its jumps.
+    A batch is evaluated in two steps (see ``_batch``): a certified lower
+    bound on whole blocks of each anti-diagonal, read from a few table
+    entries per block (``_block_bound``), clears almost every pair, and the
+    exact screen (``_screen``) runs on the blocks it keeps.  The first
+    passing pair, its log b and the batch minimum of max(C1, C3) are those
+    of an unscreened scan, bit for bit, and so are the walk, its margin and
+    its jumps.
 
     The tables of log v_n and log ||e_n||_r grow by concatenation, and so
-    does S, the bound on their moduli that fixes sigma and the block bound's
-    margin (``_extend``, ``_delta``).  A
-    batch reads log v_n up to n = m gamma; one that would read past the
-    search budget, as a long jump can, raises SearchExhausted before anything
-    is allocated.
+    does S, the bound on their moduli that fixes the block bound's margin
+    (``_extend``, ``_delta``).  A batch reads log v_n up to n = m gamma; one
+    that would read past the search budget, as a long jump can, raises
+    SearchExhausted before anything is allocated, and one that would read
+    past the end of a ``table`` weight raises WeightError.
     """
     s = y.max_index
     log_eps = eps_log
@@ -291,11 +288,14 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
                     "the (eta, gamma) pair scan reached past the search budget",
                     index=top, m=m, N=N, eps_log=eps_log, scanned=scanned,
                 )
-            logv, S = _extend(logv, S, w.v_log_array(min(top + top // 4, reach), len(logv)))
+            # grown past top by a quarter, but never past the search budget
+            # or the end of a table weight
+            upto = max(top, min(top + top // 4, reach, w.max_index))
+            logv, S = _extend(logv, S, w.v_log_array(upto, len(logv)))
         hi = d_last + s  # the largest basis index of the batch
         if hi >= len(basis):
             basis, S = _extend(basis, S, basis_log_array(space, r, np.arange(len(basis), hi + hi // 4 + 1)))
-        hit, low = _batch(logv[: top + 1], basis[: hi + 1], yterms, s, m, rows, log_eps, _sigma(S, m),
+        hit, low = _batch(logv[: top + 1], basis[: hi + 1], yterms, s, m, rows, log_eps,
                           _delta(S, m) if convex else math.inf)
         if hit is not None:
             return (*hit, scanned)
@@ -322,139 +322,70 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     )
 
 
-def _batch(logv, basis, yterms, s, m, rows, log_eps, sigma, delta):
+def _batch(logv, basis, yterms, s, m, rows, log_eps, delta):
     """The first pair of ``rows`` (eta + gamma, first gamma, last gamma), in
     scan order, whose max(C1, C3) lies below log eps, as ``((eta, gamma,
     log b), None)``; without one, ``(None, min max(C1, C3) over the rows)``.
 
-    The first stage splits each row into blocks of _BLOCK consecutive gamma
-    and bounds Q from below on every block of the batch, _PACK_PAIRS blocks
-    per call (``_block_bound``, with margin ``delta``: inf where its premises
-    fail, and then every block is evaluated).  It computes Q on the block
-    with the smallest bound, whose minimum q* gives T' = max(cut(q* + 1),
-    log eps), and then, pack by pack (see ``_packs``), only on the blocks
-    whose bound is at most T': on the whole pack when that is all of them.
-    A pack keeps the pairs with Q <= T = max(cut(L_Q + 1), log eps), L_Q the
-    smallest Q computed so far, q* included, so T <= T'.
-    The exact screen (``_screen``) takes one cut per call.  A passing pair has
-    Q <= ``lower`` < log eps <= T (see ``_bound``), and its block's bound is
-    at most its Q, so both stages keep every passing pair, and the first one
-    found is the first in scan order.
+    The rows are split into blocks of _BLOCK consecutive gamma, and every
+    block is bounded from below, _PACK_PAIRS blocks per call
+    (``_block_bound``, with margin ``delta``).  ``_lower`` on the block with
+    the smallest bound gives the smallest ``lower`` L of its pairs and the
+    threshold T = max(cut(L), log eps) (``_cut``).  The consecutive blocks
+    of a row whose bound is at most T merge into segments, and the exact
+    screen (``_screen``) runs on those, in scan order, pack by pack (see
+    ``_packs``).  Where delta is inf (the block bound's premises fail, or a
+    table holds inf or NaN; see ``_delta``), the segments are the rows.
 
-    For the minimum, let T_min be the smallest of T' and the T used, and L
-    the smallest ``lower`` the exact screen saw; every pair the first stage
-    dropped has Q > T_min.  If T_min >= max(cut(L), log eps), the pair
-    holding the batch's true smallest ``lower`` L* was kept: otherwise
-    L* >= Q* > T_min >= cut(L) > L >= L*.  So L = L*, and the pair holding
-    the smallest max(C1, C3), whose Q and ``lower`` are at most that minimum
-    and so at most cut(L*) (see ``_screen``), was kept by both stages: the
-    minimum is exact.  Otherwise the batch is evaluated again with
-    sigma = inf, which skips the first stage.
-
-    The survivors of consecutive packs go to one exact screen (``_settle``)
-    once they pass _PACK_PAIRS, before a pack screened whole, at the end of
-    the batch, and right after the first row with Q < log eps, as the rows
-    before it hold no passing pair.  A pack of which the first stage keeps
-    more than half the pairs, or more than _PACK_PAIRS, is screened whole,
-    split after that row (``l1`` with ``const`` weights at m = 2, where Q is
-    flat along an anti-diagonal); so is every pack when sigma is inf (see
-    ``_sigma``).
+    Both steps keep what they must.  Every pair's computed ``lower`` is at
+    least its block's bound.  A passing pair has lower <= max(C1, C3) <
+    log eps <= T, so its block is kept, and the first one the screen finds
+    is the first in scan order.  For the minimum, let L* be the batch's
+    smallest ``lower``: L >= L*, and the cut rises with its argument, so
+    T >= cut(L*).  The pair holding the batch's smallest max(C1, C3) has a
+    ``lower`` at most that minimum, which is at most the computed
+    max(C1, C3) of the pair holding L*, and so at most cut(L*) (see
+    ``_screen``): its block is kept, and, by the same argument on the pairs
+    of its call, so is the pair in the exact screen.  So the minimum is
+    exact.
     """
     k = len(yterms)
-    low_q = t_min = math.inf
-    picked = None  # without a finite block bound, every block is evaluated
-    if sigma < math.inf and delta < math.inf:
-        blocks, n = _blocks(rows)
+    segments = rows
+    if delta < math.inf:
+        blocks = _blocks(rows)
         # _PACK_PAIRS blocks per call, so a batch of long rows needs little memory
         beta = np.concatenate([_block_bound(logv, basis, yterms, s, m, *(x[i : i + _PACK_PAIRS] for x in blocks),
                                             delta) for i in range(0, len(blocks[0]), _PACK_PAIRS)])
         i = int(beta.argmin())
-        pairs = _all_pairs(*(x[i : i + 1] for x in blocks))
-        low_q = float(_bound(*_gather(logv, basis, s, m, *pairs)[:5], yterms, m, sigma).min())
-        t_min = max(_cut(low_q + 1.0, k), log_eps)
-        picked = beta <= t_min
-        row_blocks, row_picked = n.tolist(), np.add.reduceat(picked, np.cumsum(n) - n, dtype=np.intp).tolist()
-    lows, pending, held, r0, b0 = [], [], 0, 0, 0
-    for pack in _packs(rows):
-        split = len(pack)  # the rows up to the first with a pair of Q < log eps
-        if sigma < math.inf:
-            whole = True
-            if picked is not None:
-                r1 = r0 + len(pack)
-                lo, b0 = b0, b0 + sum(row_blocks[r0:r1])  # the pack's blocks are lo..b0-1
-                picks, r0 = sum(row_picked[r0:r1]), r1
-                if not picks:
-                    continue  # every pair of the pack has Q > T'
-                whole = picks == b0 - lo
-            if whole:  # a lone row reads strided views
-                q = _bound(*_atoms(logv, basis, s, m, pack)[:5], yterms, m, sigma)
-            else:
-                sel = np.flatnonzero(picked[lo:b0]) + lo
-                eta, gamma = _all_pairs(*(x[sel] for x in blocks))
-                q = _bound(*_gather(logv, basis, s, m, eta, gamma)[:5], yterms, m, sigma)
-            low_q = min(low_q, float(q.min()))
-            thr = max(_cut(low_q + 1.0, k), log_eps)
-            keep = np.flatnonzero(q <= thr)
-            first = keep[q[keep] < log_eps][:1]
-            del q  # a dense pack's exact screen runs without it
-
-            def at(i):
-                return _pairs(pack, i) if whole else (eta[i], gamma[i])
-
-            if len(first):
-                e, g = at(first)
-                split = sum(row[0] <= e[0] + g[0] for row in pack)
-            if 2 * len(keep) <= _size(pack) and len(keep) <= _PACK_PAIRS:
-                t_min = min(t_min, thr)
-                pending.append(at(keep))
-                held += len(keep)
-                if len(first) or held > _PACK_PAIRS:
-                    if hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
-                        return hit, None
-                    pending, held = [], 0
-                continue
-            eta = gamma = keep = None  # the first stage's arrays die before the exact screen
-        if held and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
-            return hit, None
-        pending, held = [], 0
-        for part in (pack[:split], pack[split:]):
-            if part and (hit := _screen(*_atoms(logv, basis, s, m, part), yterms, m, log_eps, lows)):
-                eta, gamma = _pairs(part, hit[0])
-                return (int(eta), int(gamma), hit[1]), None
-    if held and (hit := _settle(logv, basis, yterms, s, m, pending, log_eps, lows)):
-        return hit, None
-    worst, low = np.min(lows, axis=0)
-    if t_min < max(_cut(low, k), log_eps):
-        return _batch(logv, basis, yterms, s, m, rows, log_eps, math.inf, delta)
-    return None, float(worst)
+        tightest = [tuple(int(x[i]) for x in blocks)]
+        low = float(_lower(*_atoms(logv, basis, s, m, tightest), yterms, m)[4].min())
+        segments = _segments(*blocks, beta <= max(_cut(low, k), log_eps))
+    lows = []
+    for pack in _packs(segments):
+        if hit := _screen(*_atoms(logv, basis, s, m, pack), yterms, m, log_eps, lows):
+            eta, gamma = _pairs(pack, hit[0])
+            return (int(eta), int(gamma), hit[1]), None
+    return None, float(np.min(lows))
 
 
-def _settle(logv, basis, yterms, s, m, pending, log_eps, lows):
-    """The exact screen on the survivors ``pending``, a list of (eta, gamma)
-    arrays in scan order: the first passing pair as ``(eta, gamma, log b)``,
-    or None after ``_screen`` appends to ``lows``."""
-    eta, gamma = (np.concatenate(x) for x in zip(*pending))
-    hit = _screen(*_gather(logv, basis, s, m, eta, gamma), yterms, m, log_eps, lows)
-    return hit and (int(eta[hit[0]]), int(gamma[hit[0]]), hit[1])
-
-
-# a diagonal shorter than _PACK_ROW pairs joins a pack of consecutive short
-# diagonals holding at most _PACK_PAIRS pairs; a longer one is evaluated alone
+# a run shorter than _PACK_ROW pairs joins a pack of consecutive short runs
+# holding at most _PACK_PAIRS pairs; a longer one is evaluated alone
 _PACK_ROW = 1024
 _PACK_PAIRS = 8192
-# the first stage bounds Q on blocks of this many consecutive gamma of a diagonal
+# the block bound covers this many consecutive gamma of a diagonal
 _BLOCK = 256
 
 
 def _packs(rows):
-    """Split ``rows`` (eta + gamma, first gamma, last gamma), in order, into
-    runs evaluated together: each long diagonal alone, and consecutive short
-    ones grouped while their pairs fit in _PACK_PAIRS."""
+    """Split ``rows`` (eta + gamma, first gamma, last gamma), runs of
+    consecutive gamma on one anti-diagonal each, in order, into groups
+    evaluated together: each long run alone, and consecutive short ones
+    grouped while their pairs fit in _PACK_PAIRS."""
     pack, size = [], 0
     for row in rows:
         n = row[2] - row[1] + 1
         if n >= _PACK_ROW:
-            n = _PACK_PAIRS  # a long diagonal fills a pack on its own
+            n = _PACK_PAIRS  # a long run fills a pack on its own
         if size + n > _PACK_PAIRS:
             yield pack
             pack, size = [], 0
@@ -465,15 +396,15 @@ def _packs(rows):
 
 
 def _size(rows):
-    """The number of pairs on the anti-diagonals ``rows``."""
+    """The number of pairs of ``rows`` (eta + gamma, first gamma, last gamma)."""
     return sum(g_hi - g_lo + 1 for _, g_lo, g_hi in rows)
 
 
 def _pairs(rows, offsets):
-    """(eta, gamma) at ``offsets`` into the pairs of the anti-diagonals
-    ``rows`` (eta + gamma, first gamma, last gamma), laid end to end in
-    (eta + gamma, gamma) order."""
-    if len(rows) == 1:  # a long row is evaluated alone: no table of its pairs
+    """(eta, gamma) at ``offsets`` into the pairs of ``rows`` (eta + gamma,
+    first gamma, last gamma), laid end to end in (eta + gamma, gamma)
+    order."""
+    if len(rows) == 1:  # a long run is evaluated alone: no table of its pairs
         gamma = offsets + rows[0][1]
         return rows[0][0] - gamma, gamma
     eta, gamma = _all_pairs(*np.array(rows).T)
@@ -491,14 +422,15 @@ def _all_pairs(dd, g_lo, g_hi):
 
 
 def _atoms(logv, basis, s, m, rows):
-    """The table entries the closed forms read at each pair of the
-    anti-diagonals ``rows``, laid end to end: log ||e_{eta+j}||_r and
+    """The table entries the closed forms read at each pair of ``rows``,
+    runs of consecutive gamma on an anti-diagonal (eta + gamma, first gamma,
+    last gamma), laid end to end: log ||e_{eta+j}||_r and
     log v_{eta+(m-1)gamma+j} for j = 0..s, log v_{gamma-eta}, log v_{m gamma},
     log ||e_{gamma-eta}||_r and log ||e_gamma||_r.
 
     ``logv`` is the log-weight table and ``basis`` the basis table
     (log ||e_n||_r for n = 0, 1, ...).  Every index is an arithmetic
-    progression in gamma along one diagonal, so a lone row reads strided
+    progression in gamma along one diagonal, so a lone run reads strided
     views; a pack gathers.
     """
     if len(rows) == 1:
@@ -525,22 +457,41 @@ def _gather(logv, basis, s, m, eta, gamma):
 def _blocks(rows):
     """The blocks of the anti-diagonals ``rows`` (eta + gamma, first gamma,
     last gamma), in scan order: _BLOCK consecutive gamma each, the last of a
-    row shorter, as arrays (eta + gamma, first gamma, last gamma), and the
-    number of blocks of each row."""
+    row shorter, as three arrays (eta + gamma, first gamma, last gamma)."""
     dd, g_lo, g_hi = np.array(rows).T
     n = (g_hi - g_lo) // _BLOCK + 1
     ends = np.cumsum(n)
     g1 = np.repeat(g_lo, n) + (np.arange(ends[-1]) - np.repeat(ends - n, n)) * _BLOCK
-    return (np.repeat(dd, n), g1, np.minimum(g1 + (_BLOCK - 1), np.repeat(g_hi, n))), n
+    return np.repeat(dd, n), g1, np.minimum(g1 + (_BLOCK - 1), np.repeat(g_hi, n))
+
+
+def _segments(dd, g1, g2, keep):
+    """The blocks (eta + gamma, first gamma, last gamma) that ``keep`` marks,
+    each run of consecutive ones on an anti-diagonal merged into one
+    segment, in scan order."""
+    i = np.flatnonzero(keep)
+    first = np.ones(len(i), dtype=bool)
+    first[1:] = (np.diff(i) > 1) | (dd[i[1:]] != dd[i[:-1]])
+    last = np.append(first[1:], True)
+    return list(zip(dd[i[first]].tolist(), g1[i[first]].tolist(), g2[i[last]].tolist()))
 
 
 def _block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta):
-    """A lower bound beta - delta on the computed Q (``_bound``) at every pair
-    of each block: anti-diagonal d = ``dd``, gamma = g from g1 to g2.  It reads
-    the tables at the two ends of a block and at one more weight index.
+    """A lower bound beta - delta on the computed ``lower`` (``_lower``) at
+    every pair of each block: anti-diagonal d = ``dd``, gamma = g from g1 to
+    g2.  It reads the tables at the two ends of a block and at one more
+    weight index.
 
-    In ``_bound``'s notation, with c = (m-1)/(2m), F = D_0 / 2 - c H and
-    R_i = D_i - D_0, P = max_j (base_j + R_j) - max_i R_i / 2 + F.  Premises:
+    With a_i = log ||e_{eta+i}||_r and v_i = log v_{eta+(m-1)gamma+i}
+    (i = 0..s), D_i = a_i - v_i, H = log v_{gamma-eta} - log v_{m gamma}
+    - log ||e_{gamma-eta}||_r and base_j the ``yterms``, ``_lower`` takes
+    log b = (max_i D_i / (m-1) + min(B1, B2)) / 2 with B2 = H / m, and
+    min(B1, B2) <= B2 gives, in exact arithmetic,
+
+      lower >= t_j >= P_j = base_j + D_j - max_i D_i / 2 - (m-1)/(2m) H.
+
+    With c = (m-1)/(2m), F = D_0 / 2 - c H and R_i = D_i - D_0,
+    P = max_j P_j = max_j (base_j + R_j) - max_i R_i / 2 + F.  Premises:
     log ||e_n||_r is affine in n (``l1``, ``entire_cauchy``) and log v_n is
     convex in n (``maclane``, ``const``).  Then each R_i, a difference of
     basis entries less log v_{t+i} - log v_t with t = d + (m-2) g, does not
@@ -556,19 +507,28 @@ def _block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta):
 
     where a block of one pair reads g1 for g1 + 1, so its gap is 0.
 
-    Rounding, in units of u S (u = 2^-53, S >= 1 bounding every entry read
-    and every base_j, as for sigma).  The tables lie within E <= 17 u S of
-    sequences that meet the premises: ``core.log_factorial`` is within
-    5 u (n+1) log(n+1) <= 17 u max(1, log n!) of log n!, a ``const`` entry
-    n l within u |n l| of n times the double l, and log ||e_n||_r = n log r
-    within u |n log r|.  These errors move P by at most 4.5 E and beta by
-    at most (8.5 + B) E, where g2 - g1 < B = _BLOCK scales the chord step;
-    beta's own arithmetic, on results of modulus at most (B + 10) S, adds at
-    most 20 (B + 10) u S; and the computed Q is at least
-    P - sigma - (8m + 32) u S, sigma = 32 (m + 4) u S (see ``_bound``).
-    These sum to at most (37 B + 40 m + 581) u S, which ``_delta``,
-    64 (B + m + 18) u S, covers.  The slack that clears a block is many
-    nats, so the generous margin costs nothing.
+    Rounding (N. J. Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3), in units of u S: u = 2^-53, S >= 1 bounds
+    every entry read (a_i, v_i, the three parts of H, log ||e_gamma||_r) and
+    every base_j, and S < 2^1000 keeps every intermediate finite.  An
+    addition or subtraction adds the errors of its operands and u times its
+    own modulus; multiplying by a constant scales the error and adds u times
+    the modulus (and 1.5 u S for a rounded constant such as c); max and min
+    pass on the larger error.  Following ``_lower``'s expressions,
+    |max A| <= 2S/(m-1) with error 4uS/(m-1), |B2| <= 3S/m with error 8uS/m,
+    |log b| <= 1.75 S with error 5.75 uS, |(m-1) log b| <= (m+2)S/2, and
+    each computed t_j, and so the computed ``lower``, is at least the exact
+    t_j less (7.75 m + 4.25) uS <= 8 (m + 1) uS.  The tables lie within
+    E <= 17 u S of sequences that meet the premises: ``core.log_factorial``
+    is within 5 u (n+1) log(n+1) <= 17 u max(1, log n!) of log n!, a
+    ``const`` entry n l within u |n l| of n times the double l, and
+    log ||e_n||_r = n log r within u |n log r|.  These errors move P by at
+    most 4.5 E and beta by at most (8.5 + B) E, where g2 - g1 < B = _BLOCK
+    scales the chord step; and beta's own arithmetic, on results of modulus
+    at most (B + 10) S, adds at most 20 (B + 10) u S.  These sum to at most
+    (37 B + 8 m + 429) u S, which ``_delta``, 64 (B + m + 18) u S, covers.
+    The slack that clears a block is many nats, so the generous margin
+    costs nothing.
     """
     c = (m - 1) / (2 * m)
     ends = []
@@ -583,83 +543,21 @@ def _block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta):
 
 
 def _delta(S, m):
-    """``_block_bound``'s margin for tables and base_j of modulus at most S."""
-    return (_BLOCK + m + 18) * float(S) * (64 * _U)
-
-
-def _bound(basis_j, logv_j, logv_gap, logv_mg, basis_gap, yterms, m, sigma):
-    """The first stage: at each pair, Q = P - sigma as computed, where P is a
-    lower bound on ``_screen``'s ``lower`` that needs no log b.
-
-    In ``_screen``'s notation, with a_i = log ||e_{eta+i}||_r and
-    v_i = log v_{eta+(m-1)gamma+i} (i = 0..s), D_i = a_i - v_i,
-    H = log v_{gamma-eta} - log v_{m gamma} - log ||e_{gamma-eta}||_r and
-    base_j the ``yterms``: log b = (max_i D_i / (m-1) + min(B1, B2)) / 2 with
-    B2 = H / m, so min(B1, B2) <= B2 gives, in exact arithmetic,
-
-      lower >= t_j >= P_j = base_j + D_j - max_i D_i / 2 - (m-1)/(2m) H,
-
-    and P = max_j P_j; for s = 0, P = base + D_0 / 2 - (m-1)/(2m) H.
-
-    Rounding (N. J. Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 3).  Let every operand (a_i, v_i, the three
-    parts of H, log ||e_gamma||_r and base_j) be at most S >= 1 in modulus,
-    and u = 2^-53.  An addition or subtraction of computed values adds
-    their errors and u times its own modulus; multiplying by a constant
-    scales the error and adds u times the modulus (and 1.5 u S here for
-    the rounded constant (m-1)/(2m)); max and min pass on the larger error.
-    Following ``_screen``'s expressions, |max A| <= 2S/(m-1) with error
-    4uS/(m-1), |B2| <= 3S/m with error 8uS/m, |log b| <= 1.75 S with error
-    5.75 uS, |(m-1) log b| <= (m+2)S/2, and each computed t_j is within
-    (7.75 m + 4.25) uS <= 8(m+1) uS of its exact value.  Here, h = (m-1)/(2m)
-    H is within 5.5 uS, h + max D / 2 within 9 uS, D_j + (base_j - sigma)
-    within 6 uS, and Q within 22 uS of the same expression in the rounded
-    operand base_j - sigma, which itself is within 2 uS of the exact one.
-    So the computed Q is at most P - sigma + (8m + 32) uS, and hence at most
-    the computed ``lower``, when sigma >= 8(m + 4) uS.  ``_sigma`` takes
-    (m + 4) S 2^-48 = 32 (m + 4) uS, four times that, which also covers the
-    second-order terms and any underflow; S < 2^1000 keeps every
-    intermediate finite.  For s = 0 this is seven passes over the pairs, and
-    for s = 1 or 2 twelve, against about twenty for ``lower``.
-    """
-    d = [np.subtract(a, v) for a, v in zip(basis_j, logv_j)]
-    h = np.subtract(logv_gap, logv_mg)
-    h -= basis_gap
-    h *= (m - 1) / (2 * m)
-    if len(d) == 1:
-        (q,), (base,) = d, yterms.values()
-        q *= 0.5
-        q += base - sigma
-    else:
-        half = np.maximum(d[0], d[1])
-        for x in d[2:]:
-            np.maximum(half, x, out=half)
-        half *= 0.5
-        h += half
-        q = None
-        for j, base in yterms.items():
-            d[j] += base - sigma
-            q = d[j] if q is None else np.maximum(q, d[j], out=q)
-    q -= h
-    return q
+    """``_block_bound``'s margin for tables and base_j of modulus at most S,
+    or inf when S is inf or NaN (a table holds inf or NaN) or 2^1000 or
+    more, where its rounding analysis does not hold."""
+    return (_BLOCK + m + 18) * float(S) * (64 * _U) if S < 2.0**1000 else math.inf
 
 
 def _extend(table, S, piece):
     """``table`` followed by ``piece``, and the bound S on the moduli raised
-    to cover ``piece``: NaN if it holds NaN, which ``_sigma`` takes as inf.
+    to cover ``piece``: NaN if it holds NaN, which ``_delta`` takes as inf.
     A table of zeros (the basis norms of ``l1``) is a read-only view of one
     zero, so none of its pages is written."""
     S = np.max([S, piece.max(), -piece.min()])
     if piece.any() or table.any():
         return np.concatenate((table, piece)), S
     return np.broadcast_to(0.0, len(table) + len(piece)), S
-
-
-def _sigma(S, m):
-    """``_bound``'s sigma for pairs that read only entries of modulus at most
-    S, or inf when S is inf or NaN (a table holds inf or NaN) or 2^1000 or
-    more."""
-    return (m + 4) * float(S) * (32 * _U) if S < 2.0**1000 else math.inf
 
 
 def _cut(low, k):
@@ -671,8 +569,7 @@ def _cut(low, k):
 def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, log_eps, lows):
     """The first pair, in the order of the atoms from ``_atoms`` or
     ``_gather``, whose max(C1, C3) lies below log eps, as ``(offset, log b)``;
-    without one, None after appending ``(min max(C1, C3), L)`` to ``lows``,
-    L the smallest ``lower`` of the pairs.
+    without one, None after appending min max(C1, C3) to ``lows``.
 
     C1 = logaddexp(log ||q||_r, log ||b e_gamma||_r), where log ||q||_r is a
     logaddexp chain over the k target terms t_j.  Two facts screen the pairs:
@@ -712,7 +609,7 @@ def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, l
     if len(hit):
         i = int(keep[hit[0]])
         return i, float(logb[i])
-    lows.append((worst.min(), low))
+    lows.append(worst.min())
     return None
 
 

@@ -35,6 +35,7 @@ from hyperforge.errors import (
     LeadingFormVanishing,
     SearchExhausted,
     SpaceProductError,
+    WeightError,
     WitnessError,
     search_budget,
 )
@@ -491,9 +492,10 @@ def test_deep_builds_keep_their_bundle_ids(deep_ec):
 
 
 def test_flat_build_keeps_its_bundle_id(cauchy_bundle_l1):
-    # l1/const:2: at m = 2 the first-stage bound is constant along an
-    # anti-diagonal, so the pair scan of this build screens about 300 packs
-    # whole, without the first stage; the id pins the walk through that path
+    # l1/const:2: at m = 2 the block bound is constant along an
+    # anti-diagonal, so the pair scan of this build keeps every block of the
+    # anti-diagonals it keeps and screens them whole; the id pins the walk
+    # through that path
     assert cauchy_bundle_l1.bundle_id == "4928a014eea7762e"
 
 
@@ -781,7 +783,7 @@ def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, label, countin
         seen.add(f"{label} hit")
     else:
         assert got is None and len(lows) == 1, (m, s, label, log_eps)
-        want_min, got_min = worst.min(), lows[0][0]
+        want_min, got_min = worst.min(), lows[0]
         if np.isnan(want_min):
             assert np.isnan(got_min)
             seen.add(f"{label} nan minimum")
@@ -827,9 +829,10 @@ def test_screened_diagonal_matches_the_unscreened_one(kind, monkeypatch):
 
 
 def test_packs_keep_to_their_pair_limit(monkeypatch):
-    # the README entire_cauchy/maclane build: every pack of short diagonals
-    # fits in _PACK_PAIRS, every long diagonal is evaluated alone, and the
-    # packs cover each batch in order
+    # the README entire_cauchy/maclane build, and a table-weight scan that
+    # screens whole rows as the block bound does not apply: every pack of
+    # short runs fits in _PACK_PAIRS, every long run is evaluated alone, and
+    # the packs cover each batch in order
     packs = []
     real_packs = cauchy_mod._packs
 
@@ -842,6 +845,7 @@ def test_packs_keep_to_their_pair_limit(monkeypatch):
     monkeypatch.setattr(cauchy_mod, "_packs", recorded)
     b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
     assert b.bundle_id == "83967ddd36a7f5bb"
+    _scan_pairs(L1, _PHASED_TABLE, FiniteSeq.basis(0), 2, 2, 3, -5000.0, None)
     sizes = [[g_hi - g_lo + 1 for _, g_lo, g_hi in pack] for pack in packs]
     for pack in sizes:
         if len(pack) > 1:
@@ -875,7 +879,7 @@ class _CountingNumpy:
 
 def test_screen_sends_few_pairs_to_logaddexp(monkeypatch):
     # the README entire_cauchy/maclane build: the exact chain runs only on the
-    # pairs the lower bound cannot reject
+    # pairs the lower bound cannot reject (2.1% of the scanned pairs)
     counting = _CountingNumpy()
     scanned = 0
 
@@ -897,13 +901,13 @@ def test_screen_sends_few_pairs_to_logaddexp(monkeypatch):
     b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
     assert b.bundle_id == "83967ddd36a7f5bb"
     assert scanned > 1_000_000
-    assert 0 < counting.elements < 0.01 * scanned, (counting.elements, scanned)
-
+    assert 0 < counting.elements < 0.03 * scanned, (counting.elements, scanned)
 
 
 def test_first_stage_sends_few_pairs_to_the_exact_screen(monkeypatch):
     # the README entire_cauchy/maclane build: the exact lower expressions run
-    # only on the pairs the first stage cannot clear
+    # only on the blocks the block bound cannot clear (4.5% of the scanned
+    # pairs; the early rounds' short rows fit in one block each)
     scanned = reached = 0
     real_scan, real_screen = cauchy_mod._scan_pairs, cauchy_mod._screen
 
@@ -923,13 +927,13 @@ def test_first_stage_sends_few_pairs_to_the_exact_screen(monkeypatch):
     b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
     assert b.bundle_id == "83967ddd36a7f5bb"
     assert scanned > 1_000_000
-    assert 0 < reached < 0.01 * scanned, (reached, scanned)
+    assert 0 < reached < 0.05 * scanned, (reached, scanned)
 
 
 def test_deep_build_peak_memory():
-    # the benchmark's deep Cauchy build: the first stage holds one pack's or
-    # one long diagonal's bound at a time, and only the survivors' atoms
-    # beyond it
+    # the benchmark's deep Cauchy build: the block bound holds one group of
+    # _PACK_PAIRS blocks at a time, and the exact screen one pack or one long
+    # segment
     import tracemalloc
 
     state = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets())
@@ -942,26 +946,40 @@ def test_deep_build_peak_memory():
     assert b.bundle_id == "1ade706ced96c35d"
     assert peak <= 7 << 20, peak / 2**20
 
-# -- the first stage: its bound, and the two stages against the unscreened rows --
+
+def test_table_weight_scan_reads_to_the_end_of_the_table():
+    # a table weight grows its log table a quarter past what a batch reads,
+    # but never past the table's end: at N = 8435 the first batch reads up to
+    # about 17,000 of the 20,000 entries and finds a pair; a batch that reads
+    # past the end still fails as weight_invalid
+    args = (L1, _PHASED_TABLE, FiniteSeq.basis(0), 2, 1)
+    got = _scan_pairs(*args, 8435, 50.0, None)
+    assert got == _scan_pairs_batched(*args, 8435, 50.0, None)
+    with pytest.raises(WeightError) as exc:
+        _scan_pairs(*args, 10_000, 50.0, None)
+    assert exc.value.code == "weight_invalid" and exc.value.details["index"] > len(_PHASED_TABLE.table)
 
 
-def _table_sigma(logv, basis, yterms, m):
-    """``_bound``'s sigma for pairs read from these tables, with S grown piece
-    by piece as the pair scan grows its tables; inf when an entry is inf or
-    NaN."""
+# -- the block bound, and the batch against the unscreened rows -----------------
+
+
+def _table_delta(logv, basis, yterms, m):
+    """``_block_bound``'s margin for pairs read from these tables, with S
+    grown piece by piece as the pair scan grows its tables; inf when an entry
+    is inf or NaN."""
     S = np.max([1.0, *map(abs, yterms.values())])
     for table in (logv, basis):
         grown = np.empty(0)
         for piece in (table[: len(table) // 2], table[len(table) // 2 :]):
             grown, S = cauchy_mod._extend(grown, S, piece)
         assert grown.tobytes() == table.tobytes()
-    return cauchy_mod._sigma(S, m)
+    return cauchy_mod._delta(S, m)
 
 
 def test_first_stage_bound_never_exceeds_lower():
-    # Q = P - sigma as _bound computes it, against lower as _screen computes
-    # it, on lone rows (strided reads; for m = 2 each v_i is one scalar) and
-    # packs (gathered reads)
+    # the block bound on one-pair blocks (g1 = g2, which needs no convexity:
+    # beta is P there) against lower as _screen computes it, on random
+    # tables, at every pair of lone rows and packs
     rng = np.random.default_rng(0)
     seen = set()
     for kind in ("grid", "close", "large"):
@@ -971,15 +989,16 @@ def test_first_stage_bound_never_exceeds_lower():
                     for size in (1, 1, 1, 4):
                         rows = _random_rows(rng, s, size)
                         logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
+                        eta, gamma = cauchy_mod._all_pairs(*np.array(rows).T)
+                        beta = cauchy_mod._block_bound(logv, basis, yterms, s, m, eta + gamma, gamma, gamma,
+                                                       _table_delta(logv, basis, yterms, m))
                         atoms = cauchy_mod._atoms(logv, basis, s, m, rows)
-                        sigma = _table_sigma(logv, basis, yterms, m)
-                        q = cauchy_mod._bound(*atoms[:5], yterms, m, sigma)
                         lower = cauchy_mod._lower(*atoms, yterms, m)[4]
-                        assert np.all(q <= lower), (kind, m, s, k, float(np.max(q - lower)))
+                        assert np.all(beta <= lower), (kind, m, s, k, float(np.max(beta - lower)))
                         _, _, logv_gap, logv_mg, basis_gap, basis_g = atoms
                         b2 = (logv_gap - logv_mg - basis_gap) / m < -basis_g
                         seen.update({f"{kind} B2" if b else f"{kind} B1" for b in b2.tolist()})
-                        if np.any(lower - q <= 1e-6 * np.abs(lower)):
+                        if np.any(lower - beta <= 1e-6 * np.abs(lower)):
                             seen.update({f"{kind} tight", f"tight m={m}", f"tight s={s}"})
     want = {f"{kind} {w}" for kind in ("grid", "large") for w in ("B1", "B2", "tight")}
     want |= {"close B2", "close tight"}  # close tables make B2 the smaller branch
@@ -999,43 +1018,44 @@ def _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps):
     return None, float(np.min(minima))
 
 
-def _whole_after_first_stage(calls):
-    """Whether a recorded ``_batch`` screened rows whole (a ``_screen`` call
-    not made by ``_settle``) after a first-stage ``_bound`` call, before any
-    second evaluation of the batch."""
-    outer = calls[: calls.index("_batch", 1)] if calls.count("_batch") > 1 else calls
-    bound = False
-    for prev, name in zip(outer, outer[1:]):
-        bound = bound or name == "_bound"
-        if bound and name == "_screen" and prev != "_settle":
-            return True
-    return False
+def _assert_batch(got, want, where):
+    """``_batch``'s result against ``_batch_unscreened``'s: the first hit with
+    its log b bits, or the minimum; returns which of the two it was."""
+    if want[0] is None:
+        assert got[0] is None and (got[1] == want[1] or math.isnan(want[1]) and math.isnan(got[1])), where
+        return "minimum"
+    assert got[0][:2] == want[0][:2], where
+    assert np.float64(got[0][2]).tobytes() == np.float64(want[0][2]).tobytes(), where
+    return "hit"
+
+
+def _record_calls(monkeypatch, calls, names):
+    """Record the name of each call to the cauchy functions ``names``."""
+    for name in names:
+        real = getattr(cauchy_mod, name)
+
+        def call(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cauchy_mod, name, call)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
 @pytest.mark.parametrize("kind", ["grid", "close", "large", "inf", "nan"])
 def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
-    # the first passing pair with its log b bits, or the batch minimum, of
-    # _batch (two stages on finite tables, the exact screen alone on inf or
-    # NaN ones) against the unscreened rows; small pack limits also make
-    # more rows long, pack fewer short ones and settle the survivors sooner
+    # _batch without a finite block bound (random tables meet no premise, and
+    # inf or NaN entries make the margin inf) is the exact screen on whole
+    # rows, pack by pack: the first passing pair with its log b bits, or the
+    # batch minimum, against the unscreened rows; small pack limits also make
+    # more rows long and pack fewer short ones.  Blocks of one pair need no
+    # premise, so on finite tables _batch also runs with them and the tables'
+    # margin, where "close" tables keep the C1 terms near each other and the
+    # cut decides the minimum
     rng = np.random.default_rng(["grid", "close", "large", "inf", "nan"].index(kind))
+    monkeypatch.setattr(cauchy_mod, "_BLOCK", 1)
     calls = []
-
-    def recorded(name):
-        real = getattr(cauchy_mod, name)
-
-        def call(*args):
-            calls.append(name)
-            try:
-                return real(*args)
-            finally:
-                calls.append("/" + name)
-
-        monkeypatch.setattr(cauchy_mod, name, call)
-
-    for name in ("_batch", "_bound", "_settle", "_screen"):
-        recorded(name)
+    _record_calls(monkeypatch, calls, ("_block_bound", "_screen"))
     seen = set()
     for pack_row, pack_pairs in ((1024, 8192), (16, 48)):
         monkeypatch.setattr(cauchy_mod, "_PACK_ROW", pack_row)
@@ -1048,32 +1068,46 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
                         logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
                         dd, g_lo, g_hi = rows[int(rng.integers(size))]
                         worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
-                        sigma = _table_sigma(logv, basis, yterms, m)
-                        assert (sigma == math.inf) == (kind in ("inf", "nan"))
+                        delta = _table_delta(logv, basis, yterms, m)
+                        assert (delta == math.inf) == (kind in ("inf", "nan"))
                         for log_eps in _eps_picks(worst):
                             calls.clear()
                             want = _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps)
-                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, sigma, math.inf)
-                            if want[0] is None:
-                                assert got[0] is None and (got[1] == want[1] or math.isnan(want[1])
-                                                           and math.isnan(got[1])), (m, s, k, log_eps)
-                                seen.add("minimum")
-                            else:
-                                assert got[0][:2] == want[0][:2], (m, s, k, log_eps)
-                                assert np.float64(got[0][2]).tobytes() == np.float64(want[0][2]).tobytes()
-                                seen.add("hit")
-                            if calls.count("_batch") > 1:
-                                seen.add("screened again")
-                            if _whole_after_first_stage(calls):
-                                seen.add("whole after the first stage")
-                            if calls.count("_settle") > 1:
-                                seen.add("settled twice")
-                            if kind in ("inf", "nan"):
-                                assert "_bound" not in calls  # no finite bound: the exact screen alone
-    want = {"hit", "minimum"}
-    if kind in ("grid", "large"):
-        want |= {"screened again", "whole after the first stage", "settled twice"}
-    assert want <= seen, want - seen
+                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, math.inf)
+                            seen.add(_assert_batch(got, want, (m, s, k, log_eps)))
+                            assert set(calls) == {"_screen"}  # no finite bound: the exact screen alone
+                            if len(calls) > 1:
+                                seen.add("several packs")
+                            if delta < math.inf:
+                                got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, delta)
+                                seen.add("one-pair blocks " + _assert_batch(got, want, (m, s, k, log_eps)))
+    want = {"hit", "minimum", "several packs"}
+    if kind not in ("inf", "nan"):
+        want |= {"one-pair blocks hit", "one-pair blocks minimum"}
+    assert want <= seen, seen
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
+def test_delta_is_inf_without_finite_tables(monkeypatch):
+    # S inf, NaN or 2^1000 and more leaves no finite margin, and a batch
+    # with that margin reaches only the exact screen, on whole rows
+    assert all(cauchy_mod._delta(S, 2) == math.inf for S in (math.inf, math.nan, 2.0**1000, 1e308))
+    assert cauchy_mod._delta(np.nextafter(2.0**1000, 0), 2) < math.inf
+    calls = []
+    _record_calls(monkeypatch, calls, ("_blocks", "_block_bound", "_screen"))
+    rng = np.random.default_rng(7)
+    for kind in ("inf", "nan"):
+        for m in (2, 3):
+            rows = _random_rows(rng, 1, 5)
+            logv, basis, yterms = _random_tables(rng, m, 1, 2, kind, rows)
+            delta = _table_delta(logv, basis, yterms, m)
+            assert delta == math.inf
+            for log_eps in (-1e300, 1e300):
+                calls.clear()
+                want = _batch_unscreened(logv, basis, yterms, 1, m, rows, log_eps)
+                got = cauchy_mod._batch(logv, basis, yterms, 1, m, rows, log_eps, delta)
+                _assert_batch(got, want, (kind, m, log_eps))
+                assert calls and set(calls) == {"_screen"}
 
 
 # -- the block bound: real tables, where its premises hold -----------------------
@@ -1121,10 +1155,11 @@ def _real_yterms(rng, s, k, m):
     return {j: float(rng.uniform(-8.0, 8.0)) - math.log(m) for j in support}
 
 
-def test_block_bound_never_exceeds_q():
-    # beta - delta against the computed Q at every pair of its block, on real
-    # maclane and const tables, l1 and entire_cauchy bases, indices from a few
-    # hundred up to 2^26, blocks of _BLOCK pairs, shorter ends and one pair
+def test_block_bound_never_exceeds_lower():
+    # beta - delta against the computed lower at every pair of its block, on
+    # real maclane and const tables, l1 and entire_cauchy bases, indices from
+    # a few hundred up to 2^26, blocks of _BLOCK pairs, shorter ends and one
+    # pair
     rng = np.random.default_rng(26)
     seen = set()
     for sid, wname in _BLOCK_CASES:
@@ -1136,21 +1171,20 @@ def test_block_bound_never_exceeds_q():
                     for d_max in (600, 5000, 2**26 // m):
                         rows = _real_rows(rng, s, 2, d_max)
                         yterms = _real_yterms(rng, s, k, m)
-                        (dd, g1, g2), _ = cauchy_mod._blocks(rows)
+                        dd, g1, g2 = cauchy_mod._blocks(rows)
                         ones = rng.integers(g1, g2 + 1)  # a one-pair block inside each
                         dd, g1, g2 = np.concatenate([dd, dd]), np.concatenate([g1, ones]), np.concatenate([g2, ones])
                         top, hi = m * int(g2.max()), int(dd.max()) + s
                         S = _real_S(logv, basis, yterms, top, hi)
                         beta = cauchy_mod._block_bound(logv, basis, yterms, s, m, dd, g1, g2, cauchy_mod._delta(S, m))
                         eta, gamma = cauchy_mod._all_pairs(dd, g1, g2)
-                        atoms = cauchy_mod._gather(logv, basis, s, m, eta, gamma)
-                        q = cauchy_mod._bound(*atoms[:5], yterms, m, cauchy_mod._sigma(S, m))
-                        q_min = np.minimum.reduceat(q, np.cumsum(g2 - g1 + 1) - (g2 - g1 + 1))
-                        assert np.all(beta <= q_min), (sid, wname, m, s, d_max, float(np.max(beta - q_min)))
-                        slack = q_min - beta
+                        lower = cauchy_mod._lower(*cauchy_mod._gather(logv, basis, s, m, eta, gamma), yterms, m)[4]
+                        low_min = np.minimum.reduceat(lower, np.cumsum(g2 - g1 + 1) - (g2 - g1 + 1))
+                        assert np.all(beta <= low_min), (sid, wname, m, s, d_max, float(np.max(beta - low_min)))
+                        slack = low_min - beta
                         if np.any(slack[: len(slack) // 2] < 1.0):
                             seen.add(f"tight block m={m}")
-                        if np.any(slack[len(slack) // 2 :] < 1e-6 * np.abs(q_min[len(slack) // 2 :]) + 1e-9):
+                        if np.any(slack[len(slack) // 2 :] < 1e-6 * np.abs(low_min[len(slack) // 2 :]) + 1e-9):
                             seen.add(f"tight pair {'deep' if d_max > 5000 else 'shallow'}")
                         if np.any(slack > 50.0):
                             seen.add("clears")
@@ -1161,16 +1195,19 @@ def test_block_bound_never_exceeds_q():
 @pytest.mark.parametrize("block", [1, 4, 16, 256])
 def test_block_batch_matches_the_unscreened_rows(block, monkeypatch):
     # _batch with the block bound on real tables against the unscreened rows:
-    # the first passing pair with its log b bits, or the batch minimum
+    # the first passing pair with its log b bits, or the batch minimum; one
+    # log eps is the smallest max(C1, C3) on the block with the smallest
+    # bound, so that no pair of that block passes, while one of an earlier
+    # block may
     monkeypatch.setattr(cauchy_mod, "_BLOCK", block)
-    evaluated = []
-    real_bound = cauchy_mod._bound
+    screened = []
+    real_screen = cauchy_mod._screen
 
-    def bound(*args):
-        evaluated.append(np.size(args[2]))
-        return real_bound(*args)
+    def screen(*args):
+        screened.append(np.size(args[5]))  # log ||e_gamma||_r, one entry per pair
+        return real_screen(*args)
 
-    monkeypatch.setattr(cauchy_mod, "_bound", bound)
+    monkeypatch.setattr(cauchy_mod, "_screen", screen)
     rng = np.random.default_rng(block)
     seen = set()
     for sid, wname in _BLOCK_CASES:
@@ -1183,50 +1220,25 @@ def test_block_batch_matches_the_unscreened_rows(block, monkeypatch):
                         top, hi = m * rows[-1][2], rows[-1][0] + s
                         logv, basis = _real_tables(sid, wname, r, False, top, hi)
                         yterms = _real_yterms(rng, s, k, m)
-                        S = _real_S(logv, basis, yterms, top, hi)
-                        sigma, delta = cauchy_mod._sigma(S, m), cauchy_mod._delta(S, m)
+                        delta = cauchy_mod._delta(_real_S(logv, basis, yterms, top, hi), m)
                         dd, g_lo, g_hi = rows[int(rng.integers(size))]
                         worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
-                        for log_eps in _eps_picks(worst):
-                            evaluated.clear()
+                        blocks = cauchy_mod._blocks(rows)
+                        i = int(cauchy_mod._block_bound(logv, basis, yterms, s, m, *blocks, delta).argmin())
+                        tightest = [int(x[i]) for x in blocks]
+                        in_tightest = float(_diagonal_unscreened(logv, basis, yterms, s, m, *tightest)[0].min())
+                        for log_eps in [*_eps_picks(worst), in_tightest]:
+                            screened.clear()
                             want = _batch_unscreened(logv, basis, yterms, s, m, rows, log_eps)
-                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, sigma, delta)
-                            if want[0] is None:
-                                assert got == want, (sid, wname, m, s, k, log_eps)
-                                seen.add("minimum")
-                            else:
-                                assert got[0][:2] == want[0][:2], (sid, wname, m, s, k, log_eps)
-                                assert np.float64(got[0][2]).tobytes() == np.float64(want[0][2]).tobytes()
-                                seen.add("hit")
-                            if sum(evaluated) < cauchy_mod._size(rows) // 2:
+                            got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, delta)
+                            seen.add(_assert_batch(got, want, (sid, wname, m, s, k, log_eps)))
+                            if sum(screened) < cauchy_mod._size(rows) // 2:
                                 seen.add("blocks cleared")
-    assert seen == {"hit", "minimum", "blocks cleared"}, seen
-
-
-def test_first_stage_evaluates_q_at_few_pairs(monkeypatch):
-    # the README entire_cauchy/maclane build: the block bound leaves Q to be
-    # computed at few pairs; a first stage that reads every pair computes it
-    # at about 97% of them
-    scanned = evaluated = 0
-    real_scan, real_bound = cauchy_mod._scan_pairs, cauchy_mod._bound
-
-    def counted_scan(*args):
-        nonlocal scanned
-        out = real_scan(*args)
-        scanned += out[3]
-        return out
-
-    def counted_bound(*args):
-        nonlocal evaluated
-        evaluated += np.size(args[2])  # log v_{gamma-eta}, one entry per pair
-        return real_bound(*args)
-
-    monkeypatch.setattr(cauchy_mod, "_scan_pairs", counted_scan)
-    monkeypatch.setattr(cauchy_mod, "_bound", counted_bound)
-    b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
-    assert b.bundle_id == "83967ddd36a7f5bb"
-    assert scanned > 1_000_000
-    assert 0 < evaluated < 0.05 * scanned, (evaluated, scanned)
+                            if log_eps == in_tightest and want[0] is not None:
+                                eta, gamma, _ = want[0]
+                                if (eta + gamma, gamma) < (tightest[0], tightest[1]):
+                                    seen.add("hit before the tightest block")
+    assert seen == {"hit", "minimum", "blocks cleared", "hit before the tightest block"}, seen
 
 
 def test_zero_tables_stay_unwritten():
