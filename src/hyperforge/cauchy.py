@@ -29,9 +29,10 @@ log v_n convex in n, P is bounded in turn on blocks of 256 consecutive gamma
 of an anti-diagonal, from the table entries at the block's ends, less a
 rounding margin that keeps the bound at most the computed ``lower`` of every
 pair of the block (``_block_bound``).  Only the blocks whose bound can reach
-the batch's threshold go to the exact screen (``_batch``), which keeps every
-passing pair and the pair holding the batch minimum, so the scan's pairs,
-margins and jumps are those of an unscreened scan.
+the batch's threshold go to the exact screen (``_batch``), in scan order and
+about 8,192 pairs per call, which reads the tables at gathered indices.
+The screen keeps every passing pair and the pair holding the batch minimum,
+so the scan's pairs, margins and jumps are those of an unscreened scan.
 """
 from __future__ import annotations
 
@@ -212,15 +213,17 @@ def _scan_eta_m1(space, w, y, r, N, eps_log) -> int:
     target = eps_log - _LN2  # aim for eps/2, mirroring the two-part split for m >= 2
     terms = [(j, w.v_log(j) + c.log_mag) for j, c in y.items()]
     budget = search_budget()
+    s = y.max_index
     eta = N
     chunk = 1024
     while eta <= N + budget:
-        hi = eta + chunk
-        logv = w.v_log_array(hi + y.max_index, eta)  # log v_n at n = eta, eta + 1, ...
+        # stop at a table's end: only an eta that reads past it raises
+        hi = max(eta + 1, min(eta + chunk, w.max_index - s + 1))
+        logv = w.v_log_array(hi - 1 + s, eta)  # log v_n at n = eta, eta + 1, ...
         acc = None
         es = np.arange(eta, hi)
         for j, base in terms:
-            vals = base - logv[j : j + chunk] + basis_log_array(space, r, es + j)
+            vals = base - logv[j : j + hi - eta] + basis_log_array(space, r, es + j)
             acc = vals if acc is None else np.logaddexp(acc, vals)
         hit = np.nonzero(acc < target)[0]
         if len(hit):
@@ -242,7 +245,8 @@ def _scan_pairs(space, w, y, m, r, N, eps_log, pair_budget=None) -> tuple[int, i
     A batch is evaluated in two steps (see ``_batch``): a certified lower
     bound on whole blocks of each anti-diagonal, read from a few table
     entries per block (``_block_bound``), clears almost every pair, and the
-    exact screen (``_screen``) runs on the blocks it keeps.  The first
+    exact screen (``_screen``) runs on the blocks it keeps, in scan order,
+    in groups of about _PACK_PAIRS pairs.  The first
     passing pair, its log b and the batch minimum of max(C1, C3) are those
     of an unscreened scan, bit for bit, and so are the walk, its margin and
     its jumps.
@@ -327,15 +331,16 @@ def _batch(logv, basis, yterms, s, m, rows, log_eps, delta):
     scan order, whose max(C1, C3) lies below log eps, as ``((eta, gamma,
     log b), None)``; without one, ``(None, min max(C1, C3) over the rows)``.
 
-    The rows are split into blocks of _BLOCK consecutive gamma, and every
-    block is bounded from below, _PACK_PAIRS blocks per call
-    (``_block_bound``, with margin ``delta``).  ``_lower`` on the block with
-    the smallest bound gives the smallest ``lower`` L of its pairs and the
-    threshold T = max(cut(L), log eps) (``_cut``).  The consecutive blocks
-    of a row whose bound is at most T merge into segments, and the exact
-    screen (``_screen``) runs on those, in scan order, pack by pack (see
-    ``_packs``).  Where delta is inf (the block bound's premises fail, or a
-    table holds inf or NaN; see ``_delta``), the segments are the rows.
+    The rows are split into blocks of _BLOCK consecutive gamma (``_blocks``).
+    Where delta is finite, every block is bounded from below, _PACK_PAIRS
+    blocks per call (``_block_bound``, with margin ``delta``); ``_lower`` on
+    the block with the smallest bound gives the smallest ``lower`` L of its
+    pairs and the threshold T = max(cut(L), log eps) (``_cut``), and only
+    the blocks whose bound is at most T are kept.  Where delta is inf (the
+    block bound's premises fail, or a table holds inf or NaN; see
+    ``_delta``), every block is kept.  The exact screen (``_screen``) runs on
+    the kept blocks in scan order, on groups of consecutive ones holding
+    _PACK_PAIRS pairs plus at most one block each.
 
     Both steps keep what they must.  Every pair's computed ``lower`` is at
     least its block's bound.  A passing pair has lower <= max(C1, C3) <
@@ -346,69 +351,38 @@ def _batch(logv, basis, yterms, s, m, rows, log_eps, delta):
     ``lower`` at most that minimum, which is at most the computed
     max(C1, C3) of the pair holding L*, and so at most cut(L*) (see
     ``_screen``): its block is kept, and, by the same argument on the pairs
-    of its call, so is the pair in the exact screen.  So the minimum is
+    of its group, so is the pair in the exact screen.  So the minimum is
     exact.
     """
-    k = len(yterms)
-    segments = rows
+    blocks = _blocks(rows)
     if delta < math.inf:
-        blocks = _blocks(rows)
-        # _PACK_PAIRS blocks per call, so a batch of long rows needs little memory
         beta = np.concatenate([_block_bound(logv, basis, yterms, s, m, *(x[i : i + _PACK_PAIRS] for x in blocks),
                                             delta) for i in range(0, len(blocks[0]), _PACK_PAIRS)])
         i = int(beta.argmin())
-        tightest = [tuple(int(x[i]) for x in blocks)]
-        low = float(_lower(*_atoms(logv, basis, s, m, tightest), yterms, m)[4].min())
-        segments = _segments(*blocks, beta <= max(_cut(low, k), log_eps))
+        tightest = _all_pairs(*(x[i : i + 1] for x in blocks))
+        low = float(_lower(*_gather(logv, basis, s, m, *tightest), yterms, m)[4].min())
+        keep = beta <= max(_cut(low, len(yterms)), log_eps)
+        blocks = [x[keep] for x in blocks]
+    # a group ends at the block that takes the pair count past a multiple of _PACK_PAIRS
+    cuts = np.flatnonzero(np.diff(np.cumsum(blocks[2] - blocks[1] + 1) // _PACK_PAIRS)) + 1
     lows = []
-    for pack in _packs(segments):
-        if hit := _screen(*_atoms(logv, basis, s, m, pack), yterms, m, log_eps, lows):
-            eta, gamma = _pairs(pack, hit[0])
-            return (int(eta), int(gamma), hit[1]), None
+    for group in zip(*(np.split(x, cuts) for x in blocks)):
+        eta, gamma = _all_pairs(*group)
+        if hit := _screen(*_gather(logv, basis, s, m, eta, gamma), yterms, m, log_eps, lows):
+            return (int(eta[hit[0]]), int(gamma[hit[0]]), hit[1]), None
     return None, float(np.min(lows))
 
 
-# a run shorter than _PACK_ROW pairs joins a pack of consecutive short runs
-# holding at most _PACK_PAIRS pairs; a longer one is evaluated alone
-_PACK_ROW = 1024
+# the exact screen reads about this many pairs per call, and the block bound
+# this many blocks
 _PACK_PAIRS = 8192
 # the block bound covers this many consecutive gamma of a diagonal
 _BLOCK = 256
 
 
-def _packs(rows):
-    """Split ``rows`` (eta + gamma, first gamma, last gamma), runs of
-    consecutive gamma on one anti-diagonal each, in order, into groups
-    evaluated together: each long run alone, and consecutive short ones
-    grouped while their pairs fit in _PACK_PAIRS."""
-    pack, size = [], 0
-    for row in rows:
-        n = row[2] - row[1] + 1
-        if n >= _PACK_ROW:
-            n = _PACK_PAIRS  # a long run fills a pack on its own
-        if size + n > _PACK_PAIRS:
-            yield pack
-            pack, size = [], 0
-        pack.append(row)
-        size += n
-    if pack:
-        yield pack
-
-
 def _size(rows):
     """The number of pairs of ``rows`` (eta + gamma, first gamma, last gamma)."""
     return sum(g_hi - g_lo + 1 for _, g_lo, g_hi in rows)
-
-
-def _pairs(rows, offsets):
-    """(eta, gamma) at ``offsets`` into the pairs of ``rows`` (eta + gamma,
-    first gamma, last gamma), laid end to end in (eta + gamma, gamma)
-    order."""
-    if len(rows) == 1:  # a long run is evaluated alone: no table of its pairs
-        gamma = offsets + rows[0][1]
-        return rows[0][0] - gamma, gamma
-    eta, gamma = _all_pairs(*np.array(rows).T)
-    return eta[offsets], gamma[offsets]
 
 
 def _all_pairs(dd, g_lo, g_hi):
@@ -421,37 +395,17 @@ def _all_pairs(dd, g_lo, g_hi):
     return np.repeat(dd, n) - gamma, gamma
 
 
-def _atoms(logv, basis, s, m, rows):
-    """The table entries the closed forms read at each pair of ``rows``,
-    runs of consecutive gamma on an anti-diagonal (eta + gamma, first gamma,
-    last gamma), laid end to end: log ||e_{eta+j}||_r and
-    log v_{eta+(m-1)gamma+j} for j = 0..s, log v_{gamma-eta}, log v_{m gamma},
-    log ||e_{gamma-eta}||_r and log ||e_gamma||_r.
-
-    ``logv`` is the log-weight table and ``basis`` the basis table
-    (log ||e_n||_r for n = 0, 1, ...).  Every index is an arithmetic
-    progression in gamma along one diagonal, so a lone run reads strided
-    views; a pack gathers.
-    """
-    if len(rows) == 1:
-        ((dd, g_lo, g_hi),) = rows
-        n = g_hi - g_lo + 1
-        top = dd + (m - 2) * g_lo  # eta + (m-1) gamma, stride m - 2
-        lo = 2 * g_lo - dd  # gamma - eta, stride 2
-        # eta falls as gamma rises; log v_top is constant along the diagonal when m = 2
-        basis_j = [basis[dd - g_hi + j : dd - g_lo + j + 1][::-1] for j in range(s + 1)]
-        logv_j = [logv[top + j] if m == 2 else logv[top + j :: m - 2][:n] for j in range(s + 1)]
-        return (basis_j, logv_j, logv[lo::2][:n], logv[m * g_lo :: m][:n],
-                basis[lo::2][:n], basis[g_lo : g_hi + 1])
-    return _gather(logv, basis, s, m, *_all_pairs(*np.array(rows).T))
-
-
 def _gather(logv, basis, s, m, eta, gamma):
-    """``_atoms`` at the pairs (eta, gamma) of two index arrays."""
+    """The entries of the log-weight table ``logv`` and the basis table
+    ``basis`` (log ||e_n||_r) that the closed forms read at the pairs (eta,
+    gamma) of two index arrays: log ||e_{eta+j}||_r and
+    log v_{eta+(m-1)gamma+j} for j = 0..s, log v_{gamma-eta}, log v_{m gamma},
+    log ||e_{gamma-eta}||_r and log ||e_gamma||_r.  Indexing, unlike
+    ``take``, does not copy a zero-stride table (``_extend``) whole."""
     top, gap = eta + (m - 1) * gamma, gamma - eta
-    basis_j = [basis.take(eta + j) for j in range(s + 1)]
-    logv_j = [logv.take(top + j) for j in range(s + 1)]
-    return basis_j, logv_j, logv.take(gap), logv.take(m * gamma), basis.take(gap), basis.take(gamma)
+    basis_j = [basis[eta + j] for j in range(s + 1)]
+    logv_j = [logv[top + j] for j in range(s + 1)]
+    return basis_j, logv_j, logv[gap], logv[m * gamma], basis[gap], basis[gamma]
 
 
 def _blocks(rows):
@@ -463,17 +417,6 @@ def _blocks(rows):
     ends = np.cumsum(n)
     g1 = np.repeat(g_lo, n) + (np.arange(ends[-1]) - np.repeat(ends - n, n)) * _BLOCK
     return np.repeat(dd, n), g1, np.minimum(g1 + (_BLOCK - 1), np.repeat(g_hi, n))
-
-
-def _segments(dd, g1, g2, keep):
-    """The blocks (eta + gamma, first gamma, last gamma) that ``keep`` marks,
-    each run of consecutive ones on an anti-diagonal merged into one
-    segment, in scan order."""
-    i = np.flatnonzero(keep)
-    first = np.ones(len(i), dtype=bool)
-    first[1:] = (np.diff(i) > 1) | (dd[i[1:]] != dd[i[:-1]])
-    last = np.append(first[1:], True)
-    return list(zip(dd[i[first]].tolist(), g1[i[first]].tolist(), g2[i[last]].tolist()))
 
 
 def _block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta):
@@ -537,7 +480,7 @@ def _block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta):
         d = [a - v for a, v in zip(basis_j, logv_j)]
         ends.append(([x - d[0] for x in d], d[0] / 2 - c * (logv_gap - logv_mg - basis_gap), logv_mg))
     (r1, f1, mg1), (r2, f2, mg2) = ends
-    gap = mg2 - mg1 - (g2 - g1) * (logv.take(m * np.minimum(g1 + 1, g2)) - mg1)
+    gap = mg2 - mg1 - (g2 - g1) * (logv[m * np.minimum(g1 + 1, g2)] - mg1)
     top = np.max([base + r2[j] for j, base in yterms.items()], axis=0)
     return top - np.max(r1, axis=0) / 2 + np.minimum(f1, f2 - c * gap) - delta
 
@@ -567,9 +510,9 @@ def _cut(low, k):
 
 
 def _screen(basis_j, logv_j, logv_gap, logv_mg, basis_gap, basis_g, yterms, m, log_eps, lows):
-    """The first pair, in the order of the atoms from ``_atoms`` or
-    ``_gather``, whose max(C1, C3) lies below log eps, as ``(offset, log b)``;
-    without one, None after appending min max(C1, C3) to ``lows``.
+    """The first pair, in the order of the atoms from ``_gather``, whose
+    max(C1, C3) lies below log eps, as ``(offset, log b)``; without one,
+    None after appending min max(C1, C3) to ``lows``.
 
     C1 = logaddexp(log ||q||_r, log ||b e_gamma||_r), where log ||q||_r is a
     logaddexp chain over the k target terms t_j.  Two facts screen the pairs:

@@ -494,8 +494,8 @@ def test_deep_builds_keep_their_bundle_ids(deep_ec):
 def test_flat_build_keeps_its_bundle_id(cauchy_bundle_l1):
     # l1/const:2: at m = 2 the block bound is constant along an
     # anti-diagonal, so the pair scan of this build keeps every block of the
-    # anti-diagonals it keeps and screens them whole; the id pins the walk
-    # through that path
+    # anti-diagonals it keeps and screens them all, about _PACK_PAIRS pairs
+    # per call; the id pins the walk through that path
     assert cauchy_bundle_l1.bundle_id == "4928a014eea7762e"
 
 
@@ -749,28 +749,23 @@ def _random_tables(rng, m, s, k, kind, rows):
     return logv, basis, yterms
 
 
-def _random_diagonal(rng, m, s, k, kind):
-    """Tables and one anti-diagonal."""
-    rows = _random_rows(rng, s, 1)
-    return (*_random_tables(rng, m, s, k, kind, rows), *rows[0])
-
-
 def _first_hit(worst, log_eps):
     hit = np.nonzero(worst < log_eps)[0]
     return int(hit[0]) if len(hit) else None
 
 
-def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, label, counting):
-    """The exact screen over the atoms of the rows, alone or packed, against
+def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, counting):
+    """The exact screen over the gathered atoms of the rows against
     ``_diagonal_unscreened`` on the rows laid end to end: the first hit with
     the log b bytes at it, else the minimum.  ``counting`` counts the pairs
     that reach the logaddexp chain."""
     unscreened = [_diagonal_unscreened(logv, basis, yterms, s, m, *row) for row in rows]
     worst, logb = (np.concatenate(x) for x in zip(*unscreened))
+    atoms = cauchy_mod._gather(logv, basis, s, m, *cauchy_mod._all_pairs(*np.array(rows).T))
     lows = []
     counting.elements, counting.active = 0, True
     try:
-        got = cauchy_mod._screen(*cauchy_mod._atoms(logv, basis, s, m, rows), yterms, m, log_eps, lows)
+        got = cauchy_mod._screen(*atoms, yterms, m, log_eps, lows)
     finally:
         counting.active = False
     reached = counting.elements // len(yterms)  # the chain and C1 take k logaddexp steps
@@ -778,19 +773,19 @@ def _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, label, countin
         assert reached == len(worst)
     hit = _first_hit(worst, log_eps)
     if hit is not None:
-        assert got is not None and got[0] == hit, (m, s, label, log_eps)
+        assert got is not None and got[0] == hit, (m, s, len(rows), log_eps)
         assert np.float64(got[1]).tobytes() == logb[hit].tobytes()
-        seen.add(f"{label} hit")
+        seen.add("hit")
     else:
-        assert got is None and len(lows) == 1, (m, s, label, log_eps)
+        assert got is None and len(lows) == 1, (m, s, len(rows), log_eps)
         want_min, got_min = worst.min(), lows[0]
         if np.isnan(want_min):
             assert np.isnan(got_min)
-            seen.add(f"{label} nan minimum")
+            seen.add("nan minimum")
         else:
-            assert got_min == want_min, (m, s, label, log_eps)
+            assert got_min == want_min, (m, s, len(rows), log_eps)
     if reached < len(worst):
-        seen.add(f"{label} screened")
+        seen.add("screened")
 
 
 def _eps_picks(worst):
@@ -802,8 +797,9 @@ def _eps_picks(worst):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
 @pytest.mark.parametrize("kind", ["grid", "close", "inf", "nan"])
 def test_screened_diagonal_matches_the_unscreened_one(kind, monkeypatch):
-    # each diagonal alone (strided reads), then packs of 2-8 diagonals on
-    # shared tables (gathered reads, one cut per call)
+    # one diagonal, then 2-8 diagonals on shared tables, read at gathered
+    # indices with one cut per call; at m = 2, log v_{eta+(m-1)gamma} is
+    # constant along a diagonal
     rng = np.random.default_rng(["grid", "close", "inf", "nan"].index(kind))
     counting = _CountingNumpy()
     monkeypatch.setattr(cauchy_mod, "np", counting)
@@ -811,53 +807,86 @@ def test_screened_diagonal_matches_the_unscreened_one(kind, monkeypatch):
     for m in (2, 3, 4):
         for s in (0, 1, 2):
             for k in range(1, min(3, s + 1) + 1):
-                for _ in range(12):
-                    logv, basis, yterms, dd, g_lo, g_hi = _random_diagonal(rng, m, s, k, kind)
-                    worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
-                    for log_eps in _eps_picks(worst):
-                        _check_screen(logv, basis, yterms, s, m, [(dd, g_lo, g_hi)], log_eps, seen, "row",
-                                      counting)
-                for size in range(2, 9):
+                for size in [1] * 12 + list(range(2, 9)):
                     rows = _random_rows(rng, s, size)
                     logv, basis, yterms = _random_tables(rng, m, s, k, kind, rows)
                     dd, g_lo, g_hi = rows[int(rng.integers(size))]
                     worst, _ = _diagonal_unscreened(logv, basis, yterms, s, m, dd, g_lo, g_hi)
                     for log_eps in _eps_picks(worst):
-                        _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, "pack", counting)
+                        _check_screen(logv, basis, yterms, s, m, rows, log_eps, seen, counting)
     want = {"hit", "nan minimum"} if kind == "nan" else {"hit", "screened"}
-    assert {f"{label} {w}" for label in ("row", "pack") for w in want} <= seen, seen
+    assert want <= seen, seen
 
 
-def test_packs_keep_to_their_pair_limit(monkeypatch):
-    # the README entire_cauchy/maclane build, and a table-weight scan that
-    # screens whole rows as the block bound does not apply: every pack of
-    # short runs fits in _PACK_PAIRS, every long run is evaluated alone, and
-    # the packs cover each batch in order
-    packs = []
-    real_packs = cauchy_mod._packs
+def _kept_pairs(logv, basis, yterms, s, m, rows, log_eps, delta):
+    """(eta, gamma) at every pair of the blocks of ``rows`` that ``_batch``
+    must keep: every block without a finite margin, else those whose bound
+    is at most max(cut(L), log eps), L the smallest ``lower`` of the block
+    with the smallest bound."""
+    dd, g1, g2 = cauchy_mod._blocks(rows)
+    if delta < math.inf:
+        beta = cauchy_mod._block_bound(logv, basis, yterms, s, m, dd, g1, g2, delta)
+        i = int(beta.argmin())
+        atoms = cauchy_mod._gather(logv, basis, s, m, *cauchy_mod._all_pairs(dd[i : i + 1], g1[i : i + 1],
+                                                                             g2[i : i + 1]))
+        low = float(cauchy_mod._lower(*atoms, yterms, m)[4].min())
+        keep = beta <= max(cauchy_mod._cut(low, len(yterms)), log_eps)
+        dd, g1, g2 = dd[keep], g1[keep], g2[keep]
+    return cauchy_mod._all_pairs(dd, g1, g2)
 
-    def recorded(rows):
-        out = list(real_packs(rows))
-        assert [row for pack in out for row in pack] == list(rows)
-        packs.extend(out)
+
+def test_screen_groups_cover_the_kept_blocks(monkeypatch):
+    # the README entire_cauchy/maclane build, where the block bound clears
+    # blocks, and a table-weight scan, where every block is kept: each
+    # _screen call holds at most _PACK_PAIRS pairs plus one block less a
+    # pair, and a batch's calls read its kept blocks in scan order, all of
+    # them or, on a hit, up to the group holding it.  The scan's batches
+    # without a hit fit in one call, so it also runs with a smaller pair
+    # limit, which leaves its result as it was
+    table_scan = (L1, _PHASED_TABLE, FiniteSeq.basis(0), 2, 2, 3, -5000.0, None)
+    table_hit = _scan_pairs(*table_scan)
+    real_batch, real_all_pairs, real_screen = cauchy_mod._batch, cauchy_mod._all_pairs, cauchy_mod._screen
+    events = []
+    seen = set()
+
+    def all_pairs(*args):
+        out = real_all_pairs(*args)
+        events.append(out)
         return out
 
-    monkeypatch.setattr(cauchy_mod, "_packs", recorded)
+    def screen(*args):
+        events.append(np.size(args[5]))  # log ||e_gamma||_r, one entry per pair
+        return real_screen(*args)
+
+    def batch(logv, basis, yterms, s, m, rows, log_eps, delta):
+        want = _kept_pairs(logv, basis, yterms, s, m, rows, log_eps, delta)
+        events.clear()
+        out = real_batch(logv, basis, yterms, s, m, rows, log_eps, delta)
+        # each _screen call reads the pairs of the _all_pairs call before it
+        groups = [events[i - 1] for i, n in enumerate(events) if isinstance(n, int)]
+        assert [len(g[0]) for g in groups] == [n for n in events if isinstance(n, int)]
+        assert max(len(g[0]) for g in groups) <= cauchy_mod._PACK_PAIRS + cauchy_mod._BLOCK - 1
+        eta, gamma = (np.concatenate(x) for x in zip(*groups))
+        if out[0] is None:
+            assert eta.tolist() == want[0].tolist() and gamma.tolist() == want[1].tolist()
+        else:
+            assert eta.tolist() == want[0][: len(eta)].tolist() and gamma.tolist() == want[1][: len(eta)].tolist()
+            assert out[0][:2] in zip(groups[-1][0].tolist(), groups[-1][1].tolist())
+        seen.add("several calls" if len(groups) > 1 else "one call")
+        if len(want[0]) < cauchy_mod._size(rows):
+            seen.add("blocks cleared")
+        return out
+
+    monkeypatch.setattr(cauchy_mod, "_batch", batch)
+    monkeypatch.setattr(cauchy_mod, "_all_pairs", all_pairs)
+    monkeypatch.setattr(cauchy_mod, "_screen", screen)
     b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
     assert b.bundle_id == "83967ddd36a7f5bb"
-    _scan_pairs(L1, _PHASED_TABLE, FiniteSeq.basis(0), 2, 2, 3, -5000.0, None)
-    sizes = [[g_hi - g_lo + 1 for _, g_lo, g_hi in pack] for pack in packs]
-    for pack in sizes:
-        if len(pack) > 1:
-            assert sum(pack) <= cauchy_mod._PACK_PAIRS and max(pack) < cauchy_mod._PACK_ROW
-    assert any(len(p) > 1 for p in sizes) and any(p[0] >= cauchy_mod._PACK_ROW for p in sizes)
-    # a long limit of short rows still splits
-    rows = [(2 * n, n, 2 * n - 1) for n in range(1, 200)] * 3
-    got = list(real_packs(rows))
-    assert [row for pack in got for row in pack] == rows
-    for pack in got:
-        n = [g_hi - g_lo + 1 for _, g_lo, g_hi in pack]
-        assert len(n) == 1 or (sum(n) <= cauchy_mod._PACK_PAIRS and max(n) < cauchy_mod._PACK_ROW)
+    assert "blocks cleared" in seen
+    assert _scan_pairs(*table_scan) == table_hit
+    monkeypatch.setattr(cauchy_mod, "_PACK_PAIRS", 512)
+    assert _scan_pairs(*table_scan) == table_hit
+    assert seen == {"one call", "several calls", "blocks cleared"}, seen
 
 
 class _CountingNumpy:
@@ -932,8 +961,8 @@ def test_first_stage_sends_few_pairs_to_the_exact_screen(monkeypatch):
 
 def test_deep_build_peak_memory():
     # the benchmark's deep Cauchy build: the block bound holds one group of
-    # _PACK_PAIRS blocks at a time, and the exact screen one pack or one long
-    # segment
+    # _PACK_PAIRS blocks at a time, and the exact screen one group of about
+    # _PACK_PAIRS pairs
     import tracemalloc
 
     state = CauchyState(EC, WeightSpec.parse("maclane"), standard_targets())
@@ -960,6 +989,41 @@ def test_table_weight_scan_reads_to_the_end_of_the_table():
     assert exc.value.code == "weight_invalid" and exc.value.details["index"] > len(_PHASED_TABLE.table)
 
 
+@pytest.mark.parametrize("length,N", [(20_000, 0), (20_000, 17_000), (19_000, 0)])
+def test_degree_one_scan_reads_to_the_end_of_the_table(length, N):
+    # v_n = 2^n: -log v_eta first drops below log eps - log 2 = -19000.5 log 2
+    # at eta = 19001, inside a 20,000-entry table whatever chunk the scan
+    # reads it in; a 19,000-entry table ends before it
+    w = WeightSpec("table", table=[2.0] * length)
+    args = (L1, w, FiniteSeq.basis(0), 1, N, -18999.5 * math.log(2))
+    if length > 19_001:
+        assert cauchy_mod._scan_eta_m1(*args) == 19_001
+    else:
+        with pytest.raises(WeightError) as exc:
+            cauchy_mod._scan_eta_m1(*args)
+        assert exc.value.code == "weight_invalid" and exc.value.details["index"] == 19_001
+
+
+def test_gather_reads_a_zero_table_without_copying_it():
+    # the l1 basis table grows as a zero-stride view (``_extend``); reading
+    # 8,192 pairs' atoms from a 2^22-entry one allocates the atoms, not a
+    # contiguous copy of the view's 32 MB
+    import tracemalloc
+
+    zeros, _ = cauchy_mod._extend(np.empty(0), 1.0, np.zeros(1 << 22))
+    assert zeros.strides == (0,)
+    d = 3 << 20
+    eta, gamma = cauchy_mod._all_pairs(np.array([d]), np.array([d // 2 + 1]), np.array([d // 2 + 8192]))
+    tracemalloc.start()
+    try:
+        atoms = cauchy_mod._gather(zeros, zeros, 0, 2, eta, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.size(atoms[5]) == 8192 and not any(np.any(x) for x in (*atoms[0], *atoms[1], *atoms[2:]))
+    assert peak < 1 << 20, peak / 2**20
+
+
 # -- the block bound, and the batch against the unscreened rows -----------------
 
 
@@ -979,7 +1043,7 @@ def _table_delta(logv, basis, yterms, m):
 def test_first_stage_bound_never_exceeds_lower():
     # the block bound on one-pair blocks (g1 = g2, which needs no convexity:
     # beta is P there) against lower as _screen computes it, on random
-    # tables, at every pair of lone rows and packs
+    # tables, at every pair of one or several rows
     rng = np.random.default_rng(0)
     seen = set()
     for kind in ("grid", "close", "large"):
@@ -992,7 +1056,7 @@ def test_first_stage_bound_never_exceeds_lower():
                         eta, gamma = cauchy_mod._all_pairs(*np.array(rows).T)
                         beta = cauchy_mod._block_bound(logv, basis, yterms, s, m, eta + gamma, gamma, gamma,
                                                        _table_delta(logv, basis, yterms, m))
-                        atoms = cauchy_mod._atoms(logv, basis, s, m, rows)
+                        atoms = cauchy_mod._gather(logv, basis, s, m, eta, gamma)
                         lower = cauchy_mod._lower(*atoms, yterms, m)[4]
                         assert np.all(beta <= lower), (kind, m, s, k, float(np.max(beta - lower)))
                         _, _, logv_gap, logv_mg, basis_gap, basis_g = atoms
@@ -1045,20 +1109,19 @@ def _record_calls(monkeypatch, calls, names):
 @pytest.mark.parametrize("kind", ["grid", "close", "large", "inf", "nan"])
 def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
     # _batch without a finite block bound (random tables meet no premise, and
-    # inf or NaN entries make the margin inf) is the exact screen on whole
-    # rows, pack by pack: the first passing pair with its log b bits, or the
-    # batch minimum, against the unscreened rows; small pack limits also make
-    # more rows long and pack fewer short ones.  Blocks of one pair need no
-    # premise, so on finite tables _batch also runs with them and the tables'
-    # margin, where "close" tables keep the C1 terms near each other and the
-    # cut decides the minimum
+    # inf or NaN entries make the margin inf) is the exact screen on every
+    # block, group by group: the first passing pair with its log b bits, or
+    # the batch minimum, against the unscreened rows; a small pair limit
+    # makes groups end inside rows.  Blocks of one pair need no premise, so
+    # on finite tables _batch also runs with them and the tables' margin,
+    # where "close" tables keep the C1 terms near each other and the cut
+    # decides the minimum
     rng = np.random.default_rng(["grid", "close", "large", "inf", "nan"].index(kind))
     monkeypatch.setattr(cauchy_mod, "_BLOCK", 1)
     calls = []
     _record_calls(monkeypatch, calls, ("_block_bound", "_screen"))
     seen = set()
-    for pack_row, pack_pairs in ((1024, 8192), (16, 48)):
-        monkeypatch.setattr(cauchy_mod, "_PACK_ROW", pack_row)
+    for pack_pairs in (8192, 48):
         monkeypatch.setattr(cauchy_mod, "_PACK_PAIRS", pack_pairs)
         for m in (2, 3, 4):
             for s in (0, 1, 2):
@@ -1077,11 +1140,11 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
                             seen.add(_assert_batch(got, want, (m, s, k, log_eps)))
                             assert set(calls) == {"_screen"}  # no finite bound: the exact screen alone
                             if len(calls) > 1:
-                                seen.add("several packs")
+                                seen.add("several groups")
                             if delta < math.inf:
                                 got = cauchy_mod._batch(logv, basis, yterms, s, m, rows, log_eps, delta)
                                 seen.add("one-pair blocks " + _assert_batch(got, want, (m, s, k, log_eps)))
-    want = {"hit", "minimum", "several packs"}
+    want = {"hit", "minimum", "several groups"}
     if kind not in ("inf", "nan"):
         want |= {"one-pair blocks hit", "one-pair blocks minimum"}
     assert want <= seen, seen
@@ -1090,11 +1153,11 @@ def test_two_stage_batch_matches_the_unscreened_rows(kind, monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the tables
 def test_delta_is_inf_without_finite_tables(monkeypatch):
     # S inf, NaN or 2^1000 and more leaves no finite margin, and a batch
-    # with that margin reaches only the exact screen, on whole rows
+    # with that margin bounds no block and reaches only the exact screen
     assert all(cauchy_mod._delta(S, 2) == math.inf for S in (math.inf, math.nan, 2.0**1000, 1e308))
     assert cauchy_mod._delta(np.nextafter(2.0**1000, 0), 2) < math.inf
     calls = []
-    _record_calls(monkeypatch, calls, ("_blocks", "_block_bound", "_screen"))
+    _record_calls(monkeypatch, calls, ("_block_bound", "_screen"))
     rng = np.random.default_rng(7)
     for kind in ("inf", "nan"):
         for m in (2, 3):
@@ -1114,13 +1177,13 @@ def test_delta_is_inf_without_finite_tables(monkeypatch):
 
 
 class _Lazy:
-    """A table read only through ``take``, computed at the indices asked for,
+    """A table read only at index arrays, computed at the indices asked for,
     so that real tables can be read far past what fits in memory."""
 
     def __init__(self, at):
         self.at = at
 
-    def take(self, idx):
+    def __getitem__(self, idx):
         return self.at(np.asarray(idx))
 
 
@@ -1138,7 +1201,7 @@ def _real_tables(sid, wname, r, lazy, top=None, hi=None):
 
 def _real_S(logv, basis, yterms, top, hi):
     """S for these monotone tables: the largest modulus sits at an end."""
-    ends = [*logv.take([0, top]), *basis.take([0, hi])]
+    ends = [*logv[np.array([0, top])], *basis[np.array([0, hi])]]
     return max(1.0, *map(abs, yterms.values()), *map(abs, ends))
 
 
