@@ -5,6 +5,7 @@ log-polar implementation path, so agreement is meaningful.
 """
 from __future__ import annotations
 
+import cmath
 import random
 
 import pytest
@@ -104,6 +105,23 @@ PHASED_TARGETS_JSON = [
                 [1, -0.08644047343811254, 0.9962570173162119]]},
     {"coeffs": [[2, -0.9994928434703693, -0.03184424361664005]]},
 ]
+
+
+def seeded_targets_json(seed: int) -> list[dict]:
+    """The README targets as the benchmark's seed turns them: each by its own
+    unit phase, drawn in turn from random.Random(seed); seed 0 leaves them."""
+    if seed == 0:
+        return [dict(t) for t in TARGETS_JSON]
+    rng = random.Random(seed)
+    out = []
+    for target in TARGETS_JSON:
+        turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * cmath.pi))
+        coeffs = []
+        for n, re, im in target["coeffs"]:
+            z = complex(re, im) * turn
+            coeffs.append([n, z.real, z.imag])
+        out.append({"coeffs": coeffs})
+    return out
 
 
 def standard_targets() -> list[FiniteSeq]:

@@ -41,7 +41,7 @@ from hyperforge.errors import (
 )
 from hyperforge.spaces import basis_log_array
 
-from conftest import PHASED_TARGETS_JSON, from_dict, rand_seq, standard_targets
+from conftest import PHASED_TARGETS_JSON, from_dict, rand_seq, seeded_targets_json, standard_targets
 
 L1 = space("l1")
 EC = space("entire_cauchy")
@@ -517,6 +517,23 @@ def test_loaded_deep_bundles_keep_their_bytes(algebrable, bundle_id):
     assert loaded.dumps() == built.dumps()
     assert loaded.bundle_id == bundle_id and loaded.to_json() == built.to_json()
     assert revalidate_bundle(loaded).passed
+
+
+def test_seeded_targets_are_the_phased_ones():
+    assert seeded_targets_json(1) == PHASED_TARGETS_JSON
+
+
+@pytest.mark.parametrize("seed,single,k2", [
+    (2, "a40482df1b3166db", "5686e82c90685b5b"),
+    (3, "25af5bc33a3c0999", "16f1de172f8d3c90"),
+])
+def test_seeded_deep_builds_keep_their_bundle_ids(seed, single, k2):
+    # the benchmark's deep builds at seeds 2 and 3, beside seed 0
+    # (test_deep_builds_keep_their_bundle_ids) and seed 1 (above)
+    targets = [FiniteSeq.from_json(t) for t in seeded_targets_json(seed)]
+    assert build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), targets), 10).bundle_id == single
+    st = CauchyState(EC, WeightSpec.parse("maclane"), targets, algebrable=True, K=2)
+    assert build_algebrable_cauchy(st, 10).bundle_id == k2
 
 
 # -- the pair scan against its concatenated-batch form ---------------------------

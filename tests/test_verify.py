@@ -470,9 +470,10 @@ EC = space("entire_cauchy")
 MACLANE = WeightSpec.parse("maclane")
 
 
-# the four README-session builds and a Cauchy build on phased targets, some
+# the four README-session builds, a Cauchy build on phased targets, some
 # of whose coefficients are stored in log form because their [re, im] pair
-# would not decode back to them
+# would not decode back to them, and the benchmark's two deep Cauchy builds,
+# whose x^4 and D4/F4 revalidation are the largest the tests form
 REPORT_BUNDLES = {
     "g": lambda: build_generator(CoordState(L1, W2, standard_targets()), 12),
     "g3": lambda: build_algebrable(CoordState(L1, W2, standard_targets(), K=3), 12),
@@ -482,6 +483,10 @@ REPORT_BUNDLES = {
     ),
     "phased": lambda: build_generator_cauchy(CauchyState(
         EC, MACLANE, [FiniteSeq.from_json(t) for t in PHASED_TARGETS_JSON]), 6),
+    "deep_c": lambda: build_generator_cauchy(CauchyState(EC, MACLANE, standard_targets()), 10),
+    "deep_c2": lambda: build_algebrable_cauchy(
+        CauchyState(EC, MACLANE, standard_targets(), algebrable=True, K=2), 10
+    ),
 }
 
 # the reports each bundle admits, besides the power reports j = 1..4 and
@@ -492,6 +497,8 @@ REPORT_KINDS = {
     "c": ["element:x1^2 + x1", "expansion:x1^2 + x1"],
     "ca": ["element:x1*x2 + x1", "expansion:x1*x2 + x1", "witness"],
     "phased": ["element:x1^2 + x1", "expansion:x1^2 + x1"],
+    "deep_c": ["element:x1^3 + 0.5*x1", "expansion:x1^2 + x1"],
+    "deep_c2": ["element:x1*x2 + x1"],
 }
 
 
@@ -568,6 +575,23 @@ REPORT_DIGESTS = {
         "element:x1^2 + x1": "ed7ecad415945b91",
         "expansion:x1^2 + x1": "fb1dfe314648b8b4",
         "certificates": "7b63556adb50d8bf",
+    },
+    "deep_c": {
+        "power:1": "77f7f3f58c1d937d",
+        "power:2": "a257b3766b24d885",
+        "power:3": "9bcfa9db88bbb7b4",
+        "power:4": "4351e264f3d894d6",
+        "element:x1^3 + 0.5*x1": "63db0cc37b8ce421",
+        "expansion:x1^2 + x1": "3d358f55326b46f1",
+        "certificates": "68929d79d909814d",
+    },
+    "deep_c2": {
+        "power:1": "c4fa816b671ee78e",
+        "power:2": "a2abad2a2b154aaf",
+        "power:3": "aca6db5b34347bd1",
+        "power:4": "cbdc41717b4daf58",
+        "element:x1*x2 + x1": "37b06975b6ea7abb",
+        "certificates": "b9f4bcd10c504666",
     },
 }
 
