@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +47,13 @@ from .core import (
     _U,
     NEG_INF,
     FiniteSeq,
+    SeqBatch,
     WeightSpec,
     WideComplex,
-    backward_iterate,
+    _cat,
     cauchy_monomials,
-    cauchy_power,
     cauchy_product,
+    convolve,
     root_power_block,
 )
 from .criteria import (
@@ -69,7 +71,7 @@ from .errors import (
     small_budget,
 )
 from .schedule import LambdaMatrix, PairOrder, TargetSchedule, TripleOrder
-from .spaces import SpaceSpec, basis_log_array, seminorm_eval
+from .spaces import SpaceSpec, basis_log_array, shift_norms
 
 _LN2 = math.log(2.0)
 _C2_TOL = 1e-12
@@ -84,18 +86,11 @@ def enumerate_multi_indices(mu: int, t: int) -> list[tuple[int, ...]]:
     """All alpha in N_0^t with |alpha| = mu and alpha_t > 0, lexicographic."""
     if mu < 1 or t < 1:
         raise ValueError("multi-index sets need mu >= 1 and t >= 1")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            if remaining >= 1:
-                out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), mu, t)
-    return out
+    # the first t - 1 entries with their sum, which stays below mu, in lexicographic order
+    heads = [((), 0)]
+    for _ in range(t - 1):
+        heads = [(head + (v,), total + v) for head, total in heads for v in range(mu - total)]
+    return [head + (mu - total,) for head, total in heads]
 
 
 def multi_index_count(mu: int, t: int) -> int:
@@ -633,14 +628,14 @@ def block_checks(space, w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq, 
     both certify through this function.
     """
     shift = eta + (m - 1) * gamma
-    c3 = backward_iterate(w, FiniteSeq.basis(m * gamma, b.powi(m)), shift)
+    c1, c3 = shift_norms(space, rho, w, SeqBatch.of([block, FiniteSeq.basis(m * gamma, b.powi(m))]), [0, shift])
     lhs = cauchy_product(q_part, FiniteSeq.basis((m - 1) * gamma, b.powi(m - 1))).scale(
         WideComplex.from_complex(m)
     )
     res = lhs.rel_distance(root_power_block(w, y, shift, 1))
     return {
-        "C1": Cert.less(seminorm_eval(space, rho, block), eps_log2),
-        "C3": Cert.less(seminorm_eval(space, rho, c3), eps_log2),
+        "C1": Cert.less(c1, eps_log2),
+        "C3": Cert.less(c3, eps_log2),
         "C2_residual": Cert(value=res, bound=_C2_TOL, passed=res <= _C2_TOL, op="le"),
     }
 
@@ -768,40 +763,102 @@ def _structural_d2(rounds_prefix: list[CauchyRound], r: int, m: int, gamma: int,
     return Cert(value=float(worst), bound=float(a_r), passed=worst < a_r, op="lt")
 
 
-def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str) -> float:
+class D4Context:
+    """What D4/F4 of round r reads of the rounds before it, built once per
+    round however many blocks the round tries.
+
+    It holds the products prod_{i<r} p_i^{alpha_i} of the earlier blocks
+    p_i, from one ``cauchy_monomials`` batch, each formed once, so that
+    P^alpha is that product times p_r^{alpha_r}; and, for each earlier round
+    t in turn, one item per alpha of I_{mu,r} with mu <= m_t, in the order
+    D4 walks them: where P^alpha lies among p_r^1, ..., p_r^top and the
+    mixed products (``items``), the shift a_t, log multinomial(mu, alpha),
+    and the (t, mu) sum it joins (``chain``) at which step (``link``).
+    """
+
+    def __init__(self, rounds_prefix, r: int):
+        before = rounds_prefix[: r - 1]
+        self.top = max(rd.m for rd in before)
+        by_degree = [enumerate_multi_indices(mu, r) for mu in range(1, self.top + 1)]
+        alphas = [alpha for mu_set in by_degree for alpha in mu_set]
+        heads = list(dict.fromkeys(alpha[:-1] for alpha in alphas if any(alpha[:-1])))
+        head_at = {head: i for i, head in enumerate(heads)}
+        mixed = [i for i, alpha in enumerate(alphas) if any(alpha[:-1])]
+        # the earlier product of each mixed alpha, and the power of p_r it takes
+        self.earlier = cauchy_monomials([rd.block for rd in before], heads).take(
+            np.array([head_at[alphas[i][:-1]] for i in mixed], dtype=np.intp))
+        self.tails = np.array([alphas[i][-1] - 1 for i in mixed], dtype=np.intp)
+        rank = dict(zip(mixed, range(self.top, self.top + len(mixed))))
+        where = [rank.get(i, alpha[-1] - 1) for i, alpha in enumerate(alphas)]
+        self._alphas = alphas
+        self.items, self.shifts, self.upto, self.chain, self.link = [], [], [], [], []
+        self.chains = 0
+        for rd in before:
+            n = sum(map(len, by_degree[: rd.m]))
+            self.items += where[:n]
+            self.shifts += [rd.a] * n
+            self.upto.append(n)
+            for mu_set in by_degree[: rd.m]:
+                self.chain += [self.chains] * len(mu_set)
+                self.link += range(len(mu_set))
+                self.chains += 1
+        self.items, self.shifts = np.array(self.items, dtype=np.intp), np.array(self.shifts, dtype=np.int64)
+        self.chain, self.link = np.array(self.chain, dtype=np.intp), np.array(self.link, dtype=np.intp)
+        self._block, self._powers = None, []
+
+    @cached_property
+    def log_mult(self) -> np.ndarray:
+        """log multinomial(|alpha|, alpha) at every item, for the sums of D4."""
+        log_mult = [math.log(multinomial(sum(alpha), alpha)) for alpha in self._alphas]
+        return np.array([x for n in self.upto for x in log_mult[:n]])
+
+    def powers(self, block: FiniteSeq, top: int) -> list[SeqBatch]:
+        """block^1, ..., block^top, each block^e = block^{e-1} * block; the
+        powers of the last block asked for are kept, since D4 and D3 of one
+        try read the same ones."""
+        if self._block is not block:
+            self._block, self._powers = block, [SeqBatch.of([block])]
+        while len(self._powers) < top:
+            self._powers.append(convolve(self._powers[-1], self._powers[0]))
+        return self._powers[:top]
+
+
+def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str, ctx: D4Context | None = None) -> float:
     """Largest left-hand side (in log) over all fourth-condition inequalities
     at round r, each compared against 2^-r.
 
     mode "sum": multinomial-weighted sums per (t, mu); mode "max": plain
     seminorms per alpha.  Returns -inf when the condition set is empty (r = 1).
+    ``ctx`` is the round's ``D4Context``, built here when not given.  One
+    batched ``convolve`` forms every P^alpha from its earlier product and
+    the power of block_r, and one ``shift_norms`` call gives
+    ||T^{a_t} P^alpha||_r for every t and alpha; each value, sum and max is
+    the scalar per-(t, alpha) evaluation's, bit for bit.
     """
     if r == 1:
         return NEG_INF
-    monomial = cauchy_monomials([rd.block for rd in rounds_prefix[: r - 1]] + [block_r])
-    # the multi-index sets and the products P^alpha do not depend on t
-    alphas = {mu: enumerate_multi_indices(mu, r)
-              for mu in range(1, max(rd.m for rd in rounds_prefix[: r - 1]) + 1)}
-    products = {alpha: monomial(alpha) for mu_set in alphas.values() for alpha in mu_set}
-    worst = NEG_INF
-    for t in range(1, r):
-        a_t = rounds_prefix[t - 1].a
-        m_t = rounds_prefix[t - 1].m
-        for mu in range(1, m_t + 1):
-            acc = NEG_INF
-            for alpha in alphas[mu]:
-                img = backward_iterate(w, products[alpha], a_t)
-                val = seminorm_eval(space, r, img)
-                if mode == "max":
-                    worst = max(worst, val)
-                else:
-                    acc = float(np.logaddexp(acc, math.log(multinomial(mu, alpha)) + val))
-            if mode == "sum":
-                worst = max(worst, acc)
-    return worst
+    ctx = ctx if ctx is not None else D4Context(rounds_prefix, r)
+    powers = _cat(ctx.powers(block_r, ctx.top))
+    products = _cat([powers, convolve(ctx.earlier, powers.take(ctx.tails))]) if len(ctx.tails) else powers
+    vals = shift_norms(space, r, w, products.take(ctx.items), ctx.shifts)
+    return max([NEG_INF, *(vals if mode == "max" else _chain_sums(ctx, vals))])
+
+
+def _chain_sums(ctx: D4Context, vals: list[float]) -> list[float]:
+    """The multinomial-weighted sum of each (t, mu), in turn: the chain
+    acc = logaddexp(acc, log multinomial + value) over its alphas, run for
+    every (t, mu) at once, one step per alpha; a chain that has ended takes
+    -inf, which leaves it as it is."""
+    terms = np.full((ctx.chains, ctx.link.max() + 1), NEG_INF)
+    terms[ctx.chain, ctx.link] = ctx.log_mult + np.array(vals)
+    acc = np.full(ctx.chains, NEG_INF)
+    for step in terms.T:
+        acc = np.logaddexp(acc, step)
+    return acc.tolist()
 
 
 def round_checks(space, w, y, prefix: list[CauchyRound], rd: CauchyRound,
-                 algebrable: bool) -> dict[str, Cert]:
+                 algebrable: bool, ctx: D4Context | None = None) -> dict[str, Cert]:
     """D1-D4 (F1-F4 for the lambda-matrix construction), separation and window
     of round ``rd`` with target y, after the rounds ``prefix`` (rounds 1..r-1).
 
@@ -815,12 +872,17 @@ def round_checks(space, w, y, prefix: list[CauchyRound], rd: CauchyRound,
     """
     r, m, a = rd.r, rd.m, rd.a
     label = "F" if algebrable else "D"
-    diff = backward_iterate(w, cauchy_power(rd.block, m), a) - y
-    d4 = _d4_worst(space, w, prefix, rd.block, r, "max" if algebrable else "sum")
+    if r > 1:
+        ctx = ctx if ctx is not None else D4Context(prefix, r)
+        d4 = _d4_worst(space, w, prefix, rd.block, r, "max" if algebrable else "sum", ctx)
+        power = ctx.powers(rd.block, m)[-1]
+    else:
+        d4, power = NEG_INF, cauchy_monomials([rd.block], [(m,)])
+    d1, d3 = shift_norms(space, r, w, _cat([SeqBatch.of([rd.block]), power]), [0, a], [None, y])
     checks = {
-        f"{label}1": Cert.less(seminorm_eval(space, r, rd.block), -r),
+        f"{label}1": Cert.less(d1, -r),
         f"{label}2": _structural_d2(prefix, r, m, rd.gamma, a),
-        f"{label}3": Cert.less(seminorm_eval(space, r, diff), -r),
+        f"{label}3": Cert.less(d3, -r),
         f"{label}4": Cert.less(d4, -r),
     }
     separated = a <= m * rd.gamma and (not prefix or rd.eta > prefix[-1].m * prefix[-1].gamma)
@@ -833,7 +895,7 @@ def round_checks(space, w, y, prefix: list[CauchyRound], rd: CauchyRound,
 
 
 def _certify_round(state: CauchyState, r: int, res: BlockSolveResult, m: int, l: int,
-                   nu: int | None) -> CauchyRound:
+                   nu: int | None, ctx: D4Context | None = None) -> CauchyRound:
     lam_col = None
     if nu is not None:
         lam_col = [state.lam.lam(k, nu) for k in range(1, state.K + 1)]
@@ -854,7 +916,7 @@ def _certify_round(state: CauchyState, r: int, res: BlockSolveResult, m: int, l:
     )
     y = state.schedule.target(l)
     round_.checks.update(
-        round_checks(state.space, state.w, y, state.rounds, round_, state.algebrable)
+        round_checks(state.space, state.w, y, state.rounds, round_, state.algebrable, ctx)
     )
     return round_
 
@@ -878,6 +940,7 @@ def build_round(state: CauchyState, r: int) -> CauchyRound:
 
     eps_log2 = -float(r)
     rho = r
+    ctx = D4Context(state.rounds, r) if r > 1 else None
     budget = small_budget()
     for attempt in range(budget):
         res = solve_building_block(
@@ -892,7 +955,7 @@ def build_round(state: CauchyState, r: int) -> CauchyRound:
             mixing=state.mixing,
             prop_b=state.prop_b,
         )
-        round_ = _certify_round(state, r, res, m, l, nu)
+        round_ = _certify_round(state, r, res, m, l, nu, ctx)
         if round_.passed:
             state.rounds.append(round_)
             return round_

@@ -27,15 +27,15 @@ from .core import (
     _U,
     NEG_INF,
     FiniteSeq,
+    SeqBatch,
     WeightSpec,
-    backward_iterate,
     coordinatewise_power,
     root_power_block,
 )
 from .criteria import PkWitness, extend_pk_witness, find_pk_witness
 from .errors import SearchExhausted, SpaceProductError, search_budget
 from .schedule import PairOrder, TargetSchedule
-from .spaces import SpaceSpec, basis_log_array, seminorm_eval
+from .spaces import SpaceSpec, basis_log_array, shift_norms
 
 _LN2 = math.log(2.0)
 # witness entries per screen window: the first window is small because the
@@ -292,15 +292,13 @@ def coord_checks(space: SpaceSpec, w: WeightSpec, schedule: TargetSchedule, pair
     """A1, A2 and A3 of round r with index a and block ``block``, after the
     rounds ``prev_rounds`` (rounds 1..r-1).  The builder and bundle
     re-validation both certify through this function."""
-    checks = {"A1": Cert.less(seminorm_eval(space, r, block), -r)}
+    # ||block||_r, then ||T^{a_t} block^nu||_r for every earlier round t and nu <= d_r, in one call
+    powers = [coordinatewise_power(block, nu) for nu in range(1, pairing.max_degree_before(r) + 1)] if r >= 2 else []
+    a1, *a2 = shift_norms(space, r, w, SeqBatch.of([block, *powers * len(prev_rounds)]),
+                          [0, *(t_round.a for t_round in prev_rounds for _ in powers)])
+    checks = {"A1": Cert.less(a1, -r)}
     if r >= 2:
-        d_r = pairing.max_degree_before(r)
-        worst = NEG_INF
-        for t_round in prev_rounds:
-            for nu in range(1, d_r + 1):
-                img = backward_iterate(w, coordinatewise_power(block, nu), t_round.a)
-                worst = max(worst, seminorm_eval(space, r, img))
-        checks["A2"] = Cert.less(worst, -r)
+        checks["A2"] = Cert.less(max([NEG_INF, *a2]), -r)
         prev = prev_rounds[-1]
         checks["A3"] = Cert.greater(a - prev.a, schedule.s(prev.l))
     return checks

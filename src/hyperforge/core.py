@@ -12,7 +12,7 @@ import cmath
 import math
 import operator
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -52,19 +52,14 @@ def log_decode(log_val: float) -> float:
 
 
 _HALF_PI = math.pi / 2.0
+# e^{i phase} on the four half-axes, exact so that axis-aligned sums cancel cleanly
+_AXIS_UNITS = {0.0: 1.0 + 0j, math.pi: -1.0 + 0j, _HALF_PI: 1j, -_HALF_PI: -1j}
 
 
 def _unit(phase: float) -> complex:
-    """e^{i phase}, exact on the four half-axes so axis-aligned sums cancel cleanly."""
-    if phase == 0.0:
-        return 1.0 + 0j
-    if phase == math.pi:
-        return -1.0 + 0j
-    if phase == _HALF_PI:
-        return 1j
-    if phase == -_HALF_PI:
-        return -1j
-    return cmath.exp(1j * phase)
+    """e^{i phase}, exact on the four half-axes."""
+    unit = _AXIS_UNITS.get(phase)
+    return cmath.exp(1j * phase) if unit is None else unit
 
 
 def log_sum(terms: Iterable[float]) -> float:
@@ -625,6 +620,16 @@ class WeightSpec:
             return x
         return _log_factorial_array(x)
 
+    def _arg_ratio(self, top: np.ndarray, low: np.ndarray) -> np.ndarray | None:
+        """wrap_phase(arg v_top - arg v_low) at the checked indices of two
+        integer arrays, as ``ratio_root`` gives it for m = 1; None where
+        every w_n is real and positive, so every such phase is 0.0."""
+        if self.kind == "const" and self._arg != 0.0:
+            return _wrap((top * self._arg + 0.0) - (low * self._arg + 0.0))
+        if self._table_ph is None:
+            return None
+        return _wrap(self._table_ph[top] - self._table_ph[low])
+
     # -- access ---------------------------------------------------------------------------
     def v_log(self, n):
         """log|v_n| at an index n, or at every index of an integer array n."""
@@ -696,71 +701,235 @@ def coordinatewise_power(x: FiniteSeq, j: int) -> FiniteSeq:
     return FiniteSeq({n: c.powi(j) for n, c in x.items()})
 
 
-def cauchy_product(x: FiniteSeq, y: FiniteSeq) -> FiniteSeq:
-    """Discrete convolution z_n = sum_{k<=n} x_k y_{n-k}.
+class SeqBatch(NamedTuple):
+    """Finite sequences laid end to end, as the array kernels read them:
+    item i holds ``count[i]`` stored coefficients, by ascending index, as the
+    index ``n``, ``log|c|`` and ``arg c`` of each."""
 
-    Each product x_k y_{n-k} is a (log|.|, arg) pair, formed and wrapped as
-    ``WideComplex.__mul__`` forms it, and each z_n is summed by the helper of
-    ``WideComplex.sum_of``: the same operations in the same order, with no
-    WideComplex per term.
+    count: np.ndarray
+    n: np.ndarray
+    log: np.ndarray
+    ph: np.ndarray
+
+    @classmethod
+    def of(cls, seqs: list[FiniteSeq]) -> "SeqBatch":
+        """The batch of ``seqs``; an index at or past 2^53 raises SearchExhausted,
+        as a weight read there would."""
+        top = max((x._indices[-1] for x in seqs if x._indices), default=0)
+        if top >= _INDEX_LIMIT:
+            raise SearchExhausted(
+                f"sequence index {top} lies at or past 2^53, where float64 stops holding every integer", index=top
+            )
+        coefs = [c for x in seqs for c in map(x._coef.__getitem__, x._indices)]
+        return cls(np.array([len(x._indices) for x in seqs], dtype=np.int64),
+                   np.array([n for x in seqs for n in x._indices], dtype=np.int64),
+                   np.array([c.log_mag for c in coefs], dtype=np.float64),
+                   np.array([c.phase for c in coefs], dtype=np.float64))
+
+    def seqs(self) -> list[FiniteSeq]:
+        ends = self.count.cumsum().tolist()
+        n = self.n.tolist()
+        coefs = list(map(WideComplex, self.log.tolist(), self.ph.tolist()))
+        return [FiniteSeq(dict(zip(n[i:j], coefs[i:j]))) for i, j in zip([0, *ends], ends)]
+
+    def take(self, items) -> "SeqBatch":
+        """The items ``items`` of this batch (repeats allowed), in that order."""
+        count = self.count[items]
+        ends = count.cumsum()
+        at = np.arange(ends[-1] if len(ends) else 0) + (self.count.cumsum() - self.count)[items].repeat(count)
+        at -= (ends - count).repeat(count)
+        return SeqBatch(count, self.n[at], self.log[at], self.ph[at])
+
+
+def _cat(batches: list[SeqBatch]) -> SeqBatch:
+    """The items of ``batches``, one batch after the other."""
+    return SeqBatch(*map(np.concatenate, zip(*batches)))
+
+
+def _wrap(phi: np.ndarray) -> np.ndarray:
+    """``wrap_phase`` at every entry of phi (fmod is exact, so it matches bit for bit)."""
+    phi = np.fmod(phi, _TWO_PI)
+    phi = np.where(phi <= -math.pi, phi + _TWO_PI, phi)
+    return np.where(phi > math.pi, phi - _TWO_PI, phi)
+
+
+def _floats(f, values: np.ndarray) -> np.ndarray:
+    """``math`` function f at every entry: numpy's exp, log, cos and atan2 are
+    not those of ``math`` bit for bit."""
+    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=len(values))
+
+
+# past double range a log sum overflows to inf or inf - inf gives NaN, silently
+# in the scalar path; the kernels read both as that path does
+_quiet = np.errstate(over="ignore", invalid="ignore")
+# the axis units of ``_unit`` by k, at phase k pi/2 for k = -1, 0, 1, 2
+_AXIS_RE, _AXIS_IM = (np.array([getattr(_AXIS_UNITS[k * _HALF_PI], part) for k in (-1, 0, 1, 2)])
+                      for part in ("real", "imag"))
+
+
+@_quiet
+def convolve(xs: SeqBatch, ys: SeqBatch) -> SeqBatch:
+    """The Cauchy products z = x * y of item i of xs with item i of ys, for
+    every i: z_n = sum_{k<=n} x_k y_{n-k}.
+
+    Every output coefficient is formed by the float operations of the scalar
+    convolution, in its order, so the sums keep their rounding (N. J.
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 4).  A term x_k y_{n-k} is (log|x_k| + log|y_{n-k}|, wrap_phase of
+    the arg sum), as ``WideComplex.__mul__`` forms it, and a term whose log
+    is -inf or NaN is the zero, which the sum drops.  A z_n of one term is
+    that term; one of several is ``_sum_polar`` of them (``_sum_runs``),
+    taken x-major then y-minor, which a stable sort keeps.
     """
-    ys = [(k, d.log_mag, d.phase) for k, d in y.items()]
-    buckets: dict[int, list[float]] = {}  # log|.| and arg of each term, in turn
-    for n, c in x.items():
-        log_c, phase_c = c.log_mag, c.phase
-        for k, log_d, phase_d in ys:
-            log_mag = log_c + log_d
-            if log_mag != NEG_INF and log_mag == log_mag:  # else the product is the zero, which sum_of drops
-                buckets.setdefault(n + k, []).extend((log_mag, wrap_phase(phase_c + phase_d)))
-    return FiniteSeq({n: WideComplex(*(terms if len(terms) == 2 else _sum_polar(terms)))
-                      for n, terms in buckets.items()})
+    k = len(xs.count)
+    per_x = ys.count.repeat(xs.count)  # the terms of each x coefficient
+    ends = per_x.cumsum()
+    xi = np.arange(len(per_x)).repeat(per_x)
+    yi = np.arange(ends[-1] if len(ends) else 0)
+    yi += ((ys.count.cumsum() - ys.count).repeat(xs.count) + per_x - ends).repeat(per_x)
+    log = xs.log[xi] + ys.log[yi]
+    live = log > NEG_INF  # not -inf, not NaN
+    if not live.all():
+        xi, yi, log = xi[live], yi[live], log[live]
+    n = xs.n[xi] + ys.n[yi]
+    item = np.arange(k).repeat(xs.count)[xi]
+    order = np.lexsort((n, item))
+    n, item, log = n[order], item[order], log[order]
+    ph = _wrap(xs.ph[xi[order]] + ys.ph[yi[order]])
+    first = np.empty(len(n), dtype=bool)
+    first[:1] = True
+    np.not_equal(n[1:], n[:-1], out=first[1:])
+    first[1:] |= item[1:] != item[:-1]
+    start = first.nonzero()[0]
+    size = np.bincount(first.cumsum() - 1)
+    log_z, ph_z, n, item = log[start], ph[start], n[start], item[start]
+    many = (size > 1).nonzero()[0]
+    if len(many):
+        log_z[many], ph_z[many] = _sum_runs(log, ph, start[many], size[many])
+        keep = log_z > NEG_INF
+        log_z, ph_z, n, item = log_z[keep], ph_z[keep], n[keep], item[keep]
+    return SeqBatch(np.bincount(item, minlength=k), n, log_z, ph_z)
+
+
+def _sum_runs(log: np.ndarray, ph: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """``_sum_polar`` of each run of ``size`` terms from ``start``, by its
+    float operations in its order: (log|s|, arg s), and (-inf, 0.0) where
+    the terms cancel exactly.  Each term is math.exp(log - max) times its
+    ``_unit``, a float times a complex as CPython multiplies them, and the
+    sum runs from 0j, adding the k-th term of every run in step k."""
+    offset = size.cumsum() - size
+    at = np.arange(offset[-1] + size[-1]) + (start - offset).repeat(size)
+    lg, p = log[at], ph[at]
+    top = np.maximum.reduceat(lg, offset)
+    e = _floats(math.exp, lg - top.repeat(size))
+    re, im = _floats(math.cos, p), _floats(math.sin, p)
+    axis = (np.fmod(p, _HALF_PI) == 0.0).nonzero()[0]  # 0, pi and -+pi/2, and no other phase
+    if len(axis):
+        k = (p[axis] / _HALF_PI).astype(np.intp) + 1
+        re[axis], im[axis] = _AXIS_RE[k], _AXIS_IM[k]
+    z = np.empty(len(e), dtype=np.complex128)
+    z.real, z.imag = e * re - 0.0 * im, e * im + 0.0 * re
+    acc = np.zeros(len(start), dtype=np.complex128)
+    for step in range(size.max()):
+        runs = (size > step).nonzero()[0]
+        acc[runs] += z[offset[runs] + step]
+    sums = acc.tolist()
+    log_s = [math.log(abs(s)) if s else NEG_INF for s in sums]
+    ph_s = [math.atan2(s.imag, s.real) if s else 0.0 for s in sums]
+    return top + log_s, np.where(np.equal(ph_s, -math.pi), math.pi, ph_s)
+
+
+def cauchy_product(x: FiniteSeq, y: FiniteSeq) -> FiniteSeq:
+    """Discrete convolution z_n = sum_{k<=n} x_k y_{n-k}: ``convolve`` on one
+    pair, so every coefficient is the scalar convolution's bit for bit."""
+    return convolve(SeqBatch.of([x]), SeqBatch.of([y])).seqs()[0]
 
 
 def cauchy_power(x: FiniteSeq, m: int) -> FiniteSeq:
-    """m-fold Cauchy product; x^0 is the convolution identity e_0."""
+    """m-fold Cauchy product, x^e = x^{e-1} * x; x^0 is the convolution identity e_0."""
     if m < 0:
         raise ValueError("cauchy power needs m >= 0")
-    if m == 0:
-        return FiniteSeq.basis(0)
-    out = x
-    for _ in range(m - 1):
-        out = cauchy_product(out, x)
-    return out
+    return cauchy_monomials([x], [(m,)]).seqs()[0]
 
 
-def cauchy_monomials(seqs: list[FiniteSeq]):
-    """The map alpha -> prod_i seqs[i]^{alpha_i} under the Cauchy product.
+def cauchy_monomials(seqs: list[FiniteSeq], alphas: list[tuple[int, ...]]) -> SeqBatch:
+    """prod_i seqs[i]^{alpha_i} under the Cauchy product for each alpha, as a
+    batch in the order of ``alphas``; the empty product is e_0.
 
-    Factors are multiplied left to right over the nonzero exponents, and each
-    power seqs[i]^e is built once per map; the empty product is e_0.
+    Each monomial multiplies its factors seqs[i]^e left to right over the
+    nonzero exponents, and each power seqs[i]^e is seqs[i]^{e-1} * seqs[i],
+    as folds of ``cauchy_product`` would, bit for bit.  Every distinct power
+    and partial product is formed once, and each step of them by one
+    ``convolve`` call.
     """
-    powers: dict[tuple[int, int], FiniteSeq] = {}
+    # a power or partial product is the chain of its factors (i, e); its step
+    # is one more than the later of its two operands'
+    step: dict[tuple, int] = {}
 
-    def monomial(alpha: tuple[int, ...]) -> FiniteSeq:
-        out = None
-        for i, e in enumerate(alpha):
-            if e == 0:
-                continue
-            piece = powers.get((i, e))
-            if piece is None:
-                piece = powers[(i, e)] = cauchy_power(seqs[i], e)
-            out = piece if out is None else cauchy_product(out, piece)
-        return out if out is not None else FiniteSeq.basis(0)
+    def plan(chain):
+        if chain not in step:
+            (i, e), = chain[-1:]
+            if len(chain) > 1:
+                step[chain] = max(plan(chain[:-1]), plan(chain[-1:])) + 1
+            else:
+                step[chain] = 0 if e == 1 else plan(((i, e - 1),)) + 1
+        return step[chain]
 
-    return monomial
+    chains = [tuple((i, e) for i, e in enumerate(alpha) if e) for alpha in alphas]
+    for chain in chains:
+        if chain:
+            plan(chain)
+    pool = _cat([SeqBatch.of(seqs), SeqBatch.of([FiniteSeq.basis(0)])])
+    at = {((i, 1),): i for i in range(len(seqs))}
+    at[()] = len(seqs)
+    for k in range(1, max(step.values(), default=0) + 1):
+        made = [c for c, s in step.items() if s == k]
+        left = [at[c[:-1] if len(c) > 1 else ((c[0][0], c[0][1] - 1),)] for c in made]
+        right = [at[c[-1:] if len(c) > 1 else ((c[0][0], 1),)] for c in made]
+        at.update(zip(made, range(len(pool.count), len(pool.count) + len(made))))
+        pool = _cat([pool, convolve(pool.take(left), pool.take(right))])
+    return pool.take([at[c] for c in chains])
+
+
+@_quiet
+def shift_back(w: WeightSpec, xs: SeqBatch, a) -> SeqBatch:
+    """T^a of every item of xs, ``a`` one shift count or one per item: result_n
+    = (v_{n+a}/v_n) x_{n+a}, formed as ``backward_iterate`` forms it.
+
+    Each coefficient at n >= a > 0 becomes x_n times the ratio (log v_n - log
+    v_{n-a}, wrap_phase(arg v_n - arg v_{n-a})), as ``WeightSpec.ratio`` and
+    ``WideComplex.__mul__`` give them, and a -inf or NaN log drops it.  The
+    weights are read by one ``w.v_log`` gather, so an index past a table's
+    end raises WeightError as the ratio would; a shift by 0 leaves an item as
+    it is.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if (a < 0).any():
+        raise ValueError("shift count must be >= 0")
+    a = a.repeat(xs.count) if a.ndim else np.full(len(xs.n), a)
+    keep = (xs.n >= a).nonzero()[0]
+    top, log, ph, a = xs.n[keep], xs.log[keep], xs.ph[keep], a[keep]
+    low = top - a
+    moved = slice(None) if a.all() else a.nonzero()[0]
+    v = w.v_log(np.concatenate((top[moved], low[moved])))
+    log[moved] += v[: len(v) // 2] - v[len(v) // 2:]
+    turn = w._arg_ratio(top[moved], low[moved])
+    ph[moved] = ph[moved] + 0.0 if turn is None else _wrap(ph[moved] + turn)
+    item = np.arange(len(xs.count)).repeat(xs.count)[keep]
+    live = log > NEG_INF
+    if not live.all():
+        item, low, log, ph = item[live], low[live], log[live], ph[live]
+    return SeqBatch(np.bincount(item, minlength=len(xs.count)), low, log, ph)
 
 
 def backward_iterate(w: WeightSpec, x: FiniteSeq, a: int) -> FiniteSeq:
-    """a-th power of the weighted backward shift: result_n = (v_{n+a}/v_n) x_{n+a}."""
+    """a-th power of the weighted backward shift: result_n = (v_{n+a}/v_n) x_{n+a}
+    (``shift_back`` on one sequence)."""
     if a < 0:
         raise ValueError("shift count must be >= 0")
     if a == 0:
         return x
-    out = {}
-    for n, c in x.items():
-        if n >= a:
-            out[n - a] = c * w.ratio(n - a, a)
-    return FiniteSeq(out)
+    return shift_back(w, SeqBatch.of([x]), a).seqs()[0]
 
 
 def root_power_block(w: WeightSpec, y: FiniteSeq, a: int, m: int) -> FiniteSeq:

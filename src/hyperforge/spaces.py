@@ -10,11 +10,12 @@ query via ``supports_coordinatewise`` / ``supports_cauchy``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, FiniteSeq, log_sum
+from .core import NEG_INF, FiniteSeq, SeqBatch, WeightSpec, WideComplex, _quiet, shift_back
 from .errors import SpaceProductError, SpaceUnknownError
 
 CANONICAL_PRODUCT = {
@@ -116,25 +117,93 @@ def _check_q(q: int) -> int:
     return q
 
 
+@_quiet
+def _seminorms(space: SpaceSpec, q: int, count: np.ndarray, n: np.ndarray, log: np.ndarray) -> list[float]:
+    """log ||x_i||_q of every item x_i of a batch (``count`` coefficients per
+    item, their indices ``n`` and log-moduli ``log``, item by item, by
+    ascending index): the omega horizon keeps n <= q, entire weights add
+    n log q and l_p multiplies by p; then c0 and omega_coord take the max of
+    each item, the rest its ``log_sum``, and l_p its p-th root.  Every value
+    is the one-sequence rule's bit for bit: each max runs over the item in
+    index order, and each log_sum sums its exp(t - max) by ``math.fsum``."""
+    sid, k = space.space_id, len(count)
+    if sid in ("omega_coord", "omega_cauchy"):
+        cut = n <= q
+        count, log = np.bincount(np.arange(k).repeat(count)[cut], minlength=k), log[cut]
+    elif sid in ("entire_hadamard", "entire_cauchy"):
+        log = log + n * math.log(q)
+    elif sid == "l_p":
+        log = log * space.p
+    if sid in ("c0", "omega_coord"):
+        ends = count.cumsum().tolist()
+        logs = log.tolist()
+        return [max(logs[i:j], default=NEG_INF) for i, j in zip([0, *ends], ends)]
+    live = log != NEG_INF
+    if not live.all():
+        count, log = np.bincount(np.arange(k).repeat(count)[live], minlength=k), log[live]
+    # log_sum of each item: its max, plus log fsum exp(t - max)
+    ends = count.cumsum()
+    some = count.nonzero()[0]
+    start = (ends - count)[some]
+    top = np.maximum.reduceat(log, start) if len(some) else log[:0]
+    scaled = list(map(math.exp, (log - top.repeat(count[some])).tolist()))
+    sums = map(math.fsum, map(scaled.__getitem__, map(slice, start.tolist(), ends[some].tolist())))
+    out = [NEG_INF] * k
+    for i, t, total in zip(some.tolist(), top.tolist(), sums):
+        out[i] = t if t == math.inf else t + math.log(total)
+    if sid == "l_p":
+        out = [t / space.p if t not in (NEG_INF, math.inf) else t for t in out]
+    return out
+
+
 def seminorm_eval(space: SpaceSpec, q: int, x: FiniteSeq) -> float:
     """log ||x||_q (-inf encodes the exact zero): exact, except that the
     sup-circle norm of entire_cauchy is bounded above by sum |x_n| q^n."""
+    batch = SeqBatch.of([x])
+    return _seminorms(space, _check_q(q), batch.count, batch.n, batch.log)[0]
+
+
+def shift_norms(space: SpaceSpec, q: int, w: WeightSpec, xs: SeqBatch, a, ys: list | None = None) -> list[float]:
+    """``seminorm_eval(space, q, backward_iterate(w, x, a) - y)`` for every item
+    x of ``xs``: ``a`` is one shift count or one per item, and ``ys`` one
+    FiniteSeq or None per item, None (or no ys) for no subtraction.  Bit for
+    bit, since the shift is ``shift_back``'s, which reads the weights once
+    for all items, the subtraction is WideComplex arithmetic at the indices
+    of y alone, and the seminorm is ``_seminorms``'."""
+    shifted = shift_back(w, xs, a)
     q = _check_q(q)
-    sid = space.space_id
-    if sid == "l_p":
-        p = space.p
-        total = log_sum(c.log_mag * p for _, c in x.items())
-        return total / p if total not in (NEG_INF, math.inf) else total
-    if sid == "c0":
-        return max((c.log_mag for _, c in x.items()), default=NEG_INF)
-    if sid == "l1":
-        return log_sum(c.log_mag for _, c in x.items())
-    if sid in ("entire_hadamard", "entire_cauchy"):
-        lq = math.log(q)
-        return log_sum(c.log_mag + n * lq for n, c in x.items())
-    if sid == "omega_coord":
-        return max((c.log_mag for n, c in x.items() if n <= q), default=NEG_INF)
-    return log_sum(c.log_mag for n, c in x.items() if n <= q)  # omega_cauchy
+    if ys is not None:
+        shifted = _subtract(shifted, ys)
+    return _seminorms(space, q, shifted.count, shifted.n, shifted.log)
+
+
+def _subtract(xs: SeqBatch, ys: list) -> SeqBatch:
+    """x - y for every item x of xs and its y in ``ys`` (None: x), as
+    ``FiniteSeq.__sub__`` forms it."""
+    ends = xs.count.cumsum().tolist()
+    ns, logs, phs = xs.n.tolist(), xs.log.tolist(), xs.ph.tolist()
+    count, n, log, ph = [], [], [], []
+    for i, j, y in zip([0, *ends], ends, ys):
+        n_i, log_i, ph_i = ns[i:j], logs[i:j], phs[i:j]
+        for k, c in y.items() if y is not None else ():
+            at = bisect_left(n_i, k)
+            if at < len(n_i) and n_i[at] == k:
+                d = WideComplex(log_i[at], ph_i[at]) - c
+                if d.is_zero:
+                    del n_i[at], log_i[at], ph_i[at]
+                    continue
+            else:
+                d = -c
+                n_i.insert(at, k)
+                log_i.insert(at, 0.0)
+                ph_i.insert(at, 0.0)
+            log_i[at], ph_i[at] = d.log_mag, d.phase
+        count.append(len(n_i))
+        n += n_i
+        log += log_i
+        ph += ph_i
+    return SeqBatch(np.array(count, dtype=np.int64), np.array(n, dtype=np.int64), np.array(log, dtype=np.float64),
+                    np.array(ph, dtype=np.float64))
 
 
 def basis_log_array(space: SpaceSpec, q: int, idx: np.ndarray) -> np.ndarray:

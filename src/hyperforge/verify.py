@@ -41,8 +41,8 @@ from .coordwise import coord_checks
 from .core import (
     NEG_INF,
     FiniteSeq,
+    SeqBatch,
     WideComplex,
-    backward_iterate,
     cauchy_monomials,
     cauchy_power,
     coordinatewise_power,
@@ -53,7 +53,7 @@ from .core import (
 from .element import AlgebraElement
 from .errors import BundleError, ElementError
 from .schedule import LambdaMatrix
-from .spaces import seminorm_eval
+from .spaces import shift_norms
 
 
 @dataclass
@@ -123,15 +123,16 @@ class OrbitReport:
         }
 
 
-def _round_check(bundle: Bundle, rd, value: FiniteSeq, bound: float, kind: str = "target",
+def _round_check(bundle: Bundle, rd, value: SeqBatch, bound: float, kind: str = "target",
                  rho: complex | None = None) -> RoundCheck:
-    """||T^{a_r} value - rho y^(l)||_r of round ``rd`` against ``bound``; rho
-    defaults to 1, and a "zero" check drops the target term."""
-    diff = backward_iterate(bundle.weight, value, rd.a)
+    """||T^{a_r} value - rho y^(l)||_r of round ``rd`` against ``bound``, by
+    ``shift_norms`` on the batch of one ``value``; rho defaults to 1, and a
+    "zero" check drops the target term."""
+    y = None
     if kind == "target":
         y = bundle.schedule().target(rd.l)
-        diff = diff - (y if rho is None else y.scale(WideComplex.from_complex(rho)))
-    dist_log = seminorm_eval(bundle.space, rd.r, diff)
+        y = y if rho is None else y.scale(WideComplex.from_complex(rho))
+    dist_log = shift_norms(bundle.space, rd.r, bundle.weight, value, rd.a, [y])[0]
     bound_log = math.log(bound) if bound > 0.0 else NEG_INF
     ratio = 0.0 if dist_log == NEG_INF else log_decode(dist_log - bound_log)
     return RoundCheck(
@@ -167,7 +168,7 @@ def orbit_power_report(bundle: Bundle, j: int) -> OrbitReport:
         return orbit_element_report(bundle, AlgebraElement({beta: 1.0}, bundle.K))
     if bundle.is_cauchy:
         rounds = [rd for rd in bundle.rounds if rd.m >= j]
-        xj = cauchy_power(bundle.generator(1), j) if rounds else None
+        xj = cauchy_monomials([bundle.generator(1)], [(j,)]) if rounds else None
         checks = [
             _round_check(bundle, rd, xj, 2.0 ** (-rd.r + 1)) if rd.m == j
             else _round_check(bundle, rd, xj, 2.0 ** (-rd.r), kind="zero")
@@ -176,7 +177,7 @@ def orbit_power_report(bundle: Bundle, j: int) -> OrbitReport:
     else:
         class_of = bundle.schedule().class_of
         rounds = [rd for rd in bundle.rounds if rd.m == j]
-        powers = {k: coordinatewise_power(bundle.generator(k), j)
+        powers = {k: SeqBatch.of([coordinatewise_power(bundle.generator(k), j)])
                   for k in {class_of(rd.l) for rd in rounds}}
         checks = [_round_check(bundle, rd, powers[class_of(rd.l)], 2.0 ** (-rd.r)) for rd in rounds]
     return _report(bundle, f"x^{j}", checks,
@@ -226,8 +227,8 @@ def _element_report_coord(bundle: Bundle, z: AlgebraElement) -> OrbitReport:
 
     class_of = bundle.schedule().class_of
     rounds = [rd for rd in bundle.rounds if rd.m == j and class_of(rd.l) == k_star]
-    value = sum((coordinatewise_power(bundle.generator(k), nu).scale(WideComplex.from_complex(c))
-                 for (nu, k), c in scaled.items()), FiniteSeq.zero()) if rounds else None
+    value = SeqBatch.of([sum((coordinatewise_power(bundle.generator(k), nu).scale(WideComplex.from_complex(c))
+                              for (nu, k), c in scaled.items()), FiniteSeq.zero())]) if rounds else None
     checks = [_round_check(bundle, rd, value, bound_factor * 2.0 ** (-rd.r)) for rd in rounds]
     return _report(bundle, z.describe(), checks)
 
@@ -238,7 +239,7 @@ def _element_report_cauchy_single(bundle: Bundle, z: AlgebraElement) -> OrbitRep
     m = z.degree_max
     scaled, bound_factor = _normalized(z.coeffs, (m,))
     rounds = [rd for rd in bundle.rounds if rd.m == m]
-    value = _substitute_cauchy(scaled, bundle.generators()) if rounds else None
+    value = SeqBatch.of([_substitute_cauchy(scaled, bundle.generators())]) if rounds else None
     return _report(bundle, z.describe(),
                    [_round_check(bundle, rd, value, bound_factor * 2.0 ** (-rd.r)) for rd in rounds])
 
@@ -258,7 +259,7 @@ def _element_report_cauchy_algebrable(bundle: Bundle, z: AlgebraElement) -> Orbi
     ]
     pairs = [(rd, form_at_column(top, rd.lambda_column)) for rd in bundle.rounds if rd.m == m]
     live = any(abs(rho) > RHO_THRESHOLD for _, rho in pairs)
-    value = _substitute_cauchy(z.coeffs, bundle.generators()) if live else None
+    value = SeqBatch.of([_substitute_cauchy(z.coeffs, bundle.generators())]) if live else None
     checks = [
         _round_check(bundle, rd, value, abs(rho) * 2.0 ** (-rd.r) + tail_bound(m, c_per_degree, rd.r),
                      rho=rho)
@@ -277,8 +278,8 @@ def _element_report_cauchy_algebrable(bundle: Bundle, z: AlgebraElement) -> Orbi
 def _substitute_cauchy(coeffs: dict[tuple[int, ...], complex], seqs: list[FiniteSeq]) -> FiniteSeq:
     """sum_alpha c_alpha prod_i seqs[i]^{alpha_i} under the Cauchy product,
     added in the order of ``coeffs``."""
-    monomial = cauchy_monomials(seqs)
-    return sum((monomial(alpha).scale(WideComplex.from_complex(c)) for alpha, c in coeffs.items()),
+    monomials = cauchy_monomials(seqs, list(coeffs)).seqs()
+    return sum((mono.scale(WideComplex.from_complex(c)) for mono, c in zip(monomials, coeffs.values())),
                FiniteSeq.zero())
 
 

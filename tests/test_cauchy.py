@@ -41,6 +41,7 @@ from hyperforge.errors import (
 )
 from hyperforge.spaces import basis_log_array
 
+import scalar_ops
 from conftest import PHASED_TARGETS_JSON, from_dict, rand_seq, seeded_targets_json, standard_targets
 
 L1 = space("l1")
@@ -220,7 +221,7 @@ class TestInductiveConstruction:
         # the structural certificate asserts max support < a_r; evaluate for real
         b = cauchy_bundle_l1
         w = b.weight
-        monomial = cauchy_monomials([rd.block for rd in b.rounds])
+        blocks = [rd.block for rd in b.rounds]
         for rd in b.rounds[2:6]:
             top = (0,) * (rd.r - 1) + (rd.m,)
             excluded = []
@@ -230,8 +231,8 @@ class TestInductiveConstruction:
             for t in range(1, rd.r):
                 excluded.extend(enumerate_multi_indices(rd.m, t))
             excluded.extend(a for a in enumerate_multi_indices(rd.m, rd.r) if a != top)
-            for alpha in excluded:
-                assert backward_iterate(w, monomial(alpha), rd.a).is_zero
+            for product in cauchy_monomials(blocks, excluded).seqs():
+                assert backward_iterate(w, product, rd.a).is_zero
 
     def test_first_round_is_an_exact_forward_image(self, cauchy_bundle_l1):
         rd = cauchy_bundle_l1.rounds[0]
@@ -288,15 +289,16 @@ class TestInductiveConstruction:
 
 def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
     """D4/F4 as it was computed before the products were shared across t:
-    every P^alpha is rebuilt for each earlier round t; kept as an oracle."""
-    monomial = cauchy_monomials([rd.block for rd in prefix[: r - 1]] + [block_r])
+    every P^alpha is rebuilt for each earlier round t, by the scalar
+    product, shift and seminorm of tests/scalar_ops.py; kept as an oracle."""
+    monomial = scalar_ops.cauchy_monomials([rd.block for rd in prefix[: r - 1]] + [block_r])
     worst = -math.inf
     for t in range(1, r):
         for mu in range(1, prefix[t - 1].m + 1):
             acc = -math.inf
             for alpha in enumerate_multi_indices(mu, r):
-                img = backward_iterate(w, monomial(alpha), prefix[t - 1].a)
-                val = seminorm_eval(space_, r, img)
+                img = scalar_ops.backward_iterate(w, monomial(alpha), prefix[t - 1].a)
+                val = scalar_ops.seminorm_eval(space_, r, img)
                 if mode == "max":
                     worst = max(worst, val)
                 else:
@@ -308,35 +310,57 @@ def _d4_per_t_and_alpha(space_, w, prefix, block_r, r, mode):
 
 @pytest.mark.parametrize("which", ["c", "ca"])
 def test_d4_builds_each_product_once(which, monkeypatch, cauchy_bundle_ec, lambda_bundle):
-    # the README c.json and ca.json rounds: the same value as the per-(t, alpha)
-    # form, with one cauchy_monomials product per distinct alpha
+    # the README c.json and ca.json rounds: each round's D4Context forms the
+    # products of the earlier blocks once, in one cauchy_monomials batch, and
+    # every block evaluated through it, as the tries of a round are, gives the
+    # per-(t, alpha) scalar value bit for bit
     b, mode = (cauchy_bundle_ec, "sum") if which == "c" else (lambda_bundle, "max")
     assert b.bundle_id == {"c": "83967ddd36a7f5bb", "ca": "1785e5e5716db747"}[which]
     real = cauchy_mod.cauchy_monomials
-    maps, calls = [], []
+    batches = []
 
-    def counted(seqs):
-        maps.append(seqs)
-        monomial = real(seqs)
+    def counted(seqs, alphas):
+        batches.append((seqs, alphas))
+        return real(seqs, alphas)
 
-        def count(alpha):
-            calls.append(alpha)
-            return monomial(alpha)
-
-        return count
-
+    monkeypatch.setattr(cauchy_mod, "cauchy_monomials", counted)
     for rd in b.rounds[1:]:
         r, prefix = rd.r, b.rounds[: rd.r - 1]
-        want = _d4_per_t_and_alpha(b.space, b.weight, prefix, rd.block, r, mode)
-        maps.clear()
-        calls.clear()
-        monkeypatch.setattr(cauchy_mod, "cauchy_monomials", counted)
-        got = cauchy_mod._d4_worst(b.space, b.weight, prefix, rd.block, r, mode)
-        monkeypatch.setattr(cauchy_mod, "cauchy_monomials", real)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), r
-        alphas = {a for mu in range(1, max(p.m for p in prefix) + 1) for a in enumerate_multi_indices(mu, r)}
-        assert len(maps) == 1, r
-        assert len(calls) == len(set(calls)) and set(calls) == alphas, r
+        batches.clear()
+        ctx = cauchy_mod.D4Context(prefix, r)
+        (seqs, heads), = batches
+        want = {a[:-1] for mu in range(1, max(p.m for p in prefix) + 1)
+                for a in enumerate_multi_indices(mu, r) if any(a[:-1])}
+        assert seqs == [p.block for p in prefix]
+        assert len(heads) == len(set(heads)) and set(heads) == want, r
+        # this round's block, and the blocks of two other rounds as further tries
+        for block in (rd.block, b.rounds[0].block, b.rounds[-1].block, rd.block):
+            got = cauchy_mod._d4_worst(b.space, b.weight, prefix, block, r, mode, ctx)
+            want_value = _d4_per_t_and_alpha(b.space, b.weight, prefix, block, r, mode)
+            assert np.float64(got).tobytes() == np.float64(want_value).tobytes(), r
+        assert len(batches) == 1, r
+
+
+def test_build_forms_one_d4_context_per_round(monkeypatch):
+    # the README c.json build takes more tries than rounds, and builds one
+    # D4Context per round from round 2 on, however many tries the round takes
+    contexts, tries = [], []
+    real_ctx, real_certify = cauchy_mod.D4Context, cauchy_mod._certify_round
+
+    class Counted(real_ctx):
+        def __init__(self, prefix, r):
+            contexts.append(r)
+            super().__init__(prefix, r)
+
+    def certify(state, r, *args):
+        tries.append(r)
+        return real_certify(state, r, *args)
+
+    monkeypatch.setattr(cauchy_mod, "D4Context", Counted)
+    monkeypatch.setattr(cauchy_mod, "_certify_round", certify)
+    b = build_generator_cauchy(CauchyState(EC, WeightSpec.parse("maclane"), standard_targets()), 8)
+    assert b.bundle_id == "83967ddd36a7f5bb"
+    assert contexts == list(range(2, 9)) and len(tries) > len(contexts) + 1
 
 
 class TestLambdaMatrix:

@@ -189,40 +189,39 @@ class TestExpansionOracle:
             expansion_oracle(coord_bundle, AlgebraElement({(1,): 1.0}, 1))
 
     def test_each_power_and_product_is_built_once(self, monkeypatch, lambda_bundle):
-        # the generators and the blocks each get one product map: every power
-        # of a sequence is formed once, and every monomial once
+        # the generators and the blocks each get one monomial batch, which
+        # forms every power of a sequence and every partial product once:
+        # the convolutions make exactly one item per distinct chain of
+        # factors (i, e) of two or more factors, or of one with e >= 2
         import hyperforge.core as core_mod
         import hyperforge.verify as verify_mod
 
-        real_power, real_monomials = core_mod.cauchy_power, core_mod.cauchy_monomials
-        powers, maps = [], []
+        real_monomials, real_convolve = core_mod.cauchy_monomials, core_mod.convolve
+        batches, formed = [], []
 
-        def counted_power(x, e):
-            powers.append((x, e))
-            return real_power(x, e)
+        def counted_monomials(seqs, alphas):
+            batches.append((seqs, list(alphas)))
+            return real_monomials(seqs, alphas)
 
-        def counted_monomials(seqs):
-            calls = []
-            maps.append((seqs, calls))
-            monomial = real_monomials(seqs)
+        def counted_convolve(xs, ys):
+            formed.append(len(xs.count))
+            return real_convolve(xs, ys)
 
-            def count(alpha):
-                calls.append(alpha)
-                return monomial(alpha)
-
-            return count
-
-        monkeypatch.setattr(core_mod, "cauchy_power", counted_power)
+        monkeypatch.setattr(core_mod, "convolve", counted_convolve)
         monkeypatch.setattr(verify_mod, "cauchy_monomials", counted_monomials)
         z = AlgebraElement({(1, 1): 1.0, (1, 0): 1.0, (0, 3): 0.5, (2, 1): -0.25}, 2)
         rep = expansion_oracle(lambda_bundle, z)
         assert rep.agree
-        (gens, gen_calls), (blocks, block_calls) = maps
-        assert gen_calls == list(z.coeffs) and block_calls == list(rep.d_alpha)
+        (gens, gen_alphas), (blocks, block_alphas) = batches
+        assert gen_alphas == list(z.coeffs) and block_alphas == list(rep.d_alpha)
         assert blocks == [rd.block for rd in lambda_bundle.rounds]
-        want = {(id(gens[k]), e) for beta in gen_calls for k, e in enumerate(beta) if e}
-        want |= {(id(blocks[i]), e) for alpha in block_calls for i, e in enumerate(alpha) if e}
-        assert len(powers) == len(want) and {(id(x), e) for x, e in powers} == want
+        chains = set()
+        for alphas in (gen_alphas, block_alphas):
+            for alpha in alphas:
+                factors = tuple((i, e) for i, e in enumerate(alpha) if e)
+                chains |= {(id(alphas), ((i, k),)) for i, e in factors for k in range(2, e + 1)}
+                chains |= {(id(alphas), factors[:j]) for j in range(2, len(factors) + 1)}
+        assert sum(formed) == len(chains)
 
 
 # the composition recursion the expansion oracle used before it multiplied out
