@@ -52,7 +52,6 @@ from .core import (
     WideComplex,
     _cat,
     cauchy_monomials,
-    cauchy_product,
     convolve,
     root_power_block,
 )
@@ -629,9 +628,9 @@ def block_checks(space, w, y, m, eta, gamma, b: WideComplex, q_part: FiniteSeq, 
     """
     shift = eta + (m - 1) * gamma
     c1, c3 = shift_norms(space, rho, w, SeqBatch.of([block, FiniteSeq.basis(m * gamma, b.powi(m))]), [0, shift])
-    lhs = cauchy_product(q_part, FiniteSeq.basis((m - 1) * gamma, b.powi(m - 1))).scale(
-        WideComplex.from_complex(m)
-    )
+    # the Cauchy product with the one term b^{m-1} e_{(m-1) gamma} scales and moves each coefficient
+    moved = FiniteSeq({n + (m - 1) * gamma: c for n, c in q_part.scale(b.powi(m - 1)).items()})
+    lhs = moved.scale(WideComplex.from_complex(m))
     res = lhs.rel_distance(root_power_block(w, y, shift, 1))
     return {
         "C1": Cert.less(c1, eps_log2),
@@ -771,9 +770,9 @@ class D4Context:
     p_i, from one ``cauchy_monomials`` batch, each formed once, so that
     P^alpha is that product times p_r^{alpha_r}; and, for each earlier round
     t in turn, one item per alpha of I_{mu,r} with mu <= m_t, in the order
-    D4 walks them: where P^alpha lies among p_r^1, ..., p_r^top and the
-    mixed products (``items``), the shift a_t, log multinomial(mu, alpha),
-    and the (t, mu) sum it joins (``chain``) at which step (``link``).
+    D4 walks them: where P^alpha lies in the batch of ``products``
+    (``items``), the shift a_t, and the (t, mu) sum it joins (``chain``) at
+    which step (``link``), with its log multinomial.
     """
 
     def __init__(self, rounds_prefix, r: int):
@@ -782,14 +781,20 @@ class D4Context:
         by_degree = [enumerate_multi_indices(mu, r) for mu in range(1, self.top + 1)]
         alphas = [alpha for mu_set in by_degree for alpha in mu_set]
         heads = list(dict.fromkeys(alpha[:-1] for alpha in alphas if any(alpha[:-1])))
+        earlier = cauchy_monomials([rd.block for rd in before], heads)
+        # step j of ``products`` forms (earlier product) * p_r^j for the alphas
+        # with alpha_r = j, then p_r^{j+1} = p_r^j * p_r; p_r^1 comes first
         head_at = {head: i for i, head in enumerate(heads)}
-        mixed = [i for i, alpha in enumerate(alphas) if any(alpha[:-1])]
-        # the earlier product of each mixed alpha, and the power of p_r it takes
-        self.earlier = cauchy_monomials([rd.block for rd in before], heads).take(
-            np.array([head_at[alphas[i][:-1]] for i in mixed], dtype=np.intp))
-        self.tails = np.array([alphas[i][-1] - 1 for i in mixed], dtype=np.intp)
-        rank = dict(zip(mixed, range(self.top, self.top + len(mixed))))
-        where = [rank.get(i, alpha[-1] - 1) for i, alpha in enumerate(alphas)]
+        at = {}
+        self.earlier = []
+        for j in range(1, self.top):
+            mixed = [i for i, alpha in enumerate(alphas) if alpha[-1] == j and any(alpha[:-1])]
+            offset = 1 + sum(len(e.count) + 1 for e in self.earlier)
+            at.update(zip(mixed, range(offset, offset + len(mixed))))
+            at[("power", j + 1)] = offset + len(mixed)
+            self.earlier.append(earlier.take(np.array([head_at[alphas[i][:-1]] for i in mixed], dtype=np.intp)))
+        at[("power", 1)] = 0
+        where = [at[i] if i in at else at[("power", alpha[-1])] for i, alpha in enumerate(alphas)]
         self._alphas = alphas
         self.items, self.shifts, self.upto, self.chain, self.link = [], [], [], [], []
         self.chains = 0
@@ -804,7 +809,7 @@ class D4Context:
                 self.chains += 1
         self.items, self.shifts = np.array(self.items, dtype=np.intp), np.array(self.shifts, dtype=np.int64)
         self.chain, self.link = np.array(self.chain, dtype=np.intp), np.array(self.link, dtype=np.intp)
-        self._block, self._powers = None, []
+        self._block, self._products, self._powers = None, None, []
 
     @cached_property
     def log_mult(self) -> np.ndarray:
@@ -812,36 +817,57 @@ class D4Context:
         log_mult = [math.log(multinomial(sum(alpha), alpha)) for alpha in self._alphas]
         return np.array([x for n in self.upto for x in log_mult[:n]])
 
-    def powers(self, block: FiniteSeq, top: int) -> list[SeqBatch]:
-        """block^1, ..., block^top, each block^e = block^{e-1} * block; the
-        powers of the last block asked for are kept, since D4 and D3 of one
-        try read the same ones."""
+    def products(self, block: FiniteSeq) -> SeqBatch:
+        """Every P^alpha for p_r = ``block``: p_r, then for j = 1..top-1 the
+        products (earlier product) * p_r^j and p_r^{j+1} = p_r^j * p_r, in
+        one ``convolve`` call per j.  The last block's products and powers
+        are kept, since D4 and D3 of one try read the same ones."""
         if self._block is not block:
-            self._block, self._powers = block, [SeqBatch.of([block])]
-        while len(self._powers) < top:
+            self._block = block
+            self._powers = [SeqBatch.of([block])]
+            parts = self._powers[:1]
+            for earlier in self.earlier:
+                power = self._powers[-1]
+                parts.append(convolve(_cat([earlier, power]),
+                                      _cat([power.take(np.zeros(len(earlier.count), dtype=np.intp)), parts[0]])))
+                self._powers.append(parts[-1].take(np.array([len(earlier.count)])))
+            self._products = _cat(parts)
+        return self._products
+
+    def power(self, block: FiniteSeq, m: int) -> SeqBatch:
+        """block^m, read from ``products`` where it holds it."""
+        self.products(block)
+        while len(self._powers) < m:
             self._powers.append(convolve(self._powers[-1], self._powers[0]))
-        return self._powers[:top]
+        return self._powers[m - 1]
 
 
-def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str, ctx: D4Context | None = None) -> float:
+def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str, ctx: D4Context | None = None, d13=None):
     """Largest left-hand side (in log) over all fourth-condition inequalities
     at round r, each compared against 2^-r.
 
     mode "sum": multinomial-weighted sums per (t, mu); mode "max": plain
     seminorms per alpha.  Returns -inf when the condition set is empty (r = 1).
-    ``ctx`` is the round's ``D4Context``, built here when not given.  One
-    batched ``convolve`` forms every P^alpha from its earlier product and
-    the power of block_r, and one ``shift_norms`` call gives
-    ||T^{a_t} P^alpha||_r for every t and alpha; each value, sum and max is
-    the scalar per-(t, alpha) evaluation's, bit for bit.
+    ``ctx`` is the round's ``D4Context``, built here when not given.  Every
+    P^alpha comes from ``ctx.products``, one batched ``convolve`` per power
+    of block_r, and one ``shift_norms`` call gives ||T^{a_t} P^alpha||_r for
+    every t and alpha; each value, sum and max is the scalar per-(t, alpha)
+    evaluation's, bit for bit.  With ``d13`` = (m, a, y) that call also
+    gives D1 = ||block_r||_r and D3 = ||T^a block_r^m - y||_r, and the result
+    is (worst, D1, D3).
     """
     if r == 1:
         return NEG_INF
     ctx = ctx if ctx is not None else D4Context(rounds_prefix, r)
-    powers = _cat(ctx.powers(block_r, ctx.top))
-    products = _cat([powers, convolve(ctx.earlier, powers.take(ctx.tails))]) if len(ctx.tails) else powers
-    vals = shift_norms(space, r, w, products.take(ctx.items), ctx.shifts)
-    return max([NEG_INF, *(vals if mode == "max" else _chain_sums(ctx, vals))])
+    batch, shifts, ys = ctx.products(block_r).take(ctx.items), ctx.shifts, None
+    if d13 is not None:
+        m, a, ys = d13[0], d13[1], [None, d13[2]]
+        batch = _cat([ctx.power(block_r, 1), ctx.power(block_r, m), batch])
+        shifts = np.concatenate(([0, a], shifts))
+    vals = shift_norms(space, r, w, batch, shifts, ys)
+    d4 = vals if d13 is None else vals[2:]
+    worst = max([NEG_INF, *(d4 if mode == "max" else _chain_sums(ctx, d4))])
+    return worst if d13 is None else (worst, vals[0], vals[1])
 
 
 def _chain_sums(ctx: D4Context, vals: list[float]) -> list[float]:
@@ -868,17 +894,19 @@ def round_checks(space, w, y, prefix: list[CauchyRound], rd: CauchyRound,
     a_r <= m gamma and eta > m gamma of the previous round; window
     asks that the terms of p^m with two or more q factors, which reach index
     2 (eta + s) + (m-2) gamma, lie below a_r.  The builder and bundle
-    re-validation both certify through this function.
+    re-validation both certify through this function, the builder with the
+    round's ``ctx``, which serves every try of the round; without one it is
+    built here.  From round 2 on D1 and D3 ride in D4's ``shift_norms``
+    call, and D3 reads p^m from the powers D4 formed.
     """
     r, m, a = rd.r, rd.m, rd.a
     label = "F" if algebrable else "D"
     if r > 1:
         ctx = ctx if ctx is not None else D4Context(prefix, r)
-        d4 = _d4_worst(space, w, prefix, rd.block, r, "max" if algebrable else "sum", ctx)
-        power = ctx.powers(rd.block, m)[-1]
+        d4, d1, d3 = _d4_worst(space, w, prefix, rd.block, r, "max" if algebrable else "sum", ctx, (m, a, y))
     else:
-        d4, power = NEG_INF, cauchy_monomials([rd.block], [(m,)])
-    d1, d3 = shift_norms(space, r, w, _cat([SeqBatch.of([rd.block]), power]), [0, a], [None, y])
+        d4 = NEG_INF
+        d1, d3 = shift_norms(space, r, w, cauchy_monomials([rd.block], [(1,), (m,)]), [0, a], [None, y])
     checks = {
         f"{label}1": Cert.less(d1, -r),
         f"{label}2": _structural_d2(prefix, r, m, rd.gamma, a),

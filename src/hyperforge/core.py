@@ -749,22 +749,22 @@ def _cat(batches: list[SeqBatch]) -> SeqBatch:
 def _wrap(phi: np.ndarray) -> np.ndarray:
     """``wrap_phase`` at every entry of phi (fmod is exact, so it matches bit for bit)."""
     phi = np.fmod(phi, _TWO_PI)
-    phi = np.where(phi <= -math.pi, phi + _TWO_PI, phi)
-    return np.where(phi > math.pi, phi - _TWO_PI, phi)
+    np.add(phi, _TWO_PI, out=phi, where=phi <= -math.pi)
+    np.subtract(phi, _TWO_PI, out=phi, where=phi > math.pi)
+    return phi
 
 
-def _floats(f, values: np.ndarray) -> np.ndarray:
-    """``math`` function f at every entry: numpy's exp, log, cos and atan2 are
-    not those of ``math`` bit for bit."""
-    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=len(values))
+def _floats(f, *args: np.ndarray) -> np.ndarray:
+    """``math`` function f at every entry of its argument arrays: numpy's
+    exp, log and atan2 are not those of ``math`` bit for bit."""
+    return np.fromiter(map(f, *(x.tolist() for x in args)), dtype=np.float64, count=len(args[0]))
 
 
 # past double range a log sum overflows to inf or inf - inf gives NaN, silently
 # in the scalar path; the kernels read both as that path does
 _quiet = np.errstate(over="ignore", invalid="ignore")
 # the axis units of ``_unit`` by k, at phase k pi/2 for k = -1, 0, 1, 2
-_AXIS_RE, _AXIS_IM = (np.array([getattr(_AXIS_UNITS[k * _HALF_PI], part) for k in (-1, 0, 1, 2)])
-                      for part in ("real", "imag"))
+_AXIS = np.array([_AXIS_UNITS[k * _HALF_PI] for k in (-1, 0, 1, 2)])
 
 
 @_quiet
@@ -788,25 +788,25 @@ def convolve(xs: SeqBatch, ys: SeqBatch) -> SeqBatch:
     yi = np.arange(ends[-1] if len(ends) else 0)
     yi += ((ys.count.cumsum() - ys.count).repeat(xs.count) + per_x - ends).repeat(per_x)
     log = xs.log[xi] + ys.log[yi]
-    live = log > NEG_INF  # not -inf, not NaN
-    if not live.all():
-        xi, yi, log = xi[live], yi[live], log[live]
+    live = (log > NEG_INF).nonzero()[0]  # not -inf, not NaN
+    xi, yi = xi[live], yi[live]
     n = xs.n[xi] + ys.n[yi]
     item = np.arange(k).repeat(xs.count)[xi]
     order = np.lexsort((n, item))
-    n, item, log = n[order], item[order], log[order]
+    n, item, log = n[order], item[order], log[live[order]]
     ph = _wrap(xs.ph[xi[order]] + ys.ph[yi[order]])
-    first = np.empty(len(n), dtype=bool)
-    first[:1] = True
-    np.not_equal(n[1:], n[:-1], out=first[1:])
-    first[1:] |= item[1:] != item[:-1]
-    start = first.nonzero()[0]
-    size = np.bincount(first.cumsum() - 1)
+    # the output coefficients, one run of terms each
+    cut = np.empty(len(n), dtype=bool)
+    cut[:1] = True
+    np.not_equal(n[1:], n[:-1], out=cut[1:])
+    cut[1:] |= item[1:] != item[:-1]
+    edges = np.concatenate((cut.nonzero()[0], [len(n)]))
+    start, size = edges[:-1], edges[1:] - edges[:-1]
     log_z, ph_z, n, item = log[start], ph[start], n[start], item[start]
     many = (size > 1).nonzero()[0]
     if len(many):
         log_z[many], ph_z[many] = _sum_runs(log, ph, start[many], size[many])
-        keep = log_z > NEG_INF
+        keep = (log_z > NEG_INF).nonzero()[0]
         log_z, ph_z, n, item = log_z[keep], ph_z[keep], n[keep], item[keep]
     return SeqBatch(np.bincount(item, minlength=k), n, log_z, ph_z)
 
@@ -814,29 +814,30 @@ def convolve(xs: SeqBatch, ys: SeqBatch) -> SeqBatch:
 def _sum_runs(log: np.ndarray, ph: np.ndarray, start: np.ndarray, size: np.ndarray):
     """``_sum_polar`` of each run of ``size`` terms from ``start``, by its
     float operations in its order: (log|s|, arg s), and (-inf, 0.0) where
-    the terms cancel exactly.  Each term is math.exp(log - max) times its
-    ``_unit``, a float times a complex as CPython multiplies them, and the
-    sum runs from 0j, adding the k-th term of every run in step k."""
+    the terms cancel exactly.  A term is e = math.exp(log - max) times its
+    ``_unit``, a float times a complex as CPython multiplies them: (e cos,
+    e sin) up to the sign of a zero part, which is what cmath.exp(log - max
+    + i phase) gives, and on the four axes e times the exact unit.  Each sum
+    runs from 0j, adding the k-th term of every run in step k, so none of
+    its parts is ever -0.0 and the sign of a zero term's part cannot show."""
     offset = size.cumsum() - size
     at = np.arange(offset[-1] + size[-1]) + (start - offset).repeat(size)
     lg, p = log[at], ph[at]
     top = np.maximum.reduceat(lg, offset)
-    e = _floats(math.exp, lg - top.repeat(size))
-    re, im = _floats(math.cos, p), _floats(math.sin, p)
+    z = np.empty(len(at), dtype=np.complex128)
+    z.real, z.imag = lg - top.repeat(size), p
+    z = np.fromiter(map(cmath.exp, z.tolist()), dtype=np.complex128, count=len(z))
     axis = (np.fmod(p, _HALF_PI) == 0.0).nonzero()[0]  # 0, pi and -+pi/2, and no other phase
-    if len(axis):
-        k = (p[axis] / _HALF_PI).astype(np.intp) + 1
-        re[axis], im[axis] = _AXIS_RE[k], _AXIS_IM[k]
-    z = np.empty(len(e), dtype=np.complex128)
-    z.real, z.imag = e * re - 0.0 * im, e * im + 0.0 * re
-    acc = np.zeros(len(start), dtype=np.complex128)
-    for step in range(size.max()):
+    e, unit = _floats(math.exp, lg[axis] - top.repeat(size)[axis]), _AXIS[(p[axis] / _HALF_PI).astype(np.intp) + 1]
+    z.real[axis], z.imag[axis] = e * unit.real - 0.0 * unit.imag, e * unit.imag + 0.0 * unit.real
+    acc = z[offset] + 0j
+    for step in range(1, size.max()):
         runs = (size > step).nonzero()[0]
         acc[runs] += z[offset[runs] + step]
-    sums = acc.tolist()
-    log_s = [math.log(abs(s)) if s else NEG_INF for s in sums]
-    ph_s = [math.atan2(s.imag, s.real) if s else 0.0 for s in sums]
-    return top + log_s, np.where(np.equal(ph_s, -math.pi), math.pi, ph_s)
+    # |s| by libm's hypot, as abs(complex) takes it, without abs's errno check
+    log_s = [math.log(v) if v else NEG_INF for v in np.hypot(acc.real, acc.imag).tolist()]
+    ph_s = _floats(math.atan2, acc.imag, acc.real)  # 0.0 at a zero sum
+    return top + log_s, np.where(ph_s == -math.pi, math.pi, ph_s)
 
 
 def cauchy_product(x: FiniteSeq, y: FiniteSeq) -> FiniteSeq:

@@ -166,10 +166,11 @@ def seminorm_eval(space: SpaceSpec, q: int, x: FiniteSeq) -> float:
 def shift_norms(space: SpaceSpec, q: int, w: WeightSpec, xs: SeqBatch, a, ys: list | None = None) -> list[float]:
     """``seminorm_eval(space, q, backward_iterate(w, x, a) - y)`` for every item
     x of ``xs``: ``a`` is one shift count or one per item, and ``ys`` one
-    FiniteSeq or None per item, None (or no ys) for no subtraction.  Bit for
-    bit, since the shift is ``shift_back``'s, which reads the weights once
-    for all items, the subtraction is WideComplex arithmetic at the indices
-    of y alone, and the seminorm is ``_seminorms``'."""
+    FiniteSeq or None for each of the first len(ys) items, None (or no ys)
+    for no subtraction.  Bit for bit, since the shift is ``shift_back``'s,
+    which reads the weights once for all items, the subtraction is
+    WideComplex arithmetic at the indices of y alone, and the seminorm is
+    ``_seminorms``'."""
     shifted = shift_back(w, xs, a)
     q = _check_q(q)
     if ys is not None:
@@ -178,14 +179,17 @@ def shift_norms(space: SpaceSpec, q: int, w: WeightSpec, xs: SeqBatch, a, ys: li
 
 
 def _subtract(xs: SeqBatch, ys: list) -> SeqBatch:
-    """x - y for every item x of xs and its y in ``ys`` (None: x), as
-    ``FiniteSeq.__sub__`` forms it."""
-    ends = xs.count.cumsum().tolist()
-    ns, logs, phs = xs.n.tolist(), xs.log.tolist(), xs.ph.tolist()
-    count, n, log, ph = [], [], [], []
-    for i, j, y in zip([0, *ends], ends, ys):
-        n_i, log_i, ph_i = ns[i:j], logs[i:j], phs[i:j]
-        for k, c in y.items() if y is not None else ():
+    """x - y for each of the first len(ys) items x of xs and its y in ``ys``
+    (None: x), as ``FiniteSeq.__sub__`` forms it; the other items as they are."""
+    start = (xs.count.cumsum() - xs.count).tolist()
+    count = xs.count.copy()
+    parts, done = [], 0
+    for i, y in enumerate(ys):
+        if y is None:
+            continue
+        lo, hi = start[i], start[i] + int(count[i])
+        n_i, log_i, ph_i = xs.n[lo:hi].tolist(), xs.log[lo:hi].tolist(), xs.ph[lo:hi].tolist()
+        for k, c in y.items():
             at = bisect_left(n_i, k)
             if at < len(n_i) and n_i[at] == k:
                 d = WideComplex(log_i[at], ph_i[at]) - c
@@ -198,12 +202,12 @@ def _subtract(xs: SeqBatch, ys: list) -> SeqBatch:
                 log_i.insert(at, 0.0)
                 ph_i.insert(at, 0.0)
             log_i[at], ph_i[at] = d.log_mag, d.phase
-        count.append(len(n_i))
-        n += n_i
-        log += log_i
-        ph += ph_i
-    return SeqBatch(np.array(count, dtype=np.int64), np.array(n, dtype=np.int64), np.array(log, dtype=np.float64),
-                    np.array(ph, dtype=np.float64))
+        count[i] = len(n_i)
+        parts += [(xs.n[done:lo], xs.log[done:lo], xs.ph[done:lo]),
+                  (np.array(n_i, dtype=np.int64), np.array(log_i, dtype=np.float64), np.array(ph_i, dtype=np.float64))]
+        done = hi
+    parts.append((xs.n[done:], xs.log[done:], xs.ph[done:]))
+    return SeqBatch(count, *map(np.concatenate, zip(*parts)))
 
 
 def basis_log_array(space: SpaceSpec, q: int, idx: np.ndarray) -> np.ndarray:

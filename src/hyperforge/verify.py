@@ -5,9 +5,10 @@ Everything here recomputes from the serialized bundle alone, so a report is
 reproducible bit-for-bit from the file.
 
 Every orbit report measures ||T^{a_r} P(x) - rho y^(l)||_r through one round
-check, at the rounds it applies to only, and forms P(x) only when some round
-is checked.  The reports and the expansion oracle build their Cauchy products
-through ``core.cauchy_monomials``, as the D4/F4 certificate does.  The oracle
+check, by ``spaces.shift_norms``, at the rounds it applies to only, and forms
+P(x) only when some round is checked.  The reports and the expansion oracle
+build their Cauchy products through ``core.cauchy_monomials``, as the D4/F4
+certificate does for the products of earlier blocks.  The oracle
 finds the coefficients d_alpha of z over the block products P^alpha by
 multiplying out each term of z over the linear forms x_k = sum_r
 lambda_{k,nu_r} p_r of the round blocks p_r.
