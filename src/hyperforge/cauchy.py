@@ -809,7 +809,6 @@ class D4Context:
                 self.chains += 1
         self.items, self.shifts = np.array(self.items, dtype=np.intp), np.array(self.shifts, dtype=np.int64)
         self.chain, self.link = np.array(self.chain, dtype=np.intp), np.array(self.link, dtype=np.intp)
-        self._block, self._products, self._powers = None, None, []
 
     @cached_property
     def log_mult(self) -> np.ndarray:
@@ -817,29 +816,20 @@ class D4Context:
         log_mult = [math.log(multinomial(sum(alpha), alpha)) for alpha in self._alphas]
         return np.array([x for n in self.upto for x in log_mult[:n]])
 
-    def products(self, block: FiniteSeq) -> SeqBatch:
-        """Every P^alpha for p_r = ``block``: p_r, then for j = 1..top-1 the
-        products (earlier product) * p_r^j and p_r^{j+1} = p_r^j * p_r, in
-        one ``convolve`` call per j.  The last block's products and powers
-        are kept, since D4 and D3 of one try read the same ones."""
-        if self._block is not block:
-            self._block = block
-            self._powers = [SeqBatch.of([block])]
-            parts = self._powers[:1]
-            for earlier in self.earlier:
-                power = self._powers[-1]
-                parts.append(convolve(_cat([earlier, power]),
-                                      _cat([power.take(np.zeros(len(earlier.count), dtype=np.intp)), parts[0]])))
-                self._powers.append(parts[-1].take(np.array([len(earlier.count)])))
-            self._products = _cat(parts)
-        return self._products
-
-    def power(self, block: FiniteSeq, m: int) -> SeqBatch:
-        """block^m, read from ``products`` where it holds it."""
-        self.products(block)
-        while len(self._powers) < m:
-            self._powers.append(convolve(self._powers[-1], self._powers[0]))
-        return self._powers[m - 1]
+    def products(self, block: FiniteSeq, m: int = 1) -> tuple[SeqBatch, SeqBatch]:
+        """Every P^alpha for p_r = ``block``, and block^m: p_r, then for
+        j = 1..top-1 the products (earlier product) * p_r^j and p_r^{j+1} =
+        p_r^j * p_r, in one ``convolve`` call per j, and past top each
+        block^e = block^{e-1} * block."""
+        powers = [SeqBatch.of([block])]
+        parts = powers[:1]
+        for earlier in self.earlier:
+            parts.append(convolve(_cat([earlier, powers[-1]]),
+                                  _cat([powers[-1].take(np.zeros(len(earlier.count), dtype=np.intp)), powers[0]])))
+            powers.append(parts[-1].take([len(earlier.count)]))
+        while len(powers) < m:
+            powers.append(convolve(powers[-1], powers[0]))
+        return _cat(parts), powers[m - 1]
 
 
 def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str, ctx: D4Context | None = None, d13=None):
@@ -859,12 +849,12 @@ def _d4_worst(space, w, rounds_prefix, block_r, r, mode: str, ctx: D4Context | N
     if r == 1:
         return NEG_INF
     ctx = ctx if ctx is not None else D4Context(rounds_prefix, r)
-    batch, shifts, ys = ctx.products(block_r).take(ctx.items), ctx.shifts, None
+    m, a, y = d13 if d13 is not None else (1, 0, None)
+    products, power = ctx.products(block_r, m)
+    batch, shifts = products.take(ctx.items), ctx.shifts
     if d13 is not None:
-        m, a, ys = d13[0], d13[1], [None, d13[2]]
-        batch = _cat([ctx.power(block_r, 1), ctx.power(block_r, m), batch])
-        shifts = np.concatenate(([0, a], shifts))
-    vals = shift_norms(space, r, w, batch, shifts, ys)
+        batch, shifts = _cat([products.take([0]), power, batch]), np.concatenate(([0, a], shifts))
+    vals = shift_norms(space, r, w, batch, shifts, None if d13 is None else [None, y])
     d4 = vals if d13 is None else vals[2:]
     worst = max([NEG_INF, *(d4 if mode == "max" else _chain_sums(ctx, d4))])
     return worst if d13 is None else (worst, vals[0], vals[1])

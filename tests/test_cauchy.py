@@ -313,7 +313,8 @@ def test_d4_builds_each_product_once(which, monkeypatch, cauchy_bundle_ec, lambd
     # the README c.json and ca.json rounds: each round's D4Context forms the
     # products of the earlier blocks once, in one cauchy_monomials batch, and
     # every block evaluated through it, as the tries of a round are, gives the
-    # per-(t, alpha) scalar value bit for bit
+    # per-(t, alpha) scalar value bit for bit, as do D1 and D3 where they
+    # ride in the same shift-norm call
     b, mode = (cauchy_bundle_ec, "sum") if which == "c" else (lambda_bundle, "max")
     assert b.bundle_id == {"c": "83967ddd36a7f5bb", "ca": "1785e5e5716db747"}[which]
     real = cauchy_mod.cauchy_monomials
@@ -334,10 +335,15 @@ def test_d4_builds_each_product_once(which, monkeypatch, cauchy_bundle_ec, lambd
         assert seqs == [p.block for p in prefix]
         assert len(heads) == len(set(heads)) and set(heads) == want, r
         # this round's block, and the blocks of two other rounds as further tries
+        y = b.schedule().target(rd.l)
         for block in (rd.block, b.rounds[0].block, b.rounds[-1].block, rd.block):
             got = cauchy_mod._d4_worst(b.space, b.weight, prefix, block, r, mode, ctx)
             want_value = _d4_per_t_and_alpha(b.space, b.weight, prefix, block, r, mode)
             assert np.float64(got).tobytes() == np.float64(want_value).tobytes(), r
+            got = cauchy_mod._d4_worst(b.space, b.weight, prefix, block, r, mode, ctx, (rd.m, rd.a, y))
+            image = scalar_ops.backward_iterate(b.weight, scalar_ops.cauchy_power(block, rd.m), rd.a)
+            want = (want_value, scalar_ops.seminorm_eval(b.space, r, block), scalar_ops.seminorm_eval(b.space, r, image - y))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), r
         assert len(batches) == 1, r
 
 

@@ -75,6 +75,10 @@ def _seq(pairs):
     ({n: (0.1 * n, 0.3 * n) for n in range(16)}, {n: (-0.2 * n, 1.0 - 0.1 * n) for n in range(16)}),
     # moduli past double range, +inf (a NaN sum) and a sum of logs that overflows to -inf
     ({0: (800.0, 1.0), 1: (math.inf, 0.5)}, {0: (-1e308, 0.2), 1: (-800.0, -2.0), 3: (-1e308, 0.0)}),
+    # NaN sums after terms whose rescaling underflows: abs() of a NaN complex
+    # raises OverflowError when a libm underflow has left errno set
+    ({0: (0.0, 0.0), 1: (math.inf, 0.0), 2: (0.0, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.0), 5: (0.0, 0.0)},
+     {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (800.0, 0.0)}),
 ])
 def test_convolve_edge_cases(x, y):
     x, y = _seq(x), _seq(y)
@@ -116,6 +120,10 @@ def test_shift_norm_edge_cases(sid):
     want = [_scalar_shift_norm(sp, 4, w, *c) for c in cases]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert got[0] == -math.inf
+    # targets for the first items only: the later items are not subtracted from
+    got = shift_norms(sp, 4, w, SeqBatch.of([c[0] for c in cases]), [c[1] for c in cases], [y, None, y])
+    want = [_scalar_shift_norm(sp, 4, w, c[0], c[1], t) for c, t in zip(cases, [y, None, y, None, None])]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("x,w,a,error", [
