@@ -62,17 +62,6 @@ def _unit(phase: float) -> complex:
     return cmath.exp(1j * phase) if unit is None else unit
 
 
-def log_sum(terms: Iterable[float]) -> float:
-    """log(sum(exp(t))) for nonnegative summands given by their logs."""
-    ts = [t for t in terms if t != NEG_INF]
-    if not ts:
-        return NEG_INF
-    m = max(ts)
-    if m == math.inf:
-        return math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in ts))
-
-
 def _sum_polar(terms: list[float]) -> tuple[float, float]:
     """(log|s|, arg s) of the sum s of two or more nonzero terms, given as
     log|z| and arg z of each in turn, by max-rescaled accumulation;

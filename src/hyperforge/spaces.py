@@ -123,9 +123,9 @@ def _seminorms(space: SpaceSpec, q: int, count: np.ndarray, n: np.ndarray, log: 
     item, their indices ``n`` and log-moduli ``log``, item by item, by
     ascending index): the omega horizon keeps n <= q, entire weights add
     n log q and l_p multiplies by p; then c0 and omega_coord take the max of
-    each item, the rest its ``log_sum``, and l_p its p-th root.  Every value
-    is the one-sequence rule's bit for bit: each max runs over the item in
-    index order, and each log_sum sums its exp(t - max) by ``math.fsum``."""
+    each item, the rest the log of the sum of its exp(t), and l_p its p-th
+    root.  Each max runs over the item in index order, and each log-sum is
+    max + log fsum exp(t - max), with ``math``'s exp, fsum and log."""
     sid, k = space.space_id, len(count)
     if sid in ("omega_coord", "omega_cauchy"):
         cut = n <= q
@@ -141,7 +141,7 @@ def _seminorms(space: SpaceSpec, q: int, count: np.ndarray, n: np.ndarray, log: 
     live = log != NEG_INF
     if not live.all():
         count, log = np.bincount(np.arange(k).repeat(count)[live], minlength=k), log[live]
-    # log_sum of each item: its max, plus log fsum exp(t - max)
+    # the log-sum of each item: its max, plus log fsum exp(t - max)
     ends = count.cumsum()
     some = count.nonzero()[0]
     start = (ends - count)[some]

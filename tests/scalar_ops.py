@@ -9,10 +9,21 @@ from __future__ import annotations
 import cmath
 import math
 
-from hyperforge.core import NEG_INF, FiniteSeq, WideComplex, log_sum, wrap_phase
+from hyperforge.core import NEG_INF, FiniteSeq, WideComplex, wrap_phase
 from hyperforge.spaces import _check_q
 
 _HALF_PI = math.pi / 2.0
+
+
+def log_sum(terms) -> float:
+    """log(sum(exp(t))) for nonnegative summands given by their logs."""
+    ts = [t for t in terms if t != NEG_INF]
+    if not ts:
+        return NEG_INF
+    m = max(ts)
+    if m == math.inf:
+        return math.inf
+    return m + math.log(math.fsum(math.exp(t - m) for t in ts))
 
 
 def _unit(phase: float) -> complex:
