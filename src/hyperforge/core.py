@@ -716,6 +716,7 @@ class SeqBatch(NamedTuple):
                    np.array([c.phase for c in coefs], dtype=np.float64))
 
     def seqs(self) -> list[FiniteSeq]:
+        """The items as sequences."""
         ends = self.count.cumsum().tolist()
         n = self.n.tolist()
         coefs = list(map(WideComplex, self.log.tolist(), self.ph.tolist()))
